@@ -24,6 +24,8 @@ from .errors import NotAnIdeal, ParseError, TooLarge
 from .intervals import NaturalInterval, split_top_level
 from .structures import (
     FiniteStructure,
+    _relabel,
+    _zero_index,
     axiom_report,
     find_special_elements,
     is_strict_semiring,
@@ -388,11 +390,8 @@ class QuotientStructure:
     def class_table(self, op):
         t = self._tables.get(op)
         if t is None:
-            amb = self.ambient.table(op)
-            r = np.array(self.reps, dtype=np.int64)
-            sub = amb[np.ix_(r, r)]
-            t = np.where(sub >= 0, self.class_of[np.maximum(sub, 0)],
-                         -1).astype(np.int32)
+            r = self.reps
+            t = _relabel(self.ambient.table(op)[np.ix_(r, r)], self.class_of)
             self._tables[op] = t
         return t
 
@@ -428,7 +427,7 @@ class QuotientStructure:
         representative-based class table; returns (ok, witness).
         """
         amb = self.ambient.table(op)
-        actual = np.where(amb >= 0, self.class_of[np.maximum(amb, 0)], -1)
+        actual = _relabel(amb, self.class_of)
         tab = self.class_table(op)
         predicted = tab[self.class_of[:, None], self.class_of[None, :]]
         diff = np.argwhere(actual != predicted)
@@ -491,9 +490,7 @@ def semifield_verdict(cls):
         out["commutative_counterexample"] = cls.labels(cw)
     e = cls.identity_index("mul")
     out["identity"] = cls.label(e) if e is not None else None
-    z = cls.identity_index("add")
-    if z is None:
-        z = cls.absorbing_index("mul")
+    z = _zero_index(cls)
     if z is not None:
         t = cls.table("mul")
         m = (t == z)

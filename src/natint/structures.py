@@ -5,9 +5,11 @@ with one or two binary operations (mul, and optionally add).  Cayley
 tables are integer index tables built lazily; an entry of -1 marks a
 product that falls outside the carrier (non-closure).  All axiom checks
 are exhaustive and vectorized over the tables, and every negative
-verdict carries the first counterexample in carrier order.
+verdict carries the first counterexample in carrier order.  A verdict is
+computed once per structure, because its tables never change once built.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +25,22 @@ PY_TABLE_CAP = 2048
 CUBIC_SCAN_CAP = 700
 # Elements scanned per chunk in the n^3 checks (rows of the outer index).
 _BLOCK_ENTRIES = 1 << 22
+
+
+def _once(method):
+    """Remember a verdict on its structure, keyed by method and op.
+
+    The memo is a per-instance dict, so it dies with its structure.
+    `workers` only splits a scan, so it is not part of the key.
+    """
+    @functools.wraps(method)
+    def wrapper(self, *args, **kwargs):
+        key = (method.__name__,) + args + tuple(
+            v for k, v in kwargs.items() if k != "workers")
+        if key not in self._memo:
+            self._memo[key] = method(self, *args, **kwargs)
+        return self._memo[key]
+    return wrapper
 
 
 class FiniteStructure:
@@ -52,6 +70,7 @@ class FiniteStructure:
         self.fast_table = fast_table
         self.table_cap = table_cap
         self._tables = dict(tables) if tables else {}
+        self._memo = {}
 
     @property
     def n(self):
@@ -98,6 +117,22 @@ class FiniteStructure:
         self._tables[op] = t
         return t
 
+    def restrict(self, indices):
+        """The substructure on the given carrier indices, in that order.
+
+        Its tables are read from this structure's; a product that leaves
+        the subset is -1.
+        """
+        rows = np.asarray(indices, dtype=np.int64)
+        relabel = np.full(self.n, -1, dtype=np.int32)
+        relabel[rows] = np.arange(len(rows))
+        return FiniteStructure(
+            [self.elements[i] for i in rows], mul=self.mul_fn,
+            add=self.add_fn, kind=self.kind, domain=self.domain,
+            flavor=self.flavor,
+            fast_table=lambda op: _relabel(
+                self.table(op)[np.ix_(rows, rows)], relabel))
+
     def _build_table(self, op):
         f = self.op_fn(op)
         idx = self.index
@@ -112,6 +147,7 @@ class FiniteStructure:
     # ------------------------------------------------------------------
     # axiom checks (exhaustive, first counterexample in carrier order)
 
+    @_once
     def closed(self, op):
         t = self.table(op)
         bad = np.argwhere(t < 0)
@@ -120,6 +156,7 @@ class FiniteStructure:
             return False, (int(i), int(j))
         return True, None
 
+    @_once
     def commutative(self, op):
         t = self.table(op)
         diff = np.argwhere(t != t.T)
@@ -128,6 +165,7 @@ class FiniteStructure:
             return False, (int(i), int(j))
         return True, None
 
+    @_once
     def associative(self, op, workers=1):
         """(x∘y)∘z = x∘(y∘z) over all triples; requires a closed op."""
         ok, wit = self.closed(op)
@@ -154,12 +192,14 @@ class FiniteStructure:
         wit = _first_hit(range(0, n, block), scan, workers)
         return (wit is None), wit
 
+    @_once
     def identity_index(self, op):
         t = self.table(op)
         ar = np.arange(self.n)
         hits = np.where((t == ar).all(axis=1) & (t.T == ar).all(axis=1))[0]
         return int(hits[0]) if hits.size else None
 
+    @_once
     def absorbing_index(self, op):
         t = self.table(op)
         for i in range(self.n):
@@ -167,6 +207,7 @@ class FiniteStructure:
                 return i
         return None
 
+    @_once
     def inverses(self, op):
         """Does every element have a two-sided inverse for the identity?"""
         e = self.identity_index(op)
@@ -180,6 +221,7 @@ class FiniteStructure:
             return False, int(missing[0])
         return True, None
 
+    @_once
     def distributive(self, workers=1):
         """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples."""
         for op in ("add", "mul"):
@@ -232,6 +274,13 @@ class FiniteStructure:
                 return k
             acc = int(t[acc, one])
         return 0
+
+
+def _relabel(table, relabel):
+    """Each product p in table replaced by relabel[p]; -1 (a product
+    outside the carrier) stays -1."""
+    return np.where(table >= 0, relabel[np.maximum(table, 0)],
+                    -1).astype(np.int32)
 
 
 def _first_hit(keys, fn, workers):
@@ -306,70 +355,88 @@ def axiom_report(s, op, workers=1):
     return rep
 
 
-def ring_report(s, workers=1):
-    rep = {
-        "add": axiom_report(s, "add", workers=workers),
-        "mul": axiom_report(s, "mul", workers=workers),
-    }
-    try:
-        dist, dw = s.distributive(workers=workers)
-    except TooLarge:
-        dist, dw = None, None
-        rep["distributive_note"] = "skipped: carrier too large"
-    rep["distributive"] = dist
-    if dist is False:
-        side, x, y, z = dw
-        rep["distributive_counterexample"] = {
-            "side": side, "triple": s.labels((x, y, z))}
-    return rep
+def _group_verdict(s, op="mul", workers=1):
+    """(ok, info): is s a group under op?  info holds the identity, or
+    the reason and, where there is one, the first witness."""
+    if s.n == 0:
+        return False, {"reason": "empty"}
+    closed, cw = s.closed(op)
+    if not closed:
+        x, y = (s.elements[i] for i in cw)
+        return False, {"reason": "not closed",
+                       "witness": (str(x), str(y), str(s.apply(op, x, y)))}
+    assoc, aw = s.associative(op, workers=workers)
+    if not assoc:
+        return False, {"reason": "not associative",
+                       "witness": tuple(s.labels(aw))}
+    e = s.identity_index(op)
+    if e is None:
+        return False, {"reason": "no identity"}
+    inv, miss = s.inverses(op)
+    if not inv:
+        return False, {"reason": "missing inverse", "witness": s.label(miss)}
+    return True, {"identity": s.label(e)}
+
+
+def _ring_verdict(s, workers=1):
+    """(ok, info): is s a ring under (add, mul)?  info holds the additive
+    identity, or the reason and, where there is one, the first witness."""
+    ok, info = _group_verdict(s, "add", workers)
+    if not ok:
+        info["reason"] = "additive: " + info["reason"]
+        return False, info
+    if not s.commutative("add")[0]:
+        return False, {"reason": "addition not commutative"}
+    closed, cw = s.closed("mul")
+    if not closed:
+        return False, {"reason": "product leaves the subset",
+                       "witness": tuple(s.labels(cw))}
+    if not s.associative("mul", workers=workers)[0]:
+        return False, {"reason": "multiplication not associative"}
+    dist, dw = s.distributive(workers=workers)
+    if not dist:
+        return False, {"reason": "not distributive",
+                       "witness": tuple(s.labels(dw[1:]))}
+    return True, info
+
+
+def _field_verdict(s, workers=1):
+    """(ok, info): is s a field under (add, mul)?  info holds the zero and
+    identity, or the reason and, where there is one, the first witness."""
+    ok, info = _ring_verdict(s, workers)
+    if not ok:
+        return False, info
+    if s.n < 2:
+        return False, {"reason": "needs at least two elements"}
+    comm, pw = s.commutative("mul")
+    if not comm:
+        return False, {"reason": "multiplication not commutative",
+                       "witness": tuple(s.labels(pw))}
+    one = s.identity_index("mul")
+    if one is None:
+        return False, {"reason": "no multiplicative identity"}
+    zero = s.identity_index("add")
+    m = (s.table("mul") == one)
+    have = m.any(axis=1)
+    have[zero] = True
+    if not have.all():
+        return False, {"reason": "missing multiplicative inverse",
+                       "witness": s.label(int(np.argmin(have)))}
+    return True, {"zero": s.label(zero), "identity": s.label(one)}
 
 
 def is_group(s, op="mul", workers=1):
-    closed, _ = s.closed(op)
-    if not closed:
-        return False
-    assoc, _ = s.associative(op, workers=workers)
-    if not assoc:
-        return False
-    if s.identity_index(op) is None:
-        return False
-    inv, _ = s.inverses(op)
-    return bool(inv)
+    return _group_verdict(s, op, workers)[0]
 
 
 def is_ring(s, workers=1):
-    if not (s.has_op("add") and s.has_op("mul")):
-        return False
-    if not is_group(s, "add", workers=workers):
-        return False
-    comm, _ = s.commutative("add")
-    if not comm:
-        return False
-    closed, _ = s.closed("mul")
-    if not closed:
-        return False
-    assoc, _ = s.associative("mul", workers=workers)
-    if not assoc:
-        return False
-    dist, _ = s.distributive(workers=workers)
-    return bool(dist)
+    return (s.has_op("add") and s.has_op("mul")
+            and _ring_verdict(s, workers)[0])
 
 
 def is_field(s, workers=1):
-    if not is_ring(s, workers=workers):
-        return False
-    comm, _ = s.commutative("mul")
-    if not comm:
-        return False
-    one = s.identity_index("mul")
-    zero = s.identity_index("add")
-    if one is None or one == zero:
-        return False
-    t = s.table("mul")
-    m = (t == one)
-    have = (m & m.T).any(axis=1)
-    have[zero] = True
-    return bool(have.all())
+    return (s.has_op("add") and s.has_op("mul")
+            and _field_verdict(s, workers)[0])
 
 
 def classify(s, workers=1):
@@ -561,84 +628,16 @@ def _element_orders(s, one, zero):
 
 def check_subset_group(elems, mul):
     """Exhaustively verify that elems forms a group under mul."""
-    k = len(elems)
-    if k == 0:
-        return False, {"reason": "empty"}
-    pos = {e: i for i, e in enumerate(elems)}
-    if len(pos) != k:
+    if len(set(elems)) != len(elems):
         return False, {"reason": "duplicate elements"}
-    prod = [[None] * k for _ in range(k)]
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            r = mul(x, y)
-            if r not in pos:
-                return False, {"reason": "not closed",
-                               "witness": (str(x), str(y), str(r))}
-            prod[i][j] = pos[r]
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if prod[prod[a][b]][c] != prod[a][prod[b][c]]:
-                    return False, {"reason": "not associative",
-                                   "witness": (str(elems[a]), str(elems[b]),
-                                               str(elems[c]))}
-    e = None
-    for i in range(k):
-        if all(prod[i][j] == j and prod[j][i] == j for j in range(k)):
-            e = i
-            break
-    if e is None:
-        return False, {"reason": "no identity"}
-    for i in range(k):
-        if not any(prod[i][j] == e and prod[j][i] == e for j in range(k)):
-            return False, {"reason": "missing inverse",
-                           "witness": str(elems[i])}
-    return True, {"identity": str(elems[e])}
+    return _group_verdict(FiniteStructure(elems, mul=mul))
 
 
 def check_subset_field(elems, add, mul):
     """Exhaustively verify that elems forms a field under (add, mul)."""
-    ok, info = check_subset_group(elems, add)
-    if not ok:
-        info["reason"] = "additive: " + info["reason"]
-        return False, info
-    pos = {e: i for i, e in enumerate(elems)}
-    k = len(elems)
-    zero = next(e for e in elems
-                if all(add(e, x) == x for x in elems))
-    if k < 2:
-        return False, {"reason": "needs at least two elements"}
-    for x in elems:
-        for y in elems:
-            if add(x, y) != add(y, x):
-                return False, {"reason": "addition not commutative"}
-            if mul(x, y) not in pos:
-                return False, {"reason": "product leaves the subset",
-                               "witness": (str(x), str(y))}
-            if mul(x, y) != mul(y, x):
-                return False, {"reason": "multiplication not commutative",
-                               "witness": (str(x), str(y))}
-    for x in elems:
-        for y in elems:
-            for z in elems:
-                if mul(mul(x, y), z) != mul(x, mul(y, z)):
-                    return False, {"reason": "multiplication not associative"}
-                if mul(x, add(y, z)) != add(mul(x, y), mul(x, z)):
-                    return False, {"reason": "not distributive",
-                                   "witness": (str(x), str(y), str(z))}
-    one = None
-    for e in elems:
-        if e != zero and all(mul(e, x) == x for x in elems):
-            one = e
-            break
-    if one is None:
-        return False, {"reason": "no multiplicative identity"}
-    nonzero = [e for e in elems if e != zero]
-    for x in nonzero:
-        if not any(mul(x, y) == one for y in nonzero):
-            return False, {"reason": "missing multiplicative inverse",
-                           "witness": str(x)}
-    return True, {"zero": str(zero), "identity": str(one)}
+    if len(set(elems)) != len(elems):
+        return False, {"reason": "additive: duplicate elements"}
+    return _field_verdict(FiniteStructure(elems, mul=mul, add=add))
 
 
 # ----------------------------------------------------------------------
@@ -765,8 +764,7 @@ def is_s_ring(s, enumerate_cap=256, workers=1):
         if not 2 <= len(span) < n:
             return None
         members = sorted(span)
-        elems = [s.elements[i] for i in members]
-        ok, info = check_subset_field(elems, s.add_fn, s.mul_fn)
+        ok, info = _field_verdict(s.restrict(members))
         if ok:
             return {"members": s.labels(members), "identity": info["identity"],
                     "order": len(members), "member_indices": members}

@@ -1,0 +1,79 @@
+"""Golden outputs: the sha256 of the stdout of `natint.cli.main` for a
+fixed list of requests, with the exit code.
+
+The list covers the exhaustive S-ring search, a subfield witness, subset
+and product carriers, the fuzzy grid, both quotient kinds and the claim
+catalogue.  Re-record only when an output is meant to change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from natint.cli import main
+
+GOLDEN = {
+    ('analyze', 'N(Zn:4)'): (
+        0, "a483e48b804b0c4b8d80c2ff7ef890bea659faec048296d6a11ebe83fdbc90e5"),
+    ('analyze', 'N(Zn:8)'): (
+        0, "96f8473e228cdd986218c95b236389044363466093cf313e6ec0e1b6ca3b5964"),
+    ('analyze', 'N(ZnI:4)'): (
+        0, "2630c2213ad27bd7ec5187d32618cf2f345fb967975d50936ba0bc4bfa180852"),
+    ('analyze', 'N(Zn:12,o)'): (
+        0, "0c08370f3c8aa9eb48710e1b5e5d39019c11b6ec0f57002b1f131407eb7b6519"),
+    ('analyze', 'N(Zn:7)\\0'): (
+        0, "2fc4797fddd0c41135e4179eaf98d64530cffe191cd074e7f46f977c57d3a6c4"),
+    ('analyze', 'Sub{[0,0],[1,1],[-1,-1],[1,-1],[-1,1]} of N(Z)'): (
+        0, "da4157594bdb8df78483bb410b554ef69eee46862914d6d30da09a3e27886f63"),
+    ('analyze', 'Sub{(0,0],(1,1],(6,6],(1,6],(6,1]} of N(Zn:7,oc)'): (
+        0, "c93e8482353abd3ed91445ea6d4daeef46193467843905747addab54f2bc220f"),
+    ('analyze', 'Mat(1,2,N(Zn:2))'): (
+        0, "31a668e8b2ff9ebb0855e58c6bb09e64b34351ad82d964b1002be9a40834e1bc"),
+    ('analyze', 'Poly(N(Zn:2),cyc=2)'): (
+        0, "fcf1115482372cf423f8a87d259c9e47be995979a0046eb423194d1beb897f84"),
+    ('analyze', 'Fuzzy(prod,step=1/4)'): (
+        0, "a7148e6046dc2b704add5d9404c290b46ed5c34aefd077ad7acb2e6d001b7a39"),
+    ('analyze', 'Fuzzy(min,step=1/3)'): (
+        0, "59bdde90df8ef4df2ce4276258b00188c2e43e2fa570e40f02644825bd987d64"),
+    ('quotient', 'N(Zn:12)', 'col-zero', '--kind', 'rees'): (
+        0, "b647045da3c09d2823d385642823a02c3f624e3532fa53becf60d0a5606213c6"),
+    ('quotient', 'N(Zn:12)', 'col-zero', '--kind', 'standard'): (
+        0, "741e9abb3c34c0c8fffd8950b980311b92d125e3e062bd26f3b83f73a99be894"),
+    ('verify-book', '--seed', '0'): (
+        0, "70d2637c78c51de4d703451d5304e0717341b361253b3d4e58cc88f036c7462b"),
+}
+
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_output(argv):
+    assert run(argv) == GOLDEN[argv]
+
+
+def _record():
+    """Rewrite the GOLDEN table of this file from the current engine."""
+    lines = ["GOLDEN = {\n"]
+    for argv in GOLDEN:
+        code, digest = run(argv)
+        lines.append(f"    {argv!r}: (\n        {code}, \"{digest}\"),\n")
+    lines.append("}\n")
+    with open(__file__, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index("GOLDEN = {\n")
+    end = text.index("\n}\n", start) + 3
+    with open(__file__, "w", encoding="utf-8") as fh:
+        fh.write(text[:start] + "".join(lines) + text[end:])
+
+
+if __name__ == "__main__":
+    _record()

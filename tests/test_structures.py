@@ -1,5 +1,8 @@
+from operator import add, mul, xor
+
 import pytest
 
+from natint import structures
 from natint import (
     FiniteStructure,
     Flavor,
@@ -128,21 +131,57 @@ def test_subset_group_checker():
     assert info["identity"] == "1"
 
 
-def test_subset_group_rejects_non_closure():
-    d = Mod(12)
-    elems = [interval(d, 2, 2), interval(d, 4, 4)]
-    ok, info = check_subset_group(elems, lambda x, y: x * y)
-    assert not ok
+# A commutative loop on {0, 1, 2}: identity 0, every element its own
+# inverse, closed, but (1*1)*2 = 2 while 1*(1*2) = 0.
+_LOOP = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 0, (1, 2): 1,
+         (2, 0): 2, (2, 1): 1, (2, 2): 0}
 
 
-def test_subset_field_checker():
-    d = Mod(12)
-    elems = [interval(d, 0, 0), interval(d, 4, 4), interval(d, 8, 8)]
-    ok, info = check_subset_field(elems, lambda x, y: x + y,
-                                  lambda x, y: x * y)
-    assert ok
-    assert info["zero"] == "0"
-    assert info["identity"] == "4"    # 4*4 = 16 = 4 acts as unity
+def _mod(n, op):
+    return lambda x, y: op(x, y) % n
+
+
+@pytest.mark.parametrize("elems, op, info", [
+    ([], mul, {"reason": "empty"}),
+    ([1, 1], mul, {"reason": "duplicate elements"}),
+    ([1, 2], _mod(5, mul),
+     {"reason": "not closed", "witness": ("2", "2", "4")}),
+    ([interval(Mod(12), 2, 2), interval(Mod(12), 4, 4)], mul,
+     {"reason": "not closed", "witness": ("2", "4", "8")}),
+    ([0, 1, 2], lambda x, y: _LOOP[x, y],
+     {"reason": "not associative", "witness": ("1", "1", "2")}),
+    ([0, 1], lambda x, y: x, {"reason": "no identity"}),
+    ([0, 1], mul, {"reason": "missing inverse", "witness": "0"}),
+], ids=["empty", "duplicate", "not-closed", "not-closed-interval",
+        "not-associative", "no-identity", "missing-inverse"])
+def test_subset_group_rejections(elems, op, info):
+    assert check_subset_group(elems, op) == (False, info)
+
+
+_Z12 = [interval(Mod(12), a, a) for a in (0, 4, 8)]
+
+
+@pytest.mark.parametrize("elems, plus, times, ok, info", [
+    # 4*4 = 16 = 4 acts as unity
+    (_Z12, add, mul, True, {"zero": "0", "identity": "4"}),
+    ([1, 2], _mod(3, add), _mod(3, mul), False,
+     {"reason": "additive: not closed", "witness": ("1", "2", "0")}),
+    ([0], _mod(3, add), _mod(3, mul), False,
+     {"reason": "needs at least two elements"}),
+    ([0, 1], xor, lambda x, y: 2 * x * y, False,
+     {"reason": "product leaves the subset", "witness": ("1", "1")}),
+    # x*y = 1 iff x == y: associative and commutative with unity 1, but
+    # 0*(0+0) = 1 while 0*0 + 0*0 = 0
+    ([0, 1], xor, lambda x, y: int(x == y), False,
+     {"reason": "not distributive", "witness": ("0", "0", "0")}),
+    ([0, 2], _mod(4, add), _mod(4, mul), False,
+     {"reason": "no multiplicative identity"}),
+    ([0, 1, 2, 3], _mod(4, add), _mod(4, mul), False,
+     {"reason": "missing multiplicative inverse", "witness": "2"}),
+], ids=["field", "additive", "too-small", "product-leaves",
+        "not-distributive", "no-identity", "missing-inverse"])
+def test_subset_field_checker(elems, plus, times, ok, info):
+    assert check_subset_field(elems, plus, times) == (ok, info)
 
 
 def test_s_semigroup_witness_is_a_group():
@@ -203,6 +242,24 @@ def test_analyze_structure_report_shape():
     assert rep["axioms"]["distributive"]
     assert rep["substructures"]["inherited"]["order"] == 3
     assert isinstance(rep["classification"], list)
+
+
+def test_each_fact_is_computed_once(monkeypatch):
+    s = interval_structure(Mod(6))
+    axiom_report(s, "add")
+    axiom_report(s, "mul")
+    s.distributive()
+    scans = []
+    scan = structures._first_hit
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(structures, "_first_hit", counted)
+    classify(s)
+    assert structures.is_field(s) is False
+    assert scans == []
 
 
 def test_duplicate_elements_rejected():
