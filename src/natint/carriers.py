@@ -18,8 +18,6 @@ every table, report and witness is deterministic.
 
 import itertools
 
-import numpy as np
-
 from .errors import (
     FuzzyRangeOverflow,
     InfiniteDomain,
@@ -33,10 +31,28 @@ from .intervals import (
     split_top_level,
     zero_interval,
 )
-from .matrices import IntervalMatrix, parse_matrix
-from .polys import IntervalPoly, parse_poly
-from .scalars import FuzzyUnitDomain, ModDomain, parse_domain
-from .structures import FiniteStructure, check_subset_field, is_s_ring
+from .matrices import (
+    IntervalMatrix,
+    mat_add,
+    mat_hadamard,
+    mat_mul,
+    mat_recompose,
+    parse_matrix,
+)
+from .polys import (
+    IntervalPoly,
+    parse_poly,
+    poly_add,
+    poly_mul,
+    poly_recompose,
+)
+from .scalars import FuzzyUnitDomain, parse_domain
+from .structures import (
+    FiniteStructure,
+    check_subset_field,
+    factored_table,
+    is_s_ring,
+)
 from . import fuzzy as _fuzzy
 
 DEFAULT_SIZE_BOUND = 10 ** 6
@@ -67,10 +83,11 @@ def interval_elements(domain, flavor=Flavor.CLOSED):
             for lo in scalars for hi in scalars]
 
 
-def _interval_ops(domain):
-    """Element-level add/mul; fuzzy addition overflows to a sentinel
-    outside every carrier so tables record non-closure instead of
-    raising mid-build."""
+def _interval_context(domain, flavor):
+    """Operations, element parser and diagonal builder of N(domain).
+
+    Fuzzy addition overflows to a sentinel outside every carrier, so
+    tables record non-closure instead of raising mid-build."""
     if isinstance(domain, FuzzyUnitDomain):
         def add(x, y):
             try:
@@ -81,31 +98,42 @@ def _interval_ops(domain):
         def add(x, y):
             return x + y
 
-    def mul(x, y):
-        return x * y
+    return {
+        "kind": "interval", "domain": domain, "flavor": flavor,
+        "add": add, "mul": lambda x, y: x * y,
+        "parse": lambda s: parse_interval(s, domain, flavor),
+        "diag": lambda p: NaturalInterval(domain, p, p, flavor),
+    }
 
-    return add, mul
+
+def _matrix_context(rows, cols, domain, flavor):
+    """As _interval_context for Mat(rows,cols,N(domain)): mat_mul when
+    square, the entrywise product otherwise."""
+    return {
+        "kind": "matrix", "domain": domain, "flavor": flavor,
+        "add": mat_add, "mul": mat_mul if rows == cols else mat_hadamard,
+        "parse": lambda s: parse_matrix(s, domain, flavor),
+        "diag": lambda p: mat_recompose(p, p, domain, flavor),
+    }
 
 
-def _mod_fast_tables(elements, n):
-    """Vectorized index tables for any set of intervals over Zn."""
-    lo = np.array([e.lo for e in elements], dtype=np.int64)
-    hi = np.array([e.hi for e in elements], dtype=np.int64)
-    lookup = np.full(n * n, -1, dtype=np.int32)
-    lookup[lo * n + hi] = np.arange(len(elements), dtype=np.int32)
+def _poly_context(domain, flavor, cyclic):
+    """As _interval_context for Poly(N(domain),cyc=cyclic)."""
+    return {
+        "kind": "poly", "domain": domain, "flavor": flavor,
+        "add": poly_add, "mul": poly_mul,
+        "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
+        "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
+    }
 
-    def fast_table(op):
-        if op == "add":
-            l2 = (lo[:, None] + lo[None, :]) % n
-            h2 = (hi[:, None] + hi[None, :]) % n
-        elif op == "mul":
-            l2 = (lo[:, None] * lo[None, :]) % n
-            h2 = (hi[:, None] * hi[None, :]) % n
-        else:
-            return None
-        return lookup[l2 * n + h2]
 
-    return fast_table
+def _structure(elements, ctx, name):
+    """A carrier whose tables are read off its lo and hi part tables."""
+    return FiniteStructure(
+        elements, mul=ctx["mul"], add=ctx["add"], name=name,
+        kind=ctx["kind"], domain=ctx["domain"], flavor=ctx["flavor"],
+        parse_element=ctx["parse"],
+        fast_table=lambda op: factored_table(elements, ctx[op], ctx["diag"]))
 
 
 def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,
@@ -119,19 +147,15 @@ def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,
         raise TooLarge(f"carrier of {count} elements exceeds the bound "
                        f"{size_bound}")
     elements = interval_elements(domain, flavor)
+    ctx = _interval_context(domain, flavor)
     if remove_zero:
         z = domain.zero
         elements = [e for e in elements if e.lo != z and e.hi != z]
-    add, mul = _interval_ops(domain)
+        ctx["add"] = None
     if name is None:
         rz = "\\0" if remove_zero else ""
         name = f"N({domain.spec}{rz},{flavor.code})"
-    return FiniteStructure(
-        elements, mul=mul, add=None if remove_zero else add,
-        name=name, kind="interval", domain=domain, flavor=flavor,
-        parse_element=lambda t: parse_interval(t, domain, flavor),
-        fast_table=(_mod_fast_tables(elements, domain.n)
-                    if isinstance(domain, ModDomain) else None))
+    return _structure(elements, ctx, name)
 
 
 def matrix_structure(rows, cols, domain, flavor=Flavor.CLOSED,
@@ -145,22 +169,10 @@ def matrix_structure(rows, cols, domain, flavor=Flavor.CLOSED,
     ivs = interval_elements(domain, flavor)
     elements = [IntervalMatrix(rows, cols, combo, domain, flavor)
                 for combo in itertools.product(ivs, repeat=rows * cols)]
-    if rows == cols:
-        def mul(a, b):
-            return a @ b
-    else:
-        def mul(a, b):
-            return a.hadamard(b)
-
-    def add(a, b):
-        return a + b
-
     if name is None:
         name = f"Mat({rows},{cols},N({domain.spec},{flavor.code}))"
-    return FiniteStructure(
-        elements, mul=mul, add=add, name=name, kind="matrix",
-        domain=domain, flavor=flavor,
-        parse_element=lambda t: parse_matrix(t, domain, flavor))
+    return _structure(elements, _matrix_context(rows, cols, domain, flavor),
+                      name)
 
 
 def poly_structure(domain, flavor=Flavor.CLOSED, cyclic=1,
@@ -176,19 +188,9 @@ def poly_structure(domain, flavor=Flavor.CLOSED, cyclic=1,
     ivs = interval_elements(domain, flavor)
     elements = [IntervalPoly(domain, flavor, combo, cyclic)
                 for combo in itertools.product(ivs, repeat=cyclic)]
-
-    def mul(p, q):
-        return p * q
-
-    def add(p, q):
-        return p + q
-
     if name is None:
         name = f"Poly(N({domain.spec},{flavor.code}),cyc={cyclic})"
-    return FiniteStructure(
-        elements, mul=mul, add=add, name=name, kind="poly",
-        domain=domain, flavor=flavor,
-        parse_element=lambda t: parse_poly(t, domain, flavor, cyclic))
+    return _structure(elements, _poly_context(domain, flavor, cyclic), name)
 
 
 def _parse_nspec(text):
@@ -219,50 +221,38 @@ def _ambient_context(spec, size_bound):
     t = spec.strip()
     if t.startswith("N("):
         domain, flavor, rz = _parse_nspec(t)
-        add, mul = _interval_ops(domain)
+        ctx = _interval_context(domain, flavor)
         if rz:
-            def coerce(e):
-                if e.lo == domain.zero or e.hi == domain.zero:
-                    raise ParseError(
-                        f"{e} has a zero endpoint, so it lies outside {t}",
-                        text=t)
-                return e.with_flavor(flavor)
-            add = None
-        else:
-            def coerce(e):
-                return e.with_flavor(flavor)
-        return {
-            "kind": "interval", "domain": domain, "flavor": flavor,
-            "add": add, "mul": mul,
-            "parse": lambda s: parse_interval(s, domain, flavor),
-            "coerce": coerce,
-        }
+            ctx["add"] = None
+
+        def coerce(e):
+            if rz and domain.zero in (e.lo, e.hi):
+                raise ParseError(
+                    f"{e} has a zero endpoint, so it lies outside {t}",
+                    text=t)
+            return e.with_flavor(flavor)
+        ctx["coerce"] = coerce
+        return ctx
     if t.startswith("Mat("):
         rows, cols, domain, flavor = _parse_matspec(t)
-        if rows == cols:
-            def mul(a, b):
-                return a @ b
-        else:
-            def mul(a, b):
-                return a.hadamard(b)
-        return {
-            "kind": "matrix", "domain": domain, "flavor": flavor,
-            "add": lambda a, b: a + b, "mul": mul,
-            "parse": lambda s: parse_matrix(s, domain, flavor),
-            "coerce": lambda m: IntervalMatrix(
-                m.rows, m.cols, [e.with_flavor(flavor) for e in m.entries],
-                domain, flavor),
-        }
+
+        def coerce(m):
+            if m.shape != (rows, cols):
+                raise ParseError(
+                    f"{m} is a {m.rows}x{m.cols} matrix, so it lies "
+                    f"outside {t}", text=t)
+            return IntervalMatrix(
+                rows, cols, [e.with_flavor(flavor) for e in m.entries],
+                domain, flavor)
+        ctx = _matrix_context(rows, cols, domain, flavor)
+        ctx["coerce"] = coerce
+        return ctx
     if t.startswith("Poly("):
         domain, flavor, cyc = _parse_polyspec(t)
-        return {
-            "kind": "poly", "domain": domain, "flavor": flavor,
-            "add": lambda p, q: p + q, "mul": lambda p, q: p * q,
-            "parse": lambda s: parse_poly(s, domain, flavor, cyc),
-            "coerce": lambda p: IntervalPoly(
-                domain, flavor, [c.with_flavor(flavor) for c in p.coeffs],
-                cyc),
-        }
+        ctx = _poly_context(domain, flavor, cyc)
+        ctx["coerce"] = lambda p: IntervalPoly(
+            domain, flavor, [c.with_flavor(flavor) for c in p.coeffs], cyc)
+        return ctx
     raise ParseError(f"Sub{{...}} needs an N/Mat/Poly ambient, got {spec!r}",
                      text=spec)
 
@@ -352,13 +342,7 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
         if len(elems) > size_bound:
             raise TooLarge(f"subset of {len(elems)} elements exceeds the "
                            f"bound {size_bound}")
-        return FiniteStructure(
-            elems, mul=ctx["mul"], add=ctx["add"], name=t, kind=ctx["kind"],
-            domain=ctx["domain"], flavor=ctx["flavor"],
-            parse_element=ctx["parse"],
-            fast_table=(_mod_fast_tables(elems, ctx["domain"].n)
-                        if ctx["kind"] == "interval"
-                        and isinstance(ctx["domain"], ModDomain) else None))
+        return _structure(elems, ctx, t)
     if t.startswith("N("):
         domain, flavor, rz = _parse_nspec(t)
         return interval_structure(domain, flavor, remove_zero=rz,
@@ -418,13 +402,8 @@ def corner_s_ring_witness(rows, cols, domain, flavor=Flavor.CLOSED):
         return IntervalMatrix(rows, cols, entries, domain, flavor)
 
     lifted = [lift(w) for w in members]
-    if rows == cols:
-        def mul(a, b):
-            return a @ b
-    else:
-        def mul(a, b):
-            return a.hadamard(b)
-    ok, info = check_subset_field(lifted, lambda a, b: a + b, mul)
+    ctx = _matrix_context(rows, cols, domain, flavor)
+    ok, info = check_subset_field(lifted, ctx["add"], ctx["mul"])
     if not ok:
         return False, {"reason": info.get("reason"),
                        "base_members": wit["members"]}

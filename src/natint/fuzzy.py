@@ -15,7 +15,7 @@ import numpy as np
 
 from .intervals import Flavor, NaturalInterval, iv_max, iv_min
 from .scalars import F01
-from .structures import FiniteStructure, axiom_report
+from .structures import FiniteStructure, axiom_report, factored_table
 
 GRID_OPS = ("min", "max", "prod")
 
@@ -38,36 +38,16 @@ def fuzzy_grid(step_denominator=10, flavor=Flavor.CLOSED):
             for lo in vals for hi in vals]
 
 
-def _numerators(elements, s):
-    lo = np.array([e.lo.numerator * (s // e.lo.denominator)
-                   for e in elements], dtype=np.int64)
-    hi = np.array([e.hi.numerator * (s // e.hi.denominator)
-                   for e in elements], dtype=np.int64)
-    return lo, hi
-
-
 def grid_structure(op, step_denominator=10, flavor=Flavor.CLOSED):
     s = step_denominator
     elements = fuzzy_grid(s, flavor)
-    m = s + 1
-    lo, hi = _numerators(elements, s)
-
-    def fast_table(_op):
-        if op == "min":
-            l2 = np.minimum(lo[:, None], lo[None, :])
-            h2 = np.minimum(hi[:, None], hi[None, :])
-        elif op == "max":
-            l2 = np.maximum(lo[:, None], lo[None, :])
-            h2 = np.maximum(hi[:, None], hi[None, :])
-        else:
-            return None  # products leave the grid; fall back to elementwise
-        return (l2 * m + h2).astype(np.int32)
-
+    fn = _op_fn(op)
     return FiniteStructure(
-        elements, mul=_op_fn(op),
+        elements, mul=fn,
         name=f"Fuzzy({op},step=1/{s})", kind="grid", domain=F01,
         flavor=flavor,
-        fast_table=fast_table if op in ("min", "max") else None)
+        fast_table=lambda _op: factored_table(
+            elements, fn, lambda p: NaturalInterval(F01, p, p, flavor)))
 
 
 def product_associative_componentwise(step_denominator=10):

@@ -20,6 +20,9 @@ from .scalars import ModDomain
 
 # Hard cap for building a table one element pair at a time in Python.
 PY_TABLE_CAP = 2048
+# Largest carrier any table is built for: its int32 table takes 400 MB,
+# and a factored build peaks at about twice that.
+TABLE_CAP = 10 ** 4
 # Above this carrier size the n^3 scans (associativity, distributivity)
 # are refused rather than silently taking minutes.
 CUBIC_SCAN_CAP = 700
@@ -49,13 +52,13 @@ class FiniteStructure:
     mul/add are element-level callables; they may produce values outside
     the carrier (recorded as -1 in the tables).  `fast_table`, when
     given, is a callable op-name -> ndarray used to build tables without
-    the quadratic Python loop; `tables` seeds the cache directly.
+    the quadratic Python loop (spec-built carriers pass factored_table);
+    `tables` seeds the cache directly.
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, fast_table=None, tables=None,
-                 table_cap=PY_TABLE_CAP):
+                 parse_element=None, fast_table=None, tables=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -68,7 +71,6 @@ class FiniteStructure:
         self.flavor = flavor
         self.parse_element = parse_element
         self.fast_table = fast_table
-        self.table_cap = table_cap
         self._tables = dict(tables) if tables else {}
         self._memo = {}
 
@@ -106,14 +108,12 @@ class FiniteStructure:
         if t is not None:
             return t
         self.op_fn(op)  # raise MissingTable early
-        if self.fast_table is not None:
-            t = self.fast_table(op)
-        if t is None or self.fast_table is None:
-            if self.n > self.table_cap:
-                raise TooLarge(
-                    f"{self.n}x{self.n} {op} table exceeds the build cap "
-                    f"({self.table_cap})")
-            t = self._build_table(op)
+        cap = TABLE_CAP if self.fast_table else PY_TABLE_CAP
+        if self.n > cap:
+            raise TooLarge(f"{self.n}x{self.n} {op} table exceeds the build "
+                           f"cap ({cap})")
+        t = (self.fast_table(op) if self.fast_table
+             else self._build_table(op))
         self._tables[op] = t
         return t
 
@@ -274,6 +274,57 @@ class FiniteStructure:
                 return k
             acc = int(t[acc, one])
         return 0
+
+
+def factored_table(elements, fn, diag):
+    """The Cayley table of fn, read off the tables of its lo and hi parts.
+
+    Each element decomposes into a lo and a hi part that fn never mixes
+    (N(D) is D x D, and so are its matrices and polynomials), so fn is
+    evaluated once per pair of distinct lo parts and once per pair of
+    distinct hi parts, on the diagonal elements diag(p).  An entry is -1
+    where a part result is no part of the carrier, or where fn returns
+    None (a fuzzy sum leaving [0, 1]).  The lookup codes are int32, which
+    holds for carriers of up to TABLE_CAP elements.
+    """
+    lo_parts, hi_parts = {}, {}
+    lo, hi = [], []
+    for e in elements:
+        lo_part, hi_part = e.decompose()
+        lo.append(lo_parts.setdefault(_hashable(lo_part), len(lo_parts)))
+        hi.append(hi_parts.setdefault(_hashable(hi_part), len(hi_parts)))
+    lo_table = _part_table(lo_parts, fn, diag)
+    hi_table = (lo_table if list(hi_parts) == list(lo_parts)
+                else _part_table(hi_parts, fn, diag))
+    width = len(hi_parts) + 1
+    where = np.full((len(lo_parts) + 1) * width, -1, dtype=np.int32)
+    lo = np.array(lo, dtype=np.intp)
+    hi = np.array(hi, dtype=np.intp)
+    where[lo * width + hi] = np.arange(len(lo), dtype=np.int32)
+    code = lo_table[lo].take(lo, axis=1)
+    code *= width
+    code += hi_table[hi].take(hi, axis=1)
+    return where[code]
+
+
+def _part_table(parts, fn, diag):
+    """fn on the diagonal elements of parts, as part indices; a result
+    that is no part, or None, is len(parts), whose codes index -1."""
+    m = len(parts)
+    table = np.full((m, m), m, dtype=np.int32)
+    diags = [diag(p) for p in parts]
+    for i, x in enumerate(diags):
+        row = table[i]
+        for j, y in enumerate(diags):
+            r = fn(x, y)
+            if r is not None:
+                row[j] = parts.get(_hashable(r.decompose()[0]), m)
+    return table
+
+
+def _hashable(part):
+    """A part as a dict key: matrix parts are nested lists."""
+    return tuple(map(_hashable, part)) if isinstance(part, list) else part
 
 
 def _relabel(table, relabel):

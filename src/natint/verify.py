@@ -41,7 +41,6 @@ from .quotients import (
 )
 from .scalars import F01, Mod, MixedNeutroDomain, PureNeutroDomain, Q, Z
 from .structures import (
-    FiniteStructure,
     check_subset_field,
     check_subset_group,
     find_special_elements,
@@ -164,17 +163,6 @@ def _qiv(lo, hi, f=_C):
 
 def _fiv(lo, hi, f=_C):
     return interval(F01, Fraction(lo), Fraction(hi), f)
-
-
-def _punctured(n, flavor):
-    """Intervals whose endpoints both avoid 0 mod n, under multiplication."""
-    d = Mod(n)
-    elems = [interval(d, a, b, flavor)
-             for a in range(1, n) for b in range(1, n)]
-    return FiniteStructure(
-        elems, mul=lambda x, y: x * y,
-        name=f"N({d.spec}*,{flavor.code})", kind="interval",
-        domain=d, flavor=flavor)
 
 
 def _colzero(s):
@@ -514,7 +502,7 @@ def _c_ex_2_27(ctx):
        "intervals over Z7 with both endpoints nonzero form a "
        "multiplicative group")
 def _c_ex_2_31(ctx):
-    s = _punctured(7, _O)
+    s = interval_structure(Mod(7), _O, remove_zero=True)
     g = is_group(s, "mul")
     return _verdict(g and s.n == 36, {"order": 36, "group": True},
                     {"order": s.n, "group": g})
@@ -524,7 +512,7 @@ def _c_ex_2_31(ctx):
        "over Z3 the nonzero-endpoint intervals are exactly "
        "{(1,2), 1, (2,1), 2} and form a group")
 def _c_ex_2_32(ctx):
-    s = _punctured(3, _O)
+    s = interval_structure(Mod(3), _O, remove_zero=True)
     want = {_miv(Mod(3), 1, 2, _O), _miv(Mod(3), 1, 1, _O),
             _miv(Mod(3), 2, 1, _O), _miv(Mod(3), 2, 2, _O)}
     g = is_group(s, "mul")
@@ -540,7 +528,7 @@ def _c_ex_2_32(ctx):
        "over Z5 the nonzero-endpoint intervals form an abelian group of "
        "order 16")
 def _c_ex_2_33(ctx):
-    s = _punctured(5, _O)
+    s = interval_structure(Mod(5), _O, remove_zero=True)
     g = is_group(s, "mul")
     comm, _ = s.commutative("mul")
     return _verdict(g and comm and s.n == 16,
@@ -555,7 +543,7 @@ def _c_thm_2_7(ctx):
     out = {}
     agree = True
     for p, f in ((3, _O), (5, _OC), (7, _C), (11, _CO)):
-        s = _punctured(p, f)
+        s = interval_structure(Mod(p), f, remove_zero=True)
         g = is_group(s, "mul")
         out[f"p={p}"] = {"order": s.n, "group": g}
         agree = agree and g and s.n == (p - 1) ** 2

@@ -1,6 +1,7 @@
 import pytest
 
 from natint import (
+    FiniteStructure,
     Flavor,
     InfiniteDomain,
     Mod,
@@ -109,10 +110,48 @@ def test_corner_witness_for_matrix_s_ring():
     assert wit["ambient_order"] == (6 * 6) ** 4
 
 
-def test_fast_tables_match_python_tables():
-    import numpy as np
-    s = interval_structure(Mod(4))
-    fast = s.table("mul")
-    slow = np.array([[s.index[s.mul_fn(x, y)] for y in s.elements]
-                     for x in s.elements], dtype=fast.dtype)
+# One spec of each kind the spec grammar builds.
+KIND_SPECS = (
+    "N(Zn:5)", "N(Zn:7)\\0", "N(ZnI:4)", "N(Zn+I:2)", "Mat(1,2,N(Zn:3))",
+    "Mat(2,1,N(Zn:2))", "Poly(N(Zn:2),cyc=3)", "Fuzzy(min,step=1/5)",
+    "Fuzzy(max,step=1/5)", "Fuzzy(prod,step=1/6)",
+    "Sub{[0,0],[1,1],[-1,-1],[1,-1],[-1,1],[2,0]} of N(Z)",
+    "Sub{(0,0],(1,1],(6,6],(1,6],(6,1]} of N(Zn:7,oc)",
+    "Sub{[1/2,1],[1,1/2],[0,0],[1/2,1/2],[1,1]} of N(F01)",
+    "Sub{0;0,[1,2];1,1;[0,1],2;2} of Mat(2,1,N(Zn:3))",
+    "Sub{0,1,[1,0]x,x+1,[0,1]x+[1,0]} of Poly(N(Zn:2),cyc=2)",
+)
+
+FLAVOR_SPECS = ("N(Zn:4,c)", "N(Zn:5,o)", "N(Zn:6,oc)", "N(Zn:3,co)",
+                "Poly(N(Zn:3,o),cyc=2)")
+
+
+def _ops(spec):
+    s = build_carrier(spec)
+    return [(spec, op) for op in ("add", "mul") if s.has_op(op)]
+
+
+@pytest.mark.parametrize(
+    "spec, op",
+    [c for spec in KIND_SPECS + FLAVOR_SPECS for c in _ops(spec)]
+    + [("Mat(2,2,N(Zn:2))", "mul")])
+def test_fast_tables_match_python_tables(spec, op):
+    s = build_carrier(spec)
+    fast = s.table(op)
+    slow = s._build_table(op)
+    assert fast.dtype == slow.dtype
     assert (fast == slow).all()
+    # the scans and quotient tables read rows; a strided table slows them
+    assert fast.flags.c_contiguous
+
+
+def test_spec_built_carriers_never_use_the_pair_loop(monkeypatch):
+    def refuse(s, op):
+        raise AssertionError(f"pair loop used for {s.name} {op}")
+
+    monkeypatch.setattr(FiniteStructure, "_build_table", refuse)
+    for spec in KIND_SPECS:
+        s = build_carrier(spec)
+        for op in ("add", "mul"):
+            if s.has_op(op):
+                assert s.table(op).shape == (s.n, s.n)

@@ -264,6 +264,15 @@ def test_spec_parse_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("body", ["[1,2],[0,0]", "0;0,[1,2]", "0;0;0"])
+def test_subset_of_matrices_rejects_other_shapes(capsys, body):
+    code, out, err = run(capsys, "analyze",
+                         f"Sub{{{body}}} of Mat(2,1,N(Zn:3))")
+    assert code == 2
+    assert out == ""
+    assert "lies outside Mat(2,1,N(Zn:3))" in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "natint", "eval", "Q", "[1,2]*[3,4]"],

@@ -45,6 +45,18 @@ GOLDEN = {
         0, "741e9abb3c34c0c8fffd8950b980311b92d125e3e062bd26f3b83f73a99be894"),
     ('verify-book', '--seed', '0'): (
         0, "70d2637c78c51de4d703451d5304e0717341b361253b3d4e58cc88f036c7462b"),
+    ('table', 'N(ZnI:4)', 'mul'): (
+        0, "fbba3b2a48b56221d96055d8d79cba3feeade44f5c71acf028fe379a8b7c7d39"),
+    ('table', 'N(Zn+I:2)', 'add'): (
+        0, "9b2d0eb54efd473dd42977494c366d871fe46dc18e028c59f7b5708ff08b4496"),
+    ('table', 'Mat(2,1,N(Zn:3))', 'mul'): (
+        0, "515908b8d3f7fb551e3201a22301ba8bb58adc54d3c37483d3a82c58b858dfcc"),
+    ('table', 'Poly(N(Zn:2),cyc=3)', 'mul'): (
+        0, "80ff52a9f37b35231b572354c744036da2eac9c469d890c163f627f81a2ae30e"),
+    ('table', 'Fuzzy(prod,step=1/6)', 'mul'): (
+        0, "e6f9e0074b7036dca2d966cb91b5f2480590fbf3361bb95d20417f9687edc640"),
+    ('table', 'Sub{[1/2,1],[1,1/2],[0,0],[1/2,1/2],[1,1]} of N(F01)', 'add'): (
+        0, "a96ba619a4e3b9c18be51d12d323c2b9564cd2a0e1bb4f6109941fcbc0113f74"),
 }
 
 

@@ -63,11 +63,15 @@ def test_ideal_spec_errors():
 
 
 def test_rees_class_count():
-    # collapsing an ideal of order n leaves n^2 - n + 1 classes
-    for n in (3, 5, 10):
+    # collapsing an ideal of order k leaves n^2 - k + 1 classes: the ideal
+    # and one class for each element outside it
+    for n, spec, classes in ((3, "col-zero", 7), (5, "col-zero", 21),
+                             (10, "col-zero", 91), (10, "row-zero", 91),
+                             (10, "gen{[2,0]}", 96), (10, "gen{[2,3]}", 51)):
         s = carrier(n)
-        q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
-        assert q.n_classes == n * n - n + 1
+        ideal = parse_ideal_spec(s, spec)
+        q = rees_quotient(s, ideal)
+        assert q.n_classes == classes == n * n - ideal.order + 1
 
 
 def test_rees_zero_class_and_labels():
