@@ -23,7 +23,9 @@ import numpy as np
 from .errors import NotAnIdeal, ParseError, TooLarge
 from .intervals import NaturalInterval, split_top_level
 from .structures import (
+    _BAND_ROWS,
     FiniteStructure,
+    _first_true,
     _relabel,
     _zero_index,
     axiom_report,
@@ -72,11 +74,6 @@ class Ideal:
         return f"<ideal {self.name}: {self.order} of {self.ambient.n}>"
 
 
-def _inside(mask, vals):
-    """Membership of table entries, treating -1 (out of carrier) as out."""
-    return (vals >= 0) & mask[np.maximum(vals, 0)]
-
-
 def is_ideal(s, indices):
     """Exhaustively check that the index subset is a two-sided ideal.
 
@@ -103,25 +100,26 @@ def is_ideal(s, indices):
     if bad.size:
         return False, {"reason": "not closed under negation",
                        "witness": s.label(int(bad[0]))}
-    sums = s.table("add")[np.ix_(idx, idx)]
-    ok = _inside(mask, sums)
-    if not ok.all():
-        i, j = np.argwhere(~ok)[0]
+    # outside[v] for a table entry v; -1 (out of carrier) reads the
+    # appended slot
+    outside = np.append(~mask, True)
+    sums = s.table("add").take(idx, axis=0).take(idx, axis=1)
+    hit = _first_true(outside[sums])
+    if hit is not None:
+        i, j = hit
         return False, {"reason": "not closed under addition",
                        "witness": [s.label(int(idx[i])), s.label(int(idx[j]))]}
     t = s.table("mul")
-    left = t[:, idx]
-    ok = _inside(mask, left)
-    if not ok.all():
-        x, j = np.argwhere(~ok)[0]
+    hit = _first_true(outside[t.take(idx, axis=1)])
+    if hit is not None:
+        x, j = hit
         return False, {"reason": "not absorbing on the left",
-                       "witness": [s.label(int(x)), s.label(int(idx[j]))]}
-    right = t[idx, :]
-    ok = _inside(mask, right)
-    if not ok.all():
-        i, y = np.argwhere(~ok)[0]
+                       "witness": [s.label(x), s.label(int(idx[j]))]}
+    hit = _first_true(outside[t.take(idx, axis=0)])
+    if hit is not None:
+        i, y = hit
         return False, {"reason": "not absorbing on the right",
-                       "witness": [s.label(int(idx[i])), s.label(int(y))]}
+                       "witness": [s.label(int(idx[i])), s.label(y)]}
     return True, {"order": int(idx.size)}
 
 
@@ -130,6 +128,8 @@ def generate_ideal(s, generator_indices):
 
     Fixpoint closure under negation, addition within the set, and
     products with the whole carrier; each new member is expanded once.
+    Results are marked in a mask with one slot appended for -1, so a
+    product leaving the carrier shows in that slot.
     """
     z = s.identity_index("add")
     neg = s.neg_index()
@@ -145,23 +145,21 @@ def generate_ideal(s, generator_indices):
         raise NotAnIdeal("generator index out of range")
     mask[start] = True
     mask[neg[start]] = True
-    frontier = np.where(mask)[0]
+    frontier = np.flatnonzero(mask)
     while frontier.size:
-        members = np.where(mask)[0]
-        vals = np.concatenate([
-            t[:, frontier].ravel(),
-            t[frontier, :].ravel(),
-            ta[np.ix_(members, frontier)].ravel(),
-            neg[frontier],
-        ])
-        if (vals < 0).any():
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[t.take(frontier, axis=1)] = True
+        hit[t.take(frontier, axis=0)] = True
+        members = np.flatnonzero(mask)
+        hit[ta.take(members, axis=0).take(frontier, axis=1)] = True
+        hit[neg[frontier]] = True
+        if hit[n]:
             raise NotAnIdeal("generation left the carrier "
                              "(an operation is not closed)")
-        fresh = np.unique(vals)
-        fresh = fresh[~mask[fresh]]
-        mask[fresh] = True
-        frontier = fresh
-    return [int(i) for i in np.where(mask)[0]]
+        fresh = hit[:n] & ~mask
+        mask |= fresh
+        frontier = np.flatnonzero(fresh)
+    return np.flatnonzero(mask).tolist()
 
 
 def _is_zero_interval(e, domain):
@@ -235,13 +233,14 @@ def parse_ideal_spec(s, text):
 
 
 def _sum_of_sets(ta, a_idx, b_idx):
-    """{x+y : x in A, y in B} as a frozenset, or None if it leaves the
+    """{x+y : x in A, y in B} as sorted indices, or None if it leaves the
     carrier.  For ideals of a ring with commutative addition this is the
     join A + B."""
-    sums = ta[np.ix_(a_idx, b_idx)].ravel()
-    if (sums < 0).any():
+    hit = np.zeros(len(ta) + 1, dtype=bool)
+    hit[ta.take(a_idx, axis=0).take(b_idx, axis=1)] = True
+    if hit[-1]:
         return None
-    return frozenset(int(v) for v in np.unique(sums))
+    return np.flatnonzero(hit[:-1])
 
 
 def enumerate_ideals(s, cap=4096):
@@ -257,40 +256,34 @@ def enumerate_ideals(s, cap=4096):
     if not comm:
         raise NotAnIdeal("ambient addition is not commutative")
     ta = s.table("add")
-    seen = set()
-    found = []
+    found = {}  # each ideal found, as a frozenset -> its sorted indices
 
-    def note(fs):
-        if fs is not None and fs not in seen:
-            seen.add(fs)
-            found.append(fs)
-            if len(found) > cap:
-                raise TooLarge(f"more than {cap} ideals")
-            return True
-        return False
+    def note(idx):
+        """Record the ideal with sorted indices idx; its key if new."""
+        if idx is None:
+            return None
+        fs = frozenset(idx.tolist())
+        if fs in found:
+            return None
+        found[fs] = idx
+        if len(found) > cap:
+            raise TooLarge(f"more than {cap} ideals")
+        return fs
 
     for i in range(s.n):
-        note(frozenset(generate_ideal(s, [i])))
+        note(np.array(generate_ideal(s, [i]), dtype=np.int64))
     frontier = list(found)
     while frontier:
         fresh = []
-        base = list(found)
-        for fa in base:
-            ia = np.array(sorted(fa), dtype=np.int64)
+        for fa, ia in list(found.items()):
             for fb in frontier:
-                if fa == fb:
-                    continue
-                ib = np.array(sorted(fb), dtype=np.int64)
-                joined = _sum_of_sets(ta, ia, ib)
-                if joined is not None and joined not in seen:
-                    seen.add(joined)
-                    found.append(joined)
-                    fresh.append(joined)
-                    if len(found) > cap:
-                        raise TooLarge(f"more than {cap} ideals")
+                if fa != fb:
+                    fs = note(_sum_of_sets(ta, ia, found[fb]))
+                    if fs is not None:
+                        fresh.append(fs)
         frontier = fresh
-    ordered = sorted(found, key=lambda f: (len(f), sorted(f)))
-    return [Ideal(s, sorted(f)) for f in ordered]
+    ordered = sorted(found.values(), key=lambda idx: (len(idx), idx.tolist()))
+    return [Ideal(s, idx) for idx in ordered]
 
 
 def maximal_minimal_ideals(s, cap=4096):
@@ -348,13 +341,10 @@ class QuotientStructure:
         self._structure = None
         n = ambient.n
         if kind == "rees":
-            mask = ideal.mask()
-            outside = [i for i in range(n) if not mask[i]]
-            self.reps = [ideal.indices[0]] + outside
-            self.class_of = np.empty(n, dtype=np.int32)
-            self.class_of[ideal.indices] = 0
-            for c, i in enumerate(outside, start=1):
-                self.class_of[i] = c
+            outside = np.flatnonzero(~ideal.mask())
+            self.reps = [ideal.indices[0]] + outside.tolist()
+            self.class_of = np.zeros(n, dtype=np.int32)
+            self.class_of[outside] = np.arange(1, outside.size + 1)
         else:
             ta = ambient.table("add")
             idx = np.array(ideal.indices, dtype=np.int64)
@@ -370,9 +360,9 @@ class QuotientStructure:
             z = ambient.identity_index("add")
             zero_rep = int(rep[z])
             order = [zero_rep] + [int(r) for r in uniq if r != zero_rep]
-            self.class_of = np.empty(n, dtype=np.int32)
-            for c, r in enumerate(order):
-                self.class_of[rep == r] = c
+            class_of_rep = np.empty(n, dtype=np.int32)
+            class_of_rep[order] = np.arange(len(order))
+            self.class_of = class_of_rep[rep]
             self.reps = order
 
     @property
@@ -391,7 +381,8 @@ class QuotientStructure:
         t = self._tables.get(op)
         if t is None:
             r = self.reps
-            t = _relabel(self.ambient.table(op)[np.ix_(r, r)], self.class_of)
+            amb = self.ambient.table(op)
+            t = _relabel(amb.take(r, axis=0).take(r, axis=1), self.class_of)
             self._tables[op] = t
         return t
 
@@ -424,23 +415,29 @@ class QuotientStructure:
         """Does the class of x∘y depend only on the classes of x and y?
 
         Compares the true class of every ambient product against the
-        representative-based class table; returns (ok, witness).
+        representative-based class table, a band of rows at a time, so
+        no table of the ambient's size is built and the scan stops at
+        the first mismatch; returns (ok, witness).
         """
         amb = self.ambient.table(op)
-        actual = _relabel(amb, self.class_of)
         tab = self.class_table(op)
-        predicted = tab[self.class_of[:, None], self.class_of[None, :]]
-        diff = np.argwhere(actual != predicted)
-        if diff.size:
-            x, y = (int(v) for v in diff[0])
-            return False, {
-                "x": self.ambient.label(x),
-                "y": self.ambient.label(y),
-                "class_of_result": self.class_label(int(actual[x, y]))
-                if actual[x, y] >= 0 else None,
-                "class_from_reps": self.class_label(int(predicted[x, y]))
-                if predicted[x, y] >= 0 else None,
-            }
+        cls = self.class_of
+        for lo in range(0, self.ambient.n, _BAND_ROWS):
+            rows = slice(lo, lo + _BAND_ROWS)
+            actual = _relabel(amb[rows], cls)
+            predicted = tab.take(cls[rows], axis=0).take(cls, axis=1)
+            diff = _first_true(actual != predicted)
+            if diff is not None:
+                i, y = diff
+                got, want = int(actual[i, y]), int(predicted[i, y])
+                return False, {
+                    "x": self.ambient.label(lo + i),
+                    "y": self.ambient.label(y),
+                    "class_of_result":
+                        self.class_label(got) if got >= 0 else None,
+                    "class_from_reps":
+                        self.class_label(want) if want >= 0 else None,
+                }
         return True, None
 
     def diagnostics(self):
@@ -494,12 +491,10 @@ def semifield_verdict(cls):
         m = (t == z)
         m[z, :] = False
         m[:, z] = False
-        hits = np.argwhere(m)
-        out["has_zero_divisors"] = bool(hits.size)
-        if hits.size:
-            i, j = hits[0]
-            out["zero_divisor_witness"] = [cls.label(int(i)),
-                                           cls.label(int(j))]
+        hit = _first_true(m)
+        out["has_zero_divisors"] = hit is not None
+        if hit is not None:
+            out["zero_divisor_witness"] = cls.labels(hit)
     else:
         out["has_zero_divisors"] = None
     if cls.has_op("add"):

@@ -28,6 +28,9 @@ TABLE_CAP = 10 ** 4
 CUBIC_SCAN_CAP = 700
 # Elements scanned per chunk in the n^3 checks (rows of the outer index).
 _BLOCK_ENTRIES = 1 << 22
+# Rows per band when a table is compared with its transpose; a band of
+# columns stays in cache while its rows are read.
+_BAND_ROWS = 64
 
 
 def _once(method):
@@ -149,20 +152,21 @@ class FiniteStructure:
 
     @_once
     def closed(self, op):
-        t = self.table(op)
-        bad = np.argwhere(t < 0)
-        if bad.size:
-            i, j = bad[0]
-            return False, (int(i), int(j))
-        return True, None
+        wit = _first_true(self.table(op) < 0)
+        return wit is None, wit
 
     @_once
     def commutative(self, op):
+        """x∘y = y∘x, scanned in bands of rows against the matching bands
+        of columns above the diagonal.  The first mismatch (i, j) in C
+        order has j > i, since its mirror (j, i) is a mismatch too, so the
+        band holding row i finds it first."""
         t = self.table(op)
-        diff = np.argwhere(t != t.T)
-        if diff.size:
-            i, j = diff[0]
-            return False, (int(i), int(j))
+        for lo in range(0, self.n, _BAND_ROWS):
+            hi = lo + _BAND_ROWS
+            hit = _first_true(t[lo:hi, lo:] != t[lo:, lo:hi].T)
+            if hit is not None:
+                return False, (lo + hit[0], lo + hit[1])
         return True, None
 
     @_once
@@ -183,10 +187,10 @@ class FiniteStructure:
             hi = min(n, lo + block)
             left = t[t[lo:hi], :]
             right = t[lo:hi][:, t]
-            diff = np.argwhere(left != right)
-            if diff.size:
-                a, b, c = diff[0]
-                return (int(lo + a), int(b), int(c))
+            hit = _first_true(left != right)
+            if hit is not None:
+                a, b, c = hit
+                return (lo + a, b, c)
             return None
 
         wit = _first_hit(range(0, n, block), scan, workers)
@@ -195,17 +199,28 @@ class FiniteStructure:
     @_once
     def identity_index(self, op):
         t = self.table(op)
+        if not self.n:
+            return None
         ar = np.arange(self.n)
-        hits = np.where((t == ar).all(axis=1) & (t.T == ar).all(axis=1))[0]
-        return int(hits[0]) if hits.size else None
+        # e∘e = e, e∘0 = 0 and 0∘e = 0 leave few candidates to verify.
+        cand = np.flatnonzero(
+            (np.diagonal(t) == ar) & (t[:, 0] == 0) & (t[0] == 0))
+        ok = ((t[cand] == ar).all(axis=1)
+              & (t[:, cand] == ar[:, None]).all(axis=0))
+        return int(cand[ok][0]) if ok.any() else None
 
     @_once
     def absorbing_index(self, op):
         t = self.table(op)
-        for i in range(self.n):
-            if (t[i] == i).all() and (t[:, i] == i).all():
-                return i
-        return None
+        if not self.n:
+            return None
+        ar = np.arange(self.n)
+        # a∘a = a, a∘0 = a and 0∘a = a leave few candidates to verify.
+        cand = np.flatnonzero(
+            (np.diagonal(t) == ar) & (t[:, 0] == ar) & (t[0] == ar))
+        ok = ((t[cand] == cand[:, None]).all(axis=1)
+              & (t[:, cand] == cand).all(axis=0))
+        return int(cand[ok][0]) if ok.any() else None
 
     @_once
     def inverses(self, op):
@@ -213,12 +228,12 @@ class FiniteStructure:
         e = self.identity_index(op)
         if e is None:
             return None, None
-        t = self.table(op)
-        m = (t == e)
-        have = (m & m.T).any(axis=1)
-        missing = np.where(~have)[0]
-        if missing.size:
-            return False, int(missing[0])
+        m = (self.table(op) == e)
+        for lo in range(0, self.n, _BAND_ROWS):
+            hi = lo + _BAND_ROWS
+            have = (m[lo:hi] & m[:, lo:hi].T).any(axis=1)
+            if not have.all():
+                return False, lo + int(np.argmin(have))
         return True, None
 
     @_once
@@ -241,8 +256,9 @@ class FiniteStructure:
 
     # ------------------------------------------------------------------
 
+    @_once
     def neg_index(self):
-        """Map i -> index of the additive inverse, or None."""
+        """Map i -> index of the additive inverse (read-only), or None."""
         z = self.identity_index("add")
         if z is None:
             return None
@@ -250,7 +266,9 @@ class FiniteStructure:
         m = (t == z)
         if not m.any(axis=1).all():
             return None
-        return np.argmax(m, axis=1)
+        neg = np.argmax(m, axis=1)
+        neg.flags.writeable = False
+        return neg
 
     def power_index(self, i, k, op="mul"):
         t = self.table(op)
@@ -329,9 +347,23 @@ def _hashable(part):
 
 def _relabel(table, relabel):
     """Each product p in table replaced by relabel[p]; -1 (a product
-    outside the carrier) stays -1."""
-    return np.where(table >= 0, relabel[np.maximum(table, 0)],
-                    -1).astype(np.int32)
+    outside the carrier) stays -1, read from the slot appended for it."""
+    return np.append(relabel, -1).astype(np.int32, copy=False)[table]
+
+
+def _first_true(mask):
+    """Index tuple of the first True entry of mask in C order, or None.
+
+    argmax over a flat bool array stops at the first True, so a hit
+    early in the array costs a short scan and no list of all hits.
+    """
+    flat = mask.ravel()
+    if not flat.size:
+        return None
+    k = int(flat.argmax())
+    if not flat[k]:
+        return None
+    return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
 def _first_hit(keys, fn, workers):
@@ -361,10 +393,10 @@ def _left_distrib_witness(m, a, workers=1):
         hi = min(n, lo + block)
         lhs = m[lo:hi][:, a]
         rhs = a[m[lo:hi, :, None], m[lo:hi, None, :]]
-        diff = np.argwhere(lhs != rhs)
-        if diff.size:
-            x, y, z = diff[0]
-            return (int(lo + x), int(y), int(z))
+        hit = _first_true(lhs != rhs)
+        if hit is not None:
+            x, y, z = hit
+            return (lo + x, y, z)
         return None
 
     return _first_hit(range(0, n, block), scan, workers)
@@ -614,23 +646,22 @@ def _s_zero_divisors(s, t, z):
     with xa=0, yb=0 but ab != 0.  Pairs reported once with x <= y."""
     out = []
     n = s.n
-    ann = [np.where(t[i] == z)[0] for i in range(n)]
+    ann = [np.flatnonzero(row == z) for row in t]
+    # ann[i] without zero and i itself
+    rest = [a[(a != z) & (a != i)] for i, a in enumerate(ann)]
     for x in range(n):
         if x == z:
             continue
-        for y in ann[x]:
-            y = int(y)
+        for y in ann[x].tolist():
             if y == z or y < x:
                 continue
-            excl = {z, x, y}
-            a_set = [a for a in ann[x] if int(a) not in excl]
-            b_set = [b for b in ann[y] if int(b) not in excl]
-            if not a_set or not b_set:
+            a_set = rest[x][rest[x] != y]
+            b_set = rest[y][rest[y] != x]
+            if not a_set.size or not b_set.size:
                 continue
-            sub = t[np.ix_(a_set, b_set)] != z
-            hits = np.argwhere(sub)
-            if hits.size:
-                ai, bi = hits[0]
+            hit = _first_true(t.take(a_set, axis=0).take(b_set, axis=1) != z)
+            if hit is not None:
+                ai, bi = hit
                 out.append({"x": s.label(x), "y": s.label(y),
                             "a": s.label(int(a_set[ai])),
                             "b": s.label(int(b_set[bi]))})
@@ -857,15 +888,20 @@ def is_s_ring(s, enumerate_cap=256, workers=1):
 
 
 def _close_under_add(s, seed):
+    """The closure of the index set seed under addition, as a frozenset,
+    or None if a sum leaves the carrier.  Sums are marked in a mask with
+    one slot appended for -1."""
     t = s.table("add")
-    cur = np.array(sorted(seed), dtype=np.int64)
+    mask = np.zeros(s.n + 1, dtype=bool)
+    mask[list(seed)] = True
+    cur = np.flatnonzero(mask)
     while True:
-        sums = t[np.ix_(cur, cur)].ravel()
-        if (sums < 0).any():
+        mask[t.take(cur, axis=0).take(cur, axis=1)] = True
+        if mask[-1]:
             return None
-        new = np.union1d(cur, sums)
+        new = np.flatnonzero(mask)
         if len(new) == len(cur):
-            return frozenset(int(i) for i in cur)
+            return frozenset(cur.tolist())
         cur = new
 
 
@@ -878,10 +914,9 @@ def is_strict_semiring(s):
     m = (t == z)
     m[z, :] = False
     m[:, z] = False
-    bad = np.argwhere(m)
-    if bad.size:
-        i, j = bad[0]
-        return False, (s.label(int(i)), s.label(int(j)))
+    bad = _first_true(m)
+    if bad is not None:
+        return False, tuple(s.labels(bad))
     return True, None
 
 

@@ -2,8 +2,10 @@
 fixed list of requests, with the exit code.
 
 The list covers the exhaustive S-ring search, a subfield witness, subset
-and product carriers, the fuzzy grid, both quotient kinds and the claim
-catalogue.  Re-record only when an output is meant to change:
+and product carriers, the fuzzy grid, both quotient kinds, ideal
+enumeration, a generated ideal, refused ideal verdicts (exit 4) with an
+addition and an absorption witness, and the claim catalogue.  Re-record
+only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -57,6 +59,20 @@ GOLDEN = {
         0, "e6f9e0074b7036dca2d966cb91b5f2480590fbf3361bb95d20417f9687edc640"),
     ('table', 'Sub{[1/2,1],[1,1/2],[0,0],[1/2,1/2],[1,1]} of N(F01)', 'add'): (
         0, "a96ba619a4e3b9c18be51d12d323c2b9564cd2a0e1bb4f6109941fcbc0113f74"),
+    ('ideal', 'N(Zn:12)'): (
+        0, "78732989fe50d74cdc56ce22d9856e46e08ae4d758f43de1fe86a17e4d1abb5c"),
+    ('ideal', 'N(Zn:12)', 'gen{[2,3]}'): (
+        0, "b65dc5f2a8dad26ef1cbc41429a0594eb08a95acd75735a618a3f631be496774"),
+    ('ideal', 'Sub{[0,0],[0,1],[0,6],[1,1],[6,6]} of N(Zn:7)', 'col-zero'): (
+        4, "407e89f1f15e35c52a875e673ea764d3da92199cab2b189249fa7a12c401adad"),
+    ('ideal', 'Mat(2,2,N(Zn:2))', 'col-zero'): (
+        4, "9d61925031707e5c1ed4925653c2040b010df6f6cfa0252e3d1fe2a3bf01229b"),
+    ('ideal', 'Mat(2,2,N(Zn:2))', 'row-zero'): (
+        4, "88c0ea401e8095afe0dfe9fa6f32bf04b9f08d5a2d9ddc0446cd2ba41a31c515"),
+    ('quotient', 'Mat(1,2,N(Zn:3))', 'col-zero', '--kind', 'rees'): (
+        0, "4df5820e7f46e0b54741ea13aa3085aeea5de4b3675ce9ad8690e3cc23df8672"),
+    ('quotient', 'N(Zn:12)', 'diag-multiples:2', '--kind', 'rees'): (
+        0, "f372846b7cde9373875a634c19214fe6b4f68212bac6e6ff8b3f8c65119ab3e6"),
 }
 
 

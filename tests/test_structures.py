@@ -13,6 +13,7 @@ from natint import (
     check_subset_field,
     check_subset_group,
     classify,
+    enumerate_ideals,
     find_special_elements,
     inherited_substructure,
     interval,
@@ -260,6 +261,22 @@ def test_each_fact_is_computed_once(monkeypatch):
     classify(s)
     assert structures.is_field(s) is False
     assert scans == []
+
+    # the negation map is scanned once: every later call, such as each
+    # principal closure of an ideal enumeration, returns the same array
+    negs = []
+    neg_index = FiniteStructure.neg_index
+
+    def counted_neg(self):
+        negs.append(neg_index(self))
+        return negs[-1]
+
+    monkeypatch.setattr(FiniteStructure, "neg_index", counted_neg)
+    assert len(enumerate_ideals(s)) > 2
+    assert len(negs) > s.n
+    assert len({id(neg) for neg in negs}) == 1
+    with pytest.raises(ValueError):
+        negs[0][0] = 0
 
 
 def test_duplicate_elements_rejected():
