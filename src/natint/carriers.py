@@ -50,7 +50,6 @@ from .scalars import FuzzyUnitDomain, parse_domain
 from .structures import (
     FiniteStructure,
     check_subset_field,
-    factored_table,
     is_s_ring,
 )
 from . import fuzzy as _fuzzy
@@ -132,8 +131,7 @@ def _structure(elements, ctx, name):
     return FiniteStructure(
         elements, mul=ctx["mul"], add=ctx["add"], name=name,
         kind=ctx["kind"], domain=ctx["domain"], flavor=ctx["flavor"],
-        parse_element=ctx["parse"],
-        fast_table=lambda op: factored_table(elements, ctx[op], ctx["diag"]))
+        parse_element=ctx["parse"], diag=ctx["diag"])
 
 
 def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .intervals import Flavor, NaturalInterval, iv_max, iv_min
 from .scalars import F01
-from .structures import FiniteStructure, axiom_report, factored_table
+from .structures import FiniteStructure, axiom_report
 
 GRID_OPS = ("min", "max", "prod")
 
@@ -45,9 +45,7 @@ def grid_structure(op, step_denominator=10, flavor=Flavor.CLOSED):
     return FiniteStructure(
         elements, mul=fn,
         name=f"Fuzzy({op},step=1/{s})", kind="grid", domain=F01,
-        flavor=flavor,
-        fast_table=lambda _op: factored_table(
-            elements, fn, lambda p: NaturalInterval(F01, p, p, flavor)))
+        flavor=flavor, diag=lambda p: NaturalInterval(F01, p, p, flavor))
 
 
 def product_associative_componentwise(step_denominator=10):

@@ -7,6 +7,14 @@ product that falls outside the carrier (non-closure).  All axiom checks
 are exhaustive and vectorized over the tables, and every negative
 verdict carries the first counterexample in carrier order.  A verdict is
 computed once per structure, because its tables never change once built.
+
+A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
+the polynomials and the fuzzy grids) is decided on its factors where
+that is exact: its triples are exactly the pairs of factor triples, so it
+is associative (distributive) when its lo and hi part tables are.  Such
+a verdict is exhaustive over the factors.  When a factor fails, the
+carrier's own triples are scanned, which yields the first counterexample
+in carrier order.
 """
 
 import functools
@@ -53,15 +61,20 @@ class FiniteStructure:
     """Ordered carrier with lazy Cayley tables.
 
     mul/add are element-level callables; they may produce values outside
-    the carrier (recorded as -1 in the tables).  `fast_table`, when
-    given, is a callable op-name -> ndarray used to build tables without
-    the quadratic Python loop (spec-built carriers pass factored_table);
+    the carrier (recorded as -1 in the tables).  `diag`, when given, marks
+    a product carrier: every element decomposes into a lo and a hi part
+    that mul and add act on independently, and diag(p) is the element
+    with both parts p; its tables are read off part tables
+    (factored_table), which also decide its associativity and
+    distributivity.  `fast_table`, when given, is a callable op-name ->
+    ndarray used to build tables without the quadratic Python loop;
     `tables` seeds the cache directly.
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, fast_table=None, tables=None):
+                 parse_element=None, diag=None, fast_table=None,
+                 tables=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -73,6 +86,7 @@ class FiniteStructure:
         self.domain = domain
         self.flavor = flavor
         self.parse_element = parse_element
+        self.diag = diag
         self.fast_table = fast_table
         self._tables = dict(tables) if tables else {}
         self._memo = {}
@@ -110,15 +124,33 @@ class FiniteStructure:
         t = self._tables.get(op)
         if t is not None:
             return t
-        self.op_fn(op)  # raise MissingTable early
-        cap = TABLE_CAP if self.fast_table else PY_TABLE_CAP
+        fn = self.op_fn(op)  # raise MissingTable early
+        cap = TABLE_CAP if self.diag or self.fast_table else PY_TABLE_CAP
         if self.n > cap:
             raise TooLarge(f"{self.n}x{self.n} {op} table exceeds the build "
                            f"cap ({cap})")
-        t = (self.fast_table(op) if self.fast_table
-             else self._build_table(op))
+        if self.diag is not None:
+            t, self._memo["parts", op] = factored_table(
+                self.elements, fn, self.diag)
+        elif self.fast_table is not None:
+            t = self.fast_table(op)
+        else:
+            t = self._build_table(op)
         self._tables[op] = t
         return t
+
+    def _factors(self, *ops):
+        """The factors of a full product carrier: structures on part
+        indices holding the part tables of ops, one per distinct part
+        list (lo and hi, or one when they agree).  None for any other
+        carrier.  The tables of ops must be built, and closed: a full
+        product is closed exactly when its part tables are."""
+        parts = [self._memo.get(("parts", op)) for op in ops]
+        if any(p is None for p in parts):
+            return None
+        return [FiniteStructure(range(len(side[0])),
+                                tables=dict(zip(ops, side)))
+                for side in zip(*parts)]
 
     def restrict(self, indices):
         """The substructure on the given carrier indices, in that order.
@@ -171,29 +203,17 @@ class FiniteStructure:
 
     @_once
     def associative(self, op, workers=1):
-        """(x∘y)∘z = x∘(y∘z) over all triples; requires a closed op."""
+        """(x∘y)∘z = x∘(y∘z) over all triples; requires a closed op.  A
+        full product carrier passes when its factors do; otherwise the
+        carrier's triples are scanned for the first witness."""
         ok, wit = self.closed(op)
         if not ok:
             return None, wit
-        t = self.table(op)
-        n = self.n
-        if n > CUBIC_SCAN_CAP:
-            raise TooLarge(
-                f"associativity scan over {n}^3 triples refused "
-                f"(cap {CUBIC_SCAN_CAP})")
-        block = max(1, _BLOCK_ENTRIES // max(1, n * n))
-
-        def scan(lo):
-            hi = min(n, lo + block)
-            left = t[t[lo:hi], :]
-            right = t[lo:hi][:, t]
-            hit = _first_true(left != right)
-            if hit is not None:
-                a, b, c = hit
-                return (lo + a, b, c)
-            return None
-
-        wit = _first_hit(range(0, n, block), scan, workers)
+        _refuse_cubic_scan(self.n, "associativity")
+        factors = self._factors(op)
+        if factors and all(f.associative(op)[0] for f in factors):
+            return True, None
+        wit = _assoc_witness(self.table(op), workers)
         return (wit is None), wit
 
     @_once
@@ -238,11 +258,17 @@ class FiniteStructure:
 
     @_once
     def distributive(self, workers=1):
-        """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples."""
+        """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples.  A full
+        product carrier passes when its factors do; otherwise the
+        carrier's triples are scanned for the first witness."""
         for op in ("add", "mul"):
             ok, wit = self.closed(op)
             if not ok:
                 return None, None
+        _refuse_cubic_scan(self.n, "distributivity")
+        factors = self._factors("add", "mul")
+        if factors and all(f.distributive()[0] for f in factors):
+            return True, None
         m = self.table("mul")
         a = self.table("add")
         left = _left_distrib_witness(m, a, workers)
@@ -295,7 +321,8 @@ class FiniteStructure:
 
 
 def factored_table(elements, fn, diag):
-    """The Cayley table of fn, read off the tables of its lo and hi parts.
+    """The Cayley table of fn, read off the tables of its lo and hi parts,
+    and those part tables when the carrier is a full product.
 
     Each element decomposes into a lo and a hi part that fn never mixes
     (N(D) is D x D, and so are its matrices and polynomials), so fn is
@@ -304,6 +331,11 @@ def factored_table(elements, fn, diag):
     where a part result is no part of the carrier, or where fn returns
     None (a fuzzy sum leaving [0, 1]).  The lookup codes are int32, which
     holds for carriers of up to TABLE_CAP elements.
+
+    Returns (table, parts).  When every pair of a lo and a hi part is an
+    element, parts holds the distinct part tables: (lo, hi), or (lo,)
+    when the two part lists agree; in a part table, the part count marks
+    a result outside the parts.  For any other carrier parts is None.
     """
     lo_parts, hi_parts = {}, {}
     lo, hi = [], []
@@ -322,7 +354,11 @@ def factored_table(elements, fn, diag):
     code = lo_table[lo].take(lo, axis=1)
     code *= width
     code += hi_table[hi].take(hi, axis=1)
-    return where[code]
+    parts = None
+    if len(lo) == len(lo_parts) * len(hi_parts):
+        parts = ((lo_table,) if hi_table is lo_table
+                 else (lo_table, hi_table))
+    return where[code], parts
 
 
 def _part_table(parts, fn, diag):
@@ -367,8 +403,9 @@ def _first_true(mask):
 
 
 def _first_hit(keys, fn, workers):
-    """Run fn over keys in order, return the first non-None result."""
-    if workers and workers > 1:
+    """Run fn over keys in order, return the first non-None result.  A
+    pool is started only when there is more than one key to share."""
+    if workers and workers > 1 and len(keys) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(fn, keys):
                 if res is not None:
@@ -381,12 +418,33 @@ def _first_hit(keys, fn, workers):
     return None
 
 
-def _left_distrib_witness(m, a, workers=1):
-    n = m.shape[0]
+def _refuse_cubic_scan(n, law):
     if n > CUBIC_SCAN_CAP:
-        raise TooLarge(
-            f"distributivity scan over {n}^3 triples refused "
-            f"(cap {CUBIC_SCAN_CAP})")
+        raise TooLarge(f"{law} scan over {n}^3 triples refused "
+                       f"(cap {CUBIC_SCAN_CAP})")
+
+
+def _assoc_witness(t, workers=1):
+    """The first (x, y, z) in C order with (xy)z != x(yz), or None."""
+    n = t.shape[0]
+    block = max(1, _BLOCK_ENTRIES // max(1, n * n))
+
+    def scan(lo):
+        hi = min(n, lo + block)
+        left = t[t[lo:hi], :]
+        right = t[lo:hi][:, t]
+        hit = _first_true(left != right)
+        if hit is not None:
+            a, b, c = hit
+            return (lo + a, b, c)
+        return None
+
+    return _first_hit(range(0, n, block), scan, workers)
+
+
+def _left_distrib_witness(m, a, workers=1):
+    """The first (x, y, z) in C order with x(y+z) != xy+xz, or None."""
+    n = m.shape[0]
     block = max(1, _BLOCK_ENTRIES // max(1, n * n))
 
     def scan(lo):

@@ -70,8 +70,9 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
     for spec in domains:
         d = parse_domain(spec)
         fuzzy = (d.kind == "FuzzyUnit")
+        key = _ordkey(d)
 
-        def case(rng, k, d=d, fuzzy=fuzzy):
+        def case(rng, k, d=d, fuzzy=fuzzy, key=key):
             x = _rand_iv(d, rng)
             y = _rand_iv(d, rng)
 
@@ -120,13 +121,11 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
                     return mismatch("div", got, *want)
             if d.ordered:
                 got = iv_min(x, y)
-                want = (min(x.lo, y.lo, key=_ordkey(d)),
-                        min(x.hi, y.hi, key=_ordkey(d)))
+                want = (min(x.lo, y.lo, key=key), min(x.hi, y.hi, key=key))
                 if (got.lo, got.hi) != want:
                     return mismatch("min", got, *want)
                 got = iv_max(x, y)
-                want = (max(x.lo, y.lo, key=_ordkey(d)),
-                        max(x.hi, y.hi, key=_ordkey(d)))
+                want = (max(x.lo, y.lo, key=key), max(x.hi, y.hi, key=key))
                 if (got.lo, got.hi) != want:
                     return mismatch("max", got, *want)
             return None

@@ -1,0 +1,142 @@
+"""Associativity and distributivity of product carriers, decided on their
+factors, against the scan of every carrier triple.
+
+A full product carrier passes when its lo and hi part tables pass; when a
+factor fails, the carrier scan gives the first witness in carrier order.
+Each check compares the full (verdict, witness) with a twin that holds the
+same tables but no product form, so every verdict of the twin comes from
+the carrier scan.
+"""
+
+from operator import add, sub
+
+import pytest
+
+from natint import structures
+from natint.carriers import build_carrier, interval_elements
+from natint.errors import TooLarge
+from natint.intervals import Flavor, NaturalInterval
+from natint.scalars import Mod
+from natint.structures import FiniteStructure, analyze_structure
+
+FLAVORS = ("c", "o", "oc", "co")
+FULL_PRODUCTS = (
+    [f"N(Zn:{k},{f})" for k in range(2, 17) for f in FLAVORS]
+    + [f"N(Zn:{p})\\0" for p in (2, 3, 5, 7, 11, 13, 17)]
+    + [f"N(ZnI:{k})" for k in (2, 3, 4, 8)]
+    + [f"N(Zn+I:{k})" for k in (2, 3, 4)]
+    + [f"Mat({r},{c},N(Zn:2))" for r, c in ((1, 2), (2, 1), (2, 2))]
+    + [f"Poly(N(Zn:{k}),cyc={c})" for k in (2, 3) for c in (2, 3)]
+    + ["Fuzzy(min,step=1/5)", "Fuzzy(max,step=1/5)", "Fuzzy(min,step=1/15)",
+       "Fuzzy(max,step=1/15)",
+       "Sub{[0,0],[0,3],[3,0],[3,3]} of N(Zn:6)",
+       "Sub{[0,0],[0,1],[0,2]} of N(Zn:3)"])
+NOT_PRODUCTS = ("Sub{[0,0],[1,1],[2,2]} of N(Zn:3)",
+                "Sub{[0,0],[0,3],[3,0]} of N(Zn:6)")
+
+
+def _ops(s):
+    return [op for op in ("add", "mul") if s.has_op(op)]
+
+
+def _verdict(decide):
+    try:
+        return decide()
+    except TooLarge:
+        return "refused"
+
+
+def verdicts(s, ops):
+    out = {op: _verdict(lambda: s.associative(op)) for op in ops}
+    if len(ops) == 2:
+        out["distributive"] = _verdict(s.distributive)
+    return out
+
+
+def scan_twin(s, ops):
+    """The same carrier and tables without a product form."""
+    return FiniteStructure(s.elements,
+                           tables={op: s.table(op) for op in ops})
+
+
+def assert_same_as_scan(s):
+    ops = _ops(s)
+    twin = scan_twin(s, ops)
+    assert verdicts(s, ops) == verdicts(twin, ops)
+    assert all(twin._factors(op) is None for op in ops)
+
+
+@pytest.mark.parametrize("spec", FULL_PRODUCTS)
+def test_factored_verdicts_match_the_scan(spec):
+    s = build_carrier(spec)
+    assert_same_as_scan(s)
+    assert all(s._factors(op) is not None for op in _ops(s))
+
+
+@pytest.mark.parametrize("spec", NOT_PRODUCTS)
+def test_non_products_are_scanned(spec):
+    s = build_carrier(spec)
+    assert_same_as_scan(s)
+    assert all(s._factors(op) is None for op in _ops(s))
+
+
+def _z3(keep=lambda e: True):
+    d = Mod(3)
+    elements = [e for e in interval_elements(d, Flavor.CLOSED) if keep(e)]
+    return elements, lambda p: NaturalInterval(d, p, p, Flavor.CLOSED)
+
+
+# Caller-built componentwise operations whose factors fail: on all of
+# N(Zn:3) both factors fail, on {0} x Z3 only the hi factor does and on
+# Z3 x {0} only the lo factor does.
+CALLER_BUILT = {
+    "N(Zn:3) x-y": (_z3(), {"mul": sub}, "mul", [False]),
+    "0xZ3 x-y": (_z3(lambda e: e.lo == 0), {"mul": sub}, "mul",
+                 [True, False]),
+    "Z3x0 x-y": (_z3(lambda e: e.hi == 0), {"mul": sub}, "mul",
+                 [False, True]),
+    "N(Zn:3) x+y over x+y": (_z3(), {"add": add, "mul": add},
+                             "distributive", [False]),
+    "0xZ3 x+y over x+y": (_z3(lambda e: e.lo == 0),
+                          {"add": add, "mul": add}, "distributive",
+                          [True, False]),
+}
+
+
+@pytest.mark.parametrize("case", list(CALLER_BUILT))
+def test_failing_factor_gives_the_scan_witness(case):
+    (elements, diag), ops, law, factor_verdicts = CALLER_BUILT[case]
+    s = FiniteStructure(elements, diag=diag, **ops)
+    assert_same_as_scan(s)
+    ok, witness = verdicts(s, list(ops))[law]
+    assert ok is False and witness is not None
+    decide = {"mul": lambda f: f.associative("mul"),
+              "distributive": FiniteStructure.distributive}[law]
+    assert [decide(f)[0] for f in s._factors(*ops)] == factor_verdicts
+
+
+# One spec-built product carrier of each kind.
+PRODUCT_KINDS = (
+    "N(Zn:5)", "N(Zn:6,o)", "N(Zn:7)\\0", "N(ZnI:4)", "N(Zn+I:2)",
+    "Mat(1,2,N(Zn:3))", "Mat(2,1,N(Zn:2))", "Mat(2,2,N(Zn:2))",
+    "Poly(N(Zn:2),cyc=3)", "Fuzzy(min,step=1/5)", "Fuzzy(max,step=1/5)",
+    "Fuzzy(prod,step=1/6)", "Sub{[0,0],[0,3],[3,0],[3,3]} of N(Zn:6)")
+
+
+@pytest.mark.parametrize("spec", PRODUCT_KINDS)
+def test_product_carriers_skip_the_cubic_scan(monkeypatch, spec):
+    s = build_carrier(spec)
+
+    def refuse_carrier_scan(scan):
+        def guarded(table, *args):
+            if len(table) == s.n:
+                raise AssertionError(f"cubic scan over {spec}")
+            return scan(table, *args)
+        return guarded
+
+    for name in ("_assoc_witness", "_left_distrib_witness"):
+        monkeypatch.setattr(structures, name,
+                            refuse_carrier_scan(getattr(structures, name)))
+    report = analyze_structure(s)
+    for op in _ops(s):
+        assert report["axioms"][op]["associative"] in (True, None)

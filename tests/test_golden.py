@@ -4,8 +4,9 @@ fixed list of requests, with the exit code.
 The list covers the exhaustive S-ring search, a subfield witness, subset
 and product carriers, the fuzzy grid, both quotient kinds, ideal
 enumeration, a generated ideal, refused ideal verdicts (exit 4) with an
-addition and an absorption witness, and the claim catalogue.  Re-record
-only when an output is meant to change:
+addition and an absorption witness, and the claim catalogue.  SUITES pins
+the sha256 of the sorted-key JSON of three seeded suite reports (all six
+decomposition domains).  Re-record only when an output is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,9 +14,11 @@ only when an output is meant to change:
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from natint import suites
 from natint.cli import main
 
 GOLDEN = {
@@ -73,6 +76,32 @@ GOLDEN = {
         0, "4df5820e7f46e0b54741ea13aa3085aeea5de4b3675ce9ad8690e3cc23df8672"),
     ('quotient', 'N(Zn:12)', 'diag-multiples:2', '--kind', 'rees'): (
         0, "f372846b7cde9373875a634c19214fe6b4f68212bac6e6ff8b3f8c65119ab3e6"),
+    ('analyze', 'N(Zn:17)\\0'): (
+        0, "37b790c3044bfb3ff7ebf89293065f8024e25c639e333f7c71e0e14a09a5bcf8"),
+    ('analyze', 'Fuzzy(max,step=1/15)'): (
+        0, "c9d49a0b53b9a80d6d7ab56682aeef350ddbe92e537bc83912ee0e7a81806d94"),
+    ('analyze', 'Mat(2,2,N(Zn:2))'): (
+        0, "4e2d84a0fd28c4cc22887c967766cfa72dcfce88a38ec3ca2228fcb0ad18505f"),
+    ('analyze', 'Poly(N(Zn:3),cyc=2)'): (
+        0, "8d4c56115bf9652f6fd4fad4df06eb9e11f5d206aa556070c79cf6defd4e52c2"),
+    ('analyze', 'N(Zn+I:3)'): (
+        0, "9bbf97115e57faf40ec2ac4f89ee84e83e01243be45e54274711ee7c7f329c3b"),
+    ('analyze', 'N(ZnI:8)'): (
+        0, "58f9d7710325cb3da19fdf852f17ee21d7508a559da1b2150de1b4da3a2aa8bf"),
+}
+
+
+# suite -> (keyword arguments, sha256 of its sorted-key JSON report)
+SUITES = {
+    "decomposition_suite": (
+        {"cases": 2000, "seed": 7, "workers": 2},
+        "26aa5631bd725697a0fcdcd413df4a1fea604e55209a02e75ab5fd809c13ff12"),
+    "modmap_suite": (
+        {"n": 12, "pairs": 2000, "seed": 7, "workers": 2},
+        "fcf160e936d69814c946de0fc511d5802a75a33ea11a642810a337436128f54e"),
+    "strictness_suite": (
+        {"cases": 2000, "seed": 7, "workers": 2},
+        "be9246882b15aeda27756e906434c1c7d61c3fb74755b076197d39879c925623"),
 }
 
 
@@ -88,8 +117,20 @@ def test_golden_output(argv):
     assert run(argv) == GOLDEN[argv]
 
 
+def suite_digest(name):
+    report = getattr(suites, name)(**SUITES[name][0])
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_golden_suite_report(name):
+    assert suite_digest(name) == SUITES[name][1]
+
+
 def _record():
-    """Rewrite the GOLDEN table of this file from the current engine."""
+    """Rewrite the GOLDEN and SUITES tables of this file from the current
+    engine."""
     lines = ["GOLDEN = {\n"]
     for argv in GOLDEN:
         code, digest = run(argv)
@@ -99,8 +140,11 @@ def _record():
         text = fh.read()
     start = text.index("GOLDEN = {\n")
     end = text.index("\n}\n", start) + 3
+    text = text[:start] + "".join(lines) + text[end:]
+    for name, (kwargs, digest) in SUITES.items():
+        text = text.replace(digest, suite_digest(name))
     with open(__file__, "w", encoding="utf-8") as fh:
-        fh.write(text[:start] + "".join(lines) + text[end:])
+        fh.write(text)
 
 
 if __name__ == "__main__":
