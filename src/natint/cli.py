@@ -18,6 +18,7 @@ the emitted JSON is byte-identical across runs.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -686,9 +687,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = make_config(args)
         payload, code = args.func(args, cfg)

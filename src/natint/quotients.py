@@ -16,6 +16,19 @@ rees
 The ideal class is labeled with the ideal's name (default "I"); standard
 cosets are labeled "<rep>+<name>" and rees classes keep their ambient
 element label.
+
+An operation that is well defined on the classes is a congruence, and
+the classes inherit its associativity and distributivity from the
+ambient (see structures).  For a quotient by an ideal that passed
+is_ideal, the congruence lemma decides well_defined without comparing
+any products:
+
+- rees mul always, because the ideal absorbs products on both sides;
+- standard add when the ambient's addition is proven associative and
+  commutative, since the cosets of a subgroup of an abelian group add;
+- standard mul when, moreover, the ambient is proven distributive.
+
+Every other case compares the ambient's products class by class.
 """
 
 import numpy as np
@@ -26,6 +39,8 @@ from .structures import (
     _BAND_ROWS,
     FiniteStructure,
     _first_true,
+    _once,
+    _proven,
     _relabel,
     _zero_index,
     axiom_report,
@@ -328,7 +343,9 @@ class QuotientStructure:
     """Partition of a carrier by an ideal, with class-level tables.
 
     class_of maps ambient index -> class id; reps holds one ambient
-    index per class with the ideal's class always id 0.
+    index per class with the ideal's class always id 0.  `_is_ideal` is
+    set by rees_quotient and standard_quotient, which run is_ideal first;
+    only then does the congruence lemma apply.
     """
 
     def __init__(self, ambient, ideal, kind):
@@ -337,7 +354,9 @@ class QuotientStructure:
         self.ambient = ambient
         self.ideal = ideal
         self.kind = kind
+        self._is_ideal = False
         self._tables = {}
+        self._memo = {}
         self._structure = None
         n = ambient.n
         if kind == "rees":
@@ -387,7 +406,9 @@ class QuotientStructure:
         return t
 
     def structure(self):
-        """The classes as a FiniteStructure (tables prebuilt)."""
+        """The classes as a FiniteStructure (tables prebuilt).  It
+        inherits the ambient's proven laws for the ops well defined on
+        the classes."""
         if self._structure is None:
             labels = [self.class_label(c) for c in range(self.n_classes)]
             pos = {lab: c for c, lab in enumerate(labels)}
@@ -408,17 +429,36 @@ class QuotientStructure:
                 labels, mul=mk("mul"),
                 add=mk("add") if "add" in tables else None,
                 name=f"{self.ambient.name}/{self.ideal.name}[{self.kind}]",
-                kind="quotient", tables=tables)
+                kind="quotient", tables=tables, ambient=self.ambient,
+                congruent=lambda op: self.well_defined(op)[0])
         return self._structure
 
+    @_once
     def well_defined(self, op):
         """Does the class of x∘y depend only on the classes of x and y?
 
-        Compares the true class of every ambient product against the
+        Decided by the congruence lemma where its premises hold (module
+        docstring), otherwise by comparing products (_compare_products);
+        returns (ok, witness).
+        """
+        if self._is_ideal:
+            s = self.ambient
+            if self.kind == "rees":
+                lemma = op == "mul"
+            else:
+                lemma = (_proven(s, "associative", "add")
+                         and _proven(s, "commutative", "add")
+                         and (op == "add"
+                              or _proven(s, "distributive", "add", "mul")))
+            if lemma:
+                return True, None
+        return self._compare_products(op)
+
+    def _compare_products(self, op):
+        """Compares the true class of every ambient product against the
         representative-based class table, a band of rows at a time, so
         no table of the ambient's size is built and the scan stops at
-        the first mismatch; returns (ok, witness).
-        """
+        the first mismatch."""
         amb = self.ambient.table(op)
         tab = self.class_table(op)
         cls = self.class_of
@@ -463,17 +503,20 @@ class QuotientStructure:
 
 
 def standard_quotient(s, ideal):
-    ok, info = is_ideal(s, ideal.indices)
-    if not ok:
-        raise NotAnIdeal(f"{ideal.name}: {info['reason']}")
-    return QuotientStructure(s, ideal, "standard")
+    return _ideal_quotient(s, ideal, "standard")
 
 
 def rees_quotient(s, ideal):
+    return _ideal_quotient(s, ideal, "rees")
+
+
+def _ideal_quotient(s, ideal, kind):
     ok, info = is_ideal(s, ideal.indices)
     if not ok:
         raise NotAnIdeal(f"{ideal.name}: {info['reason']}")
-    return QuotientStructure(s, ideal, "rees")
+    q = QuotientStructure(s, ideal, kind)
+    q._is_ideal = True
+    return q
 
 
 def semifield_verdict(cls):

@@ -15,9 +15,22 @@ is associative (distributive) when its lo and hi part tables are.  Such
 a verdict is exhaustive over the factors.  When a factor fails, the
 carrier's own triples are scanned, which yields the first counterexample
 in carrier order.
+
+A substructure inherits these laws from its ambient.  A subset closed
+under an operation is associative (distributive) when its ambient is;
+so is a quotient by a congruence, an equivalence that the operations
+respect, because the class map is then a homomorphism onto it.  A law
+counts as proven on the ambient only when the ambient's memo already
+holds a passing verdict or its factors pass (_proven); the ambient itself
+is never scanned for it.  A passing inherited verdict is (True, None), as
+a scan's would be.  When the ambient fails, or is not known to pass, the
+substructure's own triples are scanned for the first counterexample.
+The closure check and the cubic-scan cap run first, so a refusal stays a
+refusal.
 """
 
 import functools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -66,15 +79,17 @@ class FiniteStructure:
     that mul and add act on independently, and diag(p) is the element
     with both parts p; its tables are read off part tables
     (factored_table), which also decide its associativity and
-    distributivity.  `fast_table`, when given, is a callable op-name ->
-    ndarray used to build tables without the quadratic Python loop;
-    `tables` seeds the cache directly.
+    distributivity.  `tables` seeds the cache directly.  `ambient`, when
+    given, is the structure whose operations this one's are read from (a
+    subset or a quotient of it), whose proven laws it inherits;
+    `congruent(op)`, when given, says whether op is well defined on the
+    classes of a quotient, and an op it rejects inherits nothing.
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, diag=None, fast_table=None,
-                 tables=None):
+                 parse_element=None, diag=None, tables=None, ambient=None,
+                 congruent=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -87,7 +102,8 @@ class FiniteStructure:
         self.flavor = flavor
         self.parse_element = parse_element
         self.diag = diag
-        self.fast_table = fast_table
+        self.ambient = ambient
+        self.congruent = congruent
         self._tables = dict(tables) if tables else {}
         self._memo = {}
 
@@ -125,38 +141,49 @@ class FiniteStructure:
         if t is not None:
             return t
         fn = self.op_fn(op)  # raise MissingTable early
-        cap = TABLE_CAP if self.diag or self.fast_table else PY_TABLE_CAP
+        cap = TABLE_CAP if self.diag else PY_TABLE_CAP
         if self.n > cap:
             raise TooLarge(f"{self.n}x{self.n} {op} table exceeds the build "
                            f"cap ({cap})")
         if self.diag is not None:
             t, self._memo["parts", op] = factored_table(
                 self.elements, fn, self.diag)
-        elif self.fast_table is not None:
-            t = self.fast_table(op)
         else:
             t = self._build_table(op)
         self._tables[op] = t
         return t
 
+    @_once
     def _factors(self, *ops):
         """The factors of a full product carrier: structures on part
         indices holding the part tables of ops, one per distinct part
-        list (lo and hi, or one when they agree).  None for any other
-        carrier.  The tables of ops must be built, and closed: a full
-        product is closed exactly when its part tables are."""
-        parts = [self._memo.get(("parts", op)) for op in ops]
+        list (lo and hi, or one when they agree), with -1 for a part
+        result outside the parts.  None for any other carrier."""
+        if self.diag is None:
+            return None
+        parts = []
+        for op in ops:
+            self.table(op)
+            parts.append(self._memo.get(("parts", op)))
         if any(p is None for p in parts):
             return None
-        return [FiniteStructure(range(len(side[0])),
-                                tables=dict(zip(ops, side)))
+        return [FiniteStructure(range(len(side[0])), tables={
+                    op: np.where(t < len(t), t, -1).astype(np.int32)
+                    for op, t in zip(ops, side)})
                 for side in zip(*parts)]
+
+    def _inherited(self, law, *ops):
+        """Does law hold on the ambient, for ops that are well defined
+        here?  Only proven ambient verdicts count (_proven)."""
+        return (self.ambient is not None and _proven(self.ambient, law, *ops)
+                and (self.congruent is None
+                     or all(self.congruent(op) for op in ops)))
 
     def restrict(self, indices):
         """The substructure on the given carrier indices, in that order.
 
         Its tables are read from this structure's; a product that leaves
-        the subset is -1.
+        the subset is -1.  It inherits this structure's proven laws.
         """
         rows = np.asarray(indices, dtype=np.int64)
         relabel = np.full(self.n, -1, dtype=np.int32)
@@ -164,9 +191,9 @@ class FiniteStructure:
         return FiniteStructure(
             [self.elements[i] for i in rows], mul=self.mul_fn,
             add=self.add_fn, kind=self.kind, domain=self.domain,
-            flavor=self.flavor,
-            fast_table=lambda op: _relabel(
-                self.table(op)[np.ix_(rows, rows)], relabel))
+            flavor=self.flavor, ambient=self, tables={
+                op: _relabel(self.table(op)[np.ix_(rows, rows)], relabel)
+                for op in ("add", "mul") if self.has_op(op)})
 
     def _build_table(self, op):
         f = self.op_fn(op)
@@ -204,12 +231,15 @@ class FiniteStructure:
     @_once
     def associative(self, op, workers=1):
         """(x∘y)∘z = x∘(y∘z) over all triples; requires a closed op.  A
-        full product carrier passes when its factors do; otherwise the
-        carrier's triples are scanned for the first witness."""
+        substructure passes when its ambient is proven to, and a full
+        product carrier when its factors do; otherwise the carrier's
+        triples are scanned for the first witness."""
         ok, wit = self.closed(op)
         if not ok:
             return None, wit
         _refuse_cubic_scan(self.n, "associativity")
+        if self._inherited("associative", op):
+            return True, None
         factors = self._factors(op)
         if factors and all(f.associative(op)[0] for f in factors):
             return True, None
@@ -258,14 +288,17 @@ class FiniteStructure:
 
     @_once
     def distributive(self, workers=1):
-        """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples.  A full
-        product carrier passes when its factors do; otherwise the
-        carrier's triples are scanned for the first witness."""
+        """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples.  A
+        substructure passes when its ambient is proven to, and a full
+        product carrier when its factors do; otherwise the carrier's
+        triples are scanned for the first witness."""
         for op in ("add", "mul"):
             ok, wit = self.closed(op)
             if not ok:
                 return None, None
         _refuse_cubic_scan(self.n, "distributivity")
+        if self._inherited("distributive", "add", "mul"):
+            return True, None
         factors = self._factors("add", "mul")
         if factors and all(f.distributive()[0] for f in factors):
             return True, None
@@ -320,6 +353,23 @@ class FiniteStructure:
         return 0
 
 
+def _proven(s, law, *ops):
+    """Is law ("associative", "commutative" or "distributive") known to
+    hold on s for ops, without a scan of s?  True only when s's memo holds
+    a passing verdict, or when s is a full product whose factors pass (m^3
+    work on m-element factors).  s itself is never scanned."""
+    args = () if law == "distributive" else ops
+    done = s._memo.get((law,) + args)
+    if done is not None:
+        return done[0] is True
+    try:
+        factors = s._factors(*ops)
+        return factors is not None and all(
+            getattr(f, law)(*args)[0] is True for f in factors)
+    except TooLarge:
+        return False
+
+
 def factored_table(elements, fn, diag):
     """The Cayley table of fn, read off the tables of its lo and hi parts,
     and those part tables when the carrier is a full product.
@@ -329,8 +379,12 @@ def factored_table(elements, fn, diag):
     evaluated once per pair of distinct lo parts and once per pair of
     distinct hi parts, on the diagonal elements diag(p).  An entry is -1
     where a part result is no part of the carrier, or where fn returns
-    None (a fuzzy sum leaving [0, 1]).  The lookup codes are int32, which
-    holds for carriers of up to TABLE_CAP elements.
+    None (a fuzzy sum leaving [0, 1]).  When the carrier lists its
+    elements lo-major, as N(D), N(Zn:p)\\0 and the fuzzy grids do, the
+    table is one broadcast sum of the scaled lo table and the hi table;
+    otherwise (matrices, polynomials, subsets) each pair's code is looked
+    up.  The codes are int32, which holds for carriers of up to TABLE_CAP
+    elements.
 
     Returns (table, parts).  When every pair of a lo and a hi part is an
     element, parts holds the distinct part tables: (lo, hi), or (lo,)
@@ -346,19 +400,46 @@ def factored_table(elements, fn, diag):
     lo_table = _part_table(lo_parts, fn, diag)
     hi_table = (lo_table if list(hi_parts) == list(lo_parts)
                 else _part_table(hi_parts, fn, diag))
-    width = len(hi_parts) + 1
-    where = np.full((len(lo_parts) + 1) * width, -1, dtype=np.int32)
+    n, width = len(lo), len(hi_parts)
     lo = np.array(lo, dtype=np.intp)
     hi = np.array(hi, dtype=np.intp)
+    parts = None
+    if n == len(lo_parts) * width:
+        parts = (lo_table,) if hi_table is lo_table else (lo_table, hi_table)
+        ar = np.arange(n)
+        if (lo == ar // width).all() and (hi == ar % width).all():
+            return _lo_major_table(lo_table, hi_table), parts
+    return _lookup_table(lo_table, hi_table, lo, hi), parts
+
+
+def _lookup_table(lo_table, hi_table, lo, hi):
+    """The table of the carrier whose element i has parts lo[i], hi[i]:
+    each pair of part results is coded and looked up in `where`."""
+    width = len(hi_table) + 1
+    where = np.full((len(lo_table) + 1) * width, -1, dtype=np.int32)
     where[lo * width + hi] = np.arange(len(lo), dtype=np.int32)
     code = lo_table[lo].take(lo, axis=1)
     code *= width
     code += hi_table[hi].take(hi, axis=1)
-    parts = None
-    if len(lo) == len(lo_parts) * len(hi_parts):
-        parts = ((lo_table,) if hi_table is lo_table
-                 else (lo_table, hi_table))
-    return where[code], parts
+    return where[code]
+
+
+def _lo_major_table(lo_table, hi_table):
+    """The table of the full product whose element i has lo part
+    i // m_hi and hi part i % m_hi: entry ((a, b), (c, d)) is
+    lo[a, c] * m_hi + hi[b, d], one broadcast sum.  A part result outside
+    the parts is first made -n, so any sum holding one is negative and
+    then clipped to -1."""
+    m_lo, m_hi = len(lo_table), len(hi_table)
+    n = m_lo * m_hi
+    lo_t = np.where(lo_table < m_lo, lo_table * m_hi, -n).astype(np.int32)
+    hi_t = np.where(hi_table < m_hi, hi_table, -n).astype(np.int32)
+    t = np.empty((n, n), dtype=np.int32)
+    np.add(lo_t[:, None, :, None], hi_t[None, :, None, :],
+           out=t.reshape(m_lo, m_hi, m_lo, m_hi))
+    if (lo_t < 0).any() or (hi_t < 0).any():
+        np.maximum(t, -1, out=t)
+    return t
 
 
 def _part_table(parts, fn, diag):
@@ -404,12 +485,30 @@ def _first_true(mask):
 
 def _first_hit(keys, fn, workers):
     """Run fn over keys in order, return the first non-None result.  A
-    pool is started only when there is more than one key to share."""
+    pool is started only when there is more than one key to share.  Once
+    a key has a result, no key after it is started (a worker skips it,
+    and the queue is cancelled on return); the keys before it still run,
+    so the result is the first in key order."""
     if workers and workers > 1 and len(keys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(fn, keys):
+        first = [len(keys)]  # position of the first key with a result
+        lock = threading.Lock()
+
+        def run(i):
+            if i > first[0]:
+                return None
+            res = fn(keys[i])
+            if res is not None:
+                with lock:
+                    first[0] = min(first[0], i)
+            return res
+
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            for res in pool.map(run, range(len(keys))):
                 if res is not None:
                     return res
+        finally:
+            pool.shutdown(cancel_futures=True)
         return None
     for k in keys:
         res = fn(k)

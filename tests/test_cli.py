@@ -279,3 +279,23 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "[3,8]"
+
+
+# Requests whose options differ, so that an option or default carried over
+# from an earlier request in the same process would show in the output.
+REPEATED_REQUESTS = (
+    ("eval", "Zn:12", "(1,11)^2", "--flavor", "o"),
+    ("table", "N(Zn:2)", "add", "--format", "csv"),
+    ("eval", "Zn:12", "[3,4]*[4,3]"),
+    ("quotient", "N(Zn:4)", "col-zero", "--kind", "standard",
+     "--format", "text"),
+    ("quotient", "N(Zn:4)", "col-zero"),
+)
+
+
+def test_main_in_one_process_matches_separate_runs(capsys):
+    in_process = [run(capsys, *argv)[:2] for argv in REPEATED_REQUESTS]
+    for argv, (code, out) in zip(REPEATED_REQUESTS, in_process):
+        proc = subprocess.run([sys.executable, "-m", "natint", *argv],
+                              capture_output=True)
+        assert (code, out.encode()) == (proc.returncode, proc.stdout), argv

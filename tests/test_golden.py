@@ -88,6 +88,12 @@ GOLDEN = {
         0, "9bbf97115e57faf40ec2ac4f89ee84e83e01243be45e54274711ee7c7f329c3b"),
     ('analyze', 'N(ZnI:8)'): (
         0, "58f9d7710325cb3da19fdf852f17ee21d7508a559da1b2150de1b4da3a2aa8bf"),
+    ('quotient', 'N(Zn:16)', 'row-zero', '--kind', 'rees'): (
+        0, "678345955502de88484660764f0ca5f01ac82561c80297efa1d65d756887f774"),
+    ('quotient', 'N(Zn:24)', 'col-zero', '--kind', 'standard'): (
+        0, "39a341fa987563ef1fbf73464b9dc64c6d9985dec70fd77776a7e5cf380b5aaf"),
+    ('analyze', 'N(Zn:16)'): (
+        0, "275f2cfa263fabd025f321e41f889e571b73af424a3ac93cd9571fd19312128c"),
 }
 
 

@@ -1,0 +1,227 @@
+"""Associativity and distributivity inherited by quotients and subsets,
+and well-definedness decided by the congruence lemma, against the scans
+they replace.
+
+A closed subset, or a quotient by a congruence, passes a law its ambient
+is proven to pass.  A quotient by an ideal is a congruence for rees mul,
+and for standard add (mul) when the ambient's addition is associative and
+commutative (and the ambient distributive).  Each check compares the full
+(verdict, witness) with a twin that holds the same tables but no ambient
+and no product form, so every verdict of the twin comes from a scan; each
+well_defined verdict is compared with a quotient built without is_ideal,
+to which the lemma does not apply.
+"""
+
+import operator
+import sys
+import threading
+import time
+
+import pytest
+
+from natint import structures
+from natint.carriers import build_carrier, interval_elements
+from natint.errors import TooLarge
+from natint.intervals import Flavor, NaturalInterval
+from natint.quotients import (
+    Ideal,
+    QuotientStructure,
+    enumerate_ideals,
+    parse_ideal_spec,
+    rees_quotient,
+    standard_quotient,
+)
+from natint.scalars import Mod
+from natint.structures import FiniteStructure, analyze_structure, axiom_report
+
+FLAVORS = ("c", "o", "oc", "co")
+QUOTIENT_AMBIENTS = (
+    [f"N(Zn:{k},{f})" for k in range(2, 13) for f in FLAVORS]
+    + ["N(ZnI:4)", "N(Zn+I:2)", "Mat(1,2,N(Zn:2))", "Poly(N(Zn:2),cyc=2)"])
+S_RING_AMBIENTS = ("N(Zn:8)", "N(Zn:9)", "N(Zn:16)", "N(ZnI:8)")
+KINDS = {"rees": rees_quotient, "standard": standard_quotient}
+
+
+def _ops(s):
+    return [op for op in ("add", "mul") if s.has_op(op)]
+
+
+def _verdict(decide):
+    try:
+        return decide()
+    except TooLarge:
+        return "refused"
+
+
+def verdicts(s):
+    ops = _ops(s)
+    out = {op: _verdict(lambda: s.associative(op)) for op in ops}
+    if len(ops) == 2:
+        out["distributive"] = _verdict(s.distributive)
+    return out
+
+
+def scan_twin(s):
+    """The same carrier and tables with no ambient and no product form."""
+    return FiniteStructure(s.elements, mul=s.mul_fn, add=s.add_fn,
+                           tables={op: s.table(op) for op in _ops(s)})
+
+
+def assert_quotients_match_the_scan(s):
+    for ideal in enumerate_ideals(s):
+        # The default class label "I" is also an element of N(ZnI:k),
+        # and a rees quotient keeping that element cannot be built.
+        ideal = Ideal(s, ideal.indices, name="J")
+        for kind, make in KINDS.items():
+            q = make(s, ideal)
+            unchecked = QuotientStructure(s, ideal, kind)
+            for op in _ops(s):
+                assert q.well_defined(op) == unchecked.well_defined(op), (
+                    kind, ideal.indices, op)
+            cls = q.structure()
+            assert verdicts(cls) == verdicts(scan_twin(cls)), (
+                kind, ideal.indices)
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_AMBIENTS)
+def test_quotient_verdicts_match_the_scan(spec):
+    assert_quotients_match_the_scan(build_carrier(spec))
+
+
+@pytest.mark.parametrize("spec", S_RING_AMBIENTS)
+def test_s_ring_spans_match_the_scan(monkeypatch, spec):
+    spans = []
+    restrict = FiniteStructure.restrict
+
+    def recorded(self, indices):
+        spans.append(restrict(self, indices))
+        return spans[-1]
+
+    monkeypatch.setattr(FiniteStructure, "restrict", recorded)
+    analyze_structure(build_carrier(spec))
+    assert len(spans) > 10
+    for sub in spans:
+        assert verdicts(sub) == verdicts(scan_twin(sub)), sub.elements
+
+
+# Caller-built multiplications on Z12.  x*y*h with h = 2 on the upper
+# half of the representatives is neither associative nor distributive,
+# and its standard mul is not well defined modulo 2 or 4; x*x*y is
+# associative modulo 12 but not right distributive; x*y is the ring Z12.
+def _z12(mul):
+    return FiniteStructure(range(12), mul=mul, add=lambda x, y: (x + y) % 12)
+
+
+CALLER_BUILT = {
+    "x*y*h": lambda x, y: x * y * (1 + (x >= 6)) % 12,
+    "x*x*y": lambda x, y: x * x * y % 12,
+    "x*y": lambda x, y: x * y % 12,
+}
+
+
+@pytest.mark.parametrize("name", list(CALLER_BUILT))
+def test_failing_ambients_give_the_scan_verdicts(name):
+    s = _z12(CALLER_BUILT[name])
+    ambient = verdicts(s)  # the memo now holds every ambient verdict
+    assert ambient == verdicts(scan_twin(s))
+    assert_quotients_match_the_scan(s)
+    for ideal in enumerate_ideals(s):
+        sub = s.restrict(ideal.indices)
+        assert verdicts(sub) == verdicts(scan_twin(sub)), ideal.indices
+
+
+def test_failing_ambient_is_scanned_not_inherited():
+    s = _z12(CALLER_BUILT["x*y*h"])
+    assert s.associative("mul")[0] is False
+    assert s.distributive()[0] is False
+    ideals = {i.order: i for i in enumerate_ideals(s)}
+    copy = rees_quotient(s, ideals[1]).structure()  # by the zero ideal
+    assert copy.associative("mul")[0] is False
+    assert copy.distributive()[0] is False
+    evens = standard_quotient(s, ideals[6])
+    assert evens.well_defined("add") == (True, None)
+    assert evens.well_defined("mul")[0] is False
+
+
+# x-y over x+y on products whose factors fail: on all of N(Zn:3) both
+# factors fail, on {0} x Z3 only the hi factor does and on Z3 x {0} only
+# the lo one does.
+def _z3_product(keep):
+    d = Mod(3)
+    return FiniteStructure(
+        [e for e in interval_elements(d, Flavor.CLOSED) if keep(e)],
+        mul=operator.sub, add=operator.add,
+        diag=lambda p: NaturalInterval(d, p, p, Flavor.CLOSED))
+
+
+FAILING_PRODUCTS = {
+    "N(Zn:3)": lambda e: True,
+    "0xZ3": lambda e: e.lo == 0,
+    "Z3x0": lambda e: e.hi == 0,
+}
+
+
+@pytest.mark.parametrize("name", list(FAILING_PRODUCTS))
+def test_failing_factors_are_not_inherited(name):
+    s = _z3_product(FAILING_PRODUCTS[name])
+    for rows in (range(s.n), range(s.n - 1, -1, -1)):
+        sub = s.restrict(list(rows))  # before any verdict of s is memoized
+        assert verdicts(sub) == verdicts(scan_twin(sub))
+        assert sub.associative("mul")[0] is False
+        assert sub.distributive()[0] is False
+
+
+def test_rees_mul_verdicts_need_no_scan(monkeypatch):
+    s = build_carrier("N(Zn:12)")
+    q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
+    expected = axiom_report(scan_twin(q.structure()), "mul")
+    assoc_witness = structures._assoc_witness
+
+    def refuse_class_scan(table, *args):
+        # the ambient's 12-element factors may be scanned, the classes not
+        if len(table) > 12:
+            raise AssertionError("associativity scan over the classes")
+        return assoc_witness(table, *args)
+
+    def refuse_comparison(self, op):
+        raise AssertionError(f"{op} products compared")
+
+    monkeypatch.setattr(structures, "_assoc_witness", refuse_class_scan)
+    monkeypatch.setattr(QuotientStructure, "_compare_products",
+                        refuse_comparison)
+    assert q.well_defined("mul") == (True, None)
+    assert axiom_report(q.structure(), "mul") == expected
+    assert expected["associative"] is True
+
+
+def test_first_hit_starts_no_block_after_a_hit():
+    ran = []
+    lock = threading.Lock()
+
+    def scan(key):
+        with lock:
+            ran.append(key)
+        if key in (0, 5):
+            return key
+        time.sleep(0.02)
+        return None
+
+    assert structures._first_hit(range(16), scan, 2) == 0
+    assert 0 in ran and set(ran) <= {0, 1}, ran
+
+
+def test_first_hit_is_the_first_in_key_order_under_contention():
+    hits = {7, 9, 30, 31, 50}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            delays = [(trial * 7 + k * 13) % 5 * 1e-4 for k in range(64)]
+
+            def scan(key):
+                time.sleep(delays[key])
+                return key if key in hits else None
+
+            assert structures._first_hit(range(64), scan, 4) == 7
+    finally:
+        sys.setswitchinterval(switch)
