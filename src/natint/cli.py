@@ -525,7 +525,7 @@ def cmd_table(args, cfg):
 
 def cmd_analyze(args, cfg):
     s = build_carrier(args.spec, size_bound=cfg.size_bound)
-    payload = analyze_structure(s, workers=cfg.worker_count)
+    payload = analyze_structure(s)
     return payload, EXIT_OK
 
 
@@ -536,7 +536,7 @@ def cmd_quotient(args, cfg):
         q = rees_quotient(s, ideal)
     else:
         q = standard_quotient(s, ideal)
-    payload = quotient_analysis(q, workers=cfg.worker_count)
+    payload = quotient_analysis(q)
     return payload, EXIT_OK
 
 
@@ -620,7 +620,8 @@ def build_parser():
     common.add_argument("--size-bound", type=int, default=None,
                         help="largest carrier to enumerate (default 10^6)")
     common.add_argument("--workers", type=int, default=None,
-                        help="parallel scan width (default: all cores)")
+                        help="threads for verify-book's randomized suites "
+                             "(default: all cores)")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     common.add_argument("--config", default=None, metavar="PATH",

@@ -61,7 +61,7 @@ def product_associative_componentwise(step_denominator=10):
     return bool((left == right).all()), (s + 1) ** 3
 
 
-def fuzzy_semigroup_report(op, step_denominator=10, workers=1):
+def fuzzy_semigroup_report(op, step_denominator=10):
     """Associativity/commutativity on the grid plus the computed
     identity and absorbing elements for min, max or the product."""
     s = step_denominator
@@ -73,7 +73,7 @@ def fuzzy_semigroup_report(op, step_denominator=10, workers=1):
         "grid_size": struct.n,
     }
     if op in ("min", "max"):
-        ax = axiom_report(struct, "mul", workers=workers)
+        ax = axiom_report(struct, "mul")
         rep["closed_on_grid"] = ax["closed"]
         rep["associative"] = ax["associative"]
         rep["associativity_method"] = "grid Cayley table"

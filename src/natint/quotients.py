@@ -15,7 +15,8 @@ rees
 
 The ideal class is labeled with the ideal's name (default "I"); standard
 cosets are labeled "<rep>+<name>" and rees classes keep their ambient
-element label.
+element label, so a rees quotient refuses a name that is also the label
+of an element outside the ideal.
 
 An operation that is well defined on the classes is a congruence, and
 the classes inherit its associativity and distributivity from the
@@ -47,6 +48,13 @@ from .structures import (
     find_special_elements,
     is_strict_semiring,
 )
+
+# Most ideals an enumeration may find before it is refused.
+IDEAL_CAP = 4096
+# Most members an ideal summary lists; a larger ideal lists a sample.
+SUMMARY_MEMBERS = 60
+# Largest quotient whose report lists the special elements of its classes.
+CLASS_REPORT_CAP = 1024
 
 
 class Ideal:
@@ -258,7 +266,7 @@ def _sum_of_sets(ta, a_idx, b_idx):
     return np.flatnonzero(hit[:-1])
 
 
-def enumerate_ideals(s, cap=4096):
+def enumerate_ideals(s):
     """All two-sided ideals, found as principal closures plus joins.
 
     Requires commutative group addition (so that the sum of two ideals
@@ -281,8 +289,8 @@ def enumerate_ideals(s, cap=4096):
         if fs in found:
             return None
         found[fs] = idx
-        if len(found) > cap:
-            raise TooLarge(f"more than {cap} ideals")
+        if len(found) > IDEAL_CAP:
+            raise TooLarge(f"more than {IDEAL_CAP} ideals")
         return fs
 
     for i in range(s.n):
@@ -301,9 +309,9 @@ def enumerate_ideals(s, cap=4096):
     return [Ideal(s, idx) for idx in ordered]
 
 
-def maximal_minimal_ideals(s, cap=4096):
+def maximal_minimal_ideals(s):
     """Minimal nonzero and maximal proper ideals, with totals."""
-    ideals = enumerate_ideals(s, cap=cap)
+    ideals = enumerate_ideals(s)
     full = frozenset(range(s.n))
     z = s.identity_index("add")
     zero = frozenset({z}) if z is not None else frozenset()
@@ -326,13 +334,13 @@ def maximal_minimal_ideals(s, cap=4096):
     }
 
 
-def ideal_summary(ideal, max_members=60):
+def ideal_summary(ideal):
     out = {"name": ideal.name, "order": ideal.order}
-    if ideal.order <= max_members:
+    if ideal.order <= SUMMARY_MEMBERS:
         out["members"] = ideal.members()
     else:
         out["members_sample"] = ideal.ambient.labels(
-            ideal.indices[:max_members])
+            ideal.indices[:SUMMARY_MEMBERS])
     return out
 
 
@@ -515,6 +523,10 @@ def _ideal_quotient(s, ideal, kind):
     if not ok:
         raise NotAnIdeal(f"{ideal.name}: {info['reason']}")
     q = QuotientStructure(s, ideal, kind)
+    if ideal.name in map(q.class_label, range(1, q.n_classes)):
+        raise ParseError(
+            f"ideal name {ideal.name!r} is also the label of a class the "
+            f"quotient keeps; give the ideal another name=")
     q._is_ideal = True
     return q
 
@@ -558,7 +570,7 @@ def semifield_verdict(cls):
     return out
 
 
-def quotient_analysis(q, workers=1, element_cap=1024):
+def quotient_analysis(q):
     """Full serializable report for a quotient."""
     cls = q.structure()
     out = {
@@ -569,13 +581,13 @@ def quotient_analysis(q, workers=1, element_cap=1024):
         "ideal": ideal_summary(q.ideal),
         "classes": cls.n,
         "diagnostics": q.diagnostics(),
-        "axioms": {"mul": axiom_report(cls, "mul", workers=workers)},
+        "axioms": {"mul": axiom_report(cls, "mul")},
     }
     if cls.has_op("add"):
-        out["axioms"]["add"] = axiom_report(cls, "add", workers=workers)
+        out["axioms"]["add"] = axiom_report(cls, "add")
         out["characteristic"] = cls.characteristic()
     out["semifield"] = semifield_verdict(cls)
-    if cls.n <= element_cap:
+    if cls.n <= CLASS_REPORT_CAP:
         specials = find_special_elements(cls, with_orders=True)
         out["elements"] = specials
         out["power_return"] = [
@@ -583,5 +595,6 @@ def quotient_analysis(q, workers=1, element_cap=1024):
             for ent in specials.get("element_orders", [])]
     else:
         out["elements_note"] = (
-            f"per-class element report skipped above {element_cap} classes")
+            f"per-class element report skipped above {CLASS_REPORT_CAP} "
+            "classes")
     return out

@@ -5,8 +5,11 @@ with one or two binary operations (mul, and optionally add).  Cayley
 tables are integer index tables built lazily; an entry of -1 marks a
 product that falls outside the carrier (non-closure).  All axiom checks
 are exhaustive and vectorized over the tables, and every negative
-verdict carries the first counterexample in carrier order.  A verdict is
-computed once per structure, because its tables never change once built.
+verdict carries the first counterexample in carrier order.  The cubic
+scans walk blocks of rows in order and stop at the first block with a
+hit, so their memory stays bounded and that hit is the first
+counterexample.  A verdict is computed once per structure, because its
+tables never change once built.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) is decided on its factors where
@@ -30,8 +33,6 @@ refusal.
 """
 
 import functools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,6 +50,11 @@ TABLE_CAP = 10 ** 4
 CUBIC_SCAN_CAP = 700
 # Elements scanned per chunk in the n^3 checks (rows of the outer index).
 _BLOCK_ENTRIES = 1 << 22
+# Largest carrier whose analysis lists the orders of every element.
+ORDERS_CAP = 512
+# Largest carrier whose S-ring search goes on to the additive spans of
+# single elements and of pairs.
+SPAN_SEARCH_CAP = 256
 # Rows per band when a table is compared with its transpose; a band of
 # columns stays in cache while its rows are read.
 _BAND_ROWS = 64
@@ -58,14 +64,12 @@ def _once(method):
     """Remember a verdict on its structure, keyed by method and op.
 
     The memo is a per-instance dict, so it dies with its structure.
-    `workers` only splits a scan, so it is not part of the key.
     """
     @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        key = (method.__name__,) + args + tuple(
-            v for k, v in kwargs.items() if k != "workers")
+    def wrapper(self, *args):
+        key = (method.__name__,) + args
         if key not in self._memo:
-            self._memo[key] = method(self, *args, **kwargs)
+            self._memo[key] = method(self, *args)
         return self._memo[key]
     return wrapper
 
@@ -229,7 +233,7 @@ class FiniteStructure:
         return True, None
 
     @_once
-    def associative(self, op, workers=1):
+    def associative(self, op):
         """(x∘y)∘z = x∘(y∘z) over all triples; requires a closed op.  A
         substructure passes when its ambient is proven to, and a full
         product carrier when its factors do; otherwise the carrier's
@@ -243,7 +247,7 @@ class FiniteStructure:
         factors = self._factors(op)
         if factors and all(f.associative(op)[0] for f in factors):
             return True, None
-        wit = _assoc_witness(self.table(op), workers)
+        wit = _assoc_witness(self.table(op))
         return (wit is None), wit
 
     @_once
@@ -287,7 +291,7 @@ class FiniteStructure:
         return True, None
 
     @_once
-    def distributive(self, workers=1):
+    def distributive(self):
         """x(y+z) = xy+xz and (y+z)x = yx+zx over all triples.  A
         substructure passes when its ambient is proven to, and a full
         product carrier when its factors do; otherwise the carrier's
@@ -304,10 +308,10 @@ class FiniteStructure:
             return True, None
         m = self.table("mul")
         a = self.table("add")
-        left = _left_distrib_witness(m, a, workers)
+        left = _left_distrib_witness(m, a)
         if left is not None:
             return False, ("left",) + left
-        right = _left_distrib_witness(m.T, a, workers)
+        right = _left_distrib_witness(m.T, a)
         if right is not None:
             x, y, z = right
             return False, ("right", y, z, x)
@@ -483,86 +487,45 @@ def _first_true(mask):
     return tuple(int(i) for i in np.unravel_index(k, mask.shape))
 
 
-def _first_hit(keys, fn, workers):
-    """Run fn over keys in order, return the first non-None result.  A
-    pool is started only when there is more than one key to share.  Once
-    a key has a result, no key after it is started (a worker skips it,
-    and the queue is cancelled on return); the keys before it still run,
-    so the result is the first in key order."""
-    if workers and workers > 1 and len(keys) > 1:
-        first = [len(keys)]  # position of the first key with a result
-        lock = threading.Lock()
-
-        def run(i):
-            if i > first[0]:
-                return None
-            res = fn(keys[i])
-            if res is not None:
-                with lock:
-                    first[0] = min(first[0], i)
-            return res
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            for res in pool.map(run, range(len(keys))):
-                if res is not None:
-                    return res
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return None
-    for k in keys:
-        res = fn(k)
-        if res is not None:
-            return res
-    return None
-
-
 def _refuse_cubic_scan(n, law):
     if n > CUBIC_SCAN_CAP:
         raise TooLarge(f"{law} scan over {n}^3 triples refused "
                        f"(cap {CUBIC_SCAN_CAP})")
 
 
-def _assoc_witness(t, workers=1):
-    """The first (x, y, z) in C order with (xy)z != x(yz), or None."""
+def _assoc_witness(t):
+    """The first (x, y, z) in C order with (xy)z != x(yz), or None.  Rows
+    of x are scanned in blocks of about _BLOCK_ENTRIES triples, in order,
+    so the first block with a hit holds the first witness."""
     n = t.shape[0]
     block = max(1, _BLOCK_ENTRIES // max(1, n * n))
-
-    def scan(lo):
-        hi = min(n, lo + block)
-        left = t[t[lo:hi], :]
-        right = t[lo:hi][:, t]
-        hit = _first_true(left != right)
+    for lo in range(0, n, block):
+        rows = t[lo:lo + block]
+        hit = _first_true(t[rows, :] != rows[:, t])
         if hit is not None:
             a, b, c = hit
             return (lo + a, b, c)
-        return None
-
-    return _first_hit(range(0, n, block), scan, workers)
+    return None
 
 
-def _left_distrib_witness(m, a, workers=1):
-    """The first (x, y, z) in C order with x(y+z) != xy+xz, or None."""
+def _left_distrib_witness(m, a):
+    """The first (x, y, z) in C order with x(y+z) != xy+xz, or None,
+    scanned in blocks of rows of x as _assoc_witness is."""
     n = m.shape[0]
     block = max(1, _BLOCK_ENTRIES // max(1, n * n))
-
-    def scan(lo):
-        hi = min(n, lo + block)
-        lhs = m[lo:hi][:, a]
-        rhs = a[m[lo:hi, :, None], m[lo:hi, None, :]]
-        hit = _first_true(lhs != rhs)
+    for lo in range(0, n, block):
+        rows = m[lo:lo + block]
+        hit = _first_true(rows[:, a] != a[rows[:, :, None], rows[:, None, :]])
         if hit is not None:
             x, y, z = hit
             return (lo + x, y, z)
-        return None
-
-    return _first_hit(range(0, n, block), scan, workers)
+    return None
 
 
 # ----------------------------------------------------------------------
 # reports
 
-def axiom_report(s, op, workers=1):
+def axiom_report(s, op):
     """Serializable exhaustive report for one operation."""
     rep = {"op": op}
     closed, cw = s.closed(op)
@@ -573,7 +536,7 @@ def axiom_report(s, op, workers=1):
         rep["associative"] = None
     else:
         try:
-            assoc, aw = s.associative(op, workers=workers)
+            assoc, aw = s.associative(op)
         except TooLarge:
             assoc, aw = None, None
             rep["associative_note"] = "skipped: carrier too large"
@@ -595,7 +558,7 @@ def axiom_report(s, op, workers=1):
     return rep
 
 
-def _group_verdict(s, op="mul", workers=1):
+def _group_verdict(s, op="mul"):
     """(ok, info): is s a group under op?  info holds the identity, or
     the reason and, where there is one, the first witness."""
     if s.n == 0:
@@ -605,7 +568,7 @@ def _group_verdict(s, op="mul", workers=1):
         x, y = (s.elements[i] for i in cw)
         return False, {"reason": "not closed",
                        "witness": (str(x), str(y), str(s.apply(op, x, y)))}
-    assoc, aw = s.associative(op, workers=workers)
+    assoc, aw = s.associative(op)
     if not assoc:
         return False, {"reason": "not associative",
                        "witness": tuple(s.labels(aw))}
@@ -618,10 +581,10 @@ def _group_verdict(s, op="mul", workers=1):
     return True, {"identity": s.label(e)}
 
 
-def _ring_verdict(s, workers=1):
+def _ring_verdict(s):
     """(ok, info): is s a ring under (add, mul)?  info holds the additive
     identity, or the reason and, where there is one, the first witness."""
-    ok, info = _group_verdict(s, "add", workers)
+    ok, info = _group_verdict(s, "add")
     if not ok:
         info["reason"] = "additive: " + info["reason"]
         return False, info
@@ -631,19 +594,19 @@ def _ring_verdict(s, workers=1):
     if not closed:
         return False, {"reason": "product leaves the subset",
                        "witness": tuple(s.labels(cw))}
-    if not s.associative("mul", workers=workers)[0]:
+    if not s.associative("mul")[0]:
         return False, {"reason": "multiplication not associative"}
-    dist, dw = s.distributive(workers=workers)
+    dist, dw = s.distributive()
     if not dist:
         return False, {"reason": "not distributive",
                        "witness": tuple(s.labels(dw[1:]))}
     return True, info
 
 
-def _field_verdict(s, workers=1):
+def _field_verdict(s):
     """(ok, info): is s a field under (add, mul)?  info holds the zero and
     identity, or the reason and, where there is one, the first witness."""
-    ok, info = _ring_verdict(s, workers)
+    ok, info = _ring_verdict(s)
     if not ok:
         return False, info
     if s.n < 2:
@@ -665,21 +628,21 @@ def _field_verdict(s, workers=1):
     return True, {"zero": s.label(zero), "identity": s.label(one)}
 
 
-def is_group(s, op="mul", workers=1):
-    return _group_verdict(s, op, workers)[0]
+def is_group(s, op="mul"):
+    return _group_verdict(s, op)[0]
 
 
-def is_ring(s, workers=1):
+def is_ring(s):
     return (s.has_op("add") and s.has_op("mul")
-            and _ring_verdict(s, workers)[0])
+            and _ring_verdict(s)[0])
 
 
-def is_field(s, workers=1):
+def is_field(s):
     return (s.has_op("add") and s.has_op("mul")
-            and _field_verdict(s, workers)[0])
+            and _field_verdict(s)[0])
 
 
-def classify(s, workers=1):
+def classify(s):
     """Human-readable classification tags for the carrier."""
     tags = []
     for op, noun in (("add", "additive"), ("mul", "multiplicative")):
@@ -689,7 +652,7 @@ def classify(s, workers=1):
         if not closed:
             tags.append(f"{noun} operation not closed")
             continue
-        assoc, _ = s.associative(op, workers=workers)
+        assoc, _ = s.associative(op)
         if not assoc:
             tags.append(f"{noun} operation not associative")
             continue
@@ -703,7 +666,7 @@ def classify(s, workers=1):
         if comm:
             word = ("abelian " if word == "group" else "commutative ") + word
         tags.append(f"{noun} {word}")
-    if s.has_op("add") and s.has_op("mul") and is_ring(s, workers=workers):
+    if s.has_op("add") and s.has_op("mul") and is_ring(s):
         name = "ring"
         comm, _ = s.commutative("mul")
         if comm:
@@ -711,7 +674,7 @@ def classify(s, workers=1):
         if s.identity_index("mul") is not None:
             name += " with unity"
         tags.append(name)
-        if is_field(s, workers=workers):
+        if is_field(s):
             tags.append("field")
     return tags
 
@@ -939,7 +902,7 @@ def thm_unit_square_witness(s):
     return {"members": [str(c) for c in cand], "identity": info["identity"]}
 
 
-def is_s_semigroup(s, workers=1):
+def is_s_semigroup(s):
     """True iff a proper subset with >= 2 elements is a group under mul.
 
     The canonical unit-square witness is tried first (it needs no Cayley
@@ -972,12 +935,12 @@ def _additive_span(s, i):
     return frozenset(span)
 
 
-def is_s_ring(s, enumerate_cap=256, workers=1):
+def is_s_ring(s):
     """True iff some proper subset is a field under the induced operations.
 
     Search order: additive spans of e*g with e a multiplicative idempotent
     and g a carrier element — degenerate (diagonal) pairs first on
-    interval carriers — then, for carriers of at most enumerate_cap
+    interval carriers — then, for carriers of at most SPAN_SEARCH_CAP
     elements, additive spans of single elements and of pairs.
     """
     if not (s.has_op("add") and s.has_op("mul")):
@@ -1024,7 +987,7 @@ def is_s_ring(s, enumerate_cap=256, workers=1):
                 hit = try_span(_additive_span(s, prod))
                 if hit:
                     return True, hit
-    if n <= enumerate_cap:
+    if n <= SPAN_SEARCH_CAP:
         spans = []
         for i in range(n):
             sp = _additive_span(s, i)
@@ -1079,10 +1042,8 @@ def is_strict_semiring(s):
 
 # ----------------------------------------------------------------------
 
-def analyze_structure(s, workers=1, with_orders=None):
+def analyze_structure(s):
     """Full deterministic report: axioms, elements, substructures."""
-    if with_orders is None:
-        with_orders = s.n <= 512
     report = {
         "schema": "natint/1",
         "spec": s.name,
@@ -1093,12 +1054,12 @@ def analyze_structure(s, workers=1, with_orders=None):
         "witnesses": {},
     }
     if s.has_op("add"):
-        report["axioms"]["add"] = axiom_report(s, "add", workers=workers)
+        report["axioms"]["add"] = axiom_report(s, "add")
     if s.has_op("mul"):
-        report["axioms"]["mul"] = axiom_report(s, "mul", workers=workers)
+        report["axioms"]["mul"] = axiom_report(s, "mul")
     if s.has_op("add") and s.has_op("mul"):
         try:
-            dist, dw = s.distributive(workers=workers)
+            dist, dw = s.distributive()
         except TooLarge:
             dist, dw = None, None
         report["axioms"]["distributive"] = dist
@@ -1106,10 +1067,11 @@ def analyze_structure(s, workers=1, with_orders=None):
             side, x, y, z = dw
             report["axioms"]["distributive_counterexample"] = {
                 "side": side, "triple": s.labels((x, y, z))}
-    report["classification"] = classify(s, workers=workers)
+    report["classification"] = classify(s)
     if s.has_op("mul"):
-        report["elements"] = find_special_elements(s, with_orders=with_orders)
-        found, wit = is_s_semigroup(s, workers=workers)
+        report["elements"] = find_special_elements(
+            s, with_orders=s.n <= ORDERS_CAP)
+        found, wit = is_s_semigroup(s)
         report["substructures"]["s_semigroup"] = found
         if wit:
             report["witnesses"]["s_semigroup"] = wit
@@ -1119,7 +1081,7 @@ def analyze_structure(s, workers=1, with_orders=None):
         report["substructures"]["inherited"] = {
             "order": inh.n, "members": [str(e) for e in inh.elements]}
     if s.has_op("add") and s.has_op("mul"):
-        found, wit = is_s_ring(s, workers=workers)
+        found, wit = is_s_ring(s)
         report["substructures"]["s_ring"] = found
         if wit:
             report["witnesses"]["s_ring"] = wit

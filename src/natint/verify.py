@@ -1585,7 +1585,7 @@ def _c_fuzzy_assoc(ctx):
     out = {}
     agree = True
     for op in ("min", "max", "prod"):
-        rep = fuzzy_semigroup_report(op, workers=ctx["workers"])
+        rep = fuzzy_semigroup_report(op)
         out[op] = {"associative": rep["associative"],
                    "commutative": rep["commutative"],
                    "method": rep["associativity_method"]}

@@ -62,8 +62,14 @@ def scan_twin(s, ops):
 def assert_same_as_scan(s):
     ops = _ops(s)
     twin = scan_twin(s, ops)
-    assert verdicts(s, ops) == verdicts(twin, ops)
+    scanned = verdicts(twin, ops)
+    assert verdicts(s, ops) == scanned
     assert all(twin._factors(op) is None for op in ops)
+    # With one row per block, the first block with a hit must still hold
+    # the first witness in C order.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_BLOCK_ENTRIES", 1)
+        assert verdicts(scan_twin(s, ops), ops) == scanned
 
 
 @pytest.mark.parametrize("spec", FULL_PRODUCTS)

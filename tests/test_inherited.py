@@ -13,15 +13,12 @@ to which the lemma does not apply.
 """
 
 import operator
-import sys
-import threading
-import time
 
 import pytest
 
 from natint import structures
 from natint.carriers import build_carrier, interval_elements
-from natint.errors import TooLarge
+from natint.errors import ParseError, TooLarge
 from natint.intervals import Flavor, NaturalInterval
 from natint.quotients import (
     Ideal,
@@ -70,7 +67,7 @@ def scan_twin(s):
 def assert_quotients_match_the_scan(s):
     for ideal in enumerate_ideals(s):
         # The default class label "I" is also an element of N(ZnI:k),
-        # and a rees quotient keeping that element cannot be built.
+        # and a rees quotient keeping that element refuses the name.
         ideal = Ideal(s, ideal.indices, name="J")
         for kind, make in KINDS.items():
             q = make(s, ideal)
@@ -124,6 +121,9 @@ def test_failing_ambients_give_the_scan_verdicts(name):
     s = _z12(CALLER_BUILT[name])
     ambient = verdicts(s)  # the memo now holds every ambient verdict
     assert ambient == verdicts(scan_twin(s))
+    with pytest.MonkeyPatch.context() as mp:  # one row per block
+        mp.setattr(structures, "_BLOCK_ENTRIES", 1)
+        assert verdicts(scan_twin(s)) == ambient
     assert_quotients_match_the_scan(s)
     for ideal in enumerate_ideals(s):
         sub = s.restrict(ideal.indices)
@@ -194,34 +194,43 @@ def test_rees_mul_verdicts_need_no_scan(monkeypatch):
     assert expected["associative"] is True
 
 
-def test_first_hit_starts_no_block_after_a_hit():
-    ran = []
-    lock = threading.Lock()
+def test_first_hit_starts_no_block_after_a_hit(monkeypatch):
+    # x-y on Z12 fails associativity at (0, 0, 1) and left distributivity
+    # at (1, 0, 0); with one row per block, the rows of x up to the
+    # witness's are scanned and no row after it.
+    s = FiniteStructure(range(12), mul=lambda x, y: (x - y) % 12,
+                        add=lambda x, y: (x + y) % 12)
+    mul, add = s.table("mul"), s.table("add")
+    blocks = []
+    first_true = structures._first_true
 
-    def scan(key):
-        with lock:
-            ran.append(key)
-        if key in (0, 5):
-            return key
-        time.sleep(0.02)
-        return None
+    def counted(mask):
+        blocks.append(mask.shape)
+        return first_true(mask)
 
-    assert structures._first_hit(range(16), scan, 2) == 0
-    assert 0 in ran and set(ran) <= {0, 1}, ran
+    monkeypatch.setattr(structures, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(structures, "_first_true", counted)
+    assert structures._assoc_witness(mul) == (0, 0, 1)
+    assert blocks == [(1, 12, 12)]
+    blocks.clear()
+    assert structures._left_distrib_witness(mul, add) == (1, 0, 0)
+    assert blocks == [(1, 12, 12)] * 2
 
 
-def test_first_hit_is_the_first_in_key_order_under_contention():
-    hits = {7, 9, 30, 31, 50}
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(30):
-            delays = [(trial * 7 + k * 13) % 5 * 1e-4 for k in range(64)]
-
-            def scan(key):
-                time.sleep(delays[key])
-                return key if key in hits else None
-
-            assert structures._first_hit(range(64), scan, 4) == 7
-    finally:
-        sys.setswitchinterval(switch)
+def test_rees_quotient_refuses_a_name_it_keeps_as_a_label():
+    s = build_carrier("N(ZnI:4)")
+    clashes = 0
+    for ideal in enumerate_ideals(s):
+        outside = [i for i in range(s.n) if i not in ideal.indices]
+        kept = rees_quotient(s, Ideal(s, ideal.indices, name="J"))
+        assert kept.structure().elements == ["J"] + s.labels(outside)
+        if "I" in s.labels(outside):
+            clashes += 1
+            with pytest.raises(ParseError, match="'I'.*name="):
+                rees_quotient(s, ideal)
+        else:
+            assert rees_quotient(s, ideal).structure().elements == (
+                ["I"] + s.labels(outside))
+        # standard cosets are labelled "<rep>+I", never "I"
+        assert standard_quotient(s, ideal).structure().elements[0] == "I"
+    assert clashes == 8
