@@ -30,6 +30,19 @@ any products:
 - standard mul when, moreover, the ambient is proven distributive.
 
 Every other case compares the ambient's products class by class.
+
+Ideals of a product are read off its factors.  In a full product R x S
+(N(D) is D x D, and so are the matrices and polynomials over it) whose
+factors are closed, each with a multiplicative identity 1 and an
+additive zero 0 that absorbs mul, every ideal K is I x J for ideals I of
+R and J of S: (1,0)(x,y) = (x,0) and (0,1)(x,y) = (0,y), so K holds
+pi_lo K x {0} and {0} x pi_hi K, and hence their sum pi_lo K x pi_hi K.
+So enumerate_ideals lists the products of the factors' ideals, and
+generate_ideal returns <pi_lo G> x <pi_hi G>, closing on the factors'
+elements instead of the carrier's.  The factors' addition must be
+associative too, so that the sum of two ideals found is additively
+closed, as the closure engine assumes.  Every other carrier, including
+a full product whose factor has no unity, runs one closure per element.
 """
 
 import numpy as np
@@ -161,11 +174,16 @@ def generate_ideal(s, generator_indices):
     t = s.table("mul")
     ta = s.table("add")
     n = s.n
-    mask = np.zeros(n, dtype=bool)
-    mask[z] = True
     start = [int(g) for g in generator_indices]
     if any(g < 0 or g >= n for g in start):
         raise NotAnIdeal("generator index out of range")
+    split = _ideal_factors(s)
+    if split is not None:
+        f_lo, f_hi, (lo, hi), grid = split
+        return _product(grid, generate_ideal(f_lo, lo[start]),
+                        generate_ideal(f_hi, hi[start])).tolist()
+    mask = np.zeros(n, dtype=bool)
+    mask[z] = True
     mask[start] = True
     mask[neg[start]] = True
     frontier = np.flatnonzero(mask)
@@ -266,8 +284,46 @@ def _sum_of_sets(ta, a_idx, b_idx):
     return np.flatnonzero(hit[:-1])
 
 
+def _ideal_factors(s):
+    """(lo factor, hi factor, coords, grid) when s is a full product whose
+    ideals are products of its factors' (module docstring): coords holds
+    the lo and hi part index of each element, and grid[a, b] is the index
+    of the element with parts (a, b).  The two factors are one structure
+    when their part lists agree.  None for any other carrier."""
+    factors = s._factors("add", "mul")
+    if factors is None or not all(map(_meets_ideal_lemma, factors)):
+        return None
+    lo, hi = coords = s._memo["coords"]
+    f_lo, f_hi = factors[0], factors[-1]
+    grid = np.empty((f_lo.n, f_hi.n), dtype=np.int64)
+    grid[lo, hi] = np.arange(s.n)
+    return f_lo, f_hi, coords, grid
+
+
+def _meets_ideal_lemma(f):
+    """Does the factor f meet the premises of the factored-ideal lemma:
+    both ops closed, associative addition, a multiplicative identity and
+    an additive zero that absorbs mul?"""
+    if not (f.closed("add")[0] and f.closed("mul")[0]):
+        return False
+    z = f.identity_index("add")
+    if (z is None or f.absorbing_index("mul") != z
+            or f.identity_index("mul") is None):
+        return False
+    try:
+        return f.associative("add")[0]
+    except TooLarge:
+        return False
+
+
+def _product(grid, lo_ideal, hi_ideal):
+    """The carrier indices of lo_ideal x hi_ideal, sorted."""
+    return np.sort(grid[np.ix_(lo_ideal, hi_ideal)], axis=None)
+
+
 def enumerate_ideals(s):
-    """All two-sided ideals, found as principal closures plus joins.
+    """All two-sided ideals, found as principal closures plus joins, or,
+    on a full product with unity, as products of its factors' ideals.
 
     Requires commutative group addition (so that the sum of two ideals
     is again an ideal).  Deterministic: results sorted by (order,
@@ -278,6 +334,17 @@ def enumerate_ideals(s):
     comm, _ = s.commutative("add")
     if not comm:
         raise NotAnIdeal("ambient addition is not commutative")
+    split = _ideal_factors(s)
+    if split is not None:
+        f_lo, f_hi, _, grid = split
+        lows = enumerate_ideals(f_lo)
+        highs = lows if f_hi is f_lo else enumerate_ideals(f_hi)
+        if len(lows) * len(highs) > IDEAL_CAP:
+            raise TooLarge(f"more than {IDEAL_CAP} ideals")
+        found = [_product(grid, i.indices, j.indices)
+                 for i in lows for j in highs]
+        found.sort(key=lambda idx: (len(idx), idx.tolist()))
+        return [Ideal(s, idx) for idx in found]
     ta = s.table("add")
     found = {}  # each ideal found, as a frozenset -> its sorted indices
 

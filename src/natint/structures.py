@@ -7,9 +7,11 @@ product that falls outside the carrier (non-closure).  All axiom checks
 are exhaustive and vectorized over the tables, and every negative
 verdict carries the first counterexample in carrier order.  The cubic
 scans walk blocks of rows in order and stop at the first block with a
-hit, so their memory stays bounded and that hit is the first
-counterexample.  A verdict is computed once per structure, because its
-tables never change once built.
+hit, so that hit is the first counterexample.  The first block is one
+row and each next one doubles, up to about _BLOCK_ENTRIES triples, so a
+witness in row r costs O(r n^2) work and memory stays bounded.  A
+verdict is computed once per structure, because its tables never change
+once built.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) is decided on its factors where
@@ -48,7 +50,8 @@ TABLE_CAP = 10 ** 4
 # Above this carrier size the n^3 scans (associativity, distributivity)
 # are refused rather than silently taking minutes.
 CUBIC_SCAN_CAP = 700
-# Elements scanned per chunk in the n^3 checks (rows of the outer index).
+# Most triples scanned per block in the n^3 checks, whose blocks of rows
+# of the outer index grow from one row up to this size.
 _BLOCK_ENTRIES = 1 << 22
 # Largest carrier whose analysis lists the orders of every element.
 ORDERS_CAP = 512
@@ -150,7 +153,7 @@ class FiniteStructure:
             raise TooLarge(f"{self.n}x{self.n} {op} table exceeds the build "
                            f"cap ({cap})")
         if self.diag is not None:
-            t, self._memo["parts", op] = factored_table(
+            t, self._memo["parts", op], self._memo["coords"] = factored_table(
                 self.elements, fn, self.diag)
         else:
             t = self._build_table(op)
@@ -390,10 +393,12 @@ def factored_table(elements, fn, diag):
     up.  The codes are int32, which holds for carriers of up to TABLE_CAP
     elements.
 
-    Returns (table, parts).  When every pair of a lo and a hi part is an
-    element, parts holds the distinct part tables: (lo, hi), or (lo,)
-    when the two part lists agree; in a part table, the part count marks
-    a result outside the parts.  For any other carrier parts is None.
+    Returns (table, parts, coords).  When every pair of a lo and a hi part
+    is an element, parts holds the distinct part tables: (lo, hi), or
+    (lo,) when the two part lists agree; in a part table, the part count
+    marks a result outside the parts.  For any other carrier parts is
+    None.  coords is (lo, hi): the part indices of each element, in
+    carrier order.
     """
     lo_parts, hi_parts = {}, {}
     lo, hi = [], []
@@ -412,8 +417,8 @@ def factored_table(elements, fn, diag):
         parts = (lo_table,) if hi_table is lo_table else (lo_table, hi_table)
         ar = np.arange(n)
         if (lo == ar // width).all() and (hi == ar % width).all():
-            return _lo_major_table(lo_table, hi_table), parts
-    return _lookup_table(lo_table, hi_table, lo, hi), parts
+            return _lo_major_table(lo_table, hi_table), parts, (lo, hi)
+    return _lookup_table(lo_table, hi_table, lo, hi), parts, (lo, hi)
 
 
 def _lookup_table(lo_table, hi_table, lo, hi):
@@ -493,14 +498,28 @@ def _refuse_cubic_scan(n, law):
                        f"(cap {CUBIC_SCAN_CAP})")
 
 
+def _row_blocks(n):
+    """Ranges [lo, hi) of rows covering range(n) in order: one row first,
+    then each block twice the last, up to about _BLOCK_ENTRIES triples of
+    an n x n table.  A scan that stops at its first block with a hit thus
+    pays for about twice the rows up to its witness, and memory stays
+    bounded."""
+    cap = max(1, _BLOCK_ENTRIES // max(1, n * n))
+    lo, size = 0, 1
+    while lo < n:
+        yield lo, min(n, lo + size)
+        lo += size
+        size = min(2 * size, cap)
+
+
 def _assoc_witness(t):
     """The first (x, y, z) in C order with (xy)z != x(yz), or None.  Rows
-    of x are scanned in blocks of about _BLOCK_ENTRIES triples, in order,
-    so the first block with a hit holds the first witness."""
-    n = t.shape[0]
-    block = max(1, _BLOCK_ENTRIES // max(1, n * n))
-    for lo in range(0, n, block):
-        rows = t[lo:lo + block]
+    of x are scanned in order, in blocks that start at one row and double
+    up to about _BLOCK_ENTRIES triples (_row_blocks), so the first block
+    with a hit holds the first witness, and a witness in row r costs
+    O(r n^2) work."""
+    for lo, hi in _row_blocks(t.shape[0]):
+        rows = t[lo:hi]
         hit = _first_true(t[rows, :] != rows[:, t])
         if hit is not None:
             a, b, c = hit
@@ -510,11 +529,9 @@ def _assoc_witness(t):
 
 def _left_distrib_witness(m, a):
     """The first (x, y, z) in C order with x(y+z) != xy+xz, or None,
-    scanned in blocks of rows of x as _assoc_witness is."""
-    n = m.shape[0]
-    block = max(1, _BLOCK_ENTRIES // max(1, n * n))
-    for lo in range(0, n, block):
-        rows = m[lo:lo + block]
+    scanned in growing blocks of rows of x as _assoc_witness is."""
+    for lo, hi in _row_blocks(m.shape[0]):
+        rows = m[lo:hi]
         hit = _first_true(rows[:, a] != a[rows[:, :, None], rows[:, None, :]])
         if hit is not None:
             x, y, z = hit

@@ -4,6 +4,7 @@ checked against the full-array formula or the Python loop it replaced."""
 import numpy as np
 import pytest
 
+from natint import structures
 from natint import (
     FiniteStructure,
     build_carrier,
@@ -115,3 +116,82 @@ def test_empty_carrier():
     assert s.identity_index("mul") is None
     assert s.absorbing_index("mul") is None
     assert s.inverses("mul") == (None, None)
+
+
+N_WIT = 12
+
+
+def _brute_assoc(t):
+    n = len(t)
+    return next(((x, y, z) for x in range(n) for y in range(n)
+                 for z in range(n) if t[t[x][y]][z] != t[x][t[y][z]]), None)
+
+
+def _brute_left_distrib(m, a):
+    n = len(m)
+    return next(((x, y, z) for x in range(n) for y in range(n)
+                 for z in range(n) if m[x][a[y][z]] != a[m[x][y]][m[x][z]]),
+                None)
+
+
+def _assoc_case(row):
+    """A closed table whose first associativity witness is in row, or
+    none when row is None: each row x above it is constant x, which
+    makes every triple with that x associative."""
+    if row is None:
+        ar = np.arange(N_WIT)
+        return ((ar[:, None] + ar) % N_WIT).astype(np.int32)
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        t = rng.integers(0, N_WIT, size=(N_WIT, N_WIT)).astype(np.int32)
+        t[:row] = np.arange(row)[:, None]
+        wit = _brute_assoc(t.tolist())
+        if wit is not None and wit[0] == row:
+            return t
+    raise AssertionError(f"no table with its witness in row {row}")
+
+
+def _distrib_case(row):
+    """Closed tables (mul, add) whose first left-distributivity witness is
+    in row, or none when row is None: each row above it multiplies to 0,
+    and 0 + 0 = 0."""
+    if row is None:
+        ar = np.arange(N_WIT)
+        return (np.zeros((N_WIT, N_WIT), dtype=np.int32),
+                ((ar[:, None] + ar) % N_WIT).astype(np.int32))
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        m, a = rng.integers(0, N_WIT, size=(2, N_WIT, N_WIT)).astype(np.int32)
+        m[:row] = 0
+        a[0, 0] = 0
+        wit = _brute_left_distrib(m.tolist(), a.tolist())
+        if wit is not None and wit[0] == row:
+            return m, a
+    raise AssertionError(f"no tables with their witness in row {row}")
+
+
+@pytest.mark.parametrize("block_entries", [None, 4 * N_WIT ** 2])
+@pytest.mark.parametrize("row", [0, N_WIT // 2, N_WIT - 1, None])
+def test_witness_scans_match_brute_force(monkeypatch, row, block_entries):
+    if block_entries is not None:
+        # blocks of 1, 2 and then 4 rows: the cap is hit after two doublings
+        monkeypatch.setattr(structures, "_BLOCK_ENTRIES", block_entries)
+    scanned = []
+    first_true = structures._first_true
+
+    def counted(mask):
+        scanned.append(mask.shape[0])
+        return first_true(mask)
+
+    monkeypatch.setattr(structures, "_first_true", counted)
+    # the blocks double from one row, so a witness in row r costs at
+    # most 2r + 1 rows; a passing scan reads every row once
+    rows = N_WIT if row is None else 2 * row + 1
+    t = _assoc_case(row)
+    assert structures._assoc_witness(t) == _brute_assoc(t.tolist())
+    assert sum(scanned) <= rows and scanned[0] == 1
+    scanned.clear()
+    m, a = _distrib_case(row)
+    assert structures._left_distrib_witness(m, a) == _brute_left_distrib(
+        m.tolist(), a.tolist())
+    assert sum(scanned) <= rows and scanned[0] == 1
