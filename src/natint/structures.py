@@ -13,6 +13,13 @@ witness in row r costs O(r n^2) work and memory stays bounded.  A
 verdict is computed once per structure, because its tables never change
 once built.
 
+Element facts are read from one remembered orbit per element and op
+(FiniteStructure.orbit): the powers x, x∘x, (x∘x)∘x, ... up to the first
+repeat or the first power outside the carrier.  A nilpotency index, an
+identity order, a return exponent and an additive span are each a
+position in, or the end of, that walk.  The idempotents and the maximal
+subgroups are likewise found once per structure.
+
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) is decided on its factors where
 that is exact: its triples are exactly the pairs of factor triples, so it
@@ -64,9 +71,11 @@ _BAND_ROWS = 64
 
 
 def _once(method):
-    """Remember a verdict on its structure, keyed by method and op.
+    """Remember a fact on its structure, keyed by method and arguments.
 
-    The memo is a per-instance dict, so it dies with its structure.
+    It also takes a module function whose first argument is the
+    structure.  The memo is a per-instance dict, so it dies with its
+    structure.
     """
     @functools.wraps(method)
     def wrapper(self, *args):
@@ -336,14 +345,28 @@ class FiniteStructure:
         neg.flags.writeable = False
         return neg
 
-    def power_index(self, i, k, op="mul"):
+    @_once
+    def orbit(self, op, i):
+        """The powers of element i under op, i, i∘i, (i∘i)∘i, ..., up to
+        the first repeat, and how the walk ended: the power that repeats,
+        or -1 when a power left the carrier.  So i^k is powers[k-1], and
+        an end other than -1 is i^(len(powers)+1)."""
         t = self.table(op)
-        p = i
-        for _ in range(k - 1):
+        powers, seen = [i], {i}
+        p = int(t[i, i])
+        while p >= 0 and p not in seen:
+            powers.append(p)
+            seen.add(p)
             p = int(t[p, i])
-            if p < 0:
-                raise MissingTable("power left the carrier")
-        return p
+        return tuple(powers), p
+
+    @_once
+    def idempotents(self):
+        """Indices of the elements with e∘e = e under mul, in carrier
+        order."""
+        t = self.table("mul")
+        return tuple(np.flatnonzero(np.diagonal(t) == np.arange(self.n))
+                     .tolist())
 
     def characteristic(self):
         """Least k >= 1 with k-fold sum of the identity zero; 0 if none."""
@@ -743,22 +766,12 @@ def find_special_elements(s, with_orders=True):
         rep["s_zero_divisors"] = _s_zero_divisors(s, t, z)
         nil = []
         for i in range(n):
-            if i == z:
-                continue
-            p, k, seen = i, 1, {i}
-            while True:
-                p = int(t[p, i])
-                k += 1
-                if p == z:
-                    nil.append({"x": s.label(i), "index": k})
-                    break
-                if p < 0 or p in seen:
-                    break
-                seen.add(p)
+            powers, _ = s.orbit("mul", i)
+            if i != z and z in powers:
+                nil.append({"x": s.label(i), "index": powers.index(z) + 1})
         rep["nilpotents"] = nil
 
-    idem = np.where(np.diagonal(t) == np.arange(n))[0]
-    rep["idempotents"] = s.labels(idem)
+    rep["idempotents"] = s.labels(s.idempotents())
 
     one = s.identity_index("mul")
     rep["one"] = s.label(one) if one is not None else None
@@ -809,28 +822,14 @@ def _element_orders(s, one, zero):
     """Two notions per element, labeled: order relative to the identity
     (least k with x^k = 1, when it exists) and the return exponent
     (least k > 1 with x^k = x, when it exists)."""
-    t = s.table("mul")
     add = s.table("add") if s.has_op("add") else None
     out = []
     for i in range(s.n):
-        entry = {"x": s.label(i)}
-        p, k, seen = i, 1, {i: 1}
-        ident_order = 1 if i == one else None
-        return_exp = None
-        while ident_order is None or return_exp is None:
-            p = int(t[p, i])
-            k += 1
-            if p < 0:
-                break
-            if p == one and ident_order is None:
-                ident_order = k
-            if p == i and return_exp is None:
-                return_exp = k
-            if p in seen:
-                break
-            seen[p] = k
-        entry["identity_order"] = ident_order
-        entry["return_exponent"] = return_exp
+        powers, end = s.orbit("mul", i)
+        entry = {"x": s.label(i),
+                 "identity_order": (powers.index(one) + 1 if one in powers
+                                    else None),
+                 "return_exponent": len(powers) + 1 if end == i else None}
         if add is not None:
             z = s.identity_index("add")
             q, m = i, 1
@@ -874,17 +873,16 @@ def inherited_substructure(s):
         domain=s.domain, flavor=s.flavor, parse_element=s.parse_element)
 
 
+@_once
 def maximal_subgroups(s):
     """For each multiplicative idempotent e: the group of invertible
-    elements of the local monoid {x : ex = xe = x} with identity e."""
+    elements of the local monoid {x : ex = xe = x} with identity e.
+    Found once per structure; every caller gets the same list."""
     t = s.table("mul")
-    n = s.n
-    idem = np.where(np.diagonal(t) == np.arange(n))[0]
+    ar = np.arange(s.n)
     out = []
-    for e in idem:
-        e = int(e)
-        corner = np.where((t[e] == np.arange(n)) &
-                          (t[:, e] == np.arange(n)))[0]
+    for e in s.idempotents():
+        corner = np.flatnonzero((t[e] == ar) & (t[:, e] == ar))
         sub = t[np.ix_(corner, corner)]
         m = (sub == e)
         good = (m & m.T).any(axis=1)
@@ -937,19 +935,13 @@ def is_s_semigroup(s):
 
 
 def _additive_span(s, i):
-    """Indices of the cyclic additive span of element i (contains zero)."""
-    t = s.table("add")
+    """Indices of the cyclic additive span of element i (contains zero),
+    or None when a multiple of i leaves the carrier."""
     z = s.identity_index("add")
     if z is None:
         return None
-    span = {z}
-    p = i
-    while p not in span:
-        span.add(p)
-        p = int(t[p, i])
-        if p < 0:
-            return None
-    return frozenset(span)
+    powers, end = s.orbit("add", i)
+    return None if end < 0 else frozenset(powers) | {z}
 
 
 def is_s_ring(s):
@@ -963,12 +955,11 @@ def is_s_ring(s):
     if not (s.has_op("add") and s.has_op("mul")):
         return False, None
     t = s.table("mul")
-    at = s.table("add")
     z = s.identity_index("add")
     if z is None:
         return False, None
     n = s.n
-    idem = [int(i) for i in np.where(np.diagonal(t) == np.arange(n))[0]]
+    idem = s.idempotents()
 
     def diag(i):
         e = s.elements[i]

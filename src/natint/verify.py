@@ -936,22 +936,10 @@ def _c_ex_3_35(ctx):
 def _power_return_exponents(q):
     """Least k > 1 with class^k = class, for every nonzero class."""
     cls = q.structure()
-    t = cls.table("mul")
     out = {}
     for i in range(1, cls.n):
-        p, k = i, 1
-        seen = {i}
-        exp = None
-        while True:
-            p = int(t[p, i])
-            k += 1
-            if p == i:
-                exp = k
-                break
-            if p in seen or p < 0:
-                break
-            seen.add(p)
-        out[cls.label(i)] = exp
+        powers, end = cls.orbit("mul", i)
+        out[cls.label(i)] = len(powers) + 1 if end == i else None
     return out
 
 

@@ -281,6 +281,34 @@ def test_each_fact_is_computed_once(monkeypatch):
     with pytest.raises(ValueError):
         negs[0][0] = 0
 
+    # analyze_structure scans for maximal subgroups once, though both
+    # is_s_semigroup and the report read them, and walks each (op,
+    # element) orbit at most once.  On N(Zn:6) itself the unit-square
+    # witness answers is_s_semigroup first, so this runs on a twin that is
+    # no interval carrier.  A call that finds no memo entry is a scan.
+    n6 = interval_structure(Mod(6))
+    s = FiniteStructure(n6.elements, mul=n6.mul_fn, add=n6.add_fn)
+    subgroup_scans, walks = [], []
+    subgroups = structures.maximal_subgroups
+    orbit = FiniteStructure.orbit
+
+    def counted_subgroups(s):
+        subgroup_scans.append(("maximal_subgroups",) not in s._memo)
+        return subgroups(s)
+
+    def counted_orbit(self, op, i):
+        if ("orbit", op, i) not in self._memo:
+            walks.append((id(self), op, i))
+        return orbit(self, op, i)
+
+    monkeypatch.setattr(structures, "maximal_subgroups", counted_subgroups)
+    monkeypatch.setattr(FiniteStructure, "orbit", counted_orbit)
+    report = analyze_structure(s)
+    assert report["substructures"]["s_semigroup"] is True
+    assert subgroup_scans == [True, False]
+    assert len(walks) == len(set(walks))
+    assert {op for _, op, _ in walks} == {"add", "mul"}
+
 
 def test_duplicate_elements_rejected():
     with pytest.raises(ValueError):
