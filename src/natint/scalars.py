@@ -121,6 +121,9 @@ class IntDomain(Domain):
     def add(self, x, y):
         return x + y
 
+    def sub(self, x, y):
+        return x - y
+
     def mul(self, x, y):
         return x * y
 
@@ -192,6 +195,9 @@ class RatDomain(Domain):
     def add(self, x, y):
         return x + y
 
+    def sub(self, x, y):
+        return x - y
+
     def mul(self, x, y):
         return x * y
 
@@ -248,6 +254,9 @@ class ModDomain(Domain):
 
     def add(self, x, y):
         return (x + y) % self.n
+
+    def sub(self, x, y):
+        return (x - y) % self.n
 
     def mul(self, x, y):
         return (x * y) % self.n
@@ -308,6 +317,9 @@ class PureNeutroDomain(Domain):
 
     def add(self, x, y):
         return self.base.add(x, y)
+
+    def sub(self, x, y):
+        return self.base.sub(x, y)
 
     def mul(self, x, y):
         # (xI)(yI) = xy I*I = (xy)I
@@ -385,6 +397,10 @@ class MixedNeutroDomain(Domain):
     def add(self, x, y):
         b = self.base
         return (b.add(x[0], y[0]), b.add(x[1], y[1]))
+
+    def sub(self, x, y):
+        b = self.base
+        return (b.sub(x[0], y[0]), b.sub(x[1], y[1]))
 
     def mul(self, x, y):
         b = self.base

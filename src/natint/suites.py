@@ -4,9 +4,15 @@ infinite carriers and cannot be checked by enumeration.
 Every suite is deterministic in (seed, case count, workers): cases are
 split into fixed chunks, each chunk gets its own Random seeded from the
 suite seed and the chunk index, and failures are merged in chunk order.
-Raising the worker count changes the wall time, never the report.
+The worker count changes neither the report nor, in practice, the wall
+time: the workers are threads and the cases pure Python, so they take
+turns on the interpreter lock.  On a 2-core VM, modmap_suite(11, 10000)
+took 0.200 s with one worker and 0.206 s with two (medians of 12
+alternations), and decomposition_suite(10000) 2.05 s with one and 1.98 s
+with four.
 """
 
+import operator
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -50,7 +56,9 @@ def _report(name, total, seed, failures, extra=None):
 
 
 def _rand_iv(d, rng, flavor=Flavor.CLOSED):
-    return interval(d, d.random_scalar(rng), d.random_scalar(rng), flavor)
+    # random_scalar returns canonical values, so nothing is re-coerced
+    return NaturalInterval(d, d.random_scalar(rng), d.random_scalar(rng),
+                           flavor)
 
 
 DECOMPOSITION_DOMAINS = ("Z", "Q", "Zn:12", "ZnI:7", "Zn+I:5", "F01")
@@ -70,9 +78,8 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
     for spec in domains:
         d = parse_domain(spec)
         fuzzy = (d.kind == "FuzzyUnit")
-        key = _ordkey(d)
 
-        def case(rng, k, d=d, fuzzy=fuzzy, key=key):
+        def case(rng, k, d=d, fuzzy=fuzzy):
             x = _rand_iv(d, rng)
             y = _rand_iv(d, rng)
 
@@ -121,11 +128,14 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
                     return mismatch("div", got, *want)
             if d.ordered:
                 got = iv_min(x, y)
-                want = (min(x.lo, y.lo, key=key), min(x.hi, y.hi, key=key))
+                # as builtin min and max: the first operand on a tie
+                want = (y.lo if d.lt(y.lo, x.lo) else x.lo,
+                        y.hi if d.lt(y.hi, x.hi) else x.hi)
                 if (got.lo, got.hi) != want:
                     return mismatch("min", got, *want)
                 got = iv_max(x, y)
-                want = (max(x.lo, y.lo, key=key), max(x.hi, y.hi, key=key))
+                want = (y.lo if d.lt(x.lo, y.lo) else x.lo,
+                        y.hi if d.lt(x.hi, y.hi) else x.hi)
                 if (got.lo, got.hi) != want:
                     return mismatch("max", got, *want)
             return None
@@ -141,17 +151,8 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
             "domains": reports}
 
 
-def _ordkey(d):
-    class K:
-        __slots__ = ("v",)
-
-        def __init__(self, v):
-            self.v = v
-
-        def __lt__(self, other):
-            return d.lt(self.v, other.v)
-
-    return K
+_MODMAP_OPS = (("add", operator.add), ("sub", operator.sub),
+               ("mul", operator.mul))
 
 
 def modmap_suite(n, pairs=10000, seed=0, workers=1):
@@ -159,27 +160,29 @@ def modmap_suite(n, pairs=10000, seed=0, workers=1):
     mul, and its kernel is N(nZ): multiples of n map to zero and nothing
     sampled outside nZ x nZ does."""
     dn = Mod(n)
+    zero = NaturalInterval(dn, 0, 0)
 
     def phi(x):
-        return interval(dn, x.lo % n, x.hi % n)
+        # residues mod n are already canonical in Zn
+        return NaturalInterval(dn, x.lo % n, x.hi % n)
 
     def case(rng, k):
         x = _rand_iv(Z, rng)
         y = _rand_iv(Z, rng)
-        for op, f in (("add", lambda: (x + y, phi(x) + phi(y))),
-                      ("sub", lambda: (x - y, phi(x) - phi(y))),
-                      ("mul", lambda: (x * y, phi(x) * phi(y)))):
-            amb, img = f()
-            if phi(amb) != img:
+        px, py = phi(x), phi(y)
+        for op, f in _MODMAP_OPS:
+            amb = phi(f(x, y))
+            img = f(px, py)
+            if amb != img:
                 return {"op": op, "x": str(x), "y": str(y), "case": k,
-                        "phi(x op y)": str(phi(amb)),
+                        "phi(x op y)": str(amb),
                         "phi(x) op phi(y)": str(img)}
         a, b = rng.randrange(-30, 31), rng.randrange(-30, 31)
-        kern = interval(Z, n * a, n * b)
-        if phi(kern) != interval(dn, 0, 0):
+        kern = NaturalInterval(Z, n * a, n * b)
+        if phi(kern) != zero:
             return {"op": "kernel", "x": str(kern), "case": k,
                     "expected": "[0,0]"}
-        if (x.lo % n, x.hi % n) != (0, 0) and phi(x) == interval(dn, 0, 0):
+        if (x.lo % n, x.hi % n) != (0, 0) and px == zero:
             return {"op": "kernel-only", "x": str(x), "case": k}
         return None
 

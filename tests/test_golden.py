@@ -6,7 +6,11 @@ and product carriers, the fuzzy grid, both quotient kinds, ideal
 enumeration, a generated ideal, refused ideal verdicts (exit 4) with an
 addition and an absorption witness, and the claim catalogue.  SUITES pins
 the sha256 of the sorted-key JSON of three seeded suite reports (all six
-decomposition domains).  Re-record only when an output is meant to change:
+decomposition domains).  A passing report holds no witnesses, so FAULTED
+pins every suite's report under an injected interval fault: its failure
+count and first witnesses show the draw order, the op order, the witness
+text and the chunk-merge order.  Re-record only when an output is meant to
+change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,6 +24,7 @@ import pytest
 
 from natint import suites
 from natint.cli import main
+from natint.intervals import NaturalInterval
 
 GOLDEN = {
     ('analyze', 'N(Zn:4)'): (
@@ -110,6 +115,63 @@ SUITES = {
         "be9246882b15aeda27756e906434c1c7d61c3fb74755b076197d39879c925623"),
 }
 
+# An interval operator whose result is wrong on roughly one operand pair
+# in RATE.  The pair is picked by the hash of its endpoints (ints,
+# Fractions and tuples of them hash alike in every process), so a case
+# fails the same way on any worker count, and every faulted operator fails
+# on it: the first failing op shows the order the ops run in.
+RATE = 1009
+
+
+def _flip(d, v):
+    return d.one if v == d.zero else d.zero
+
+
+def _fault(orig, kind, zero_sum):
+    def op(self, other):
+        out = orig(self, other)
+        d = out.domain
+        if ((kind is None or d.kind == kind)
+                and hash((self.lo, self.hi, other.lo, other.hi)) % RATE == 0):
+            if zero_sum:
+                return NaturalInterval(d, d.zero, d.zero, out.flavor)
+            return NaturalInterval(d, out.lo, _flip(d, out.hi), out.flavor)
+        return out
+    return op
+
+
+# A fault every suite detects: a flipped hi endpoint from add, sub or mul
+# (only over Zn for modmap, whose ambient side is Z), or, for strictness,
+# a sum forced to zero.  fault -> (operators, the domain kind it hits or
+# None for all, zero sum)
+RING_OPS = ("__add__", "__sub__", "__mul__")
+FAULTS = {"flip": (RING_OPS, None, False), "mod": (RING_OPS, "Mod", False),
+          "zero-sum": (("__add__",), None, True)}
+
+# name -> (suite, keyword arguments, fault, sha256 of its sorted-key JSON
+# report under that fault)
+FAULTED = {
+    "decomposition": (
+        "decomposition_suite", {"cases": 3000, "seed": 5}, "flip",
+        "6793883a4e1a822b236102c8a2de0ee779c0c782e3488eab2ba893dd90dabe9a"),
+    "modmap": (
+        "modmap_suite", {"n": 12, "pairs": 3000, "seed": 5}, "mod",
+        "0c0c845578cd086a8c8a9a86c51be566675d4401026016baf995bf5d69012248"),
+    "matmul": (
+        "matmul_decompose_suite", {"cases": 300, "seed": 5}, "flip",
+        "9ca325618f548517217816ca4ba3db6229741913ef065c4559077d6317a96e13"),
+    "poly": (
+        "poly_decompose_suite", {"cases": 600, "seed": 5}, "flip",
+        "fcb544df62c30bfec38394c6174fadd2512b283351ca7751f01415b49fb9a059"),
+    "poly-cyclic": (
+        "poly_decompose_suite", {"cases": 600, "seed": 5, "cyclic": 3},
+        "flip",
+        "75d28af03d372d8f3e864d03e9f811f2d1226b9b803c9a6798d3534328542962"),
+    "strictness": (
+        "strictness_suite", {"cases": 3000, "seed": 5}, "zero-sum",
+        "fd4ea016bc2a733b987419a94ec4cdc507c63484e92e5b82677b4f1128470f02"),
+}
+
 
 def run(argv):
     buf = io.StringIO()
@@ -124,9 +186,7 @@ def test_golden_output(argv):
 
 
 def suite_digest(name):
-    report = getattr(suites, name)(**SUITES[name][0])
-    return hashlib.sha256(
-        json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return _digest(getattr(suites, name)(**SUITES[name][0]))
 
 
 @pytest.mark.parametrize("name", list(SUITES))
@@ -134,9 +194,42 @@ def test_golden_suite_report(name):
     assert suite_digest(name) == SUITES[name][1]
 
 
+def faulted_report(name, workers, patch):
+    """The report of FAULTED[name] at `workers`, with the fault patched in
+    by `patch(owner, attribute, value)`."""
+    suite, kwargs, fault, _ = FAULTED[name]
+    ops, kind, zero_sum = FAULTS[fault]
+    for attr in ops:
+        patch(NaturalInterval, attr,
+              _fault(vars(NaturalInterval)[attr], kind, zero_sum))
+    return getattr(suites, suite)(workers=workers, **kwargs)
+
+
+def _digest(report):
+    return hashlib.sha256(
+        json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def _failure_counts(report):
+    return [r["failures"] for r in report.get("domains", [report])]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("name", list(FAULTED))
+def test_golden_faulted_suite_report(name, workers, monkeypatch):
+    report = faulted_report(name, workers, monkeypatch.setattr)
+    assert all(n > 0 for n in _failure_counts(report))
+    assert _digest(report) == FAULTED[name][3]
+
+
+def _faulted_digest(name):
+    with pytest.MonkeyPatch.context() as mp:
+        return _digest(faulted_report(name, 1, mp.setattr))
+
+
 def _record():
-    """Rewrite the GOLDEN and SUITES tables of this file from the current
-    engine."""
+    """Rewrite the GOLDEN, SUITES and FAULTED tables of this file from the
+    current engine."""
     lines = ["GOLDEN = {\n"]
     for argv in GOLDEN:
         code, digest = run(argv)
@@ -149,6 +242,8 @@ def _record():
     text = text[:start] + "".join(lines) + text[end:]
     for name, (kwargs, digest) in SUITES.items():
         text = text.replace(digest, suite_digest(name))
+    for name, (*_, digest) in FAULTED.items():
+        text = text.replace(digest, _faulted_digest(name))
     with open(__file__, "w", encoding="utf-8") as fh:
         fh.write(text)
 

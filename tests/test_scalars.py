@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -159,3 +160,59 @@ def test_coerce_rejects_floats_and_junk():
         F01.coerce(Fraction(3, 2))
     with pytest.raises(ParseError):
         NONNEG.coerce(-4)
+
+
+def _same(a, b):
+    """Equal in value and in type, component by component for pairs."""
+    if type(a) is not type(b) or a != b:
+        return False
+    if isinstance(a, tuple):
+        return all(type(p) is type(q) for p, q in zip(a, b))
+    return True
+
+
+DRAWN_DOMAINS = [Z, NONNEG, Q, F01, Mod(2), Mod(7), Mod(12), Mod(1000),
+                 parse_domain("ZI"), parse_domain("QI"),
+                 parse_domain("ZnI:7"), parse_domain("Z+I"),
+                 parse_domain("Q+I"), parse_domain("Zn+I:5")]
+
+
+@pytest.mark.parametrize("d", DRAWN_DOMAINS, ids=lambda d: d.spec)
+def test_random_scalars_are_canonical(d):
+    # The suites build intervals straight from random_scalar's values;
+    # this is the contract that lets them skip coerce.
+    rng = random.Random(11)
+    for _ in range(2000):
+        v = d.random_scalar(rng)
+        assert _same(d.coerce(v), v), (d.spec, v)
+
+
+EXHAUSTIVE_RINGS = ([f"Zn:{n}" for n in range(2, 13)]
+                    + [f"ZnI:{n}" for n in range(2, 9)]
+                    + [f"Zn+I:{n}" for n in range(2, 6)])
+
+
+@pytest.mark.parametrize("spec", EXHAUSTIVE_RINGS)
+def test_sub_is_add_of_negation_exhaustively(spec):
+    d = parse_domain(spec)
+    elems = list(d.elements())
+    for x in elems:
+        for y in elems:
+            assert _same(d.sub(x, y), d.add(x, d.neg(y))), (x, y)
+
+
+@pytest.mark.parametrize("spec", ["Z", "Q", "ZI", "QI", "Z+I", "Q+I"])
+def test_sub_is_add_of_negation_on_draws(spec):
+    d = parse_domain(spec)
+    rng = random.Random(3)
+    for _ in range(3000):
+        x, y = d.random_scalar(rng), d.random_scalar(rng)
+        assert _same(d.sub(x, y), d.add(x, d.neg(y))), (x, y)
+
+
+@pytest.mark.parametrize("d", [NONNEG, F01], ids=lambda d: d.spec)
+def test_semiring_domains_still_refuse_sub(d):
+    with pytest.raises(NotARing):
+        d.sub(d.one, d.zero)
+    with pytest.raises(NotARing):
+        d.neg(d.one)
