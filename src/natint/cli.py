@@ -148,6 +148,115 @@ def _json_default(obj):
     return str(obj)
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x):
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _json_key(key):
+    """A dict key as json.dumps writes it: non-str keys become strings."""
+    if isinstance(key, str):
+        return _ESCAPE(key)
+    if isinstance(key, float):
+        return _ESCAPE(_json_float(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return _ESCAPE(int.__repr__(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+# How json.dumps writes a scalar of exactly this type.
+_SCALARS = {
+    str: _ESCAPE,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _write_json(obj, out, nl):
+    """Append the pieces of obj's indent-2 JSON to out; nl is the newline
+    and indent of obj's own line.  Types are tested in json.dumps's
+    order, and anything else is written as _json_default(obj)."""
+    fmt = _SCALARS.get(type(obj))
+    if fmt is not None:
+        out.append(fmt(obj))
+    elif isinstance(obj, str):
+        out.append(_ESCAPE(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if isinstance(obj[0], str):
+            try:  # a list of str, as labels and table rows are
+                out.append("[" + inner + sep.join(map(_ESCAPE, obj))
+                           + nl + "]")
+                return
+            except TypeError:
+                pass
+        head = "[" + inner
+        for value in obj:
+            fmt = _SCALARS.get(type(value))
+            if fmt is None:
+                out.append(head)
+                _write_json(value, out, inner)
+            else:
+                out.append(head + fmt(value))
+            head = sep
+        out.append(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key, value in obj.items():
+            head += _json_key(key) + ": "
+            fmt = _SCALARS.get(type(value))
+            if fmt is None:
+                out.append(head)
+                _write_json(value, out, inner)
+            else:
+                out.append(head + fmt(value))
+            head = "," + inner
+        out.append(nl + "}")
+    else:
+        _write_json(_json_default(obj), out, nl)
+
+
+def _to_json(obj):
+    """json.dumps(obj, indent=2, default=_json_default), byte for byte.
+
+    The standard encoder is pure Python once indent is set and makes a
+    generator step per value; this writer makes one string piece per
+    scalar and one join per list of str.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
 def _cell(value):
     """One scalar as it appears in csv / text output."""
     if value is None:
@@ -258,7 +367,7 @@ def _claims_text(payload):
 
 def render(payload, fmt):
     if fmt == "json":
-        return json.dumps(payload, indent=2, default=_json_default) + "\n"
+        return _to_json(payload) + "\n"
     is_grid = isinstance(payload, dict) and "table" in payload \
         and "labels" in payload
     is_claims = isinstance(payload, dict) and \
@@ -298,6 +407,19 @@ def emit(payload, cfg, out_path):
 _NAME_RE = re.compile(r"[0-9A-Za-z_.]+")
 _INT_RE = re.compile(r"[0-9]+")
 
+# Deepest nesting of groups, calls and unary minus an expression may
+# have; each level takes several Python frames of the recursive descent.
+MAX_DEPTH = 100
+# Largest price of a power over an infinite domain: the bit length of
+# its base's endpoints (_scalar_bits) times the exponent.  A power within
+# it has no integer over 14002 bits, which is at most 4216 decimal
+# digits, so it prints under Python's 4300-digit limit for int to str.
+POWER_BITS = 14000
+# Most bits any integer in a sum, difference, product or quotient may
+# have: at most 4300 digits.  Checking each one bounds the work of a
+# chain of priced powers, not only the printed result.
+RESULT_BITS = 14284
+
 _FUNCTIONS = {"min": 2, "max": 2, "recip": 1}
 
 
@@ -325,6 +447,7 @@ class ExpressionParser:
         self.flavor = default_flavor
         self.i = 0
         self.n = len(text)
+        self.depth = 0
 
     # --- cursor helpers
 
@@ -353,6 +476,17 @@ class ExpressionParser:
                     return j
         self._fail("unbalanced bracket", expected=[")", "]"], pos=start)
 
+    def _bounded(self, value):
+        """value, unless one of its integers has more than RESULT_BITS
+        bits."""
+        bits = max(x.bit_length() for v in (value.lo, value.hi)
+                   for x in _scalar_ints(v))
+        if bits > RESULT_BITS:
+            raise TooLarge(f"a {bits}-bit integer at position {self.i}, "
+                           f"over the {RESULT_BITS} bits that print in "
+                           f"4300 digits")
+        return value
+
     # --- grammar
 
     def parse(self):
@@ -369,10 +503,10 @@ class ExpressionParser:
             c = self._peek()
             if c == "+":
                 self.i += 1
-                value = value + self._term()
+                value = self._bounded(value + self._term())
             elif c == "-":
                 self.i += 1
-                value = value - self._term()
+                value = self._bounded(value - self._term())
             else:
                 return value
 
@@ -382,10 +516,10 @@ class ExpressionParser:
             c = self._peek()
             if c == "*":
                 self.i += 1
-                value = value * self._power()
+                value = self._bounded(value * self._power())
             elif c == "/":
                 self.i += 1
-                value = value / self._power()
+                value = self._bounded(value / self._power())
             else:
                 return value
 
@@ -398,19 +532,37 @@ class ExpressionParser:
             if not m:
                 self._fail("exponent must be an integer >= 1",
                            expected=["integer"])
-            k = int(m.group())
+            try:
+                k = int(m.group())
+            except ValueError:  # more digits than int() converts
+                raise TooLarge(f"an exponent of {len(m.group())} digits "
+                               f"is too large")
             if k < 1:
                 self._fail("exponent must be an integer >= 1",
                            expected=["integer >= 1"])
             self.i = m.end()
+            if value.domain.size is None:  # values grow with the power
+                price = k * max(map(_scalar_bits, (value.lo, value.hi)))
+                if price > POWER_BITS:
+                    raise TooLarge(
+                        f"{value}^{k} is priced at {price} bits (endpoint "
+                        f"bits x exponent), over the bound {POWER_BITS}")
             value = value ** k
         return value
 
     def _factor(self):
-        if self._peek() == "-":
-            self.i += 1
-            return -self._factor()
-        return self._atom()
+        # every recursion of the descent passes through here
+        if self.depth == MAX_DEPTH:
+            self._fail(f"expression nested deeper than {MAX_DEPTH} levels",
+                       expected=[f"at most {MAX_DEPTH} nested levels"])
+        self.depth += 1
+        try:
+            if self._peek() == "-":
+                self.i += 1
+                return -self._factor()
+            return self._atom()
+        finally:
+            self.depth -= 1
 
     def _atom(self):
         c = self._peek()
@@ -486,6 +638,25 @@ class ExpressionParser:
         return args[0].recip()
 
 
+def _scalar_ints(v):
+    """The integers written in one scalar: an int, a Fraction's numerator
+    and denominator, or those of both parts of an a + bI pair."""
+    if isinstance(v, tuple):
+        return [x for part in v for x in _scalar_ints(part)]
+    if isinstance(v, Fraction):
+        return [v.numerator, v.denominator]
+    return [v]
+
+
+def _scalar_bits(v):
+    """Bits per power step of one scalar: the bit length of |x| - 1 summed
+    over its integers, plus one for an a + bI pair.  Every integer in
+    v^k then has at most _scalar_bits(v) * k + 2 bits, and 0 and ±1 cost
+    nothing."""
+    return (isinstance(v, tuple)
+            + sum(max(abs(x) - 1, 0).bit_length() for x in _scalar_ints(v)))
+
+
 def eval_expression(text, domain, default_flavor=Flavor.CLOSED):
     return ExpressionParser(text, domain, default_flavor).parse()
 
@@ -508,16 +679,16 @@ def cmd_table(args, cfg):
         raise TooLarge(f"a {s.n}x{s.n} table exceeds the bound "
                        f"{cfg.size_bound}")
     t = s.table(args.op)
-    labels = [s.label(i) for i in range(s.n)]
-    grid = [[labels[t[i, j]] if t[i, j] >= 0 else "?"
-             for j in range(s.n)] for i in range(s.n)]
+    labels = s.labels(range(s.n))
+    # one gather: a product outside the carrier (-1) reads the final "?"
+    grid = np.array(labels + ["?"], dtype=object)[t].tolist()
     payload = {
         "schema": SCHEMA,
         "spec": s.name,
         "op": args.op,
         "order": s.n,
         "labels": labels,
-        "closed": all(cell != "?" for row in grid for cell in row),
+        "closed": bool((t >= 0).all()),
         "table": grid,
     }
     return payload, EXIT_OK
@@ -620,8 +791,8 @@ def build_parser():
     common.add_argument("--size-bound", type=int, default=None,
                         help="largest carrier to enumerate (default 10^6)")
     common.add_argument("--workers", type=int, default=None,
-                        help="threads for verify-book's randomized suites "
-                             "(default: all cores)")
+                        help="accepted for compatibility; it changes "
+                             "nothing, as every suite runs in order")
     common.add_argument("--out", default=None, metavar="PATH",
                         help="write the report to PATH instead of stdout")
     common.add_argument("--config", default=None, metavar="PATH",

@@ -133,11 +133,19 @@ class FiniteStructure:
     def __repr__(self):
         return f"<structure {self.name or self.kind}: {self.n} elements>"
 
+    def _labels(self):
+        """str of every element, formatted once per structure."""
+        labels = self._memo.get("labels")
+        if labels is None:
+            labels = self._memo["labels"] = list(map(str, self.elements))
+        return labels
+
     def label(self, i):
-        return str(self.elements[i])
+        return self._labels()[i]
 
     def labels(self, indices):
-        return [self.label(i) for i in indices]
+        labels = self._labels()
+        return [labels[i] for i in indices]
 
     def op_fn(self, op):
         fn = self.mul_fn if op == "mul" else self.add_fn
@@ -607,7 +615,7 @@ def _group_verdict(s, op="mul"):
     if not closed:
         x, y = (s.elements[i] for i in cw)
         return False, {"reason": "not closed",
-                       "witness": (str(x), str(y), str(s.apply(op, x, y)))}
+                       "witness": (*s.labels(cw), str(s.apply(op, x, y)))}
     assoc, aw = s.associative(op)
     if not assoc:
         return False, {"reason": "not associative",
@@ -913,8 +921,8 @@ def thm_unit_square_witness(s):
     ok, info = check_subset_group(cand, s.mul_fn)
     if not ok:
         return None
-    cand.sort(key=lambda e: s.index[e])
-    return {"members": [str(c) for c in cand], "identity": info["identity"]}
+    return {"members": s.labels(sorted(s.index[c] for c in cand)),
+            "identity": info["identity"]}
 
 
 def is_s_semigroup(s):
@@ -1087,7 +1095,8 @@ def analyze_structure(s):
     if s.kind == "interval":
         inh = inherited_substructure(s)
         report["substructures"]["inherited"] = {
-            "order": inh.n, "members": [str(e) for e in inh.elements]}
+            "order": inh.n,
+            "members": s.labels(s.index[e] for e in inh.elements)}
     if s.has_op("add") and s.has_op("mul"):
         found, wit = is_s_ring(s)
         report["substructures"]["s_ring"] = found

@@ -1,20 +1,18 @@
 """Seeded randomized suites for the arithmetic laws that hold on
 infinite carriers and cannot be checked by enumeration.
 
-Every suite is deterministic in (seed, case count, workers): cases are
-split into fixed chunks, each chunk gets its own Random seeded from the
-suite seed and the chunk index, and failures are merged in chunk order.
-The worker count changes neither the report nor, in practice, the wall
-time: the workers are threads and the cases pure Python, so they take
-turns on the interpreter lock.  On a 2-core VM, modmap_suite(11, 10000)
-took 0.200 s with one worker and 0.206 s with two (medians of 12
-alternations), and decomposition_suite(10000) 2.05 s with one and 1.98 s
-with four.
+Every suite is deterministic in (seed, case count): cases are split
+into fixed chunks, each chunk gets its own Random seeded from the suite
+seed and the chunk index, and the chunks run in order, so failures come
+in chunk order.  Each suite still accepts `workers`, which changes
+nothing: the cases are pure Python, and threads took turns on the
+interpreter lock (on a 2-core VM, modmap_suite(11, 10000) took 0.200 s
+with one worker and 0.206 s with two, and decomposition_suite(10000)
+2.05 s with one and 1.98 s with four).
 """
 
 import operator
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import FuzzyRangeOverflow
@@ -25,24 +23,18 @@ CHUNK = 1000
 
 
 def run_chunked(total, case_fn, seed=0, workers=1, chunk=CHUNK):
-    """case_fn(rng, case_index) -> None on pass, a failure dict otherwise."""
-    n_chunks = (total + chunk - 1) // chunk
+    """case_fn(rng, case_index) -> None on pass, a failure dict otherwise.
 
-    def run(ci):
+    `workers` is accepted and ignored: the chunks run in order.
+    """
+    out = []
+    for ci in range((total + chunk - 1) // chunk):
         rng = random.Random(seed * 1000003 + ci)
-        out = []
         for k in range(ci * chunk, min(total, (ci + 1) * chunk)):
             bad = case_fn(rng, k)
             if bad is not None:
                 out.append(bad)
-        return out
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    else:
-        parts = [run(ci) for ci in range(n_chunks)]
-    return [f for part in parts for f in part]
+    return out
 
 
 def _report(name, total, seed, failures, extra=None):

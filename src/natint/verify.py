@@ -520,7 +520,7 @@ def _c_ex_2_32(ctx):
     return _verdict(agree,
                     {"members": sorted(str(e) for e in want),
                      "group": True},
-                    {"members": sorted(str(e) for e in s.elements),
+                    {"members": sorted(s.labels(range(s.n))),
                      "group": g})
 
 

@@ -6,10 +6,11 @@ and product carriers, the fuzzy grid, both quotient kinds, ideal
 enumeration, a generated ideal, refused ideal verdicts (exit 4) with an
 addition and an absorption witness, and the claim catalogue.  SUITES pins
 the sha256 of the sorted-key JSON of three seeded suite reports (all six
-decomposition domains).  A passing report holds no witnesses, so FAULTED
-pins every suite's report under an injected interval fault: its failure
-count and first witnesses show the draw order, the op order, the witness
-text and the chunk-merge order.  Re-record only when an output is meant to
+decomposition domains), at its recorded worker count and at 1 and 4.  A
+passing report holds no witnesses, so FAULTED pins every suite's report
+under an injected interval fault: its failure count and first witnesses
+show the draw order, the op order, the witness text and the chunk-merge
+order.  Re-record only when an output is meant to
 change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -192,6 +193,14 @@ def suite_digest(name):
 @pytest.mark.parametrize("name", list(SUITES))
 def test_golden_suite_report(name):
     assert suite_digest(name) == SUITES[name][1]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("name", list(SUITES))
+def test_golden_suite_report_at_workers(name, workers):
+    # the chunks run in order, so the worker count changes nothing
+    kwargs = dict(SUITES[name][0], workers=workers)
+    assert _digest(getattr(suites, name)(**kwargs)) == SUITES[name][1]
 
 
 def faulted_report(name, workers, patch):
