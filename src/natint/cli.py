@@ -582,6 +582,8 @@ class ExpressionParser:
                 return self._call(name, m.end())
         try:
             value = self.domain.parse_scalar(name)
+        except TooLarge:
+            raise
         except NatIntError:
             self._fail(f"{name!r} is not a scalar over {self.domain.spec}",
                        expected=["scalar"])

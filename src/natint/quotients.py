@@ -43,6 +43,28 @@ elements instead of the carrier's.  The factors' addition must be
 associative too, so that the sum of two ideals found is additively
 closed, as the closure engine assumes.  Every other carrier, including
 a full product whose factor has no unity, runs one closure per element.
+
+On such a product the other ideal and quotient facts come from the
+factors too, and no table of the carrier itself is built:
+
+- its addition is a commutative group when both factors' are, and its
+  zero is the pair of the factors' zeros;
+- R x S / (I x J) is R/I x S/J: the coset of (a, b) is (a + I) x (b + J),
+  so the standard classes are read off the factors' cosets, still
+  ordered by the least carrier index of each coset, which is found over
+  the carrier's own order (matrices and polynomials are not listed
+  lo-major);
+- the class tables of both kinds, and the rows that well_defined
+  compares, are gathered from the part tables (FiniteStructure._block),
+  as they are on any product carrier.
+
+is_ideal reads a subset P x Q off the factors on any full product whose
+factors' additive inverses are unique, with or without a unity: P x Q is
+then an ideal exactly when P and Q are ideals of the factors, since each
+ideal condition holds pair by pair, the inverse of (a, b) being the pair
+of the inverses of a and b.  A subset that fails, or is
+no product, falls through to the scans of the carrier's tables, so its
+verdict keeps its first witness in carrier order.
 """
 
 import numpy as np
@@ -55,7 +77,6 @@ from .structures import (
     _first_true,
     _once,
     _proven,
-    _relabel,
     _zero_index,
     axiom_report,
     find_special_elements,
@@ -114,7 +135,9 @@ def is_ideal(s, indices):
     """Exhaustively check that the index subset is a two-sided ideal.
 
     Returns (ok, info); on failure info carries the reason and the first
-    witness in carrier order.
+    witness in carrier order.  A product subset that passes on the
+    factors (_factor_ideals) is an ideal without a table of s being
+    built; any other subset is scanned.
     """
     n = s.n
     idx = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
@@ -122,6 +145,8 @@ def is_ideal(s, indices):
         return False, {"reason": "empty subset"}
     if idx[0] < 0 or idx[-1] >= n:
         return False, {"reason": "element index out of range"}
+    if _factor_ideals(s, idx) is not None:
+        return True, {"order": int(idx.size)}
     z = s.identity_index("add")
     if z is None:
         return False, {"reason": "ambient has no additive identity"}
@@ -167,21 +192,21 @@ def generate_ideal(s, generator_indices):
     Results are marked in a mask with one slot appended for -1, so a
     product leaving the carrier shows in that slot.
     """
-    z = s.identity_index("add")
-    neg = s.neg_index()
-    if z is None or neg is None:
+    if not all(f.neg_index() is not None for f in _summands(s)):
         raise NotAnIdeal("ambient addition is not a group")
-    t = s.table("mul")
-    ta = s.table("add")
     n = s.n
     start = [int(g) for g in generator_indices]
     if any(g < 0 or g >= n for g in start):
         raise NotAnIdeal("generator index out of range")
     split = _ideal_factors(s)
     if split is not None:
-        f_lo, f_hi, (lo, hi), grid = split
-        return _product(grid, generate_ideal(f_lo, lo[start]),
-                        generate_ideal(f_hi, hi[start])).tolist()
+        f_lo, f_hi, c = split
+        return _product(c.grid, generate_ideal(f_lo, c.lo[start]),
+                        generate_ideal(f_hi, c.hi[start])).tolist()
+    z = s.identity_index("add")
+    neg = s.neg_index()
+    t = s.table("mul")
+    ta = s.table("add")
     mask = np.zeros(n, dtype=bool)
     mask[z] = True
     mask[start] = True
@@ -284,20 +309,95 @@ def _sum_of_sets(ta, a_idx, b_idx):
     return np.flatnonzero(hit[:-1])
 
 
+@_once
 def _ideal_factors(s):
-    """(lo factor, hi factor, coords, grid) when s is a full product whose
-    ideals are products of its factors' (module docstring): coords holds
-    the lo and hi part index of each element, and grid[a, b] is the index
-    of the element with parts (a, b).  The two factors are one structure
-    when their part lists agree.  None for any other carrier."""
+    """(lo factor, hi factor, coords) when s is a full product whose
+    ideals are products of its factors' (module docstring): coords says
+    where each element sits among the parts (structures._Coords), and
+    coords.grid[a, b] is the index of the element with parts (a, b).  The
+    two factors are one structure when their part lists agree.  None for
+    any other carrier.  Only the part tables are built, never s's own."""
     factors = s._factors("add", "mul")
     if factors is None or not all(map(_meets_ideal_lemma, factors)):
         return None
-    lo, hi = coords = s._memo["coords"]
-    f_lo, f_hi = factors[0], factors[-1]
-    grid = np.empty((f_lo.n, f_hi.n), dtype=np.int64)
-    grid[lo, hi] = np.arange(s.n)
-    return f_lo, f_hi, coords, grid
+    return factors[0], factors[-1], s._coords()
+
+
+def _summands(s):
+    """The structures whose additions decide whether s's addition is a
+    commutative group: the two factors when s splits (_ideal_factors),
+    whose closed additions are componentwise, else s itself."""
+    split = _ideal_factors(s)
+    return (s,) if split is None else split[:2]
+
+
+def _additive_zero(s):
+    """The additive identity of s, or None; read off the factors when s
+    splits."""
+    split = _ideal_factors(s)
+    if split is None:
+        return s.identity_index("add")
+    f_lo, f_hi, c = split
+    return int(c.grid[f_lo.identity_index("add"),
+                      f_hi.identity_index("add")])
+
+
+def _factor_ideals(s, idx):
+    """((lo factor, hi factor, coords), P, Q) when the sorted index array
+    idx is P x Q for ideals P of the lo factor and Q of the hi factor of
+    a full product whose factors' additive inverses are unique (module
+    docstring).  Such a product is an ideal.  None for any other subset,
+    which is_ideal scans for its first witness."""
+    factors = s._factors("add", "mul")
+    if factors is None or not all(map(_unique_negatives, factors)):
+        return None
+    f_lo, f_hi, c = factors[0], factors[-1], s._coords()
+    p, q = _parts_of(c.lo[idx], f_lo.n), _parts_of(c.hi[idx], f_hi.n)
+    if (len(p) * len(q) != idx.size or not _is_factor_ideal(f_lo, p)
+            or not _is_factor_ideal(f_hi, q)):
+        return None
+    return (f_lo, f_hi, c), p, q
+
+
+@_once
+def _unique_negatives(f):
+    """Does every element of f have exactly one additive inverse?"""
+    z = f.identity_index("add")
+    return z is not None and bool(
+        ((f.table("add") == z).sum(axis=1) == 1).all())
+
+
+def _parts_of(part, m):
+    """The distinct part indices in part, of m parts, as a sorted tuple."""
+    seen = np.zeros(m, dtype=bool)
+    seen[part] = True
+    return tuple(np.flatnonzero(seen).tolist())
+
+
+@_once
+def _is_factor_ideal(f, parts):
+    """is_ideal's verdict on the tuple parts of the factor f, found once
+    per factor and subset: a quotient asks again after is_ideal."""
+    return is_ideal(f, parts)[0]
+
+
+def _factor_cosets(s, idx):
+    """The least carrier index in the coset x + I of every element x,
+    read off the factors' cosets when I = P x Q splits (_factor_ideals):
+    the coset of (a, b) is (a + P) x (b + Q).  Each coset is keyed by the
+    least part index of a + P and of b + Q, and its least carrier index
+    is found over the carrier's order, which need not be lo-major.  None
+    when s does not split (_ideal_factors), so that the cosets of each
+    factor need not partition it, or I does not."""
+    found = _ideal_factors(s) and _factor_ideals(s, idx)
+    if not found:
+        return None
+    (f_lo, f_hi, c), p, q = found
+    key = (f_lo.table("add").take(p, axis=1).min(axis=1)[c.lo] * f_hi.n
+           + f_hi.table("add").take(q, axis=1).min(axis=1)[c.hi])
+    least = np.full(f_lo.n * f_hi.n, s.n)
+    np.minimum.at(least, key, np.arange(s.n))
+    return least[key]
 
 
 def _meets_ideal_lemma(f):
@@ -329,19 +429,19 @@ def enumerate_ideals(s):
     is again an ideal).  Deterministic: results sorted by (order,
     membership).
     """
-    if s.neg_index() is None:
+    sides = _summands(s)
+    if not all(f.neg_index() is not None for f in sides):
         raise NotAnIdeal("ambient addition is not a group")
-    comm, _ = s.commutative("add")
-    if not comm:
+    if not all(f.commutative("add")[0] for f in sides):
         raise NotAnIdeal("ambient addition is not commutative")
     split = _ideal_factors(s)
     if split is not None:
-        f_lo, f_hi, _, grid = split
+        f_lo, f_hi, c = split
         lows = enumerate_ideals(f_lo)
         highs = lows if f_hi is f_lo else enumerate_ideals(f_hi)
         if len(lows) * len(highs) > IDEAL_CAP:
             raise TooLarge(f"more than {IDEAL_CAP} ideals")
-        found = [_product(grid, i.indices, j.indices)
+        found = [_product(c.grid, i.indices, j.indices)
                  for i in lows for j in highs]
         found.sort(key=lambda idx: (len(idx), idx.tolist()))
         return [Ideal(s, idx) for idx in found]
@@ -380,7 +480,7 @@ def maximal_minimal_ideals(s):
     """Minimal nonzero and maximal proper ideals, with totals."""
     ideals = enumerate_ideals(s)
     full = frozenset(range(s.n))
-    z = s.identity_index("add")
+    z = _additive_zero(s)
     zero = frozenset({z}) if z is not None else frozenset()
     sets = [frozenset(i.indices) for i in ideals]
     proper = [f for f in sets if f != full]
@@ -440,19 +540,19 @@ class QuotientStructure:
             self.class_of = np.zeros(n, dtype=np.int32)
             self.class_of[outside] = np.arange(1, outside.size + 1)
         else:
-            ta = ambient.table("add")
             idx = np.array(ideal.indices, dtype=np.int64)
-            cosets = ta[:, idx]
-            if (cosets < 0).any():
-                raise NotAnIdeal("addition leaves the carrier")
-            rep = cosets.min(axis=1)
+            rep = _factor_cosets(ambient, idx)
+            if rep is None:
+                cosets = ambient.table("add")[:, idx]
+                if (cosets < 0).any():
+                    raise NotAnIdeal("addition leaves the carrier")
+                rep = cosets.min(axis=1)
             uniq = np.unique(rep)
             if len(uniq) * ideal.order != n:
                 raise NotAnIdeal(
                     "cosets do not partition the carrier evenly — the "
                     "subset is not an additive subgroup")
-            z = ambient.identity_index("add")
-            zero_rep = int(rep[z])
+            zero_rep = int(rep[_additive_zero(ambient)])
             order = [zero_rep] + [int(r) for r in uniq if r != zero_rep]
             class_of_rep = np.empty(n, dtype=np.int32)
             class_of_rep[order] = np.arange(len(order))
@@ -474,9 +574,8 @@ class QuotientStructure:
     def class_table(self, op):
         t = self._tables.get(op)
         if t is None:
-            r = self.reps
-            amb = self.ambient.table(op)
-            t = _relabel(amb.take(r, axis=0).take(r, axis=1), self.class_of)
+            r = np.asarray(self.reps)
+            t = self.ambient._block(op, r, r, self.class_of)
             self._tables[op] = t
         return t
 
@@ -532,14 +631,17 @@ class QuotientStructure:
     def _compare_products(self, op):
         """Compares the true class of every ambient product against the
         representative-based class table, a band of rows at a time, so
-        no table of the ambient's size is built and the scan stops at
-        the first mismatch."""
-        amb = self.ambient.table(op)
+        the scan stops at the first mismatch.  The bands are read from
+        the ambient's table when it is built and composed from its part
+        tables when not, so no table of the ambient's size is built for
+        a product ambient."""
+        n = self.ambient.n
         tab = self.class_table(op)
         cls = self.class_of
-        for lo in range(0, self.ambient.n, _BAND_ROWS):
-            rows = slice(lo, lo + _BAND_ROWS)
-            actual = _relabel(amb[rows], cls)
+        every = np.arange(n)
+        for lo in range(0, n, _BAND_ROWS):
+            rows = every[lo:lo + _BAND_ROWS]
+            actual = self.ambient._block(op, rows, every, cls)
             predicted = tab.take(cls[rows], axis=0).take(cls, axis=1)
             diff = _first_true(actual != predicted)
             if diff is not None:

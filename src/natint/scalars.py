@@ -19,12 +19,23 @@ from .errors import (
     InfiniteDomain,
     NotARing,
     ParseError,
+    TooLarge,
     UnorderedDomain,
 )
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _PURE_NEUTRO_RE = re.compile(r"^(?P<b>[+-]?[\d/.]*)I$")
 _MIXED_NEUTRO_RE = re.compile(r"^(?P<a>[+-]?[\d/.]+)(?P<sign>[+-])(?P<b>[\d/.]*)I$")
+
+
+def _int(digits):
+    """int() of a string of digits; one with more digits than int()
+    converts (4300 by default) is refused as too large."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise TooLarge(f"an integer of {len(digits.lstrip('+-'))} digits "
+                       f"is too large") from None
 
 
 class Domain:
@@ -139,7 +150,7 @@ class IntDomain(Domain):
     def parse_scalar(self, text):
         if not _INT_RE.match(text):
             raise ParseError(f"not an integer: {text!r}", text=text)
-        return int(text)
+        return _int(text)
 
     def _canon(self, value):
         try:
@@ -276,7 +287,7 @@ class ModDomain(Domain):
     def parse_scalar(self, text):
         if not _INT_RE.match(text):
             raise ParseError(f"not an integer: {text!r}", text=text)
-        return int(text) % self.n
+        return _int(text) % self.n
 
     def _canon(self, value):
         try:
@@ -577,7 +588,7 @@ def parse_domain(text):
         return _FIXED_DOMAINS[text]
     m = _MOD_SPEC_RE.match(text)
     if m:
-        n = int(m.group(2))
+        n = _int(m.group(2))
         if n < 2:
             raise ParseError(f"modulus must be >= 2, got {n}", text=text)
         head = m.group(1)

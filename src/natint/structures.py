@@ -26,19 +26,21 @@ that is exact: its triples are exactly the pairs of factor triples, so it
 is associative (distributive) when its lo and hi part tables are.  Such
 a verdict is exhaustive over the factors.  When a factor fails, the
 carrier's own triples are scanned, which yields the first counterexample
-in carrier order.
+in carrier order.  The factors need only the part tables, which are
+built before, and without, the carrier's n x n table.
 
-A substructure inherits these laws from its ambient.  A subset closed
-under an operation is associative (distributive) when its ambient is;
-so is a quotient by a congruence, an equivalence that the operations
-respect, because the class map is then a homomorphism onto it.  A law
-counts as proven on the ambient only when the ambient's memo already
-holds a passing verdict or its factors pass (_proven); the ambient itself
-is never scanned for it.  A passing inherited verdict is (True, None), as
-a scan's would be.  When the ambient fails, or is not known to pass, the
-substructure's own triples are scanned for the first counterexample.
-The closure check and the cubic-scan cap run first, so a refusal stays a
-refusal.
+A substructure inherits these laws, and commutativity, from its
+ambient.  A subset closed under an operation is associative
+(distributive) when its ambient is, and any subset is commutative when
+its ambient is; so is a quotient by a congruence, an equivalence that the
+operations respect, because the class map is then a homomorphism onto
+it.  A law counts as proven on the ambient only when the ambient's memo
+already holds a passing verdict or its factors pass (_proven); the
+ambient itself is never scanned for it.  A passing inherited verdict is
+(True, None), as a scan's would be.  When the ambient fails, or is not
+known to pass, the substructure's own table is scanned for the first
+counterexample.  The closure check and the cubic-scan cap run first, so
+a refusal stays a refusal.
 """
 
 import functools
@@ -93,9 +95,12 @@ class FiniteStructure:
     the carrier (recorded as -1 in the tables).  `diag`, when given, marks
     a product carrier: every element decomposes into a lo and a hi part
     that mul and add act on independently, and diag(p) is the element
-    with both parts p; its tables are read off part tables
-    (factored_table), which also decide its associativity and
-    distributivity.  `tables` seeds the cache directly.  `ambient`, when
+    with both parts p.  Such a carrier computes its part tables first
+    (_parts), one evaluation per pair of parts; they decide its
+    associativity and distributivity, and its ideals and quotients
+    (quotients), and blocks of its table are gathered from them (_block).
+    Its n x n table is composed from them only when first asked for
+    (factored_table).  `tables` seeds the cache directly.  `ambient`, when
     given, is the structure whose operations this one's are read from (a
     subset or a quotient of it), whose proven laws it inherits;
     `congruent(op)`, when given, says whether op is well defined on the
@@ -164,37 +169,65 @@ class FiniteStructure:
         t = self._tables.get(op)
         if t is not None:
             return t
-        fn = self.op_fn(op)  # raise MissingTable early
-        cap = TABLE_CAP if self.diag else PY_TABLE_CAP
-        if self.n > cap:
-            raise TooLarge(f"{self.n}x{self.n} {op} table exceeds the build "
-                           f"cap ({cap})")
+        self.op_fn(op)  # raise MissingTable early
+        _refuse_table(self.n, op, TABLE_CAP if self.diag else PY_TABLE_CAP)
         if self.diag is not None:
-            t, self._memo["parts", op], self._memo["coords"] = factored_table(
-                self.elements, fn, self.diag)
+            t = factored_table(self._parts(op), self._coords())
         else:
             t = self._build_table(op)
         self._tables[op] = t
         return t
 
     @_once
+    def _coords(self):
+        """Where the elements of a product carrier (diag given) sit among
+        its parts (_Coords)."""
+        return _Coords(self.elements)
+
+    @_once
+    def _parts(self, op):
+        """The part tables of op on a product carrier: (lo, hi), or (lo,)
+        when the two part lists agree.  In a part table, the part count
+        marks a result outside the parts (_part_table).  Refused above
+        TABLE_CAP elements, as the carrier's own table is."""
+        fn = self.op_fn(op)
+        _refuse_table(self.n, op, TABLE_CAP)
+        c = self._coords()
+        lo_table = _part_table(c.lo_parts, fn, self.diag)
+        if c.hi_parts is c.lo_parts:
+            return (lo_table,)
+        return lo_table, _part_table(c.hi_parts, fn, self.diag)
+
+    @_once
     def _factors(self, *ops):
-        """The factors of a full product carrier: structures on part
-        indices holding the part tables of ops, one per distinct part
-        list (lo and hi, or one when they agree), with -1 for a part
-        result outside the parts.  None for any other carrier."""
+        """The factors of a full product carrier, one whose every pair of a
+        lo and a hi part is an element: structures on part indices holding
+        the part tables of ops, one per distinct part list (lo and hi, or
+        one when they agree), with -1 for a part result outside the
+        parts.  None for any other carrier.  No table of the carrier
+        itself is built."""
         if self.diag is None:
             return None
-        parts = []
-        for op in ops:
-            self.table(op)
-            parts.append(self._memo.get(("parts", op)))
-        if any(p is None for p in parts):
+        parts = [self._parts(op) for op in ops]
+        if self._coords().grid is None:
             return None
         return [FiniteStructure(range(len(side[0])), tables={
                     op: np.where(t < len(t), t, -1).astype(np.int32)
                     for op, t in zip(ops, side)})
                 for side in zip(*parts)]
+
+    def _block(self, op, rows, cols, relabel):
+        """The entries rows x cols of op's table, each product p read as
+        relabel[p], and -1 (a product outside the carrier) as -1.  When
+        the table is not built, a product carrier composes the block from
+        its part tables (_factored_block), so no n x n table is built for
+        it."""
+        t = self._tables.get(op)
+        if t is None and self.diag is not None:
+            return _factored_block(self._parts(op), self._coords(), rows,
+                                   cols, relabel)
+        return _relabel(self.table(op).take(rows, axis=0).take(cols, axis=1),
+                        relabel)
 
     def _inherited(self, law, *ops):
         """Does law hold on the ambient, for ops that are well defined
@@ -216,7 +249,7 @@ class FiniteStructure:
             [self.elements[i] for i in rows], mul=self.mul_fn,
             add=self.add_fn, kind=self.kind, domain=self.domain,
             flavor=self.flavor, ambient=self, tables={
-                op: _relabel(self.table(op)[np.ix_(rows, rows)], relabel)
+                op: self._block(op, rows, rows, relabel)
                 for op in ("add", "mul") if self.has_op(op)})
 
     def _build_table(self, op):
@@ -240,10 +273,13 @@ class FiniteStructure:
 
     @_once
     def commutative(self, op):
-        """x∘y = y∘x, scanned in bands of rows against the matching bands
-        of columns above the diagonal.  The first mismatch (i, j) in C
-        order has j > i, since its mirror (j, i) is a mismatch too, so the
-        band holding row i finds it first."""
+        """x∘y = y∘x.  A substructure passes when its ambient is proven
+        to; otherwise the table is scanned in bands of rows against the
+        matching bands of columns above the diagonal.  The first mismatch
+        (i, j) in C order has j > i, since its mirror (j, i) is a mismatch
+        too, so the band holding row i finds it first."""
+        if self._inherited("commutative", op):
+            return True, None
         t = self.table(op)
         for lo in range(0, self.n, _BAND_ROWS):
             hi = lo + _BAND_ROWS
@@ -408,60 +444,92 @@ def _proven(s, law, *ops):
         return False
 
 
-def factored_table(elements, fn, diag):
-    """The Cayley table of fn, read off the tables of its lo and hi parts,
-    and those part tables when the carrier is a full product.
+class _Coords:
+    """Where the elements of a product carrier sit among its parts.
 
-    Each element decomposes into a lo and a hi part that fn never mixes
-    (N(D) is D x D, and so are its matrices and polynomials), so fn is
-    evaluated once per pair of distinct lo parts and once per pair of
-    distinct hi parts, on the diagonal elements diag(p).  An entry is -1
-    where a part result is no part of the carrier, or where fn returns
-    None (a fuzzy sum leaving [0, 1]).  When the carrier lists its
-    elements lo-major, as N(D), N(Zn:p)\\0 and the fuzzy grids do, the
-    table is one broadcast sum of the scaled lo table and the hi table;
-    otherwise (matrices, polynomials, subsets) each pair's code is looked
-    up.  The codes are int32, which holds for carriers of up to TABLE_CAP
-    elements.
-
-    Returns (table, parts, coords).  When every pair of a lo and a hi part
-    is an element, parts holds the distinct part tables: (lo, hi), or
-    (lo,) when the two part lists agree; in a part table, the part count
-    marks a result outside the parts.  For any other carrier parts is
-    None.  coords is (lo, hi): the part indices of each element, in
-    carrier order.
+    Each element decomposes into a lo and a hi part that its operations
+    never mix (N(D) is D x D, and so are its matrices and polynomials).
+    lo_parts and hi_parts number the distinct parts in order of first
+    appearance (hi_parts is lo_parts when the two lists agree); lo[i] and
+    hi[i] are the part indices of element i.  A pair of parts (a, b) is
+    coded a * (m_hi + 1) + b, so the part count m marks a part result
+    outside the parts; where[code] is the element with those parts, or
+    -1.  grid[a, b] is the element with parts (a, b) when every pair is
+    an element (a full product), else None.  lo_major says that element
+    i has lo part i // m_hi and hi part i % m_hi.
     """
-    lo_parts, hi_parts = {}, {}
-    lo, hi = [], []
-    for e in elements:
-        lo_part, hi_part = e.decompose()
-        lo.append(lo_parts.setdefault(_hashable(lo_part), len(lo_parts)))
-        hi.append(hi_parts.setdefault(_hashable(hi_part), len(hi_parts)))
-    lo_table = _part_table(lo_parts, fn, diag)
-    hi_table = (lo_table if list(hi_parts) == list(lo_parts)
-                else _part_table(hi_parts, fn, diag))
-    n, width = len(lo), len(hi_parts)
-    lo = np.array(lo, dtype=np.intp)
-    hi = np.array(hi, dtype=np.intp)
-    parts = None
-    if n == len(lo_parts) * width:
-        parts = (lo_table,) if hi_table is lo_table else (lo_table, hi_table)
+
+    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid",
+                 "lo_major")
+
+    def __init__(self, elements):
+        lo_parts, hi_parts = {}, {}
+        lo, hi = [], []
+        for e in elements:
+            lo_part, hi_part = e.decompose()
+            lo.append(lo_parts.setdefault(_hashable(lo_part), len(lo_parts)))
+            hi.append(hi_parts.setdefault(_hashable(hi_part), len(hi_parts)))
+        if list(hi_parts) == list(lo_parts):
+            hi_parts = lo_parts
+        self.lo_parts, self.hi_parts = lo_parts, hi_parts
+        n, m_lo, m_hi = len(lo), len(lo_parts), len(hi_parts)
+        self.lo = np.array(lo, dtype=np.intp)
+        self.hi = np.array(hi, dtype=np.intp)
+        where = np.full((m_lo + 1, m_hi + 1), -1, dtype=np.int32)
+        where[self.lo, self.hi] = np.arange(n, dtype=np.int32)
+        self.where = where.ravel()
+        full = n == m_lo * m_hi
+        self.grid = where[:m_lo, :m_hi] if full else None
         ar = np.arange(n)
-        if (lo == ar // width).all() and (hi == ar % width).all():
-            return _lo_major_table(lo_table, hi_table), parts, (lo, hi)
-    return _lookup_table(lo_table, hi_table, lo, hi), parts, (lo, hi)
+        self.lo_major = bool(full and (self.lo == ar // max(m_hi, 1)).all()
+                             and (self.hi == ar % max(m_hi, 1)).all())
 
 
-def _lookup_table(lo_table, hi_table, lo, hi):
+def factored_table(parts, coords):
+    """The Cayley table of a product carrier, read off its part tables.
+
+    parts are the part tables of one op (FiniteStructure._parts), in which
+    fn was evaluated once per pair of distinct lo parts and once per pair
+    of distinct hi parts, on the diagonal elements diag(p); coords is the
+    carrier's _Coords.  An entry is -1 where a part result is no part of
+    the carrier, or where fn returned None (a fuzzy sum leaving [0, 1]).
+    When the carrier lists its elements lo-major, as N(D), N(Zn:p)\\0 and
+    the fuzzy grids do, the table is one broadcast sum of the scaled lo
+    table and the hi table; otherwise (matrices, polynomials, subsets)
+    each pair's code is looked up.  The codes are int32, which holds for
+    carriers of up to TABLE_CAP elements.
+    """
+    if coords.lo_major:
+        return _lo_major_table(parts[0], parts[-1])
+    return _lookup_table(parts, coords)
+
+
+def _lookup_table(parts, coords):
     """The table of the carrier whose element i has parts lo[i], hi[i]:
     each pair of part results is coded and looked up in `where`."""
-    width = len(hi_table) + 1
-    where = np.full((len(lo_table) + 1) * width, -1, dtype=np.int32)
-    where[lo * width + hi] = np.arange(len(lo), dtype=np.int32)
-    code = lo_table[lo].take(lo, axis=1)
-    code *= width
-    code += hi_table[hi].take(hi, axis=1)
-    return where[code]
+    every = np.arange(len(coords.lo))
+    return coords.where[_part_codes(parts, coords, every, every)]
+
+
+def _factored_block(parts, coords, rows, cols, relabel):
+    """The block rows x cols of the table factored_table composes, each
+    product p read as relabel[p], gathered from the part tables without
+    composing the carrier's table: one code per entry, looked up in
+    `where` relabeled."""
+    return _relabel(coords.where, relabel)[
+        _part_codes(parts, coords, rows, cols)]
+
+
+def _part_codes(parts, coords, rows, cols):
+    """The code of each pair of part results, for the products of the
+    elements rows x cols.  Rows that share a part share that part's row
+    of results, so each part's row is gathered once over cols and then
+    copied whole to the rows that have that part."""
+    lo, hi = coords.lo, coords.hi
+    code = parts[0].take(lo[cols], axis=1).take(lo[rows], axis=0)
+    code *= len(parts[-1]) + 1
+    code += parts[-1].take(hi[cols], axis=1).take(hi[rows], axis=0)
+    return code
 
 
 def _lo_major_table(lo_table, hi_table):
@@ -521,6 +589,11 @@ def _first_true(mask):
     if not flat[k]:
         return None
     return tuple(int(i) for i in np.unravel_index(k, mask.shape))
+
+
+def _refuse_table(n, op, cap):
+    if n > cap:
+        raise TooLarge(f"{n}x{n} {op} table exceeds the build cap ({cap})")
 
 
 def _refuse_cubic_scan(n, law):

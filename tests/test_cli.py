@@ -181,6 +181,28 @@ def test_eval_parse_error_reports_position(capsys):
     assert "position" in err
 
 
+NINES = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "Z", f"[{NINES},1]"),
+    ("eval", f"Zn:{NINES}", "[2,1]"),
+    ("eval", f"ZnI:{NINES}", "[2,1]"),
+    ("eval", "Z", f"{NINES}*[1,1]"),
+    ("analyze", f"Sub{{[{NINES},1]}} of N(Z)"),
+], ids=["Z", "Zn", "ZnI", "bare-scalar", "Sub"])
+def test_big_integer_literals_are_too_large(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "an integer of 5000 digits is too large" in err
+
+
+def test_big_rational_literal_stays_a_parse_error(capsys):
+    code, _, err = run(capsys, "eval", "Q", f"[{NINES},1]")
+    assert code == 2
+    assert "not a rational" in err
+
+
 def test_eval_rejects_mixed_flavors(capsys):
     code, _, err = run(capsys, "eval", "Q", "[1,2] + (1,2)")
     assert code == 2

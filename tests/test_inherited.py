@@ -1,6 +1,6 @@
-"""Associativity and distributivity inherited by quotients and subsets,
-and well-definedness decided by the congruence lemma, against the scans
-they replace.
+"""Associativity, commutativity and distributivity inherited by quotients
+and subsets, and well-definedness decided by the congruence lemma, against
+the scans they replace.
 
 A closed subset, or a quotient by a congruence, passes a law its ambient
 is proven to pass.  A quotient by an ideal is a congruence for rees mul,
@@ -53,6 +53,7 @@ def _verdict(decide):
 def verdicts(s):
     ops = _ops(s)
     out = {op: _verdict(lambda: s.associative(op)) for op in ops}
+    out.update({("commutative", op): s.commutative(op) for op in ops})
     if len(ops) == 2:
         out["distributive"] = _verdict(s.distributive)
     return out
