@@ -337,6 +337,9 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
                 elems.append(ctx["coerce"](ctx["parse"](part)))
         if not elems:
             raise ParseError("Sub{...} needs at least one element", text=spec)
+        if len(set(elems)) < len(elems):
+            raise ParseError("Sub{...} lists an element more than once",
+                             text=spec)
         if len(elems) > size_bound:
             raise TooLarge(f"subset of {len(elems)} elements exceeds the "
                            f"bound {size_bound}")

@@ -95,7 +95,7 @@ def load_config_file(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file: {exc}")
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

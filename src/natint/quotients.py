@@ -44,11 +44,9 @@ associative too, so that the sum of two ideals found is additively
 closed, as the closure engine assumes.  Every other carrier, including
 a full product whose factor has no unity, runs one closure per element.
 
-On such a product the other ideal and quotient facts come from the
-factors too, and no table of the carrier itself is built:
+On such a product the quotients come from the factors too, and, as its
+other facts (see structures), no table of the carrier itself is built:
 
-- its addition is a commutative group when both factors' are, and its
-  zero is the pair of the factors' zeros;
 - R x S / (I x J) is R/I x S/J: the coset of (a, b) is (a + I) x (b + J),
   so the standard classes are read off the factors' cosets, still
   ordered by the least carrier index of each coset, which is found over
@@ -77,6 +75,7 @@ from .structures import (
     _first_true,
     _once,
     _proven,
+    _unique_negatives,
     _zero_index,
     axiom_report,
     find_special_elements,
@@ -161,22 +160,21 @@ def is_ideal(s, indices):
     if bad.size:
         return False, {"reason": "not closed under negation",
                        "witness": s.label(int(bad[0]))}
-    # outside[v] for a table entry v; -1 (out of carrier) reads the
-    # appended slot
-    outside = np.append(~mask, True)
-    sums = s.table("add").take(idx, axis=0).take(idx, axis=1)
-    hit = _first_true(outside[sums])
+    # blocks of the tables read each product as 1 outside the subset, 0
+    # inside it and -1 outside the carrier
+    outside = (~mask).astype(np.int32)
+    hit = _first_true(s._block("add", idx, idx, outside) != 0)
     if hit is not None:
         i, j = hit
         return False, {"reason": "not closed under addition",
                        "witness": [s.label(int(idx[i])), s.label(int(idx[j]))]}
-    t = s.table("mul")
-    hit = _first_true(outside[t.take(idx, axis=1)])
+    every = np.arange(n)
+    hit = _first_true(s._block("mul", every, idx, outside) != 0)
     if hit is not None:
         x, j = hit
         return False, {"reason": "not absorbing on the left",
                        "witness": [s.label(x), s.label(int(idx[j]))]}
-    hit = _first_true(outside[t.take(idx, axis=0)])
+    hit = _first_true(s._block("mul", idx, every, outside) != 0)
     if hit is not None:
         i, y = hit
         return False, {"reason": "not absorbing on the right",
@@ -192,7 +190,7 @@ def generate_ideal(s, generator_indices):
     Results are marked in a mask with one slot appended for -1, so a
     product leaving the carrier shows in that slot.
     """
-    if not all(f.neg_index() is not None for f in _summands(s)):
+    if s.neg_index() is None:
         raise NotAnIdeal("ambient addition is not a group")
     n = s.n
     start = [int(g) for g in generator_indices]
@@ -323,25 +321,6 @@ def _ideal_factors(s):
     return factors[0], factors[-1], s._coords()
 
 
-def _summands(s):
-    """The structures whose additions decide whether s's addition is a
-    commutative group: the two factors when s splits (_ideal_factors),
-    whose closed additions are componentwise, else s itself."""
-    split = _ideal_factors(s)
-    return (s,) if split is None else split[:2]
-
-
-def _additive_zero(s):
-    """The additive identity of s, or None; read off the factors when s
-    splits."""
-    split = _ideal_factors(s)
-    if split is None:
-        return s.identity_index("add")
-    f_lo, f_hi, c = split
-    return int(c.grid[f_lo.identity_index("add"),
-                      f_hi.identity_index("add")])
-
-
 def _factor_ideals(s, idx):
     """((lo factor, hi factor, coords), P, Q) when the sorted index array
     idx is P x Q for ideals P of the lo factor and Q of the hi factor of
@@ -357,14 +336,6 @@ def _factor_ideals(s, idx):
             or not _is_factor_ideal(f_hi, q)):
         return None
     return (f_lo, f_hi, c), p, q
-
-
-@_once
-def _unique_negatives(f):
-    """Does every element of f have exactly one additive inverse?"""
-    z = f.identity_index("add")
-    return z is not None and bool(
-        ((f.table("add") == z).sum(axis=1) == 1).all())
 
 
 def _parts_of(part, m):
@@ -429,10 +400,9 @@ def enumerate_ideals(s):
     is again an ideal).  Deterministic: results sorted by (order,
     membership).
     """
-    sides = _summands(s)
-    if not all(f.neg_index() is not None for f in sides):
+    if s.neg_index() is None:
         raise NotAnIdeal("ambient addition is not a group")
-    if not all(f.commutative("add")[0] for f in sides):
+    if not s.commutative("add")[0]:
         raise NotAnIdeal("ambient addition is not commutative")
     split = _ideal_factors(s)
     if split is not None:
@@ -480,7 +450,7 @@ def maximal_minimal_ideals(s):
     """Minimal nonzero and maximal proper ideals, with totals."""
     ideals = enumerate_ideals(s)
     full = frozenset(range(s.n))
-    z = _additive_zero(s)
+    z = s.identity_index("add")
     zero = frozenset({z}) if z is not None else frozenset()
     sets = [frozenset(i.indices) for i in ideals]
     proper = [f for f in sets if f != full]
@@ -552,7 +522,7 @@ class QuotientStructure:
                 raise NotAnIdeal(
                     "cosets do not partition the carrier evenly — the "
                     "subset is not an additive subgroup")
-            zero_rep = int(rep[_additive_zero(ambient)])
+            zero_rep = int(rep[ambient.identity_index("add")])
             order = [zero_rep] + [int(r) for r in uniq if r != zero_rep]
             class_of_rep = np.empty(n, dtype=np.int32)
             class_of_rep[order] = np.arange(len(order))

@@ -21,13 +21,23 @@ position in, or the end of, that walk.  The idempotents and the maximal
 subgroups are likewise found once per structure.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
-the polynomials and the fuzzy grids) is decided on its factors where
-that is exact: its triples are exactly the pairs of factor triples, so it
-is associative (distributive) when its lo and hi part tables are.  Such
-a verdict is exhaustive over the factors.  When a factor fails, the
-carrier's own triples are scanned, which yields the first counterexample
-in carrier order.  The factors need only the part tables, which are
-built before, and without, the carrier's n x n table.
+the polynomials and the fuzzy grids) reads each fact off its factors,
+the structures on its lo and hi part tables, where that is exact: its
+pairs and triples are exactly the pairs of the factors' (_by_factors).
+
+- It is closed, associative, distributive, and has inverses for its
+  identity, exactly when both factors do; it is commutative when both
+  factors are (an unclosed factor may fail where the product passes).
+- Its identity and its absorbing element are the pairs of the factors',
+  and it has none when a factor has none.
+- When both factors' additive inverses are unique, the one inverse of
+  (a, b) is (-a, -b).
+
+Such a verdict is exhaustive over the factors.  When a factor fails, or
+has an element with two additive inverses, the carrier's own table is
+scanned, which yields the first counterexample (or inverse) in carrier
+order.  The factors need only the part tables, which are built before,
+and without, the carrier's n x n table.
 
 A substructure inherits these laws, and commutativity, from its
 ambient.  A subset closed under an operation is associative
@@ -204,9 +214,9 @@ class FiniteStructure:
         lo and a hi part is an element: structures on part indices holding
         the part tables of ops, one per distinct part list (lo and hi, or
         one when they agree), with -1 for a part result outside the
-        parts.  None for any other carrier.  No table of the carrier
-        itself is built."""
-        if self.diag is None:
+        parts.  None for any other carrier, and for one whose part tables
+        are refused.  No table of the carrier itself is built."""
+        if self.diag is None or self.n > TABLE_CAP:
             return None
         parts = [self._parts(op) for op in ops]
         if self._coords().grid is None:
@@ -229,12 +239,34 @@ class FiniteStructure:
         return _relabel(self.table(op).take(rows, axis=0).take(cols, axis=1),
                         relabel)
 
-    def _inherited(self, law, *ops):
-        """Does law hold on the ambient, for ops that are well defined
-        here?  Only proven ambient verdicts count (_proven)."""
-        return (self.ambient is not None and _proven(self.ambient, law, *ops)
-                and (self.congruent is None
-                     or all(self.congruent(op) for op in ops)))
+    def _by_factors(self, law, *ops):
+        """Does law (closed, commutative, associative, inverses or
+        distributive) hold for ops on both factors of a full product
+        (_factors), and so here?  No table of this structure is built; a
+        factor too large to scan proves nothing."""
+        factors = self._factors(*ops)
+        args = () if law == "distributive" else ops
+        try:
+            return factors is not None and all(
+                getattr(f, law)(*args)[0] is True for f in factors)
+        except TooLarge:
+            return False
+
+    def _pair(self, fact, op):
+        """The element whose parts are fact(op) of the lo and of the hi
+        factor of a full product, or None when a factor has none."""
+        factors = self._factors(op)
+        lo, hi = (getattr(f, fact)(op) for f in (factors[0], factors[-1]))
+        return None if lo is None or hi is None else int(
+            self._coords().grid[lo, hi])
+
+    def _known(self, law, *ops):
+        """Does law hold on the factors (_by_factors), or on the ambient for
+        ops well defined here?  Only proven ambient verdicts count."""
+        return self._by_factors(law, *ops) or (
+            self.ambient is not None and _proven(self.ambient, law, *ops)
+            and (self.congruent is None
+                 or all(self.congruent(op) for op in ops)))
 
     def restrict(self, indices):
         """The substructure on the given carrier indices, in that order.
@@ -268,17 +300,19 @@ class FiniteStructure:
 
     @_once
     def closed(self, op):
+        if self._by_factors("closed", op):
+            return True, None
         wit = _first_true(self.table(op) < 0)
         return wit is None, wit
 
     @_once
     def commutative(self, op):
         """x∘y = y∘x.  A substructure passes when its ambient is proven
-        to; otherwise the table is scanned in bands of rows against the
-        matching bands of columns above the diagonal.  The first mismatch
-        (i, j) in C order has j > i, since its mirror (j, i) is a mismatch
-        too, so the band holding row i finds it first."""
-        if self._inherited("commutative", op):
+        to, a product when its factors do; else the table is scanned in
+        bands of rows against the matching bands of columns above the
+        diagonal.  The first mismatch (i, j) in C order has j > i, since
+        its mirror (j, i) is a mismatch too, so row i's band finds it."""
+        if self._known("commutative", op):
             return True, None
         t = self.table(op)
         for lo in range(0, self.n, _BAND_ROWS):
@@ -298,16 +332,15 @@ class FiniteStructure:
         if not ok:
             return None, wit
         _refuse_cubic_scan(self.n, "associativity")
-        if self._inherited("associative", op):
-            return True, None
-        factors = self._factors(op)
-        if factors and all(f.associative(op)[0] for f in factors):
+        if self._known("associative", op):
             return True, None
         wit = _assoc_witness(self.table(op))
         return (wit is None), wit
 
     @_once
     def identity_index(self, op):
+        if self._factors(op):
+            return self._pair("identity_index", op)
         t = self.table(op)
         if not self.n:
             return None
@@ -321,6 +354,8 @@ class FiniteStructure:
 
     @_once
     def absorbing_index(self, op):
+        if self._factors(op):
+            return self._pair("absorbing_index", op)
         t = self.table(op)
         if not self.n:
             return None
@@ -338,6 +373,8 @@ class FiniteStructure:
         e = self.identity_index(op)
         if e is None:
             return None, None
+        if self._by_factors("inverses", op):
+            return True, None
         m = (self.table(op) == e)
         for lo in range(0, self.n, _BAND_ROWS):
             hi = lo + _BAND_ROWS
@@ -357,10 +394,7 @@ class FiniteStructure:
             if not ok:
                 return None, None
         _refuse_cubic_scan(self.n, "distributivity")
-        if self._inherited("distributive", "add", "mul"):
-            return True, None
-        factors = self._factors("add", "mul")
-        if factors and all(f.distributive()[0] for f in factors):
+        if self._known("distributive", "add", "mul"):
             return True, None
         m = self.table("mul")
         a = self.table("add")
@@ -377,15 +411,22 @@ class FiniteStructure:
 
     @_once
     def neg_index(self):
-        """Map i -> index of the additive inverse (read-only), or None."""
-        z = self.identity_index("add")
-        if z is None:
-            return None
-        t = self.table("add")
-        m = (t == z)
-        if not m.any(axis=1).all():
-            return None
-        neg = np.argmax(m, axis=1)
+        """Map i -> index of the additive inverse (read-only), or None: the
+        pair of the factors' when both have unique inverses (module
+        docstring), else the first in carrier order."""
+        factors = self._factors("add")
+        if factors and all(map(_unique_negatives, factors)):
+            lo, hi = factors[0].neg_index(), factors[-1].neg_index()
+            c = self._coords()
+            neg = c.grid[lo[c.lo], hi[c.hi]].astype(np.intp)
+        else:
+            z = self.identity_index("add")
+            if z is None:
+                return None
+            m = (self.table("add") == z)
+            if not m.any(axis=1).all():
+                return None
+            neg = np.argmax(m, axis=1)
         neg.flags.writeable = False
         return neg
 
@@ -432,16 +473,18 @@ def _proven(s, law, *ops):
     hold on s for ops, without a scan of s?  True only when s's memo holds
     a passing verdict, or when s is a full product whose factors pass (m^3
     work on m-element factors).  s itself is never scanned."""
-    args = () if law == "distributive" else ops
-    done = s._memo.get((law,) + args)
+    done = s._memo.get((law,) + (() if law == "distributive" else ops))
     if done is not None:
         return done[0] is True
-    try:
-        factors = s._factors(*ops)
-        return factors is not None and all(
-            getattr(f, law)(*args)[0] is True for f in factors)
-    except TooLarge:
-        return False
+    return s._by_factors(law, *ops)
+
+
+@_once
+def _unique_negatives(f):
+    """Does every element of f have exactly one additive inverse?"""
+    z = f.identity_index("add")
+    return z is not None and bool(
+        ((f.table("add") == z).sum(axis=1) == 1).all())
 
 
 class _Coords:
@@ -501,12 +544,6 @@ def factored_table(parts, coords):
     """
     if coords.lo_major:
         return _lo_major_table(parts[0], parts[-1])
-    return _lookup_table(parts, coords)
-
-
-def _lookup_table(parts, coords):
-    """The table of the carrier whose element i has parts lo[i], hi[i]:
-    each pair of part results is coded and looked up in `where`."""
     every = np.arange(len(coords.lo))
     return coords.where[_part_codes(parts, coords, every, every)]
 

@@ -281,6 +281,15 @@ def test_bad_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_file_not_utf8_rejected(tmp_path, capsys):
+    cfg = tmp_path / "natint.cfg"
+    cfg.write_bytes(b"\xff\xfe=1\n")
+    code, out, err = run(capsys, "analyze", "N(Zn:4)", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "cannot read config file" in err
+
+
 def test_spec_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "N(Zn:x)")
     assert code == 2
@@ -293,6 +302,13 @@ def test_subset_of_matrices_rejects_other_shapes(capsys, body):
     assert code == 2
     assert out == ""
     assert "lies outside Mat(2,1,N(Zn:3))" in err
+
+
+def test_subset_listing_an_element_twice_rejected(capsys):
+    code, out, err = run(capsys, "analyze", "Sub{[1,1],[1,1]} of N(Zn:9)")
+    assert code == 2
+    assert out == ""
+    assert "more than once" in err
 
 
 def test_module_entry_point():

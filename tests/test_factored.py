@@ -1,18 +1,21 @@
-"""Associativity and distributivity of product carriers, decided on their
-factors, against the scan of every carrier triple.
+"""The facts of product carriers, read off their factors, against the
+scans of the carrier's own tables.
 
-A full product carrier passes when its lo and hi part tables pass; when a
-factor fails, the carrier scan gives the first witness in carrier order.
-Each check compares the full (verdict, witness) with a twin that holds the
-same tables but no product form, so every verdict of the twin comes from
-the carrier scan.
+A full product carrier passes a law when its lo and hi part tables pass;
+when a factor fails, the carrier scan gives the first witness in carrier
+order.  Its identity and absorbing element are the pairs of its factors',
+and its additive inverses too when the factors' are unique.  Each check
+compares every fact, with its witness, with a twin that holds the same
+tables but no product form, so every fact of the twin comes from the
+carrier scan.
 """
 
+import random
 from operator import add, sub
 
 import pytest
 
-from natint import structures
+from natint import cli, structures
 from natint.carriers import build_carrier, interval_elements
 from natint.errors import TooLarge
 from natint.intervals import Flavor, NaturalInterval
@@ -46,8 +49,20 @@ def _verdict(decide):
         return "refused"
 
 
+FACTS = ("closed", "commutative", "identity_index", "absorbing_index",
+         "inverses")
+
+
 def verdicts(s, ops):
+    """Every fact of s that a product reads off its factors: associative
+    under the op's own key, the other facts under (fact, op)."""
     out = {op: _verdict(lambda: s.associative(op)) for op in ops}
+    out.update({(fact, op): getattr(s, fact)(op)
+                for fact in FACTS for op in ops})
+    if "add" in ops:
+        neg = s.neg_index()
+        out["neg_index"] = None if neg is None else (neg.tolist(),
+                                                     neg.dtype)
     if len(ops) == 2:
         out["distributive"] = _verdict(s.distributive)
     return out
@@ -119,6 +134,42 @@ def test_failing_factor_gives_the_scan_witness(case):
     decide = {"mul": lambda f: f.associative("mul"),
               "distributive": FiniteStructure.distributive}[law]
     assert [decide(f)[0] for f in s._factors(*ops)] == factor_verdicts
+
+
+# An addition on Z3 with identity 0 in which 1 has two inverses, 1 and 2.
+# The carrier lists N(Zn:3) shuffled, so its first inverse in carrier
+# order is not the pair of its factors' first inverses.
+TWO_INVERSES = ((0, 1, 2), (1, 0, 0), (2, 0, 2))
+
+
+def test_inverses_that_are_not_unique_are_scanned():
+    elements, diag = _z3()
+    random.Random(0).shuffle(elements)
+
+    def plus(x, y):
+        return NaturalInterval(x.domain, TWO_INVERSES[x.lo][y.lo],
+                               TWO_INVERSES[x.hi][y.hi], Flavor.CLOSED)
+
+    s = FiniteStructure(elements, add=plus, diag=diag)
+    assert_same_as_scan(s)
+    factors = s._factors("add")
+    assert not any(map(structures._unique_negatives, factors))
+    c = s._coords()
+    paired = c.grid[factors[0].neg_index()[c.lo],
+                    factors[-1].neg_index()[c.hi]]
+    assert (s.neg_index() != paired).any()
+
+
+def test_a_factor_too_large_to_scan_proves_nothing(monkeypatch, capsys):
+    # {0} x Z_6 is a full product whose hi factor is above the cubic scan
+    # cap, so its associativity is unknown rather than refused: the
+    # one-class standard quotient by the whole carrier still scans its own
+    # class table and gets its report.
+    monkeypatch.setattr(structures, "CUBIC_SCAN_CAP", 5)
+    spec = "Sub{[0,0],[0,1],[0,2],[0,3],[0,4],[0,5]} of N(Zn:6)"
+    assert build_carrier(spec)._by_factors("associative", "add") is False
+    assert cli.main(["quotient", spec, "col-zero", "--kind", "standard"]) == 0
+    assert '"associative_add": true' in capsys.readouterr().out
 
 
 # One spec-built product carrier of each kind.

@@ -114,18 +114,22 @@ def test_is_ideal_reads_a_product_without_unity_off_its_factors():
     assert not s._tables
 
 
-@pytest.mark.parametrize("argv", [
-    ["ideal", "N(Zn:40)", "col-zero"],
-    ["ideal", "N(Zn:30)", "diag-multiples:5"],
-    ["ideal", "Mat(2,2,N(Zn:3))"],
-    ["quotient", "N(Zn:53)", "col-zero", "--kind", "rees"],
-    ["quotient", "N(Zn:53)", "col-zero", "--kind", "standard"],
-], ids=" ".join)
-def test_product_ideals_build_no_carrier_table(monkeypatch, capsys, argv):
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=" ".join(argv)) for argv, code in [
+        (["ideal", "N(Zn:40)", "col-zero"], 0),
+        (["ideal", "N(Zn:30)", "diag-multiples:5"], 0),
+        (["ideal", "Mat(2,2,N(Zn:3))"], 0),
+        # a product of left ideals that fails on the factors: its witness
+        # is read from blocks of the carrier's table, never the whole table
+        (["ideal", "Mat(2,2,N(Zn:3))", "col-zero"], 4),
+        (["quotient", "N(Zn:53)", "col-zero", "--kind", "rees"], 0),
+        (["quotient", "N(Zn:53)", "col-zero", "--kind", "standard"], 0),
+    ]])
+def test_product_ideals_build_no_carrier_table(monkeypatch, capsys, argv,
+                                               code):
     def refuse(*args):
         raise AssertionError("a table of the whole carrier was built")
 
-    monkeypatch.setattr(structures, "_lo_major_table", refuse)
-    monkeypatch.setattr(structures, "_lookup_table", refuse)
-    assert cli.main(argv) == 0
+    monkeypatch.setattr(structures, "factored_table", refuse)
+    assert cli.main(argv) == code
     assert capsys.readouterr().out
