@@ -690,7 +690,7 @@ def cmd_table(args, cfg):
         "op": args.op,
         "order": s.n,
         "labels": labels,
-        "closed": bool((t >= 0).all()),
+        "closed": s.closed(args.op)[0],
         "table": grid,
     }
     return payload, EXIT_OK
@@ -757,8 +757,7 @@ def cmd_verify_book(args, cfg):
         if missing:
             raise ParseError(f"unknown claim ids: {', '.join(missing)}",
                              expected=sorted(known)[:8] + ["..."])
-    payload = run_verification(seed=cfg.seed, workers=cfg.worker_count,
-                               only=only)
+    payload = run_verification(seed=cfg.seed, only=only)
     return payload, EXIT_OK if payload["ok"] else EXIT_VERIFY
 
 

@@ -87,10 +87,12 @@ class NaturalInterval:
             raise TypeError(f"expected an interval, got {other!r}")
         if self.domain is not other.domain and self.domain != other.domain:
             raise DomainMismatch(
-                f"{self.domain.spec} vs {other.domain.spec}")
+                f"cannot combine an interval over {self.domain.spec} with "
+                f"one over {other.domain.spec}")
         if self.flavor is not other.flavor:
             raise FlavorMismatch(
-                f"{self.flavor.code} vs {other.flavor.code}")
+                f"cannot combine an interval of flavor {self.flavor.code} "
+                f"with one of flavor {other.flavor.code}")
 
     def __add__(self, other):
         self._pair(other)

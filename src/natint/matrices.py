@@ -43,9 +43,13 @@ class IntervalMatrix:
             flavor = entries[0].flavor
         for e in entries:
             if e.domain != domain:
-                raise DomainMismatch(f"{e.domain.spec} vs {domain.spec}")
+                raise DomainMismatch(
+                    f"cannot put an entry over {e.domain.spec} in a matrix "
+                    f"over {domain.spec}")
             if e.flavor is not flavor:
-                raise FlavorMismatch(f"{e.flavor.code} vs {flavor.code}")
+                raise FlavorMismatch(
+                    f"cannot put an entry of flavor {e.flavor.code} in a "
+                    f"matrix of flavor {flavor.code}")
         self.rows = rows
         self.cols = cols
         self.entries = entries

@@ -37,9 +37,13 @@ class IntervalPoly:
             folded.pop()
         for c in folded:
             if c.domain != domain:
-                raise DomainMismatch(f"{c.domain.spec} vs {domain.spec}")
+                raise DomainMismatch(
+                    f"cannot put a coefficient over {c.domain.spec} in a "
+                    f"polynomial over {domain.spec}")
             if c.flavor is not flavor:
-                raise FlavorMismatch(f"{c.flavor.code} vs {flavor.code}")
+                raise FlavorMismatch(
+                    f"cannot put a coefficient of flavor {c.flavor.code} in "
+                    f"a polynomial of flavor {flavor.code}")
         self.domain = domain
         self.flavor = flavor
         self.coeffs = tuple(folded)
@@ -76,9 +80,12 @@ class IntervalPoly:
             raise TypeError(f"expected a polynomial, got {other!r}")
         if self.domain != other.domain:
             raise DomainMismatch(
-                f"{self.domain.spec} vs {other.domain.spec}")
+                f"cannot combine a polynomial over {self.domain.spec} with "
+                f"one over {other.domain.spec}")
         if self.flavor is not other.flavor:
-            raise FlavorMismatch(f"{self.flavor.code} vs {other.flavor.code}")
+            raise FlavorMismatch(
+                f"cannot combine a polynomial of flavor {self.flavor.code} "
+                f"with one of flavor {other.flavor.code}")
         if self.cyclic != other.cyclic:
             raise ModulusMismatch(f"{self.cyclic} vs {other.cyclic}")
 

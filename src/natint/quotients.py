@@ -77,6 +77,7 @@ from .structures import (
     _proven,
     _unique_negatives,
     _zero_index,
+    _zero_products,
     axiom_report,
     find_special_elements,
     is_strict_semiring,
@@ -681,11 +682,7 @@ def semifield_verdict(cls):
     out["identity"] = cls.label(e) if e is not None else None
     z = _zero_index(cls)
     if z is not None:
-        t = cls.table("mul")
-        m = (t == z)
-        m[z, :] = False
-        m[:, z] = False
-        hit = _first_true(m)
+        hit = _first_true(_zero_products(cls.table("mul"), z))
         out["has_zero_divisors"] = hit is not None
         if hit is not None:
             out["zero_divisor_witness"] = cls.labels(hit)

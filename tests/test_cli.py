@@ -208,6 +208,13 @@ def test_eval_rejects_mixed_flavors(capsys):
     assert code == 2
 
 
+def test_eval_flavor_clash_names_both_flavors(capsys):
+    code, out, err = run(capsys, "eval", "Zn:6", "[1,0) * (1,5)")
+    assert code == 2
+    assert out == ""
+    assert "flavor co" in err and "flavor o" in err
+
+
 def test_eval_division_by_non_unit(capsys):
     code, _, err = run(capsys, "eval", "Zn:6", "[1,1]/[2,2]")
     assert code == 2

@@ -130,7 +130,7 @@ def test_flavor_travels_through_arithmetic(f):
 def test_mixed_flavors_rejected():
     with pytest.raises(FlavorMismatch):
         ziv(1, 2, Flavor.CLOSED) + ziv(1, 2, Flavor.OPEN)
-    with pytest.raises(FlavorMismatch):
+    with pytest.raises(FlavorMismatch, match="oc with one of flavor co"):
         ziv(1, 2, Flavor.OPEN_CLOSED) * ziv(1, 2, Flavor.CLOSED_OPEN)
 
 

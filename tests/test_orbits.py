@@ -1,4 +1,5 @@
-"""Element facts read off the memoized orbits, against a brute force.
+"""Element facts read off the memoized orbits, units and zero-product
+masks, against a brute force.
 
 Nilpotency indices, identity orders, return exponents, additive spans
 and the return exponents of quotient classes all come from
@@ -7,16 +8,32 @@ FiniteStructure.orbit.  The reference here takes the powers x, x∘x,
 n+1 of them, and stops at the first power outside the carrier.  Among
 n+1 powers of an element of an n-element carrier one repeats, and the
 sequence is periodic from there, so every fact below shows within them.
+
+Units and their inverses, maximal subgroups and the field verdict come
+from FiniteStructure.units and _inverse_of; zero divisors,
+S-zero-divisors and the first zero pair of a strict or semifield check
+from _zero_products.  Their reference here is a table of products, each
+taken with s.apply, searched pair by pair in carrier order.
 """
 
 import pytest
 
 from natint.carriers import build_carrier
-from natint.quotients import parse_ideal_spec, rees_quotient, standard_quotient
+from natint.quotients import (
+    parse_ideal_spec,
+    rees_quotient,
+    semifield_verdict,
+    standard_quotient,
+)
 from natint.structures import (
+    FiniteStructure,
     _additive_span,
+    _field_verdict,
+    _ring_verdict,
     _zero_index,
     find_special_elements,
+    is_strict_semiring,
+    maximal_subgroups,
 )
 from natint.verify import _power_return_exponents
 
@@ -106,3 +123,169 @@ def test_quotient_return_exponents_match_brute_force(name):
             for i in range(1, cls.n)}
     assert _power_return_exponents(q) == want
     assert any(v is not None for v in want.values())
+
+
+# ----------------------------------------------------------------------
+# units and zero products
+
+# e is the identity; a∘b = e but b∘a = a, so neither a nor b has a
+# two-sided inverse, though a has a one-sided one.
+ONE_SIDED = {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "a",
+             ("b", "b"): "a"}
+
+
+def one_sided():
+    return FiniteStructure(
+        ["e", "a", "b"], name="one-sided",
+        mul=lambda x, y: y if x == "e" else x if y == "e" else ONE_SIDED[
+            x, y])
+
+
+def fact_structures():
+    yield from all_structures()
+    yield "one-sided", one_sided()
+
+
+def products(s, op):
+    """t[i][j] is the carrier index of x_i∘x_j, or None outside it."""
+    return [[s.index.get(s.apply(op, x, y)) for y in s.elements]
+            for x in s.elements]
+
+
+def identity(t):
+    """The first e with e∘x = x∘e = x for every x, or None."""
+    n = len(t)
+    return next((e for e in range(n)
+                 if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+
+
+def first_inverse(t, e, i, among):
+    """The first j of among with i∘j = j∘i = e, or None."""
+    return next((j for j in among if t[i][j] == e == t[j][i]), None)
+
+
+def first_zero_pair(t, z):
+    """The first (i, j) in C order, both nonzero, with i∘j = z."""
+    n = len(t)
+    return next(((i, j) for i in range(n) for j in range(n)
+                 if z not in (i, j) and t[i][j] == z), None)
+
+
+def s_zero_divisors(t, z):
+    """The quadruples of _s_zero_divisors: x <= y nonzero with xy = 0, and
+    the first a, b in C order outside {0, x, y} with xa = 0, yb = 0 and
+    ab != 0."""
+    n, out = len(t), []
+    for x in range(n):
+        for y in range(x, n):
+            if z in (x, y) or t[x][y] != z:
+                continue
+            a_set = [a for a in range(n)
+                     if a not in (z, x, y) and t[x][a] == z]
+            b_set = [b for b in range(n)
+                     if b not in (z, x, y) and t[y][b] == z]
+            hit = next(((a, b) for a in a_set for b in b_set
+                        if t[a][b] != z), None)
+            if hit is not None:
+                out.append((x, y) + hit)
+    return out
+
+
+@pytest.mark.parametrize("name,s", list(fact_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_units_and_zero_divisors_match_brute_force(name, s):
+    rep = find_special_elements(s, with_orders=False)
+    t = products(s, "mul")
+    every = range(s.n)
+    one = identity(t)
+    assert s.identity_index("mul") == one
+    inverses = [None if one is None else first_inverse(t, one, i, every)
+                for i in every]
+    assert rep["units"] == [{"x": s.label(i), "inverse": s.label(j)}
+                            for i, j in enumerate(inverses) if j is not None]
+    if one is None:
+        assert s.units() is None
+    else:
+        assert s.units().tolist() == [-1 if j is None else j
+                                      for j in inverses]
+
+    z = _zero_index(s)
+    zd = []
+    for i in every:
+        j = None if z in (None, i) else next(
+            (j for j in every if j != z and z in (t[i][j], t[j][i])), None)
+        if j is not None:
+            zd.append({"x": s.label(i), "witness": s.label(j)})
+    assert rep["zero_divisors"] == zd
+    assert rep["s_zero_divisors"] == ([] if z is None else [
+        dict(zip("xyab", s.labels(q))) for q in s_zero_divisors(t, z)])
+
+
+@pytest.mark.parametrize("name,s", list(fact_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_first_zero_pairs_match_brute_force(name, s):
+    z = _zero_index(s)
+    sf = semifield_verdict(s)
+    if z is None:
+        assert sf["has_zero_divisors"] is None
+    else:
+        hit = first_zero_pair(products(s, "mul"), z)
+        assert sf["has_zero_divisors"] == (hit is not None)
+        assert sf.get("zero_divisor_witness") == (
+            None if hit is None else s.labels(hit))
+
+    if not s.has_op("add"):
+        return
+    t = products(s, "add")
+    z = identity(t)
+    hit = None if z is None else first_zero_pair(t, z)
+    want = ((None if z is None else hit is None),
+            None if hit is None else tuple(s.labels(hit)))
+    assert is_strict_semiring(s) == want
+    assert sf.get("strict_counterexample") == (
+        None if hit is None else list(want[1]))
+
+
+@pytest.mark.parametrize("name,s", list(fact_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_maximal_subgroups_match_brute_force(name, s):
+    t = products(s, "mul")
+    want = []
+    for e in range(s.n):
+        if t[e][e] != e:
+            continue
+        corner = [x for x in range(s.n) if t[e][x] == x == t[x][e]]
+        members = [x for x in corner
+                   if first_inverse(t, e, x, corner) is not None]
+        want.append({"idempotent": s.label(e), "order": len(members),
+                     "members": s.labels(members)})
+    assert maximal_subgroups(s) == want
+
+
+def diagonal(spec):
+    s = build_carrier(spec)
+    return s.restrict([i for i, e in enumerate(s.elements)
+                       if e.is_degenerate])
+
+
+FIELD_CASES = {"N(Zn:5) diagonal": lambda: diagonal("N(Zn:5)"),
+               "N(Zn:6) diagonal": lambda: diagonal("N(Zn:6)"),
+               "N(Zn:7)": lambda: build_carrier("N(Zn:7)"),
+               "Poly(N(Zn:2),cyc=2)":
+                   lambda: build_carrier("Poly(N(Zn:2),cyc=2)")}
+
+
+@pytest.mark.parametrize("name", FIELD_CASES)
+def test_field_verdict_matches_brute_force(name):
+    """Past the ring and commutativity checks, a field is a structure in
+    which every nonzero element has an inverse."""
+    s = FIELD_CASES[name]()
+    ok, info = _field_verdict(s)
+    assert _ring_verdict(s)[0] and s.commutative("mul")[0]
+    t = products(s, "mul")
+    one, zero = identity(t), identity(products(s, "add"))
+    missing = next((i for i in range(s.n) if i != zero and first_inverse(
+        t, one, i, range(s.n)) is None), None)
+    assert ok == (missing is None)
+    assert info.get("witness") == (
+        None if missing is None else s.label(missing))
