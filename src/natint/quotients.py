@@ -501,7 +501,6 @@ class QuotientStructure:
         self.ideal = ideal
         self.kind = kind
         self._is_ideal = False
-        self._tables = {}
         self._memo = {}
         self._structure = None
         n = ambient.n
@@ -543,38 +542,33 @@ class QuotientStructure:
         return rep
 
     def class_table(self, op):
-        t = self._tables.get(op)
-        if t is None:
-            r = np.asarray(self.reps)
-            t = self.ambient._block(op, r, r, self.class_of)
-            self._tables[op] = t
-        return t
+        """The class table of op: the table of structure()."""
+        return self.structure().table(op)
 
     def structure(self):
-        """The classes as a FiniteStructure (tables prebuilt).  It
-        inherits the ambient's proven laws for the ops well defined on
-        the classes."""
+        """The classes as a FiniteStructure, a view of the ambient (reps,
+        class_of): its class tables are gathered when first asked for,
+        and, on more classes than one band holds, its identities,
+        characteristic and units are read off the ambient's without them
+        (FiniteStructure._reads_ambient).  It inherits the ambient's
+        proven laws for the ops well defined on the classes."""
         if self._structure is None:
             labels = [self.class_label(c) for c in range(self.n_classes)]
             pos = {lab: c for c, lab in enumerate(labels)}
-            tables = {"mul": self.class_table("mul")}
-            if self.ambient.has_op("add"):
-                tables["add"] = self.class_table("add")
 
             def mk(op):
-                tab = tables[op]
-
                 def fn(x, y):
-                    k = int(tab[pos[x], pos[y]])
+                    k = int(self._structure.table(op)[pos[x], pos[y]])
                     return labels[k] if k >= 0 else None
 
                 return fn
 
             self._structure = FiniteStructure(
                 labels, mul=mk("mul"),
-                add=mk("add") if "add" in tables else None,
+                add=mk("add") if self.ambient.has_op("add") else None,
                 name=f"{self.ambient.name}/{self.ideal.name}[{self.kind}]",
-                kind="quotient", tables=tables, ambient=self.ambient,
+                kind="quotient", ambient=self.ambient,
+                view=(np.asarray(self.reps), self.class_of),
                 congruent=lambda op: self.well_defined(op)[0])
         return self._structure
 

@@ -21,16 +21,17 @@ position in, or the end of, that walk.  The idempotents and the maximal
 subgroups are likewise found once per structure.
 
 Units are one remembered map too (FiniteStructure.units): each element's
-first two-sided inverse for the identity of mul, or -1 (_inverse_of).
+first two-sided inverse for the identity of mul, or -1 (_inverse_map).
 The unit list, the field verdict and the maximal subgroups read it, or
 _inverse_of on a corner of the table.  Zero divisors, S-zero-divisors
 and the first zero pair of the strict and semifield checks read one
 mask of the products of two nonzero elements that give zero
 (_zero_products), built fresh for each reader and never remembered: it
-is n x n bools, 7.6 MB on a 2757-class quotient.  inverses(op) keeps its
-own band scan, which stops at the first element without an inverse: on
-that quotient it finds one in about 4 ms, where the full map takes
-16-17 ms (2-core VM, numpy 2.4).
+is n x n bools, 7.6 MB on a 2757-class quotient.  The unit map and
+inverses(op) share one search (_inverse_bands): each element's first
+right inverse, kept when it is two-sided, since every two-sided inverse
+is a right inverse, and searched on only where it is not.  inverses(op)
+stops at the band of the first element without an inverse.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) reads each fact off its factors,
@@ -51,12 +52,35 @@ scanned, which yields the first counterexample (or inverse) in carrier
 order.  The factors need only the part tables, which are built before,
 and without, the carrier's n x n table.
 
+A block of a product carrier's table (the class tables of its quotients,
+the tables of its subsets, its non-lo-major n x n table) is gathered
+from the part tables (_factored_block): each part's row of results is
+gathered once over the block's columns, and the block is filled in
+bands of rows that stay in cache, one part code and one lookup per
+entry (_factored_bands).
+
+A quotient's classes are a view of its ambient (FiniteStructure's
+`view`): class i stands for the representative reps[i], and entry
+(i, j) is the class of reps[i] ∘ reps[j].  A view's table is gathered
+only when a fact needs all of it.  Until then a view whose table
+would not fit in one band reads what it needs off the ambient
+(_reads_ambient); a smaller one builds its table, which costs about
+one band.  Its identity search reads the diagonal, the first row and
+column, and the row and column of each candidate.  Its characteristic
+walks one column.  Its unit map and inverses verdict are searched in
+the ambient's bands (_inverse_bands), one band buffer at a time.  So
+the 2757-class Rees quotient of N(Z53) finds its characteristic and
+its 2704 units without its two 30 MB class tables.
+
 A substructure inherits these laws, and commutativity, from its
 ambient.  A subset closed under an operation is associative
-(distributive) when its ambient is, and any subset is commutative when
-its ambient is; so is a quotient by a congruence, an equivalence that the
-operations respect, because the class map is then a homomorphism onto
-it.  A law counts as proven on the ambient only when the ambient's memo
+(distributive) when its ambient is, and so is a quotient by a
+congruence, an equivalence that the operations respect, because the
+class map is then a homomorphism onto it.  Entry (i, j) of a subset's or
+a quotient's table is read off the ambient's entry for the
+representatives of i and j, so any table read from the ambient's
+representatives is commutative when the ambient is, congruence or not.
+A law counts as proven on the ambient only when the ambient's memo
 already holds a passing verdict or its factors pass (_proven); the
 ambient itself is never scanned for it.  A passing inherited verdict is
 (True, None), as a scan's would be.  When the ambient fails, or is not
@@ -92,6 +116,9 @@ SPAN_SEARCH_CAP = 256
 # Rows per band when a table is compared with its transpose; a band of
 # columns stays in cache while its rows are read.
 _BAND_ROWS = 64
+# Entries per band when a block is gathered from part tables; a band's
+# codes stay in cache between their sum and their lookup.
+_BAND_ENTRIES = 1 << 16
 
 
 def _once(method):
@@ -126,13 +153,19 @@ class FiniteStructure:
     given, is the structure whose operations this one's are read from (a
     subset or a quotient of it), whose proven laws it inherits;
     `congruent(op)`, when given, says whether op is well defined on the
-    classes of a quotient, and an op it rejects inherits nothing.
+    classes of a quotient, and an op it rejects inherits only
+    commutativity.  `view`, when given with the ambient, is (reps,
+    class_of): element i stands for the ambient element reps[i], and an
+    ambient product p is element class_of[p] (-1 for none).  A view's
+    tables are read off the ambient's (_block) when first asked for.
+    Until then a view larger than one band reads its blocks, bands and
+    entries off the ambient's without building them (_reads_ambient).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
                  parse_element=None, diag=None, tables=None, ambient=None,
-                 congruent=None):
+                 congruent=None, view=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -147,6 +180,7 @@ class FiniteStructure:
         self.diag = diag
         self.ambient = ambient
         self.congruent = congruent
+        self.view = view
         self._tables = dict(tables) if tables else {}
         self._memo = {}
 
@@ -192,8 +226,12 @@ class FiniteStructure:
         if t is not None:
             return t
         self.op_fn(op)  # raise MissingTable early
-        _refuse_table(self.n, op, TABLE_CAP if self.diag else PY_TABLE_CAP)
-        if self.diag is not None:
+        gathered = self.diag is not None or self.view is not None
+        _refuse_table(self.n, op, TABLE_CAP if gathered else PY_TABLE_CAP)
+        if self.view is not None:
+            reps, class_of = self.view
+            t = self.ambient._block(op, reps, reps, class_of)
+        elif self.diag is not None:
             t = factored_table(self._parts(op), self._coords())
         else:
             t = self._build_table(op)
@@ -238,18 +276,75 @@ class FiniteStructure:
                     for op, t in zip(ops, side)})
                 for side in zip(*parts)]
 
-    def _block(self, op, rows, cols, relabel):
+    def _block(self, op, rows, cols, relabel=None):
         """The entries rows x cols of op's table, each product p read as
-        relabel[p], and -1 (a product outside the carrier) as -1.  When
-        the table is not built, a product carrier composes the block from
-        its part tables (_factored_block), so no n x n table is built for
-        it."""
+        relabel[p] (as p when relabel is None), and -1 (a product outside
+        the carrier) as -1.  When the table is not built, a view reads the
+        block off its ambient's (_reads_ambient), and a product carrier
+        composes it from its part tables (_factored_block), so no n x n
+        table is built for either.  A built table is read along the
+        shorter index first."""
         t = self._tables.get(op)
+        if self._reads_ambient(op):
+            reps, class_of = self.view
+            if relabel is not None:
+                class_of = _relabel(class_of, relabel)
+            return self.ambient._block(op, reps[rows], reps[cols], class_of)
         if t is None and self.diag is not None:
             return _factored_block(self._parts(op), self._coords(), rows,
                                    cols, relabel)
-        return _relabel(self.table(op).take(rows, axis=0).take(cols, axis=1),
-                        relabel)
+        t = self.table(op)
+        if len(rows) <= len(cols):
+            block = t.take(rows, axis=0).take(cols, axis=1)
+        else:
+            block = t.take(cols, axis=1).take(rows, axis=0)
+        return block if relabel is None else _relabel(block, relabel)
+
+    def _reads_ambient(self, op):
+        """Are op's entries read off the ambient's?  A view's are while its
+        table is not built, unless the table would fit in one band of
+        _BAND_ENTRIES entries: building it then costs about one band, less
+        than the reads it saves."""
+        return (self.view is not None and op not in self._tables
+                and self.n * self.n > _BAND_ENTRIES)
+
+    def _bands(self, op):
+        """(lo, band) for each band of rows of op's table from row lo, in
+        order.  A view that reads off its ambient (_reads_ambient) reads
+        the bands off the ambient's without building either table
+        (_factored_bands on a product ambient), and each band may
+        overwrite the last, so a reader keeps nothing of a band it has
+        passed."""
+        if self._reads_ambient(op):
+            reps, class_of = self.view
+            amb = self.ambient
+            if op not in amb._tables and amb.diag is not None:
+                return _factored_bands(amb._parts(op), amb._coords(), reps,
+                                       reps, class_of)
+            return ((lo, amb._block(op, reps[lo:lo + _BAND_ROWS], reps,
+                                    class_of))
+                    for lo in range(0, self.n, _BAND_ROWS))
+        t = self.table(op)
+        return ((lo, t[lo:lo + _BAND_ROWS])
+                for lo in range(0, self.n, _BAND_ROWS))
+
+    def _pairs(self, op, rows, cols):
+        """The entries (rows[k], cols[k]) of op's table.  When the table
+        is not built, a view reads them off its ambient's entries
+        (_reads_ambient), and a product carrier looks up the code of each
+        pair of part results in `where`, as _factored_bands does for a
+        block."""
+        t = self._tables.get(op)
+        if self._reads_ambient(op):
+            reps, class_of = self.view
+            return _relabel(self.ambient._pairs(op, reps[rows], reps[cols]),
+                            class_of)
+        if t is None and self.diag is not None:
+            c, parts = self._coords(), self._parts(op)
+            code = parts[0][c.lo[rows], c.lo[cols]] * (len(parts[-1]) + 1)
+            code += parts[-1][c.hi[rows], c.hi[cols]]
+            return c.where[code]
+        return self.table(op)[rows, cols]
 
     def _by_factors(self, law, *ops):
         """Does law (closed, commutative, associative, inverses or
@@ -320,11 +415,15 @@ class FiniteStructure:
     @_once
     def commutative(self, op):
         """x∘y = y∘x.  A substructure passes when its ambient is proven
-        to, a product when its factors do; else the table is scanned in
-        bands of rows against the matching bands of columns above the
-        diagonal.  The first mismatch (i, j) in C order has j > i, since
-        its mirror (j, i) is a mismatch too, so row i's band finds it."""
-        if self._known("commutative", op):
+        to, whether or not op is a congruence, as its table is read from
+        the ambient's representatives (module docstring); a product passes
+        when its factors do.  Else the table is scanned in bands of rows
+        against the matching bands of columns above the diagonal.  The
+        first mismatch (i, j) in C order has j > i, since its mirror
+        (j, i) is a mismatch too, so row i's band finds it."""
+        if self._by_factors("commutative", op) or (
+                self.ambient is not None
+                and _proven(self.ambient, "commutative", op)):
             return True, None
         t = self.table(op)
         for lo in range(0, self.n, _BAND_ROWS):
@@ -351,17 +450,32 @@ class FiniteStructure:
 
     @_once
     def identity_index(self, op):
+        """The identity of op, or None.  e∘e = e, e∘0 = 0 and 0∘e = 0
+        leave few candidates, and each is checked against its row and its
+        column.  A view that reads off its ambient (_reads_ambient) reads
+        those entries (_pairs) without building its table."""
         if self._factors(op):
             return self._pair("identity_index", op)
-        t = self.table(op)
-        if not self.n:
+        n = self.n
+        if not n:
             return None
-        ar = np.arange(self.n)
-        # e∘e = e, e∘0 = 0 and 0∘e = 0 leave few candidates to verify.
-        cand = np.flatnonzero(
-            (np.diagonal(t) == ar) & (t[:, 0] == 0) & (t[0] == 0))
-        ok = ((t[cand] == ar).all(axis=1)
-              & (t[:, cand] == ar[:, None]).all(axis=0))
+        ar = np.arange(n)
+        if self._reads_ambient(op):
+            zero = np.zeros_like(ar)
+            diag, col0, row0 = self._pairs(
+                op, np.concatenate((ar, ar, zero)),
+                np.concatenate((ar, zero, ar))).reshape(3, n)
+            cand = np.flatnonzero((diag == ar) & (col0 == 0) & (row0 == 0))
+            at_cand, each = np.repeat(cand, n), np.tile(ar, len(cand))
+            row_col = self._pairs(op, np.concatenate((at_cand, each)),
+                                  np.concatenate((each, at_cand)))
+            ok = (row_col.reshape(2, len(cand), n) == ar).all(axis=(0, 2))
+        else:
+            t = self.table(op)
+            cand = np.flatnonzero(
+                (np.diagonal(t) == ar) & (t[:, 0] == 0) & (t[0] == 0))
+            ok = ((t[cand] == ar).all(axis=1)
+                  & (t[:, cand] == ar[:, None]).all(axis=0))
         return int(cand[ok][0]) if ok.any() else None
 
     @_once
@@ -381,18 +495,17 @@ class FiniteStructure:
 
     @_once
     def inverses(self, op):
-        """Does every element have a two-sided inverse for the identity?"""
+        """Does every element have a two-sided inverse for the identity?
+        The search stops at the band of the first element without one
+        (_inverse_bands)."""
         e = self.identity_index(op)
         if e is None:
             return None, None
         if self._by_factors("inverses", op):
             return True, None
-        m = (self.table(op) == e)
-        for lo in range(0, self.n, _BAND_ROWS):
-            hi = lo + _BAND_ROWS
-            have = (m[lo:hi] & m[:, lo:hi].T).any(axis=1)
-            if not have.all():
-                return False, lo + int(np.argmin(have))
+        for lo, inv in _inverse_bands(self, op, e):
+            if (inv < 0).any():
+                return False, lo + int(np.argmin(inv))
         return True, None
 
     @_once
@@ -464,7 +577,7 @@ class FiniteStructure:
         one = self.identity_index("mul")
         if one is None:
             return None
-        inv = _inverse_of(self.table("mul"), one)
+        inv = _inverse_map(self, "mul", one)
         inv.flags.writeable = False
         return inv
 
@@ -477,17 +590,19 @@ class FiniteStructure:
                      .tolist())
 
     def characteristic(self):
-        """Least k >= 1 with k-fold sum of the identity zero; 0 if none."""
+        """Least k >= 1 with k-fold sum of the identity zero; 0 if none.
+        The walk reads one column of the add table (_pairs)."""
         one = self.identity_index("mul")
         zero = self.identity_index("add")
         if one is None or zero is None:
             return None
-        t = self.table("add")
+        plus_one = self._pairs("add", np.arange(self.n),
+                               np.full(self.n, one))
         acc = one
         for k in range(1, self.n + 1):
             if acc == zero:
                 return k
-            acc = int(t[acc, one])
+            acc = int(plus_one[acc])
         return 0
 
 
@@ -568,28 +683,48 @@ def factored_table(parts, coords):
     if coords.lo_major:
         return _lo_major_table(parts[0], parts[-1])
     every = np.arange(len(coords.lo))
-    return coords.where[_part_codes(parts, coords, every, every)]
+    return _factored_block(parts, coords, every, every)
 
 
-def _factored_block(parts, coords, rows, cols, relabel):
+def _factored_block(parts, coords, rows, cols, relabel=None):
     """The block rows x cols of the table factored_table composes, each
-    product p read as relabel[p], gathered from the part tables without
-    composing the carrier's table: one code per entry, looked up in
-    `where` relabeled."""
-    return _relabel(coords.where, relabel)[
-        _part_codes(parts, coords, rows, cols)]
+    product p read as relabel[p] (as p when relabel is None), gathered
+    from the part tables without composing the carrier's table, band by
+    band (_factored_bands)."""
+    out = np.empty((len(rows), len(cols)), dtype=np.int32)
+    for _ in _factored_bands(parts, coords, rows, cols, relabel, out):
+        pass
+    return out
 
 
-def _part_codes(parts, coords, rows, cols):
-    """The code of each pair of part results, for the products of the
-    elements rows x cols.  Rows that share a part share that part's row
-    of results, so each part's row is gathered once over cols and then
-    copied whole to the rows that have that part."""
+def _factored_bands(parts, coords, rows, cols, relabel=None, out=None):
+    """(start, band) for each band of rows of the block _factored_block
+    gathers, from its row start, in order: written into out[start:] when
+    out is given, else into one buffer that each band overwrites.
+
+    Rows that share a part share that part's row of results, so each lo
+    part's row is gathered once over cols, pre-scaled to its share of
+    the code, and so is each hi part's.  A band holds about _BAND_ENTRIES
+    entries, which stay in cache: its codes are its rows of the two
+    gathers summed, looked up in `where` relabeled straight into it."""
     lo, hi = coords.lo, coords.hi
-    code = parts[0].take(lo[cols], axis=1).take(lo[rows], axis=0)
-    code *= len(parts[-1]) + 1
-    code += parts[-1].take(hi[cols], axis=1).take(hi[rows], axis=0)
-    return code
+    lo_rows = parts[0].take(lo[cols], axis=1)
+    lo_rows *= len(parts[-1]) + 1
+    hi_rows = parts[-1].take(hi[cols], axis=1)
+    lo_of, hi_of = lo[rows], hi[rows]
+    where = coords.where
+    if relabel is not None:
+        where = _relabel(where, relabel)
+    band = max(1, _BAND_ENTRIES // max(1, len(cols)))
+    buf = None if out is not None else np.empty(
+        (min(band, len(rows)), len(cols)), dtype=np.int32)
+    for start in range(0, len(rows), band):
+        stop = start + band
+        codes = lo_rows.take(lo_of[start:stop], axis=0)
+        codes += hi_rows.take(hi_of[start:stop], axis=0)
+        dest = out[start:stop] if buf is None else buf[:len(codes)]
+        where.take(codes, out=dest)
+        yield start, dest
 
 
 def _lo_major_table(lo_table, hi_table):
@@ -637,16 +772,44 @@ def _relabel(table, relabel):
 
 
 def _inverse_of(t, e):
-    """Entry i: the first j in carrier order with t[i, j] == t[j, i] == e,
-    or -1 when there is none.  As in inverses, the mask t == e is read a
-    band of rows at a time against the matching band of columns."""
-    m = (t == e)
-    inv = np.full(len(t), -1, dtype=np.intp)
-    for lo in range(0, len(t), _BAND_ROWS):
-        hi = lo + _BAND_ROWS
-        both = m[lo:hi] & m[:, lo:hi].T
-        inv[lo:hi] = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+    """_inverse_map on a caller's table t, such as a corner of a larger
+    one whose entries are compared with e as they stand."""
+    return _inverse_map(FiniteStructure(range(len(t)), tables={"mul": t}),
+                        "mul", e)
+
+
+def _inverse_map(s, op, e):
+    """Entry i: the first j in carrier order with i∘j == j∘i == e under
+    op, or -1 when there is none (_inverse_bands)."""
+    inv = np.empty(s.n, dtype=np.intp)
+    for lo, band in _inverse_bands(s, op, e):
+        inv[lo:lo + len(band)] = band
     return inv
+
+
+def _inverse_bands(s, op, e):
+    """(lo, inv) for each band of rows of op's table from lo, in order
+    (FiniteStructure._bands): inv[k] is the first two-sided inverse of
+    row lo + k for the identity e, or -1.  Each row's first right inverse
+    (i∘j == e) is taken first.  Every two-sided inverse is a right
+    inverse, so where that one is two-sided it is the first, and a row
+    without one has none; only the rows whose first right inverse is
+    one-sided are searched on, against their columns.  A view that reads
+    off its ambient (_reads_ambient) is searched without building its
+    table."""
+    for lo, band in s._bands(op):
+        right = band == e
+        inv = right.argmax(axis=1)
+        rows = np.arange(lo, lo + len(inv))
+        found = right[rows - lo, inv]
+        one_sided = found & (s._pairs(op, inv, rows) != e)
+        inv[~found] = -1
+        if one_sided.any():
+            on = np.flatnonzero(one_sided)
+            cols = s._block(op, np.arange(s.n), rows[on])
+            both = right[on] & (cols == e).T
+            inv[on] = np.where(both.any(axis=1), both.argmax(axis=1), -1)
+        yield lo, inv
 
 
 def _zero_products(t, z):

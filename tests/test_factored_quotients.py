@@ -133,3 +133,156 @@ def test_product_ideals_build_no_carrier_table(monkeypatch, capsys, argv,
     monkeypatch.setattr(structures, "factored_table", refuse)
     assert cli.main(argv) == code
     assert capsys.readouterr().out
+
+
+# ----------------------------------------------------------------------
+# blocks composed in bands
+
+# lo-major full products (N(D)), full products that are not lo-major
+# (Mat, Poly), and a subset that is no full product
+BAND_CARRIERS = ("N(Zn:4,c)", "N(Zn:6)", "N(Zn:5,o)", "Mat(1,2,N(Zn:2))",
+                 "Mat(2,1,N(Zn:2))", "Poly(N(Zn:2),cyc=2)",
+                 "Sub{[0,0],[1,1],[3,3],[1,2],[2,0]} of N(Zn:4)")
+
+
+def built_twin(s):
+    """s with no product form, its tables built one pair at a time."""
+    twin = FiniteStructure(s.elements, mul=s.mul_fn, add=s.add_fn)
+    for op in ("add", "mul"):
+        twin.table(op)
+    return twin
+
+
+def blocks(s, spec):
+    """(op, rows, cols, relabel) for the class tables of both quotient
+    kinds by every ideal of s, the tables restrict reads, and empty rows
+    and columns."""
+    every = np.arange(s.n)
+    ident = every.astype(np.int32)
+    try:
+        ideals = enumerate_ideals(build_carrier(spec))
+    except NotAnIdeal:  # the subset's addition is no group
+        ideals = []
+    for op in ("add", "mul"):
+        for ideal in ideals:
+            for make in KINDS.values():
+                q = make(s, Ideal(s, ideal.indices, name="J"))
+                r = np.asarray(q.reps)
+                yield op, r, r, q.class_of
+            rows = np.asarray(ideal.indices)
+            relabel = np.full(s.n, -1, dtype=np.int32)
+            relabel[rows] = np.arange(len(rows))
+            yield op, rows, rows, relabel
+        yield op, every[:0], every, ident
+        yield op, every, every[:0], ident
+        yield op, every[::-1], every, ident
+
+
+@pytest.mark.parametrize("band_rows", (1, 2, 3))
+@pytest.mark.parametrize("spec", BAND_CARRIERS)
+def test_banded_blocks_match_the_built_table(monkeypatch, spec, band_rows):
+    # bands of 2 or 3 rows split the runs of rows that share a part, and
+    # the last band of an odd number of rows is partial
+    twin = built_twin(build_carrier(spec))
+    s = build_carrier(spec)
+    for op, rows, cols, relabel in blocks(s, spec):
+        monkeypatch.setattr(structures, "_BAND_ENTRIES",
+                            band_rows * len(cols))
+        got = s._block(op, rows, cols, relabel)
+        want = structures._relabel(
+            twin.table(op).take(rows, axis=0).take(cols, axis=1), relabel)
+        assert got.dtype == np.int32 and got.shape == want.shape
+        assert np.array_equal(got, want), (op, rows, cols)
+    assert not s._tables
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * s.n)
+    for op in ("add", "mul"):
+        got = structures.factored_table(s._parts(op), s._coords())
+        assert np.array_equal(got, twin.table(op)), op
+    odd = list(range(s.n - 1, -1, -2))
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * len(odd))
+    sub, twin_sub = s.restrict(odd), twin.restrict(odd)
+    for op in ("add", "mul"):
+        assert np.array_equal(sub.table(op), twin_sub.table(op)), op
+
+
+def test_band_carriers_cover_every_composer_path():
+    coords = [build_carrier(spec)._coords() for spec in BAND_CARRIERS]
+    assert {(c.lo_major, c.grid is not None) for c in coords} == {
+        (True, True), (False, True), (False, False)}
+
+
+VIEW_CARRIERS = ("N(Zn:6)", "N(Zn:5,o)", "N(ZnI:4)", "Mat(1,2,N(Zn:2))",
+                 NO_UNITY)
+
+
+def view_facts(s):
+    return ([s.identity_index(op) for op in ("add", "mul")],
+            s.characteristic(), None if s.units() is None else
+            s.units().tolist(), [s.inverses(op) for op in ("add", "mul")])
+
+
+@pytest.mark.parametrize("band_rows", (1, 3))
+@pytest.mark.parametrize("spec", VIEW_CARRIERS)
+def test_quotient_views_read_facts_off_the_ambient(monkeypatch, spec,
+                                                  band_rows):
+    # identities, characteristic, units and inverses of the classes, read
+    # in bands off the ambient, match a twin holding the built class
+    # tables; where the ambient has both identities, no class table is
+    # built for them unless it fits in one band
+    s = build_carrier(spec)
+    amb_twin = built_twin(build_carrier(spec))
+    has_units = all(s.identity_index(op) is not None for op in ("add", "mul"))
+    for ideal in enumerate_ideals(s):
+        for make in KINDS.values():
+            cls = make(s, Ideal(s, ideal.indices, name="J")).structure()
+            reps, class_of = cls.view
+            twin = FiniteStructure(cls.elements, tables={
+                op: structures._relabel(amb_twin.table(op).take(
+                    reps, axis=0).take(reps, axis=1), class_of)
+                for op in ("add", "mul")})
+            monkeypatch.setattr(structures, "_BAND_ENTRIES",
+                                band_rows * cls.n)
+            assert view_facts(cls) == view_facts(twin), cls.name
+            if has_units:
+                small = cls.n * cls.n <= structures._BAND_ENTRIES
+                assert bool(cls._tables) == small, cls.name
+
+
+@pytest.mark.parametrize("subset,identity", (
+    # in Z6 x Z6, (3,3) is the identity of {0,3} x {0,3}: the ambient's
+    # identity is no element of it, and [0,0], [0,3] and [3,0] are
+    # candidates (idempotents that 0 absorbs) that their rows refute
+    (("[0,0]", "[0,3]", "[3,0]", "[3,3]"), 3),
+    (("[0,0]", "[2,2]", "[4,4]", "[3,3]"), None),
+    (("[0,0]", "[1,1]", "[5,5]"), 1)))
+def test_a_view_finds_its_identity_without_its_table(monkeypatch, subset,
+                                                    identity):
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", 1)
+    s = build_carrier("N(Zn:6)")
+    rows = np.array([s.index[s.parse_element(x)] for x in subset])
+    class_of = np.full(s.n, -1, dtype=np.int32)
+    class_of[rows] = np.arange(len(rows))
+    view = FiniteStructure(range(len(rows)), mul=s.mul_fn, ambient=s,
+                           view=(rows, class_of))
+    assert view.identity_index("mul") == identity
+    assert not view._tables
+    assert s.restrict(rows).identity_index("mul") == identity
+
+
+def test_factored_bands_fill_the_block_band_by_band(monkeypatch):
+    s = build_carrier("Mat(1,2,N(Zn:2))")
+    every = np.arange(s.n)
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", 3 * s.n)
+    want = structures._factored_block(s._parts("mul"), s._coords(), every,
+                                      every)
+    got = [(start, band.copy()) for start, band in structures._factored_bands(
+        s._parts("mul"), s._coords(), every, every)]
+    assert [start for start, _ in got] == list(range(0, s.n, 3))
+    assert np.array_equal(np.concatenate([band for _, band in got]), want)
+
+
+def test_product_characteristic_reads_one_column_of_the_parts():
+    s = build_carrier("N(Zn:6)")
+    assert s.characteristic() == 6
+    assert not s._tables
+    assert built_twin(s).characteristic() == 6

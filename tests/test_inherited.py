@@ -12,6 +12,7 @@ well_defined verdict is compared with a quotient built without is_ideal,
 to which the lemma does not apply.
 """
 
+import itertools
 import operator
 
 import pytest
@@ -100,6 +101,55 @@ def test_s_ring_spans_match_the_scan(monkeypatch, spec):
     assert len(spans) > 10
     for sub in spans:
         assert verdicts(sub) == verdicts(scan_twin(sub)), sub.elements
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_AMBIENTS)
+def test_rees_add_commutativity_needs_no_scan(monkeypatch, spec):
+    """A class table is read from the ambient's representatives, so the
+    rees classes' addition is commutative when the ambient's is proven
+    to be, though it is no congruence."""
+    s = build_carrier(spec)
+    assert structures._proven(s, "commutative", "add")
+    first_true = structures._first_true
+    congruent = set()
+
+    def refuse(mask):
+        raise AssertionError("the classes' add table was scanned")
+
+    for ideal in enumerate_ideals(s):
+        q = rees_quotient(s, Ideal(s, ideal.indices, name="J"))
+        cls = q.structure()
+        want = scan_twin(cls).commutative("add")
+        monkeypatch.setattr(structures, "_first_true", refuse)
+        assert cls.commutative("add") == want == (True, None)
+        monkeypatch.setattr(structures, "_first_true", first_true)
+        congruent.add(q.well_defined("add")[0])
+    assert False in congruent
+
+
+# S3 under composition as the addition, with every product the identity
+# (0, 1, 2): each subgroup is an ideal, and the addition of the rees
+# quotient by {(0, 1, 2)} is S3's again, not commutative.
+PERMUTATIONS = sorted(itertools.permutations(range(3)))
+SUBGROUPS = ([0], [0, 1], [0, 3, 4], list(range(6)))
+
+
+def _s3():
+    return FiniteStructure(
+        PERMUTATIONS, mul=lambda x, y: PERMUTATIONS[0],
+        add=lambda x, y: tuple(x[i] for i in y))
+
+
+def test_a_non_commutative_ambient_is_scanned():
+    s = _s3()
+    for _ in range(2):  # the ambient's memo empty, then holding a failure
+        got = []
+        for indices in SUBGROUPS:
+            cls = rees_quotient(s, Ideal(s, indices, name="J")).structure()
+            got.append(cls.commutative("add"))
+            assert got[-1] == scan_twin(cls).commutative("add"), indices
+        assert got[0] == s.commutative("add") == (False, (1, 2))
+        assert (True, None) in got
 
 
 # Caller-built multiplications on Z12.  x*y*h with h = 2 on the upper

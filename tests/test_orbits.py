@@ -9,15 +9,19 @@ n+1 of them, and stops at the first power outside the carrier.  Among
 n+1 powers of an element of an n-element carrier one repeats, and the
 sequence is periodic from there, so every fact below shows within them.
 
-Units and their inverses, maximal subgroups and the field verdict come
-from FiniteStructure.units and _inverse_of; zero divisors,
+Units and their inverses, each op's inverses verdict, maximal subgroups
+and the field verdict come from one search for each element's first
+two-sided inverse (_inverse_bands, read by FiniteStructure.units and
+.inverses and by _inverse_of); zero divisors,
 S-zero-divisors and the first zero pair of a strict or semifield check
 from _zero_products.  Their reference here is a table of products, each
 taken with s.apply, searched pair by pair in carrier order.
 """
 
+import numpy as np
 import pytest
 
+from natint import structures
 from natint.carriers import build_carrier
 from natint.quotients import (
     parse_ideal_spec,
@@ -29,6 +33,7 @@ from natint.structures import (
     FiniteStructure,
     _additive_span,
     _field_verdict,
+    _inverse_of,
     _ring_verdict,
     _zero_index,
     find_special_elements,
@@ -141,9 +146,24 @@ def one_sided():
             x, y])
 
 
+# e is the identity.  a's first right inverse b is one-sided (b∘a = b) and
+# its next one, c, is two-sided; d's only right inverse, b, is one-sided
+# (b∘d = b), so d has no inverse; b has no right inverse at all.
+RIGHT_INVERSES = {("a", "b"): "e", ("a", "c"): "e", ("c", "a"): "e",
+                  ("d", "b"): "e"}
+
+
+def right_inverses():
+    return FiniteStructure(
+        ["e", "a", "b", "c", "d"], name="right-inverses",
+        mul=lambda x, y: y if x == "e" else x if y == "e" else
+        RIGHT_INVERSES.get((x, y), x))
+
+
 def fact_structures():
     yield from all_structures()
     yield "one-sided", one_sided()
+    yield "right-inverses", right_inverses()
 
 
 def products(s, op):
@@ -162,6 +182,12 @@ def identity(t):
 def first_inverse(t, e, i, among):
     """The first j of among with i∘j = j∘i = e, or None."""
     return next((j for j in among if t[i][j] == e == t[j][i]), None)
+
+
+def first_missing_inverse(t, e):
+    """The first i with no two-sided inverse for e, or None."""
+    return next((i for i in range(len(t))
+                 if first_inverse(t, e, i, range(len(t))) is None), None)
 
 
 def first_zero_pair(t, z):
@@ -219,6 +245,37 @@ def test_units_and_zero_divisors_match_brute_force(name, s):
     assert rep["zero_divisors"] == zd
     assert rep["s_zero_divisors"] == ([] if z is None else [
         dict(zip("xyab", s.labels(q))) for q in s_zero_divisors(t, z)])
+
+
+@pytest.mark.parametrize("name,s", list(fact_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_inverses_match_brute_force(name, s):
+    for op in ("add", "mul"):
+        if not s.has_op(op):
+            continue
+        t = products(s, op)
+        e = identity(t)
+        assert s.identity_index(op) == e
+        if e is None:
+            assert s.inverses(op) == (None, None)
+            continue
+        missing = first_missing_inverse(t, e)
+        assert s.inverses(op) == (missing is None, missing), op
+
+
+@pytest.mark.parametrize("band_rows", (1, 2, 64))
+def test_first_two_sided_inverse_follows_a_one_sided_one(monkeypatch,
+                                                          band_rows):
+    monkeypatch.setattr(structures, "_BAND_ROWS", band_rows)
+    s = right_inverses()
+    assert s.units().tolist() == [0, 3, -1, 1, -1]
+    assert s.inverses("mul") == (False, 2)
+    t = s.table("mul")
+    assert _inverse_of(t, 0).tolist() == [0, 3, -1, 1, -1]
+    # without b, d is the first element with no inverse
+    keep = [0, 1, 3, 4]
+    assert s.restrict(keep).inverses("mul") == (False, 3)
+    assert _inverse_of(t[np.ix_(keep, keep)], 0).tolist() == [0, 2, 1, -1]
 
 
 @pytest.mark.parametrize("name,s", list(fact_structures()),
