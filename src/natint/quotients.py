@@ -541,6 +541,11 @@ class QuotientStructure:
             return f"{rep}+{self.ideal.name}"
         return rep
 
+    @_once
+    def class_labels(self):
+        """The label of every class, formatted once per quotient."""
+        return [self.class_label(c) for c in range(self.n_classes)]
+
     def class_table(self, op):
         """The class table of op: the table of structure()."""
         return self.structure().table(op)
@@ -553,7 +558,7 @@ class QuotientStructure:
         (FiniteStructure._reads_ambient).  It inherits the ambient's
         proven laws for the ops well defined on the classes."""
         if self._structure is None:
-            labels = [self.class_label(c) for c in range(self.n_classes)]
+            labels = self.class_labels()
             pos = {lab: c for c, lab in enumerate(labels)}
 
             def mk(op):
@@ -657,7 +662,7 @@ def _ideal_quotient(s, ideal, kind):
     if not ok:
         raise NotAnIdeal(f"{ideal.name}: {info['reason']}")
     q = QuotientStructure(s, ideal, kind)
-    if ideal.name in map(q.class_label, range(1, q.n_classes)):
+    if ideal.name in q.class_labels()[1:]:
         raise ParseError(
             f"ideal name {ideal.name!r} is also the label of a class the "
             f"quotient keeps; give the ideal another name=")

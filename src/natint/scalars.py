@@ -215,11 +215,17 @@ class RatDomain(Domain):
     def neg(self, x):
         return -x
 
+    # An int operand is wrapped so that it divides exactly, never to a
+    # float; a Fraction is divided as it is.
     def inv(self, x):
-        return None if x == 0 else 1 / Fraction(x)
+        if x == 0:
+            return None
+        return 1 / (x if isinstance(x, Fraction) else Fraction(x))
 
     def div(self, x, y):
-        return None if y == 0 else Fraction(x) / y
+        if y == 0:
+            return None
+        return (x if isinstance(x, Fraction) else Fraction(x)) / y
 
     def lt(self, x, y):
         return x < y

@@ -1108,24 +1108,74 @@ def find_special_elements(s, with_orders=True):
 def _s_zero_divisors(s, m):
     """Witnessed quadruples: x,y nonzero, xy=0, and a,b outside {0,x,y}
     with xa=0, yb=0 but ab != 0, read off mul's _zero_products mask m.
-    Pairs reported once with x <= y."""
+    Pairs reported once with x <= y, each with its first a and then its
+    first b in carrier order.
+
+    One packed search per x, with no BLAS.  The rows of m are packed once
+    into 64-bit words, and their complement gives the rows of ~m.  For x,
+    the candidates a are ann(x) without x, and each y >= x of ann(x) has
+    the word row B_y: row y of m with columns x and y cleared.
+    (a, y) has a witness b exactly when ~m[a] & B_y has a set bit; a = y
+    never has one, as ~m[y] & m[y] is empty.  The OR of the candidates'
+    rows drops every y without a witness at once.  The other ys find
+    their first a in blocks of candidates, each about _BAND_ENTRIES words
+    against the ys still open, and nearly all of them in the first block.
+    Their first b is the lowest set bit of ~m[a] & B_y.
+    """
+    labels = s._labels()
+    n = s.n
+    clear = ~(np.uint64(1) << (np.arange(n) & 63).astype(np.uint64))
+    zero_rows = _packed_rows(m)
+    # the padding bits of ~m's words are set, and every B_y's are clear
+    notm = ~zero_rows
+    zero_rows[np.arange(n), np.arange(n) >> 6] &= clear
+    words = notm.shape[1]
+    xs, cols = np.nonzero(m)
+    ends = np.cumsum(np.bincount(xs, minlength=n)).tolist()
     out = []
-    ann = [np.flatnonzero(row) for row in m]
-    # ann[i] without i itself
-    rest = [a[a != i] for i, a in enumerate(ann)]
-    for x, ys in enumerate(ann):
-        for y in ys[ys >= x].tolist():
-            a_set = rest[x][rest[x] != y]
-            b_set = rest[y][rest[y] != x]
-            if not a_set.size or not b_set.size:
-                continue
-            hit = _first_true(~m.take(a_set, axis=0).take(b_set, axis=1))
-            if hit is not None:
-                ai, bi = hit
-                out.append({"x": s.label(x), "y": s.label(y),
-                            "a": s.label(int(a_set[ai])),
-                            "b": s.label(int(b_set[bi]))})
+    for x, start, end in zip(range(n), [0] + ends, ends):
+        ann = cols[start:end]
+        k = int(ann.searchsorted(x))
+        if k == len(ann):
+            continue
+        ys = ann[k:]
+        cand = notm.take(ann, axis=0)
+        if ann[k] == x:
+            cand[k] = 0
+        b = zero_rows.take(ys, axis=0)
+        b[:, x >> 6] &= clear[x]
+        # y has a witness exactly when some a's row of ~m meets B_y
+        hit = np.flatnonzero((b & np.bitwise_or.reduce(cand)).any(axis=1))
+        if not hit.size:
+            continue
+        ys, b = ys[hit], b[hit]
+        first = np.empty(len(ys), np.intp)
+        todo = np.arange(len(ys))
+        lo = 0
+        while todo.size:
+            step = max(1, _BAND_ENTRIES // (len(todo) * words))
+            valid = (cand[lo:lo + step, None] & b[None, todo]).any(axis=2)
+            found = valid.any(axis=0)
+            first[todo[found]] = lo + valid.argmax(axis=0)[found]
+            todo = todo[~found]
+            lo += step
+        a = ann[first]
+        w = (notm[a] & b).astype("<u8", copy=False).view(np.uint8)
+        bit = np.unpackbits(w, axis=1, bitorder="little").argmax(axis=1)
+        out.extend({"x": labels[x], "y": labels[y], "a": labels[ai],
+                    "b": labels[bi]}
+                   for y, ai, bi in zip(ys.tolist(), a.tolist(),
+                                        bit.tolist()))
     return out
+
+
+def _packed_rows(mask):
+    """The rows of a bool mask packed into 64-bit words: column c is bit
+    c % 64 of word c // 64, and the bits past the last column are 0."""
+    k, n = mask.shape
+    out = np.zeros((k, -(-n // 64) * 8), np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(mask, axis=1, bitorder="little")
+    return out.view("<u8")
 
 
 def _element_orders(s, one, zero):

@@ -285,3 +285,23 @@ def test_rees_quotient_refuses_a_name_it_keeps_as_a_label():
         # standard cosets are labelled "<rep>+I", never "I"
         assert standard_quotient(s, ideal).structure().elements[0] == "I"
     assert clashes == 8
+
+
+@pytest.mark.parametrize("spec,ideal", [("N(Zn:6)", "col-zero"),
+                                        ("N(Zn:12,o)", "diag-multiples:2")])
+def test_an_ideal_named_as_a_kept_class_is_refused_with_its_message(spec,
+                                                                     ideal):
+    """name= equal to any kept class label, first or last, is refused with
+    the same message; the ideal's own name is no clash."""
+    s = build_carrier(spec)
+    idx = parse_ideal_spec(s, ideal).indices
+    kept = rees_quotient(s, Ideal(s, idx, name="J")).class_labels()[1:]
+    assert kept == s.labels(sorted(set(range(s.n)) - set(idx)))
+    for name in (kept[0], kept[-1]):
+        with pytest.raises(ParseError) as err:
+            rees_quotient(s, Ideal(s, idx, name=name))
+        assert str(err.value) == (
+            f"ideal name {name!r} is also the label of a class the quotient "
+            f"keeps; give the ideal another name=")
+    assert rees_quotient(s, Ideal(s, idx, name=ideal)).class_labels()[0] == (
+        ideal)

@@ -48,13 +48,20 @@ CARRIERS = ([f"N(Zn:{k})" for k in range(2, 11)]
                "Poly(N(Zn:2),cyc=2)",
                # 1+1 = 2 and 3+3 = 2 leave the subset.
                "Sub{[0,0],[1,1],[3,3]} of N(Zn:4)"])
-QUOTIENTS = {"rees col-zero": (rees_quotient, "col-zero"),
-             "standard gen{[2,2]}": (standard_quotient, "gen{[2,2]}")}
+# (kind, ambient, ideal); the Rees quotients of N(Zn:12) have many zero
+# products, and only the one by col-zero has S-zero-divisors.
+QUOTIENTS = {"rees col-zero": (rees_quotient, "N(Zn:6)", "col-zero"),
+             "standard gen{[2,2]}": (standard_quotient, "N(Zn:6)",
+                                     "gen{[2,2]}"),
+             "rees N(Zn:12) col-zero": (rees_quotient, "N(Zn:12)",
+                                        "col-zero"),
+             "rees N(Zn:12) diag-multiples:2": (rees_quotient, "N(Zn:12)",
+                                                "diag-multiples:2")}
 
 
 def quotient(name):
-    make, ideal = QUOTIENTS[name]
-    s = build_carrier("N(Zn:6)")
+    make, spec, ideal = QUOTIENTS[name]
+    s = build_carrier(spec)
     return make(s, parse_ideal_spec(s, ideal))
 
 
@@ -245,6 +252,40 @@ def test_units_and_zero_divisors_match_brute_force(name, s):
     assert rep["zero_divisors"] == zd
     assert rep["s_zero_divisors"] == ([] if z is None else [
         dict(zip("xyab", s.labels(q))) for q in s_zero_divisors(t, z)])
+
+
+def random_zero_table(n, seed):
+    """A mul table on n elements with an absorbing zero z > 0, products
+    outside the carrier (-1), and a share of zero products drawn from
+    sparse to dense; it is not commutative."""
+    rng = np.random.default_rng(seed)
+    z = int(rng.integers(1, n))
+    t = rng.integers(0, n, (n, n))
+    t[rng.random((n, n)) < rng.uniform(0.05, 0.95)] = z
+    t[rng.random((n, n)) < 0.05] = -1
+    t[(z + 1) % n, (z + 2) % n] = -1
+    t[z] = t[:, z] = z
+    return t, z
+
+
+# Around the byte and 64-bit word boundaries of the packed rows; one row
+# per block of candidates when the band holds a single entry.
+@pytest.mark.parametrize("band", (None, 1))
+@pytest.mark.parametrize("n", (7, 8, 9, 63, 64, 65, 129))
+def test_s_zero_divisors_of_random_tables_match_brute_force(monkeypatch, n,
+                                                            band):
+    if band is not None:
+        monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
+    found = 0
+    for seed in range(3):
+        t, z = random_zero_table(n, 1000 * n + seed)
+        assert (t != t.T).any() and (t == -1).any()
+        s = FiniteStructure(range(n), tables={"mul": t})
+        got = structures._s_zero_divisors(s, structures._zero_products(t, z))
+        assert got == [dict(zip("xyab", s.labels(q)))
+                       for q in s_zero_divisors(t.tolist(), z)]
+        found += len(got)
+    assert found
 
 
 @pytest.mark.parametrize("name,s", list(fact_structures()),

@@ -60,6 +60,25 @@ def test_rationals_stay_exact():
     assert Q.div(Fraction(1), Fraction(7)) == Fraction(1, 7)
 
 
+@pytest.mark.parametrize("x,y,quotient", [
+    (Fraction(3, 7), Fraction(-5, 11), Fraction(-33, 35)),
+    (Fraction(3, 7), 2, Fraction(3, 14)),
+    (3, Fraction(1, 2), Fraction(6)),
+    (3, 2, Fraction(3, 2)),
+    (-1, 3, Fraction(-1, 3)),
+    (0, 5, Fraction(0)),
+])
+def test_rational_division_is_exact_on_fractions_and_ints(x, y, quotient):
+    """A Fraction operand is divided as it is, an int one is wrapped: both
+    give a Fraction, never a float."""
+    got = Q.div(x, y)
+    assert got == quotient and type(got) is Fraction
+    assert Q.div(x, 0) is None and Q.div(x, Fraction(0)) is None
+    inv = Q.inv(y)
+    assert inv == 1 / Fraction(y) and type(inv) is Fraction
+    assert Q.inv(0) is None and Q.inv(Fraction(0)) is None
+
+
 def test_mod_arithmetic_and_units():
     d = Mod(12)
     assert d.size == 12
