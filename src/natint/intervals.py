@@ -179,7 +179,8 @@ class NaturalInterval:
         return (isinstance(other, NaturalInterval)
                 and self.lo == other.lo and self.hi == other.hi
                 and self.flavor is other.flavor
-                and self.domain == other.domain)
+                and (self.domain is other.domain
+                     or self.domain == other.domain))
 
     def __hash__(self):
         h = self._hash

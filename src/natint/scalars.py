@@ -28,6 +28,23 @@ _PURE_NEUTRO_RE = re.compile(r"^(?P<b>[+-]?[\d/.]*)I$")
 _MIXED_NEUTRO_RE = re.compile(r"^(?P<a>[+-]?[\d/.]+)(?P<sign>[+-])(?P<b>[\d/.]*)I$")
 
 
+def _rand_below(rng, n):
+    """A draw from range(n), equal to ``rng.randrange(n)`` draw for draw.
+
+    ``rng`` is a ``random.Random``.  Its ``randrange`` checks and
+    converts its arguments, then runs this same loop (n.bit_length()
+    random bits until the value falls below n); the checks cost more
+    than the draw.  n < 1 raises ValueError, as randrange does.
+    """
+    if n < 1:
+        raise ValueError(f"empty range for _rand_below({n})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _int(digits):
     """int() of a string of digits; one with more digits than int()
     converts (4300 by default) is refused as too large."""
@@ -113,7 +130,8 @@ class Domain:
         return (self.kind,)
 
     def __eq__(self, other):
-        return isinstance(other, Domain) and self._key() == other._key()
+        return self is other or (isinstance(other, Domain)
+                                 and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -160,7 +178,7 @@ class IntDomain(Domain):
                             f"got {value!r}") from None
 
     def random_scalar(self, rng):
-        return rng.randrange(-50, 51)
+        return _rand_below(rng, 101) - 50
 
 
 class NonnegIntDomain(IntDomain):
@@ -193,7 +211,7 @@ class NonnegIntDomain(IntDomain):
         return v
 
     def random_scalar(self, rng):
-        return rng.randrange(0, 101)
+        return _rand_below(rng, 101)
 
 
 class RatDomain(Domain):
@@ -249,7 +267,7 @@ class RatDomain(Domain):
         return str(x)  # Fraction prints p/q, or p when q = 1
 
     def random_scalar(self, rng):
-        return Fraction(rng.randrange(-50, 51), rng.randrange(1, 21))
+        return Fraction(_rand_below(rng, 101) - 50, _rand_below(rng, 20) + 1)
 
 
 class ModDomain(Domain):
@@ -303,7 +321,7 @@ class ModDomain(Domain):
                             f"got {value!r}") from None
 
     def random_scalar(self, rng):
-        return rng.randrange(self.n)
+        return _rand_below(rng, self.n)
 
 
 class PureNeutroDomain(Domain):
@@ -553,7 +571,7 @@ class FuzzyUnitDomain(Domain):
         return v
 
     def random_scalar(self, rng):
-        return Fraction(rng.randrange(0, 101), 100)
+        return Fraction(_rand_below(rng, 101), 100)
 
 
 Z = IntDomain()

@@ -37,7 +37,15 @@ from .quotients import (
     rees_quotient,
     semifield_verdict,
 )
-from .scalars import F01, Mod, MixedNeutroDomain, PureNeutroDomain, Q, Z
+from .scalars import (
+    F01,
+    Mod,
+    MixedNeutroDomain,
+    PureNeutroDomain,
+    Q,
+    Z,
+    _rand_below,
+)
 from .structures import (
     _zero_products,
     check_subset_field,
@@ -259,10 +267,10 @@ def _c_sec1_trend(ctx):
     rng = _rng(ctx, 11)
     stable = 0
     for _ in range(500):
-        a = rng.randint(1, 400)
-        b = rng.randint(a + 1, 500)
-        c = rng.randint(1, 400)
-        e = rng.randint(c + 1, 500)
+        a = _rand_below(rng, 400) + 1
+        b = _rand_below(rng, 500 - a) + a + 1
+        c = _rand_below(rng, 400) + 1
+        e = _rand_below(rng, 500 - c) + c + 1
         if (_ziv(a, b) * _ziv(c, e)).trend() is Trend.INCREASING:
             stable += 1
     agree = counter and counter_dec and stable == 500
@@ -282,10 +290,10 @@ def _c_sec1_degenerate(ctx):
     rng = _rng(ctx, 13)
     bad = []
     for _ in range(2000):
-        a, b = rng.randint(-999, 999), rng.randint(-999, 999)
+        a, b = _rand_below(rng, 1999) - 999, _rand_below(rng, 1999) - 999
         if not (_ziv(a, b) + _ziv(b, a)).is_degenerate:
             bad.append(f"[{a},{b}]")
-        x, y = rng.randint(-999, 999), rng.randint(-999, 999)
+        x, y = _rand_below(rng, 1999) - 999, _rand_below(rng, 1999) - 999
         if not (_ziv(x, x) - _ziv(y, y)).is_degenerate:
             bad.append(f"{x}-{y}")
     return _verdict(not bad, "degenerate in all 4000 seeded cases",
@@ -590,8 +598,8 @@ def _c_sec2_special_definite(ctx):
     rng = _rng(ctx, 23)
     leaks = []
     for _ in range(2000):
-        a, b = rng.randint(0, 999), rng.randint(0, 999)
-        c, e = rng.randint(0, 999), rng.randint(0, 999)
+        a, b = _rand_below(rng, 1000), _rand_below(rng, 1000)
+        c, e = _rand_below(rng, 1000), _rand_below(rng, 1000)
         x, y = _ziv(a, b), _ziv(c, e)
         z = x + y
         if z.lo < 0 or z.hi < 0:
@@ -1469,7 +1477,7 @@ def _c_thm_7_4(ctx):
     rng = _rng(ctx, 74)
     bad = []
     for _ in range(500):
-        a, b = rng.randint(0, 500), rng.randint(0, 500)
+        a, b = _rand_below(rng, 501), _rand_below(rng, 501)
         x, y = _ziv(a, a), _ziv(b, b)
         if not (x + y).is_degenerate or not (x * y).is_degenerate:
             bad.append((a, b))

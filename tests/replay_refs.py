@@ -6,12 +6,15 @@
 For each request in `perfbench/refs/<workload>.json`, run it once through
 `natint.cli.main` (the benchmark's own `run.execute`) and compare its exit
 code and stdout sha256 with the reference.  Nothing is written.  Exits 0
-when every request matches, 1 when any differs or is missing.
+when every request matches, 1 when any differs or is missing.  Under each
+workload's line come its three slowest requests with their wall times, so
+that a change's cost shows where it lies.
 
-The file's name keeps it out of pytest's collection: it takes about 20 s
+The file's name keeps it out of pytest's collection: it takes about 10 s
 and belongs in CI as its own step.
 """
 
+import heapq
 import json
 import os
 import sys
@@ -23,25 +26,30 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+SLOWEST = 3
+
 
 def replay(natint, workload):
-    """Mismatch descriptions for one workload, and its request count."""
+    """Mismatch descriptions for one workload, its request count and its
+    slowest requests as (wall seconds, key), slowest first."""
     with open(os.path.join(run.REFS, f"{workload}.json"),
               encoding="utf-8") as fh:
         refs = json.load(fh)
     requests = workloads.all_requests(workload, natint.verify.claim_ids())
     bad = [f"{key!r}: no reference"
            for key in sorted({r.key for r in requests} - refs.keys())]
+    walls = []
     for req in requests:
         ref = refs.get(req.key)
         if ref is None:
             continue
         out = run.execute(natint, req, 1)
+        walls.append((out.wall, req.key))
         if (out.code, out.digest) != (ref["exit"], ref["sha256"]):
             bad.append(f"{req.key!r}: exit {out.code} sha256 {out.digest}, "
                        f"expected exit {ref['exit']} sha256 {ref['sha256']}"
                        + (f" ({out.error})" if out.error else ""))
-    return bad, len(requests)
+    return bad, len(requests), heapq.nlargest(SLOWEST, walls)
 
 
 def main(argv):
@@ -53,9 +61,11 @@ def main(argv):
     failed = 0
     for workload in argv or ("analyze", "ideals", "book"):
         t0 = time.perf_counter()
-        bad, total = replay(natint, workload)
+        bad, total, slowest = replay(natint, workload)
         print(f"{workload}: {total} requests, {len(bad)} mismatches in "
               f"{time.perf_counter() - t0:.1f} s")
+        for wall, key in slowest:
+            print(f"  slow {wall:.3f} s {key.replace(chr(31), ' ')}")
         for line in bad:
             print("  MISMATCH", line)
         failed += len(bad)

@@ -5,9 +5,12 @@ from hypothesis import given, strategies as st
 
 from natint import (
     DivisorComponentZero,
+    DomainMismatch,
     Flavor,
     FlavorMismatch,
     Mod,
+    ModDomain,
+    NONNEG,
     NaturalInterval,
     ParseError,
     Q,
@@ -239,3 +242,22 @@ def test_factory_coerces_endpoints():
 def test_factory_rejects_floats():
     with pytest.raises(TypeError):
         interval(Q, 0.5, 1)
+
+
+def test_equal_domains_that_are_distinct_objects():
+    # Equality tests identity first; a domain rebuilt outside the Mod
+    # cache must still equal, hash like and combine with the cached one.
+    fresh = ModDomain(5)
+    assert fresh is not Mod(5)
+    assert fresh == Mod(5) and Mod(5) == fresh
+    assert hash(fresh) == hash(Mod(5))
+    x, y = NaturalInterval(fresh, 1, 3), NaturalInterval(Mod(5), 1, 3)
+    assert x == y and hash(x) == hash(y)
+    assert (x + y).decompose() == (2, 1)
+    assert (y * x).decompose() == (1, 4)
+    assert Mod(5) != Mod(6)
+    assert Z != NONNEG and NONNEG != Z
+    assert Mod(5) != 5 and Z != "Z" and Z != None  # noqa: E711
+    assert NaturalInterval(Mod(5), 1, 3) != NaturalInterval(Mod(6), 1, 3)
+    with pytest.raises(DomainMismatch):
+        NaturalInterval(Mod(5), 1, 3) + NaturalInterval(Mod(6), 1, 3)

@@ -1,4 +1,5 @@
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from natint import (
     parse_domain,
     pure_neutro,
 )
+from natint.scalars import _rand_below
 
 
 def test_fixed_domain_parsing():
@@ -235,3 +237,76 @@ def test_semiring_domains_still_refuse_sub(d):
         d.sub(d.one, d.zero)
     with pytest.raises(NotARing):
         d.neg(d.one)
+
+
+# The seeded suites draw through _rand_below instead of randrange; every
+# golden digest and recorded report rests on the two giving one stream.
+DRAW_WIDTHS = [1, 2, 3, 20, 61, 101, 127, 128, 129, 1999, 2 ** 31 + 5]
+DRAW_SEEDS = range(200)
+
+
+class _BoundedRandom(random.Random):
+    """A Random whose getrandbits fails after `limit` calls, so that a
+    draw loop that never ends fails a test instead of hanging it."""
+
+    limit = 1000
+
+    def getrandbits(self, k):
+        self.limit -= 1
+        if self.limit < 0:
+            raise AssertionError("the draw loop did not end")
+        return super().getrandbits(k)
+
+
+def _same_stream(draw, want, seed, count=8):
+    mine, ref = random.Random(seed), random.Random(seed)
+    got = [draw(mine) for _ in range(count)]
+    assert got == [want(ref) for _ in range(count)], seed
+    assert mine.getstate() == ref.getstate(), seed
+
+
+@pytest.mark.parametrize("n", DRAW_WIDTHS)
+def test_rand_below_is_randranges_stream(n):
+    a = -50
+    for seed in DRAW_SEEDS:
+        _same_stream(lambda r: _rand_below(r, n),
+                     lambda r: r.randrange(n), seed)
+        _same_stream(lambda r: _rand_below(r, n) + a,
+                     lambda r: r.randrange(a, a + n), seed)
+        _same_stream(lambda r: _rand_below(r, n) + a,
+                     lambda r: r.randint(a, a + n - 1), seed)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_rand_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        _rand_below(_BoundedRandom(1), n)
+
+
+def test_poly_suite_refuses_no_terms(monkeypatch):
+    from natint import suites
+
+    monkeypatch.setattr(suites, "random",
+                        types.SimpleNamespace(Random=_BoundedRandom))
+    with pytest.raises(ValueError):
+        suites.poly_decompose_suite(cases=1, max_terms=0)
+
+
+# Each domain's draw, as the randrange expression it replaced.
+RANDRANGE_DRAWS = [
+    (Z, lambda r: r.randrange(-50, 51)),
+    (NONNEG, lambda r: r.randrange(0, 101)),
+    (Q, lambda r: Fraction(r.randrange(-50, 51), r.randrange(1, 21))),
+    (F01, lambda r: Fraction(r.randrange(0, 101), 100)),
+    (Mod(7), lambda r: r.randrange(7)),
+    (Mod(128), lambda r: r.randrange(128)),
+    (pure_neutro(Z), lambda r: r.randrange(-50, 51)),
+    (mixed_neutro(Mod(5)), lambda r: (r.randrange(5), r.randrange(5))),
+]
+
+
+@pytest.mark.parametrize("d,want", RANDRANGE_DRAWS,
+                         ids=[d.spec for d, _ in RANDRANGE_DRAWS])
+def test_random_scalar_keeps_randranges_stream(d, want):
+    for seed in range(50):
+        _same_stream(d.random_scalar, want, seed, count=20)
