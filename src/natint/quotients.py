@@ -53,7 +53,7 @@ other facts (see structures), no table of the carrier itself is built:
   the carrier's own order (matrices and polynomials are not listed
   lo-major);
 - the class tables of both kinds, and the rows that well_defined
-  compares, are gathered from the part tables (FiniteStructure._block),
+  compares, are gathered from the part tables (FiniteStructure._bands),
   as they are on any product carrier.
 
 is_ideal reads a subset P x Q off the factors on any full product whose
@@ -70,7 +70,6 @@ import numpy as np
 from .errors import NotAnIdeal, ParseError, TooLarge
 from .intervals import NaturalInterval, split_top_level
 from .structures import (
-    _BAND_ROWS,
     FiniteStructure,
     _first_true,
     _once,
@@ -600,19 +599,15 @@ class QuotientStructure:
 
     def _compare_products(self, op):
         """Compares the true class of every ambient product against the
-        representative-based class table, a band of rows at a time, so
-        the scan stops at the first mismatch.  The bands are read from
-        the ambient's table when it is built and composed from its part
-        tables when not, so no table of the ambient's size is built for
-        a product ambient."""
-        n = self.ambient.n
+        representative-based class table, in the ambient's bands of rows
+        (FiniteStructure._bands), so the scan stops at the band of the
+        first mismatch.  No table of the ambient's size is built for a
+        product ambient."""
         tab = self.class_table(op)
         cls = self.class_of
-        every = np.arange(n)
-        for lo in range(0, n, _BAND_ROWS):
-            rows = every[lo:lo + _BAND_ROWS]
-            actual = self.ambient._block(op, rows, every, cls)
-            predicted = tab.take(cls[rows], axis=0).take(cls, axis=1)
+        for lo, actual in self.ambient._bands(op, relabel=cls):
+            predicted = tab.take(cls[lo:lo + len(actual)], axis=0).take(
+                cls, axis=1)
             diff = _first_true(actual != predicted)
             if diff is not None:
                 i, y = diff

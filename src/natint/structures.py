@@ -52,12 +52,12 @@ scanned, which yields the first counterexample (or inverse) in carrier
 order.  The factors need only the part tables, which are built before,
 and without, the carrier's n x n table.
 
-A block of a product carrier's table (the class tables of its quotients,
-the tables of its subsets, its non-lo-major n x n table) is gathered
-from the part tables (_factored_block): each part's row of results is
-gathered once over the block's columns, and the block is filled in
-bands of rows that stay in cache, one part code and one lookup per
-entry (_factored_bands).
+Every block of a table (a quotient's class tables and the rows it
+compares, a subset's table, a product carrier's n x n table) is read by
+one reader, in bands of rows that stay in cache (_bands).  A product
+carrier whose table is not built gathers the block from its part
+tables: each part's row of results is gathered once over the block's
+columns, then one part code and one lookup per entry (_factored_bands).
 
 A quotient's classes are a view of its ambient (FiniteStructure's
 `view`): class i stands for the representative reps[i], and entry
@@ -116,8 +116,8 @@ SPAN_SEARCH_CAP = 256
 # Rows per band when a table is compared with its transpose; a band of
 # columns stays in cache while its rows are read.
 _BAND_ROWS = 64
-# Entries per band when a block is gathered from part tables; a band's
-# codes stay in cache between their sum and their lookup.
+# Entries per band when a block of a table is read (FiniteStructure._bands);
+# a band of part codes stays in cache between their sum and their lookup.
 _BAND_ENTRIES = 1 << 16
 
 
@@ -147,9 +147,9 @@ class FiniteStructure:
     with both parts p.  Such a carrier computes its part tables first
     (_parts), one evaluation per pair of parts; they decide its
     associativity and distributivity, and its ideals and quotients
-    (quotients), and blocks of its table are gathered from them (_block).
-    Its n x n table is composed from them only when first asked for
-    (factored_table).  `tables` seeds the cache directly.  `ambient`, when
+    (quotients), and every block of its table, its n x n table too, is
+    gathered from them (_bands).  `tables` seeds the cache directly.
+    `ambient`, when
     given, is the structure whose operations this one's are read from (a
     subset or a quotient of it), whose proven laws it inherits;
     `congruent(op)`, when given, says whether op is well defined on the
@@ -158,8 +158,8 @@ class FiniteStructure:
     class_of): element i stands for the ambient element reps[i], and an
     ambient product p is element class_of[p] (-1 for none).  A view's
     tables are read off the ambient's (_block) when first asked for.
-    Until then a view larger than one band reads its blocks, bands and
-    entries off the ambient's without building them (_reads_ambient).
+    Until then a view larger than one band reads its blocks and entries
+    off the ambient's without building them (_reads_ambient).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
@@ -232,7 +232,8 @@ class FiniteStructure:
             reps, class_of = self.view
             t = self.ambient._block(op, reps, reps, class_of)
         elif self.diag is not None:
-            t = factored_table(self._parts(op), self._coords())
+            every = np.arange(self.n)
+            t = self._block(op, every, every)
         else:
             t = self._build_table(op)
         self._tables[op] = t
@@ -277,28 +278,12 @@ class FiniteStructure:
                 for side in zip(*parts)]
 
     def _block(self, op, rows, cols, relabel=None):
-        """The entries rows x cols of op's table, each product p read as
-        relabel[p] (as p when relabel is None), and -1 (a product outside
-        the carrier) as -1.  When the table is not built, a view reads the
-        block off its ambient's (_reads_ambient), and a product carrier
-        composes it from its part tables (_factored_block), so no n x n
-        table is built for either.  A built table is read along the
-        shorter index first."""
-        t = self._tables.get(op)
-        if self._reads_ambient(op):
-            reps, class_of = self.view
-            if relabel is not None:
-                class_of = _relabel(class_of, relabel)
-            return self.ambient._block(op, reps[rows], reps[cols], class_of)
-        if t is None and self.diag is not None:
-            return _factored_block(self._parts(op), self._coords(), rows,
-                                   cols, relabel)
-        t = self.table(op)
-        if len(rows) <= len(cols):
-            block = t.take(rows, axis=0).take(cols, axis=1)
-        else:
-            block = t.take(cols, axis=1).take(rows, axis=0)
-        return block if relabel is None else _relabel(block, relabel)
+        """The entries rows x cols of op's table, as _bands reads them,
+        in one int32 array."""
+        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        for _ in self._bands(op, rows, cols, relabel, out):
+            pass
+        return out
 
     def _reads_ambient(self, op):
         """Are op's entries read off the ambient's?  A view's are while its
@@ -308,25 +293,29 @@ class FiniteStructure:
         return (self.view is not None and op not in self._tables
                 and self.n * self.n > _BAND_ENTRIES)
 
-    def _bands(self, op):
-        """(lo, band) for each band of rows of op's table from row lo, in
-        order.  A view that reads off its ambient (_reads_ambient) reads
-        the bands off the ambient's without building either table
-        (_factored_bands on a product ambient), and each band may
-        overwrite the last, so a reader keeps nothing of a band it has
-        passed."""
+    def _bands(self, op, rows=None, cols=None, relabel=None, out=None):
+        """(start, band) for each band of rows of the block rows x cols of
+        op's table (all rows, all columns when None), in order, each
+        product p read as relabel[p] (as p when relabel is None), and -1
+        (a product outside the carrier) as -1.  A band holds about
+        _BAND_ENTRIES entries and is written into out[start:] when out is
+        given; else it may be the next band's buffer or a slice of the
+        table, so a reader neither keeps nor writes it.  A view that reads
+        off its ambient (_reads_ambient) reads the block off the
+        ambient's, and a product carrier whose table is not built off its
+        part tables (_factored_bands), so no n x n table is built for
+        either; any other structure reads its table (_table_bands)."""
         if self._reads_ambient(op):
             reps, class_of = self.view
-            amb = self.ambient
-            if op not in amb._tables and amb.diag is not None:
-                return _factored_bands(amb._parts(op), amb._coords(), reps,
-                                       reps, class_of)
-            return ((lo, amb._block(op, reps[lo:lo + _BAND_ROWS], reps,
-                                    class_of))
-                    for lo in range(0, self.n, _BAND_ROWS))
-        t = self.table(op)
-        return ((lo, t[lo:lo + _BAND_ROWS])
-                for lo in range(0, self.n, _BAND_ROWS))
+            if relabel is not None:
+                class_of = _relabel(class_of, relabel)
+            return self.ambient._bands(
+                op, reps if rows is None else reps[rows],
+                reps if cols is None else reps[cols], class_of, out)
+        if op not in self._tables and self.diag is not None:
+            return _factored_bands(self._parts(op), self._coords(), rows,
+                                   cols, relabel, out)
+        return _table_bands(self.table(op), rows, cols, relabel, out)
 
     def _pairs(self, op, rows, cols):
         """The entries (rows[k], cols[k]) of op's table.  When the table
@@ -636,12 +625,11 @@ class _Coords:
     coded a * (m_hi + 1) + b, so the part count m marks a part result
     outside the parts; where[code] is the element with those parts, or
     -1.  grid[a, b] is the element with parts (a, b) when every pair is
-    an element (a full product), else None.  lo_major says that element
-    i has lo part i // m_hi and hi part i % m_hi.
+    an element (a full product), else None.  The codes are int32, which
+    holds for carriers of up to TABLE_CAP elements.
     """
 
-    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid",
-                 "lo_major")
+    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid")
 
     def __init__(self, elements):
         lo_parts, hi_parts = {}, {}
@@ -659,66 +647,35 @@ class _Coords:
         where = np.full((m_lo + 1, m_hi + 1), -1, dtype=np.int32)
         where[self.lo, self.hi] = np.arange(n, dtype=np.int32)
         self.where = where.ravel()
-        full = n == m_lo * m_hi
-        self.grid = where[:m_lo, :m_hi] if full else None
-        ar = np.arange(n)
-        self.lo_major = bool(full and (self.lo == ar // max(m_hi, 1)).all()
-                             and (self.hi == ar % max(m_hi, 1)).all())
+        self.grid = where[:m_lo, :m_hi] if n == m_lo * m_hi else None
 
 
-def factored_table(parts, coords):
-    """The Cayley table of a product carrier, read off its part tables.
-
-    parts are the part tables of one op (FiniteStructure._parts), in which
-    fn was evaluated once per pair of distinct lo parts and once per pair
-    of distinct hi parts, on the diagonal elements diag(p); coords is the
-    carrier's _Coords.  An entry is -1 where a part result is no part of
-    the carrier, or where fn returned None (a fuzzy sum leaving [0, 1]).
-    When the carrier lists its elements lo-major, as N(D), N(Zn:p)\\0 and
-    the fuzzy grids do, the table is one broadcast sum of the scaled lo
-    table and the hi table; otherwise (matrices, polynomials, subsets)
-    each pair's code is looked up.  The codes are int32, which holds for
-    carriers of up to TABLE_CAP elements.
-    """
-    if coords.lo_major:
-        return _lo_major_table(parts[0], parts[-1])
-    every = np.arange(len(coords.lo))
-    return _factored_block(parts, coords, every, every)
-
-
-def _factored_block(parts, coords, rows, cols, relabel=None):
-    """The block rows x cols of the table factored_table composes, each
-    product p read as relabel[p] (as p when relabel is None), gathered
-    from the part tables without composing the carrier's table, band by
-    band (_factored_bands)."""
-    out = np.empty((len(rows), len(cols)), dtype=np.int32)
-    for _ in _factored_bands(parts, coords, rows, cols, relabel, out):
-        pass
-    return out
-
-
-def _factored_bands(parts, coords, rows, cols, relabel=None, out=None):
-    """(start, band) for each band of rows of the block _factored_block
-    gathers, from its row start, in order: written into out[start:] when
-    out is given, else into one buffer that each band overwrites.
+def _factored_bands(parts, coords, rows=None, cols=None, relabel=None,
+                    out=None):
+    """FiniteStructure._bands of a product carrier, gathered from the part
+    tables of one op (FiniteStructure._parts); coords is the carrier's
+    _Coords.  An entry is -1 where a part result is no part of the
+    carrier, or where the op returned None (a fuzzy sum leaving [0, 1]).
+    Without out, each band overwrites one buffer.
 
     Rows that share a part share that part's row of results, so each lo
     part's row is gathered once over cols, pre-scaled to its share of
-    the code, and so is each hi part's.  A band holds about _BAND_ENTRIES
-    entries, which stay in cache: its codes are its rows of the two
-    gathers summed, looked up in `where` relabeled straight into it."""
+    the code, and so is each hi part's.  A band's codes are its rows of
+    the two gathers summed, looked up in `where` relabeled straight into
+    it."""
     lo, hi = coords.lo, coords.hi
-    lo_rows = parts[0].take(lo[cols], axis=1)
+    lo_of, hi_of = (lo, hi) if rows is None else (lo[rows], hi[rows])
+    lo_cols, hi_cols = (lo, hi) if cols is None else (lo[cols], hi[cols])
+    lo_rows = parts[0].take(lo_cols, axis=1)
     lo_rows *= len(parts[-1]) + 1
-    hi_rows = parts[-1].take(hi[cols], axis=1)
-    lo_of, hi_of = lo[rows], hi[rows]
+    hi_rows = parts[-1].take(hi_cols, axis=1)
     where = coords.where
     if relabel is not None:
         where = _relabel(where, relabel)
-    band = max(1, _BAND_ENTRIES // max(1, len(cols)))
+    band = max(1, _BAND_ENTRIES // max(1, len(lo_cols)))
     buf = None if out is not None else np.empty(
-        (min(band, len(rows)), len(cols)), dtype=np.int32)
-    for start in range(0, len(rows), band):
+        (min(band, len(lo_of)), len(lo_cols)), dtype=np.int32)
+    for start in range(0, len(lo_of), band):
         stop = start + band
         codes = lo_rows.take(lo_of[start:stop], axis=0)
         codes += hi_rows.take(hi_of[start:stop], axis=0)
@@ -727,22 +684,23 @@ def _factored_bands(parts, coords, rows, cols, relabel=None, out=None):
         yield start, dest
 
 
-def _lo_major_table(lo_table, hi_table):
-    """The table of the full product whose element i has lo part
-    i // m_hi and hi part i % m_hi: entry ((a, b), (c, d)) is
-    lo[a, c] * m_hi + hi[b, d], one broadcast sum.  A part result outside
-    the parts is first made -n, so any sum holding one is negative and
-    then clipped to -1."""
-    m_lo, m_hi = len(lo_table), len(hi_table)
-    n = m_lo * m_hi
-    lo_t = np.where(lo_table < m_lo, lo_table * m_hi, -n).astype(np.int32)
-    hi_t = np.where(hi_table < m_hi, hi_table, -n).astype(np.int32)
-    t = np.empty((n, n), dtype=np.int32)
-    np.add(lo_t[:, None, :, None], hi_t[None, :, None, :],
-           out=t.reshape(m_lo, m_hi, m_lo, m_hi))
-    if (lo_t < 0).any() or (hi_t < 0).any():
-        np.maximum(t, -1, out=t)
-    return t
+def _table_bands(t, rows=None, cols=None, relabel=None, out=None):
+    """FiniteStructure._bands of a built table t.  Without rows a band is
+    a slice of t and without cols no column is taken, so reading all of t
+    copies nothing unless it is relabeled or written into out."""
+    band = max(1, _BAND_ENTRIES // max(1, len(t if cols is None else cols)))
+    for start in range(0, len(t if rows is None else rows), band):
+        stop = start + band
+        block = t[start:stop] if rows is None else t.take(rows[start:stop],
+                                                           axis=0)
+        if cols is not None:
+            block = block.take(cols, axis=1)
+        dest = None if out is None else out[start:stop]
+        if relabel is not None:
+            block = _relabel(block, relabel, dest)
+        elif dest is not None:
+            dest[...] = block
+        yield start, block
 
 
 def _part_table(parts, fn, diag):
@@ -765,10 +723,12 @@ def _hashable(part):
     return tuple(map(_hashable, part)) if isinstance(part, list) else part
 
 
-def _relabel(table, relabel):
-    """Each product p in table replaced by relabel[p]; -1 (a product
-    outside the carrier) stays -1, read from the slot appended for it."""
-    return np.append(relabel, -1).astype(np.int32, copy=False)[table]
+def _relabel(table, relabel, out=None):
+    """Each product p in table replaced by relabel[p], written into out
+    when given; -1 (a product outside the carrier) stays -1, read from
+    the slot appended for it."""
+    return np.append(relabel, -1).astype(np.int32, copy=False).take(
+        table, out=out)
 
 
 def _inverse_of(t, e):

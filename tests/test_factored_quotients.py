@@ -127,19 +127,23 @@ def test_is_ideal_reads_a_product_without_unity_off_its_factors():
     ]])
 def test_product_ideals_build_no_carrier_table(monkeypatch, capsys, argv,
                                                code):
-    def refuse(*args):
-        raise AssertionError("a table of the whole carrier was built")
+    built = FiniteStructure.table
 
-    monkeypatch.setattr(structures, "factored_table", refuse)
+    def refuse(self, op):
+        if self.diag is not None and op not in self._tables:
+            raise AssertionError("a table of the whole carrier was built")
+        return built(self, op)
+
+    monkeypatch.setattr(FiniteStructure, "table", refuse)
     assert cli.main(argv) == code
     assert capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------
-# blocks composed in bands
+# blocks read in bands
 
-# lo-major full products (N(D)), full products that are not lo-major
-# (Mat, Poly), and a subset that is no full product
+# full products listed lo-major (N(D)) and not (Mat, Poly), and a subset
+# that is no full product
 BAND_CARRIERS = ("N(Zn:4,c)", "N(Zn:6)", "N(Zn:5,o)", "Mat(1,2,N(Zn:2))",
                  "Mat(2,1,N(Zn:2))", "Poly(N(Zn:2),cyc=2)",
                  "Sub{[0,0],[1,1],[3,3],[1,2],[2,0]} of N(Zn:4)")
@@ -182,22 +186,24 @@ def blocks(s, spec):
 @pytest.mark.parametrize("spec", BAND_CARRIERS)
 def test_banded_blocks_match_the_built_table(monkeypatch, spec, band_rows):
     # bands of 2 or 3 rows split the runs of rows that share a part, and
-    # the last band of an odd number of rows is partial
+    # the last band of an odd number of rows is partial; the twin's
+    # blocks are read in bands of its built tables
     twin = built_twin(build_carrier(spec))
     s = build_carrier(spec)
     for op, rows, cols, relabel in blocks(s, spec):
         monkeypatch.setattr(structures, "_BAND_ENTRIES",
                             band_rows * len(cols))
-        got = s._block(op, rows, cols, relabel)
         want = structures._relabel(
             twin.table(op).take(rows, axis=0).take(cols, axis=1), relabel)
-        assert got.dtype == np.int32 and got.shape == want.shape
-        assert np.array_equal(got, want), (op, rows, cols)
+        for got in (s._block(op, rows, cols, relabel),
+                    twin._block(op, rows, cols, relabel)):
+            assert got.dtype == np.int32 and got.shape == want.shape
+            assert np.array_equal(got, want), (op, rows, cols)
     assert not s._tables
     monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * s.n)
+    fresh = build_carrier(spec)
     for op in ("add", "mul"):
-        got = structures.factored_table(s._parts(op), s._coords())
-        assert np.array_equal(got, twin.table(op)), op
+        assert np.array_equal(fresh.table(op), twin.table(op)), op
     odd = list(range(s.n - 1, -1, -2))
     monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * len(odd))
     sub, twin_sub = s.restrict(odd), twin.restrict(odd)
@@ -207,8 +213,7 @@ def test_banded_blocks_match_the_built_table(monkeypatch, spec, band_rows):
 
 def test_band_carriers_cover_every_composer_path():
     coords = [build_carrier(spec)._coords() for spec in BAND_CARRIERS]
-    assert {(c.lo_major, c.grid is not None) for c in coords} == {
-        (True, True), (False, True), (False, False)}
+    assert {c.grid is not None for c in coords} == {True, False}
 
 
 VIEW_CARRIERS = ("N(Zn:6)", "N(Zn:5,o)", "N(ZnI:4)", "Mat(1,2,N(Zn:2))",
@@ -243,6 +248,12 @@ def test_quotient_views_read_facts_off_the_ambient(monkeypatch, spec,
             monkeypatch.setattr(structures, "_BAND_ENTRIES",
                                 band_rows * cls.n)
             assert view_facts(cls) == view_facts(twin), cls.name
+            rows = np.arange(cls.n)[::-1]
+            relabel = rows.astype(np.int32)
+            for op in ("add", "mul"):
+                assert np.array_equal(
+                    cls._block(op, rows, rows[::2], relabel),
+                    twin._block(op, rows, rows[::2], relabel)), cls.name
             if has_units:
                 small = cls.n * cls.n <= structures._BAND_ENTRIES
                 assert bool(cls._tables) == small, cls.name
@@ -273,8 +284,7 @@ def test_factored_bands_fill_the_block_band_by_band(monkeypatch):
     s = build_carrier("Mat(1,2,N(Zn:2))")
     every = np.arange(s.n)
     monkeypatch.setattr(structures, "_BAND_ENTRIES", 3 * s.n)
-    want = structures._factored_block(s._parts("mul"), s._coords(), every,
-                                      every)
+    want = s._block("mul", every, every)
     got = [(start, band.copy()) for start, band in structures._factored_bands(
         s._parts("mul"), s._coords(), every, every)]
     assert [start for start, _ in got] == list(range(0, s.n, 3))

@@ -307,8 +307,8 @@ def test_inverses_match_brute_force(name, s):
 @pytest.mark.parametrize("band_rows", (1, 2, 64))
 def test_first_two_sided_inverse_follows_a_one_sided_one(monkeypatch,
                                                           band_rows):
-    monkeypatch.setattr(structures, "_BAND_ROWS", band_rows)
     s = right_inverses()
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * s.n)
     assert s.units().tolist() == [0, 3, -1, 1, -1]
     assert s.inverses("mul") == (False, 2)
     t = s.table("mul")
