@@ -93,9 +93,9 @@ CLASS_REPORT_CAP = 1024
 class Ideal:
     """A subset of a carrier, held as sorted element indices."""
 
-    __slots__ = ("ambient", "indices", "name", "generators")
+    __slots__ = ("ambient", "indices", "name")
 
-    def __init__(self, ambient, indices, name="I", generators=None):
+    def __init__(self, ambient, indices, name="I"):
         idx = sorted({int(i) for i in indices})
         if not idx:
             raise NotAnIdeal("an ideal cannot be empty")
@@ -104,7 +104,6 @@ class Ideal:
         self.ambient = ambient
         self.indices = idx
         self.name = name or "I"
-        self.generators = list(generators) if generators else None
 
     @property
     def order(self):
@@ -262,7 +261,7 @@ def parse_ideal_spec(s, text):
         if not gens:
             raise ParseError("gen{...} needs at least one generator",
                              text=text)
-        return Ideal(s, generate_ideal(s, gens), name=t, generators=gens)
+        return Ideal(s, generate_ideal(s, gens), name=t)
     if t in ("col-zero", "row-zero"):
         lo_side = (t == "col-zero")
         if s.kind == "interval":
@@ -289,8 +288,7 @@ def parse_ideal_spec(s, text):
         g = NaturalInterval(d, k, k, s.flavor)
         if g not in s.index:
             raise ParseError(f"[{k},{k}] is not in the carrier", text=text)
-        return Ideal(s, generate_ideal(s, [s.index[g]]), name=t,
-                     generators=[s.index[g]])
+        return Ideal(s, generate_ideal(s, [s.index[g]]), name=t)
     raise ParseError(
         f"unknown ideal spec {text!r}", text=text,
         expected=["gen{...}", "col-zero", "row-zero", "diag-multiples:<k>"])
@@ -550,19 +548,20 @@ class QuotientStructure:
         return self.structure().table(op)
 
     def structure(self):
-        """The classes as a FiniteStructure, a view of the ambient (reps,
-        class_of): its class tables are gathered when first asked for,
-        and, on more classes than one band holds, its identities,
-        characteristic and units are read off the ambient's without them
-        (FiniteStructure._reads_ambient).  It inherits the ambient's
-        proven laws for the ops well defined on the classes."""
+        """The classes as a FiniteStructure, a view of the ambient
+        (ambient, reps, class_of): its class tables are gathered when
+        first asked for, and, on more classes than one band holds, its
+        identities, absorbing elements, characteristic and units are read
+        off the ambient's without them (FiniteStructure._reads_ambient).
+        It inherits the ambient's proven laws for the ops well defined on
+        the classes, and its commutativity for every op."""
         if self._structure is None:
             labels = self.class_labels()
-            pos = {lab: c for c, lab in enumerate(labels)}
 
             def mk(op):
                 def fn(x, y):
-                    k = int(self._structure.table(op)[pos[x], pos[y]])
+                    cls = self._structure
+                    k = int(cls.table(op)[cls.index[x], cls.index[y]])
                     return labels[k] if k >= 0 else None
 
                 return fn
@@ -571,8 +570,8 @@ class QuotientStructure:
                 labels, mul=mk("mul"),
                 add=mk("add") if self.ambient.has_op("add") else None,
                 name=f"{self.ambient.name}/{self.ideal.name}[{self.kind}]",
-                kind="quotient", ambient=self.ambient,
-                view=(np.asarray(self.reps), self.class_of),
+                kind="quotient",
+                view=(self.ambient, np.asarray(self.reps), self.class_of),
                 congruent=lambda op: self.well_defined(op)[0])
         return self._structure
 

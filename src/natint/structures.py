@@ -59,34 +59,36 @@ carrier whose table is not built gathers the block from its part
 tables: each part's row of results is gathered once over the block's
 columns, then one part code and one lookup per entry (_factored_bands).
 
-A quotient's classes are a view of its ambient (FiniteStructure's
-`view`): class i stands for the representative reps[i], and entry
-(i, j) is the class of reps[i] ∘ reps[j].  A view's table is gathered
-only when a fact needs all of it.  Until then a view whose table
-would not fit in one band reads what it needs off the ambient
-(_reads_ambient); a smaller one builds its table, which costs about
-one band.  Its identity search reads the diagonal, the first row and
-column, and the row and column of each candidate.  Its characteristic
-walks one column.  Its unit map and inverses verdict are searched in
-the ambient's bands (_inverse_bands), one band buffer at a time.  So
-the 2757-class Rees quotient of N(Z53) finds its characteristic and
-its 2704 units without its two 30 MB class tables.
+A subset and a quotient are both views of an ambient structure
+(FiniteStructure's `view`): element i stands for the ambient element
+reps[i], and entry (i, j) is the element class_of[reps[i] ∘ reps[j]].
+A subset's reps are its carrier indices and its class_of their
+relabeling, -1 for a product off the subset (restrict); a quotient's
+reps are one representative per class and its class_of the class map.
+A view's table is gathered only when a fact needs all of it.  Until
+then a view whose table would not fit in one band reads what it needs
+off the ambient (_reads_ambient); a smaller one builds its table, which
+costs about one band.  Its identity and absorbing searches read the
+diagonal, the first row and column, and the row and column of each
+candidate.  Its characteristic walks one column.  Its unit map and
+inverses verdict are searched in the ambient's bands (_inverse_bands),
+one band buffer at a time.  So the 2757-class Rees quotient of N(Z53)
+finds its absorbing element, its characteristic and its 2704 units
+without its two 30 MB class tables.
 
-A substructure inherits these laws, and commutativity, from its
-ambient.  A subset closed under an operation is associative
-(distributive) when its ambient is, and so is a quotient by a
-congruence, an equivalence that the operations respect, because the
-class map is then a homomorphism onto it.  Entry (i, j) of a subset's or
-a quotient's table is read off the ambient's entry for the
-representatives of i and j, so any table read from the ambient's
-representatives is commutative when the ambient is, congruence or not.
-A law counts as proven on the ambient only when the ambient's memo
-already holds a passing verdict or its factors pass (_proven); the
-ambient itself is never scanned for it.  A passing inherited verdict is
-(True, None), as a scan's would be.  When the ambient fails, or is not
-known to pass, the substructure's own table is scanned for the first
-counterexample.  The closure check and the cubic-scan cap run first, so
-a refusal stays a refusal.
+A view inherits these laws, and commutativity, from its ambient.  A
+subset closed under an operation is associative (distributive) when
+its ambient is, and so is a quotient by a congruence, an equivalence
+that the operations respect, because the class map is then a
+homomorphism onto it.  A view's entries are read off the ambient's
+entries for its representatives, so its table is commutative when the
+ambient's is, congruence or not (_known).  A law counts as proven on
+the ambient only when the ambient's memo already holds a passing
+verdict or its factors pass (_proven); the ambient itself is never
+scanned for it.  A passing inherited verdict is (True, None), as a
+scan's would be.  When the ambient fails, or is not known to pass, the
+view's own table is scanned for the first counterexample.  The closure
+check and the cubic-scan cap run first, so a refusal stays a refusal.
 """
 
 import functools
@@ -149,22 +151,22 @@ class FiniteStructure:
     associativity and distributivity, and its ideals and quotients
     (quotients), and every block of its table, its n x n table too, is
     gathered from them (_bands).  `tables` seeds the cache directly.
-    `ambient`, when
-    given, is the structure whose operations this one's are read from (a
-    subset or a quotient of it), whose proven laws it inherits;
+    `view`, when given, is (ambient, reps, class_of): this structure is a
+    subset (restrict) or a quotient of the structure ambient, and
+    inherits its proven laws (_known).  Element i stands for the ambient
+    element reps[i], and an ambient product p is element class_of[p]
+    (-1 for none).
     `congruent(op)`, when given, says whether op is well defined on the
     classes of a quotient, and an op it rejects inherits only
-    commutativity.  `view`, when given with the ambient, is (reps,
-    class_of): element i stands for the ambient element reps[i], and an
-    ambient product p is element class_of[p] (-1 for none).  A view's
-    tables are read off the ambient's (_block) when first asked for.
-    Until then a view larger than one band reads its blocks and entries
-    off the ambient's without building them (_reads_ambient).
+    commutativity.  A view's tables are read off the ambient's (_block)
+    when first asked for.  Until then a view larger than one band reads
+    its blocks and entries off the ambient's without building them
+    (_reads_ambient).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, diag=None, tables=None, ambient=None,
+                 parse_element=None, diag=None, tables=None,
                  congruent=None, view=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -178,7 +180,6 @@ class FiniteStructure:
         self.flavor = flavor
         self.parse_element = parse_element
         self.diag = diag
-        self.ambient = ambient
         self.congruent = congruent
         self.view = view
         self._tables = dict(tables) if tables else {}
@@ -229,8 +230,8 @@ class FiniteStructure:
         gathered = self.diag is not None or self.view is not None
         _refuse_table(self.n, op, TABLE_CAP if gathered else PY_TABLE_CAP)
         if self.view is not None:
-            reps, class_of = self.view
-            t = self.ambient._block(op, reps, reps, class_of)
+            ambient, reps, class_of = self.view
+            t = ambient._block(op, reps, reps, class_of)
         elif self.diag is not None:
             every = np.arange(self.n)
             t = self._block(op, every, every)
@@ -306,10 +307,10 @@ class FiniteStructure:
         part tables (_factored_bands), so no n x n table is built for
         either; any other structure reads its table (_table_bands)."""
         if self._reads_ambient(op):
-            reps, class_of = self.view
+            ambient, reps, class_of = self.view
             if relabel is not None:
                 class_of = _relabel(class_of, relabel)
-            return self.ambient._bands(
+            return ambient._bands(
                 op, reps if rows is None else reps[rows],
                 reps if cols is None else reps[cols], class_of, out)
         if op not in self._tables and self.diag is not None:
@@ -325,8 +326,8 @@ class FiniteStructure:
         block."""
         t = self._tables.get(op)
         if self._reads_ambient(op):
-            reps, class_of = self.view
-            return _relabel(self.ambient._pairs(op, reps[rows], reps[cols]),
+            ambient, reps, class_of = self.view
+            return _relabel(ambient._pairs(op, reps[rows], reps[cols]),
                             class_of)
         if t is None and self.diag is not None:
             c, parts = self._coords(), self._parts(op)
@@ -357,28 +358,28 @@ class FiniteStructure:
             self._coords().grid[lo, hi])
 
     def _known(self, law, *ops):
-        """Does law hold on the factors (_by_factors), or on the ambient for
-        ops well defined here?  Only proven ambient verdicts count."""
+        """Does law hold on the factors (_by_factors), or on the ambient of
+        a view?  Only proven ambient verdicts count.  Commutativity holds
+        on any view of a commutative ambient, as its entries are read off
+        the ambient's for its representatives; any other law only for ops
+        well defined here (congruent)."""
         return self._by_factors(law, *ops) or (
-            self.ambient is not None and _proven(self.ambient, law, *ops)
-            and (self.congruent is None
+            self.view is not None and _proven(self.view[0], law, *ops)
+            and (law == "commutative" or self.congruent is None
                  or all(self.congruent(op) for op in ops)))
 
     def restrict(self, indices):
-        """The substructure on the given carrier indices, in that order.
-
-        Its tables are read from this structure's; a product that leaves
-        the subset is -1.  It inherits this structure's proven laws.
-        """
-        rows = np.asarray(indices, dtype=np.int64)
+        """The substructure on the given carrier indices, in that order: a
+        view of this structure whose class_of relabels them, so a product
+        that leaves the subset is -1.  No table is read until a fact needs
+        one, and it inherits this structure's proven laws."""
+        rows = np.asarray(indices, dtype=np.intp)
         relabel = np.full(self.n, -1, dtype=np.int32)
         relabel[rows] = np.arange(len(rows))
         return FiniteStructure(
             [self.elements[i] for i in rows], mul=self.mul_fn,
             add=self.add_fn, kind=self.kind, domain=self.domain,
-            flavor=self.flavor, ambient=self, tables={
-                op: self._block(op, rows, rows, relabel)
-                for op in ("add", "mul") if self.has_op(op)})
+            flavor=self.flavor, view=(self, rows, relabel))
 
     def _build_table(self, op):
         f = self.op_fn(op)
@@ -403,16 +404,13 @@ class FiniteStructure:
 
     @_once
     def commutative(self, op):
-        """x∘y = y∘x.  A substructure passes when its ambient is proven
-        to, whether or not op is a congruence, as its table is read from
-        the ambient's representatives (module docstring); a product passes
-        when its factors do.  Else the table is scanned in bands of rows
-        against the matching bands of columns above the diagonal.  The
-        first mismatch (i, j) in C order has j > i, since its mirror
-        (j, i) is a mismatch too, so row i's band finds it."""
-        if self._by_factors("commutative", op) or (
-                self.ambient is not None
-                and _proven(self.ambient, "commutative", op)):
+        """x∘y = y∘x.  A view passes when its ambient is proven to, whether
+        or not op is a congruence, and a product when its factors do
+        (_known).  Else the table is scanned in bands of rows against the
+        matching bands of columns above the diagonal.  The first mismatch
+        (i, j) in C order has j > i, since its mirror (j, i) is a mismatch
+        too, so row i's band finds it."""
+        if self._known("commutative", op):
             return True, None
         t = self.table(op)
         for lo in range(0, self.n, _BAND_ROWS):
@@ -439,47 +437,49 @@ class FiniteStructure:
 
     @_once
     def identity_index(self, op):
-        """The identity of op, or None.  e∘e = e, e∘0 = 0 and 0∘e = 0
-        leave few candidates, and each is checked against its row and its
-        column.  A view that reads off its ambient (_reads_ambient) reads
-        those entries (_pairs) without building its table."""
+        """The identity of op, or None (_two_sided)."""
+        return self._two_sided(op, absorbing=False)
+
+    @_once
+    def absorbing_index(self, op):
+        """The absorbing element of op, or None (_two_sided)."""
+        return self._two_sided(op, absorbing=True)
+
+    def _two_sided(self, op, absorbing):
+        """The first element e with e∘x = x∘e = x for every x (the
+        identity), or = e (the absorbing element), or None; a full
+        product's is the pair of its factors'.  e∘e = e and the entries
+        of e with element 0 leave few candidates, and each is checked
+        against its row and its column: slices of a built table, or
+        entries read off the ambient (_pairs) by a view that reads off
+        it (_reads_ambient), which builds no table."""
         if self._factors(op):
-            return self._pair("identity_index", op)
+            return self._pair(
+                "absorbing_index" if absorbing else "identity_index", op)
         n = self.n
         if not n:
             return None
         ar = np.arange(n)
-        if self._reads_ambient(op):
+        reads = self._reads_ambient(op)
+        if reads:
             zero = np.zeros_like(ar)
             diag, col0, row0 = self._pairs(
                 op, np.concatenate((ar, ar, zero)),
                 np.concatenate((ar, zero, ar))).reshape(3, n)
-            cand = np.flatnonzero((diag == ar) & (col0 == 0) & (row0 == 0))
-            at_cand, each = np.repeat(cand, n), np.tile(ar, len(cand))
-            row_col = self._pairs(op, np.concatenate((at_cand, each)),
-                                  np.concatenate((each, at_cand)))
-            ok = (row_col.reshape(2, len(cand), n) == ar).all(axis=(0, 2))
         else:
             t = self.table(op)
-            cand = np.flatnonzero(
-                (np.diagonal(t) == ar) & (t[:, 0] == 0) & (t[0] == 0))
-            ok = ((t[cand] == ar).all(axis=1)
-                  & (t[:, cand] == ar[:, None]).all(axis=0))
-        return int(cand[ok][0]) if ok.any() else None
-
-    @_once
-    def absorbing_index(self, op):
-        if self._factors(op):
-            return self._pair("absorbing_index", op)
-        t = self.table(op)
-        if not self.n:
-            return None
-        ar = np.arange(self.n)
-        # a∘a = a, a∘0 = a and 0∘a = a leave few candidates to verify.
-        cand = np.flatnonzero(
-            (np.diagonal(t) == ar) & (t[:, 0] == ar) & (t[0] == ar))
-        ok = ((t[cand] == cand[:, None]).all(axis=1)
-              & (t[:, cand] == cand).all(axis=0))
+            diag, col0, row0 = np.diagonal(t), t[:, 0], t[0]
+        edge = ar if absorbing else 0
+        cand = np.flatnonzero((diag == ar) & (col0 == edge) & (row0 == edge))
+        if reads:
+            at_cand, each = np.repeat(cand, n), np.tile(ar, len(cand))
+            row, col = self._pairs(
+                op, np.concatenate((at_cand, each)),
+                np.concatenate((each, at_cand))).reshape(2, len(cand), n)
+        else:
+            row, col = t[cand], t[:, cand].T
+        want = cand[:, None] if absorbing else ar
+        ok = ((row == want) & (col == want)).all(axis=1)
         return int(cand[ok][0]) if ok.any() else None
 
     @_once
@@ -578,6 +578,7 @@ class FiniteStructure:
         return tuple(np.flatnonzero(np.diagonal(t) == np.arange(self.n))
                      .tolist())
 
+    @_once
     def characteristic(self):
         """Least k >= 1 with k-fold sum of the identity zero; 0 if none.
         The walk reads one column of the add table (_pairs)."""
@@ -1182,15 +1183,14 @@ def check_subset_field(elems, add, mul):
 # substructures and S-structure searches (subsets richer than their ambient)
 
 def inherited_substructure(s):
-    """The degenerate diagonal {[a,a]} with the ambient operations."""
+    """The degenerate diagonal {[a,a]} with the ambient operations, a
+    view of s (FiniteStructure.restrict)."""
     if s.kind != "interval":
         raise NotIntervalCarrier(
             f"inherited substructure needs an interval carrier, got {s.kind}")
-    diag = [e for e in s.elements if e.is_degenerate]
-    return FiniteStructure(
-        diag, mul=s.mul_fn, add=s.add_fn,
-        name=f"inherited({s.name})", kind="interval",
-        domain=s.domain, flavor=s.flavor, parse_element=s.parse_element)
+    sub = s.restrict([i for i, e in enumerate(s.elements) if e.is_degenerate])
+    sub.name, sub.parse_element = f"inherited({s.name})", s.parse_element
+    return sub
 
 
 @_once

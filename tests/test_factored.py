@@ -21,6 +21,7 @@ from natint.errors import TooLarge
 from natint.intervals import Flavor, NaturalInterval
 from natint.scalars import Mod
 from natint.structures import FiniteStructure, analyze_structure
+from conftest import built_twin
 
 FLAVORS = ("c", "o", "oc", "co")
 FULL_PRODUCTS = (
@@ -68,15 +69,11 @@ def verdicts(s, ops):
     return out
 
 
-def scan_twin(s, ops):
-    """The same carrier and tables without a product form."""
-    return FiniteStructure(s.elements,
-                           tables={op: s.table(op) for op in ops})
-
-
 def assert_same_as_scan(s):
     ops = _ops(s)
-    twin = scan_twin(s, ops)
+    for op in ops:  # the twin holds s's tables, gathered from its parts
+        s.table(op)
+    twin = built_twin(s)
     scanned = verdicts(twin, ops)
     assert verdicts(s, ops) == scanned
     assert all(twin._factors(op) is None for op in ops)
@@ -84,7 +81,7 @@ def assert_same_as_scan(s):
     # the first witness in C order.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(structures, "_BLOCK_ENTRIES", 1)
-        assert verdicts(scan_twin(s, ops), ops) == scanned
+        assert verdicts(built_twin(twin), ops) == scanned
 
 
 @pytest.mark.parametrize("spec", FULL_PRODUCTS)

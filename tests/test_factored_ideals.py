@@ -23,7 +23,8 @@ from natint.quotients import (
     maximal_minimal_ideals,
 )
 from natint.structures import FiniteStructure
-from test_factored import FULL_PRODUCTS, NOT_PRODUCTS, scan_twin
+from conftest import built_twin
+from test_factored import FULL_PRODUCTS, NOT_PRODUCTS
 
 # A full product whose factor {0, 2} of Z4 has no unity: besides the
 # four products it has the diagonal ideal {[0,0],[2,2]}.
@@ -36,7 +37,9 @@ CARRIERS = RING_PRODUCTS + list(NOT_PRODUCTS) + [NO_UNITY]
 @functools.lru_cache(maxsize=None)
 def _pair(spec):
     s = build_carrier(spec)
-    return s, scan_twin(s, ["add", "mul"])
+    for op in ("add", "mul"):  # the twin holds s's gathered tables
+        s.table(op)
+    return s, built_twin(s)
 
 
 def _answer(decide):
@@ -141,7 +144,7 @@ def test_a_factor_with_non_associative_addition_is_closed_whole():
         add=lambda x, y: _Pair(LOOP_ADD[a][b] for a, b in zip(x, y)),
         mul=lambda x, y: _Pair(_loop_mul(a, b) for a, b in zip(x, y)),
         diag=lambda p: _Pair((p, p)))
-    twin = scan_twin(s, ["add", "mul"])
+    twin = built_twin(s)
     assert len(enumerate_ideals(s._factors("add", "mul")[0])) == 5
     assert quotients._ideal_factors(s) is None
     assert _ideals(s) == _ideals(twin)

@@ -28,6 +28,7 @@ from natint.quotients import (
     standard_quotient,
 )
 from natint.structures import FiniteStructure
+from conftest import built_twin
 from test_factored_ideals import NO_UNITY
 
 FLAVORS = ("c", "o", "oc", "co")
@@ -35,15 +36,6 @@ CARRIERS = ([f"N(Zn:{k},{f})" for k in range(2, 13) for f in FLAVORS]
             + ["N(ZnI:4)", "N(Zn+I:2)", "Mat(1,2,N(Zn:2))",
                "Poly(N(Zn:2),cyc=2)", NO_UNITY])
 KINDS = {"rees": rees_quotient, "standard": standard_quotient}
-
-
-def twin_of(spec):
-    """The carrier of spec with its tables built and no product form."""
-    s = build_carrier(spec)
-    return FiniteStructure(
-        s.elements, mul=s.mul_fn, add=s.add_fn, name=s.name, kind=s.kind,
-        domain=s.domain, flavor=s.flavor, parse_element=s.parse_element,
-        tables={op: s.table(op) for op in ("add", "mul")})
 
 
 def _answer(decide):
@@ -84,7 +76,7 @@ def failing_subsets(s):
 
 @pytest.mark.parametrize("spec", CARRIERS)
 def test_product_ideals_and_quotients_match_the_twin(spec):
-    twin = twin_of(spec)
+    twin = built_twin(build_carrier(spec))
     splits = quotients._ideal_factors(build_carrier(spec)) is not None
     for ideal in enumerate_ideals(build_carrier(spec)):
         s = build_carrier(spec)
@@ -94,7 +86,7 @@ def test_product_ideals_and_quotients_match_the_twin(spec):
 
 @pytest.mark.parametrize("spec", CARRIERS)
 def test_failing_subsets_keep_the_twins_witness(spec):
-    twin = twin_of(spec)
+    twin = built_twin(build_carrier(spec))
     subsets = failing_subsets(build_carrier(spec))
     verdicts = []
     for indices in subsets:
@@ -147,14 +139,6 @@ def test_product_ideals_build_no_carrier_table(monkeypatch, capsys, argv,
 BAND_CARRIERS = ("N(Zn:4,c)", "N(Zn:6)", "N(Zn:5,o)", "Mat(1,2,N(Zn:2))",
                  "Mat(2,1,N(Zn:2))", "Poly(N(Zn:2),cyc=2)",
                  "Sub{[0,0],[1,1],[3,3],[1,2],[2,0]} of N(Zn:4)")
-
-
-def built_twin(s):
-    """s with no product form, its tables built one pair at a time."""
-    twin = FiniteStructure(s.elements, mul=s.mul_fn, add=s.add_fn)
-    for op in ("add", "mul"):
-        twin.table(op)
-    return twin
 
 
 def blocks(s, spec):
@@ -240,7 +224,7 @@ def test_quotient_views_read_facts_off_the_ambient(monkeypatch, spec,
     for ideal in enumerate_ideals(s):
         for make in KINDS.values():
             cls = make(s, Ideal(s, ideal.indices, name="J")).structure()
-            reps, class_of = cls.view
+            _, reps, class_of = cls.view
             twin = FiniteStructure(cls.elements, tables={
                 op: structures._relabel(amb_twin.table(op).take(
                     reps, axis=0).take(reps, axis=1), class_of)
@@ -270,14 +254,14 @@ def test_a_view_finds_its_identity_without_its_table(monkeypatch, subset,
                                                     identity):
     monkeypatch.setattr(structures, "_BAND_ENTRIES", 1)
     s = build_carrier("N(Zn:6)")
-    rows = np.array([s.index[s.parse_element(x)] for x in subset])
-    class_of = np.full(s.n, -1, dtype=np.int32)
-    class_of[rows] = np.arange(len(rows))
-    view = FiniteStructure(range(len(rows)), mul=s.mul_fn, ambient=s,
-                           view=(rows, class_of))
+    rows = [s.index[s.parse_element(x)] for x in subset]
+    view = s.restrict(rows)
     assert view.identity_index("mul") == identity
     assert not view._tables
-    assert s.restrict(rows).identity_index("mul") == identity
+    # a subset whose table is built is searched on the table's slices
+    twin = s.restrict(rows)
+    twin.table("mul")
+    assert twin.identity_index("mul") == identity
 
 
 def test_factored_bands_fill_the_block_band_by_band(monkeypatch):

@@ -31,6 +31,7 @@ from natint.quotients import (
 )
 from natint.scalars import Mod
 from natint.structures import FiniteStructure, analyze_structure, axiom_report
+from conftest import built_twin
 
 FLAVORS = ("c", "o", "oc", "co")
 QUOTIENT_AMBIENTS = (
@@ -60,12 +61,6 @@ def verdicts(s):
     return out
 
 
-def scan_twin(s):
-    """The same carrier and tables with no ambient and no product form."""
-    return FiniteStructure(s.elements, mul=s.mul_fn, add=s.add_fn,
-                           tables={op: s.table(op) for op in _ops(s)})
-
-
 def assert_quotients_match_the_scan(s):
     for ideal in enumerate_ideals(s):
         # The default class label "I" is also an element of N(ZnI:k),
@@ -78,7 +73,7 @@ def assert_quotients_match_the_scan(s):
                 assert q.well_defined(op) == unchecked.well_defined(op), (
                     kind, ideal.indices, op)
             cls = q.structure()
-            assert verdicts(cls) == verdicts(scan_twin(cls)), (
+            assert verdicts(cls) == verdicts(built_twin(cls)), (
                 kind, ideal.indices)
 
 
@@ -100,7 +95,7 @@ def test_s_ring_spans_match_the_scan(monkeypatch, spec):
     analyze_structure(build_carrier(spec))
     assert len(spans) > 10
     for sub in spans:
-        assert verdicts(sub) == verdicts(scan_twin(sub)), sub.elements
+        assert verdicts(sub) == verdicts(built_twin(sub)), sub.elements
 
 
 @pytest.mark.parametrize("spec", QUOTIENT_AMBIENTS)
@@ -119,7 +114,7 @@ def test_rees_add_commutativity_needs_no_scan(monkeypatch, spec):
     for ideal in enumerate_ideals(s):
         q = rees_quotient(s, Ideal(s, ideal.indices, name="J"))
         cls = q.structure()
-        want = scan_twin(cls).commutative("add")
+        want = built_twin(cls).commutative("add")
         monkeypatch.setattr(structures, "_first_true", refuse)
         assert cls.commutative("add") == want == (True, None)
         monkeypatch.setattr(structures, "_first_true", first_true)
@@ -147,7 +142,7 @@ def test_a_non_commutative_ambient_is_scanned():
         for indices in SUBGROUPS:
             cls = rees_quotient(s, Ideal(s, indices, name="J")).structure()
             got.append(cls.commutative("add"))
-            assert got[-1] == scan_twin(cls).commutative("add"), indices
+            assert got[-1] == built_twin(cls).commutative("add"), indices
         assert got[0] == s.commutative("add") == (False, (1, 2))
         assert (True, None) in got
 
@@ -171,14 +166,14 @@ CALLER_BUILT = {
 def test_failing_ambients_give_the_scan_verdicts(name):
     s = _z12(CALLER_BUILT[name])
     ambient = verdicts(s)  # the memo now holds every ambient verdict
-    assert ambient == verdicts(scan_twin(s))
+    assert ambient == verdicts(built_twin(s))
     with pytest.MonkeyPatch.context() as mp:  # one row per block
         mp.setattr(structures, "_BLOCK_ENTRIES", 1)
-        assert verdicts(scan_twin(s)) == ambient
+        assert verdicts(built_twin(s)) == ambient
     assert_quotients_match_the_scan(s)
     for ideal in enumerate_ideals(s):
         sub = s.restrict(ideal.indices)
-        assert verdicts(sub) == verdicts(scan_twin(sub)), ideal.indices
+        assert verdicts(sub) == verdicts(built_twin(sub)), ideal.indices
 
 
 def test_failing_ambient_is_scanned_not_inherited():
@@ -217,7 +212,7 @@ def test_failing_factors_are_not_inherited(name):
     s = _z3_product(FAILING_PRODUCTS[name])
     for rows in (range(s.n), range(s.n - 1, -1, -1)):
         sub = s.restrict(list(rows))  # before any verdict of s is memoized
-        assert verdicts(sub) == verdicts(scan_twin(sub))
+        assert verdicts(sub) == verdicts(built_twin(sub))
         assert sub.associative("mul")[0] is False
         assert sub.distributive()[0] is False
 
@@ -225,7 +220,7 @@ def test_failing_factors_are_not_inherited(name):
 def test_rees_mul_verdicts_need_no_scan(monkeypatch):
     s = build_carrier("N(Zn:12)")
     q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
-    expected = axiom_report(scan_twin(q.structure()), "mul")
+    expected = axiom_report(built_twin(q.structure()), "mul")
     assoc_witness = structures._assoc_witness
 
     def refuse_class_scan(table, *args):
