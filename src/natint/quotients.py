@@ -54,7 +54,9 @@ other facts (see structures), no table of the carrier itself is built:
   lo-major);
 - the class tables of both kinds, and the rows that well_defined
   compares, are gathered from the part tables (FiniteStructure._bands),
-  as they are on any product carrier.
+  as they are on any product carrier; a quotient of more classes than
+  one band holds gathers the rows it predicts the same way, in bands,
+  and builds no class table (_compare_products).
 
 is_ideal reads a subset P x Q off the factors on any full product whose
 factors' additive inverses are unique, with or without a unity: P x Q is
@@ -72,11 +74,11 @@ from .intervals import NaturalInterval, split_top_level
 from .structures import (
     FiniteStructure,
     _first_true,
+    _first_zero_pair,
     _once,
     _proven,
     _unique_negatives,
     _zero_index,
-    _zero_products,
     axiom_report,
     find_special_elements,
     is_strict_semiring,
@@ -551,8 +553,11 @@ class QuotientStructure:
         """The classes as a FiniteStructure, a view of the ambient
         (ambient, reps, class_of): its class tables are gathered when
         first asked for, and, on more classes than one band holds, its
-        identities, absorbing elements, characteristic and units are read
-        off the ambient's without them (FiniteStructure._reads_ambient).
+        identities, absorbing elements, characteristic, units and
+        inverses, first zero pairs and the predicted rows of
+        _compare_products are read in bands off the ambient's without
+        them (FiniteStructure._reads_ambient).  It is closed when the
+        ambient is proven closed, as every ambient element has a class.
         It inherits the ambient's proven laws for the ops well defined on
         the classes, and its commutativity for every op."""
         if self._structure is None:
@@ -600,13 +605,16 @@ class QuotientStructure:
         """Compares the true class of every ambient product against the
         representative-based class table, in the ambient's bands of rows
         (FiniteStructure._bands), so the scan stops at the band of the
-        first mismatch.  No table of the ambient's size is built for a
-        product ambient."""
-        tab = self.class_table(op)
+        first mismatch.  Each band's prediction is the block of the class
+        table for the classes of its rows and of every column, which a
+        view above one band reads off the ambient (_block) and a smaller
+        one off its built table.  So no table of the ambient's size is
+        built for a product ambient, and no class table for a large
+        quotient."""
+        structure = self.structure()
         cls = self.class_of
         for lo, actual in self.ambient._bands(op, relabel=cls):
-            predicted = tab.take(cls[lo:lo + len(actual)], axis=0).take(
-                cls, axis=1)
+            predicted = structure._block(op, cls[lo:lo + len(actual)], cls)
             diff = _first_true(actual != predicted)
             if diff is not None:
                 i, y = diff
@@ -675,7 +683,7 @@ def semifield_verdict(cls):
     out["identity"] = cls.label(e) if e is not None else None
     z = _zero_index(cls)
     if z is not None:
-        hit = _first_true(_zero_products(cls.table("mul"), z))
+        hit = _first_zero_pair(cls, "mul", z)
         out["has_zero_divisors"] = hit is not None
         if hit is not None:
             out["zero_divisor_witness"] = cls.labels(hit)

@@ -23,15 +23,17 @@ subgroups are likewise found once per structure.
 Units are one remembered map too (FiniteStructure.units): each element's
 first two-sided inverse for the identity of mul, or -1 (_inverse_map).
 The unit list, the field verdict and the maximal subgroups read it, or
-_inverse_of on a corner of the table.  Zero divisors, S-zero-divisors
-and the first zero pair of the strict and semifield checks read one
-mask of the products of two nonzero elements that give zero
-(_zero_products), built fresh for each reader and never remembered: it
-is n x n bools, 7.6 MB on a 2757-class quotient.  The unit map and
-inverses(op) share one search (_inverse_bands): each element's first
-right inverse, kept when it is two-sided, since every two-sided inverse
-is a right inverse, and searched on only where it is not.  inverses(op)
-stops at the band of the first element without an inverse.
+_inverse_of on a corner of the table.  Zero divisors and
+S-zero-divisors read one mask of the products of two nonzero elements
+that give zero (_zero_products), built fresh for each reader and never
+remembered: it is n x n bools, 7.6 MB on a 2757-class quotient.  The
+first such pair, which the strict and semifield checks ask for, is read
+band by band and stops at the first band with one (_first_zero_pair).
+The unit map and inverses(op) share one search (_inverse_bands): each
+element's first right inverse, kept when it is two-sided, since every
+two-sided inverse is a right inverse, and searched on only where it is
+not.  inverses(op) stops at the band of the first element without an
+inverse.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) reads each fact off its factors,
@@ -72,9 +74,12 @@ costs about one band.  Its identity and absorbing searches read the
 diagonal, the first row and column, and the row and column of each
 candidate.  Its characteristic walks one column.  Its unit map and
 inverses verdict are searched in the ambient's bands (_inverse_bands),
-one band buffer at a time.  So the 2757-class Rees quotient of N(Z53)
-finds its absorbing element, its characteristic and its 2704 units
-without its two 30 MB class tables.
+one band buffer at a time, and so are its first zero pairs
+(_first_zero_pair) and a quotient's well-definedness (quotients).  Its
+closure needs no read at all when every ambient element has a class
+and the ambient is proven closed (closed).  So the 2757-class Rees
+quotient of N(Z53) gets every verdict of its report without its two
+30 MB class tables.
 
 A view inherits these laws, and commutativity, from its ambient.  A
 subset closed under an operation is associative (distributive) when
@@ -161,7 +166,10 @@ class FiniteStructure:
     commutativity.  A view's tables are read off the ambient's (_block)
     when first asked for.  Until then a view larger than one band reads
     its blocks and entries off the ambient's without building them
-    (_reads_ambient).
+    (_reads_ambient): its identity and absorbing element, characteristic,
+    units and inverses, first zero pairs and, for a quotient, the rows
+    that well_defined compares.  Its closure is proven on the ambient
+    when every ambient element has a class (closed).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
@@ -397,7 +405,15 @@ class FiniteStructure:
 
     @_once
     def closed(self, op):
-        if self._by_factors("closed", op):
+        """Is every product an element?  A full product is closed when its
+        factors are (_by_factors).  A view whose class_of gives every
+        ambient element a class is closed when its ambient is proven
+        closed (_proven), since an entry is -1 only where the ambient's
+        product is, and no table is read.  Else the table is scanned, as
+        it is for a subset, whose class_of has -1."""
+        if self._by_factors("closed", op) or (
+                self.view is not None and (self.view[2] >= 0).all()
+                and _proven(self.view[0], "closed", op)):
             return True, None
         wit = _first_true(self.table(op) < 0)
         return wit is None, wit
@@ -597,10 +613,11 @@ class FiniteStructure:
 
 
 def _proven(s, law, *ops):
-    """Is law ("associative", "commutative" or "distributive") known to
-    hold on s for ops, without a scan of s?  True only when s's memo holds
-    a passing verdict, or when s is a full product whose factors pass (m^3
-    work on m-element factors).  s itself is never scanned."""
+    """Is law ("closed", "associative", "commutative" or "distributive")
+    known to hold on s for ops, without a scan of s?  True only when s's
+    memo holds a passing verdict, or when s is a full product whose
+    factors pass (m^3 work on m-element factors).  s itself is never
+    scanned."""
     done = s._memo.get((law,) + (() if law == "distributive" else ops))
     if done is not None:
         return done[0] is True
@@ -775,11 +792,30 @@ def _inverse_bands(s, op, e):
 
 def _zero_products(t, z):
     """A fresh mask of the products i∘j == z with i != z and j != z; never
-    remembered, as an n x n mask must not outlive its caller."""
+    remembered, as an n x n mask must not outlive its caller.  Only the
+    readers of the whole mask build it: find_special_elements, with
+    _s_zero_divisors, and the zero-pair count of book claim ex-3.34.  A
+    first zero pair is read in bands (_first_zero_pair)."""
     m = (t == z)
     m[z, :] = False
     m[:, z] = False
     return m
+
+
+def _first_zero_pair(s, op, z):
+    """The first (i, j) in C order with i∘j == z under op, i != z and
+    j != z, or None.  op's table is read in bands (FiniteStructure._bands)
+    and the search stops at the first band with a hit, so a view that
+    reads off its ambient builds no table."""
+    for lo, band in s._bands(op):
+        m = band == z
+        m[:, z] = False
+        if lo <= z < lo + len(m):
+            m[z - lo] = False
+        hit = _first_true(m)
+        if hit is not None:
+            return lo + hit[0], hit[1]
+    return None
 
 
 def _first_true(mask):
@@ -1355,7 +1391,7 @@ def is_strict_semiring(s):
     z = s.identity_index("add")
     if z is None:
         return None, None
-    bad = _first_true(_zero_products(s.table("add"), z))
+    bad = _first_zero_pair(s, "add", z)
     if bad is not None:
         return False, tuple(s.labels(bad))
     return True, None

@@ -47,6 +47,7 @@ from .scalars import (
     _rand_below,
 )
 from .structures import (
+    _first_zero_pair,
     _zero_products,
     check_subset_field,
     check_subset_group,
@@ -1004,7 +1005,7 @@ def _c_thm_3_8(ctx):
         _, q = _rees_cols(n, _C)
         cls = q.structure()
         char = cls.characteristic()
-        zd = bool(_zero_products(cls.table("mul"), 0).any())
+        zd = _first_zero_pair(cls, "mul", 0) is not None
         units = int((cls.units() >= 0).sum())
         ok = (q.n_classes == n * n - n + 1 and char == n and zd
               and units > 1)

@@ -20,14 +20,16 @@ from natint.carriers import build_carrier
 from natint.errors import NotAnIdeal, ParseError
 from natint.quotients import (
     Ideal,
+    QuotientStructure,
     enumerate_ideals,
     is_ideal,
     parse_ideal_spec,
     quotient_analysis,
     rees_quotient,
+    semifield_verdict,
     standard_quotient,
 )
-from natint.structures import FiniteStructure
+from natint.structures import FiniteStructure, is_strict_semiring
 from conftest import built_twin
 from test_factored_ideals import NO_UNITY
 
@@ -204,6 +206,18 @@ VIEW_CARRIERS = ("N(Zn:6)", "N(Zn:5,o)", "N(ZnI:4)", "Mat(1,2,N(Zn:2))",
                  NO_UNITY)
 
 
+def class_twin(cls, amb_twin):
+    """The classes cls as a structure of their own, with cls's ops: its
+    class tables read off the built tables of amb_twin, the twin of cls's
+    ambient, and no view, so every fact is scanned off those tables."""
+    _, reps, class_of = cls.view
+    return FiniteStructure(cls.elements, mul=cls.mul_fn, add=cls.add_fn,
+                           tables={op: structures._relabel(
+                               amb_twin.table(op).take(reps, axis=0).take(
+                                   reps, axis=1), class_of)
+                               for op in ("add", "mul")})
+
+
 def view_facts(s):
     return ([s.identity_index(op) for op in ("add", "mul")],
             s.characteristic(), None if s.units() is None else
@@ -224,11 +238,7 @@ def test_quotient_views_read_facts_off_the_ambient(monkeypatch, spec,
     for ideal in enumerate_ideals(s):
         for make in KINDS.values():
             cls = make(s, Ideal(s, ideal.indices, name="J")).structure()
-            _, reps, class_of = cls.view
-            twin = FiniteStructure(cls.elements, tables={
-                op: structures._relabel(amb_twin.table(op).take(
-                    reps, axis=0).take(reps, axis=1), class_of)
-                for op in ("add", "mul")})
+            twin = class_twin(cls, amb_twin)
             monkeypatch.setattr(structures, "_BAND_ENTRIES",
                                 band_rows * cls.n)
             assert view_facts(cls) == view_facts(twin), cls.name
@@ -280,3 +290,127 @@ def test_product_characteristic_reads_one_column_of_the_parts():
     assert s.characteristic() == 6
     assert not s._tables
     assert built_twin(s).characteristic() == 6
+
+
+# ----------------------------------------------------------------------
+# quotient verdicts read in bands, and closure proven on the ambient
+
+OPS = ("add", "mul")
+
+
+def quotient_verdicts(q, cls):
+    """The verdicts of the quotient q that a view reads in bands or
+    proves on its ambient, on the class structure cls: q's own, or a
+    twin of it."""
+    return ([cls.closed(op) for op in OPS], [q.well_defined(op) for op in OPS],
+            semifield_verdict(cls), is_strict_semiring(cls))
+
+
+def twin_quotient(q, amb_twin):
+    """q over the twin of its ambient, with both class tables built before
+    any fact is read, so its comparisons read rows of its class tables."""
+    twin = QuotientStructure(amb_twin, Ideal(amb_twin, q.ideal.indices,
+                                             name=q.ideal.name), q.kind)
+    twin._is_ideal = q._is_ideal
+    for op in OPS:
+        twin.class_table(op)
+    return twin
+
+
+@pytest.mark.parametrize("band_rows", (1, 3))
+@pytest.mark.parametrize("spec", VIEW_CARRIERS + ("N(Zn+I:2)",
+                                                  "Poly(N(Zn:2),cyc=2)"))
+def test_quotient_verdicts_match_the_twin(monkeypatch, spec, band_rows):
+    # closure, well-definedness with its witness, the semifield verdict
+    # and strictness with their first zero pairs, read in bands of one or
+    # three rows of classes.  Each ambient is a full product, proven
+    # closed and commutative by its factors, so no class table is built
+    # unless it fits in one band
+    s = build_carrier(spec)
+    amb_twin = built_twin(build_carrier(spec))
+    mismatches = set()
+    for ideal in enumerate_ideals(s):
+        for make in KINDS.values():
+            q = make(s, Ideal(s, ideal.indices, name="J"))
+            twin = twin_quotient(q, amb_twin)
+            cls = q.structure()
+            monkeypatch.setattr(structures, "_BAND_ENTRIES",
+                                band_rows * cls.n)
+            got = quotient_verdicts(q, cls)
+            assert got == quotient_verdicts(
+                twin, class_twin(cls, amb_twin)), (cls.name, got)
+            mismatches.update(ok for ok, _ in got[1])
+            small = cls.n * cls.n <= structures._BAND_ENTRIES
+            assert bool(cls._tables) <= small, cls.name
+            monkeypatch.undo()
+    assert False in mismatches
+
+
+@pytest.mark.parametrize("band_rows", (1, 3))
+def test_a_compare_that_passes_reads_every_band(monkeypatch, band_rows):
+    # without is_ideal no congruence lemma applies, so the standard add of
+    # the classes is compared band by band over all of N(Zn:6) and passes
+    s = build_carrier("N(Zn:6)")
+    amb_twin = built_twin(build_carrier("N(Zn:6)"))
+    q = QuotientStructure(s, parse_ideal_spec(s, "col-zero"), "standard")
+    twin = twin_quotient(q, amb_twin)
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * q.n_classes)
+    bands = []
+    read = FiniteStructure._bands
+
+    def counted(self, op, *args, **kwargs):
+        for lo, band in read(self, op, *args, **kwargs):
+            if kwargs.get("relabel") is q.class_of:  # the true classes
+                bands.append(lo)
+            yield lo, band
+
+    monkeypatch.setattr(FiniteStructure, "_bands", counted)
+    assert q.well_defined("add") == twin.well_defined("add") == (True, None)
+    step = max(1, structures._BAND_ENTRIES // s.n)
+    assert bands == list(range(0, s.n, step))
+    assert not q.structure()._tables
+
+
+def test_a_closed_ambient_proves_a_quotient_but_not_a_subset_closed():
+    s = build_carrier("N(Zn:6)")
+    q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
+    assert q.structure().closed("add") == (True, None)
+    assert not q.structure()._tables
+    # {[0,0], [1,1]}: [1,1] + [1,1] = [2,2] leaves the subset
+    rows = [s.index[s.parse_element(x)] for x in ("[0,0]", "[1,1]")]
+    twin = built_twin(s).restrict(rows)
+    assert s.restrict(rows).closed("add") == twin.closed("add") == (
+        False, (1, 1))
+
+
+@pytest.mark.parametrize("band_rows", (1, 2))
+def test_first_zero_pair_matches_the_whole_mask(monkeypatch, band_rows):
+    # the zero is element 0, the last element or one in between, so its
+    # row falls in the first, the last or a middle band
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 5, 9):
+        for z in {0, n // 2, n - 1}:
+            t = rng.integers(-1, 3, size=(n, n)).astype(np.int32)
+            t[z] = z
+            s = FiniteStructure(range(n), tables={"add": t})
+            monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * n)
+            want = structures._first_true(structures._zero_products(t, z))
+            assert structures._first_zero_pair(s, "add", z) == want, (n, z)
+
+
+@pytest.mark.parametrize("ideal", ("col-zero", "row-zero"))
+def test_a_large_rees_quotient_builds_no_class_table(monkeypatch, ideal):
+    built = FiniteStructure.table
+
+    def refuse(self, op):
+        if (self.view is not None and op not in self._tables
+                and self.n * self.n > structures._BAND_ENTRIES):
+            raise AssertionError(f"the {op} class table was built")
+        return built(self, op)
+
+    monkeypatch.setattr(FiniteStructure, "table", refuse)
+    s = build_carrier("N(Zn:53)")
+    report = quotient_analysis(rees_quotient(s, parse_ideal_spec(s, ideal)))
+    assert report["classes"] == 2757
+    assert report["semifield"]["has_zero_divisors"] is False
+    assert report["semifield"]["strict_addition"] is False
