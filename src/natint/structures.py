@@ -47,6 +47,18 @@ pairs and triples are exactly the pairs of the factors' (_by_factors).
   and it has none when a factor has none.
 - When both factors' additive inverses are unique, the one inverse of
   (a, b) is (-a, -b).
+- Its idempotents are the pairs (e, f) of the factors' idempotents, and
+  the maximal subgroup at (e, f) is H_e x H_f: (x, y) has an inverse in
+  the corner of (e, f) exactly when x has one in the corner of e and y
+  in the corner of f (maximal_subgroups).
+- When its lo and hi parts are one factor D whose addition is a group
+  (N(D) is D x D), it has a proper subfield exactly when the span of
+  e * g, for an idempotent e and an element g of D, is a field in D;
+  is_s_ring reads those spans off D and maps them onto the diagonal
+  [p, p].  A subfield of D x D projects injectively into one factor,
+  since a projection keeps + and * and a field has no ideal but 0 and
+  itself, and the prime field of its image is the span of an
+  idempotent of D (_s_ring_spans).
 
 Such a verdict is exhaustive over the factors.  When a factor fails, or
 has an element with two additive inverses, the carrier's own table is
@@ -1230,20 +1242,42 @@ def inherited_substructure(s):
 
 
 @_once
+def _subgroups(s):
+    """{e: H_e} for each multiplicative idempotent e of s, in carrier
+    order: H_e holds, ascending, the units of the local monoid
+    {x : ex = xe = x} with identity e, searched in that corner of s's
+    mul table (_inverse_of)."""
+    t = s.table("mul")
+    ar = np.arange(s.n)
+    out = {}
+    for e in s.idempotents():
+        corner = np.flatnonzero((t[e] == ar) & (t[:, e] == ar))
+        out[e] = corner[_inverse_of(t[np.ix_(corner, corner)], e) >= 0]
+    return out
+
+
+@_once
 def maximal_subgroups(s):
     """For each multiplicative idempotent e: the group of invertible
     elements of the local monoid {x : ex = xe = x} with identity e.
-    Found once per structure; every caller gets the same list."""
-    t = s.table("mul")
-    ar = np.arange(s.n)
-    out = []
-    for e in s.idempotents():
-        corner = np.flatnonzero((t[e] == ar) & (t[:, e] == ar))
-        members = corner[_inverse_of(t[np.ix_(corner, corner)], e) >= 0]
-        out.append({"idempotent": s.label(e),
-                    "order": len(members),
-                    "members": s.labels(members)})
-    return out
+    Found once per structure; every caller gets the same list.  On a
+    full product (_factors) the idempotents are the pairs (e, f) of the
+    factors' idempotents, and the group at (e, f) is H_e x H_f, since
+    (x, y) has an inverse in the corner of (e, f) exactly when x has one
+    in the corner of e and y in the corner of f; so only the factors'
+    corners are searched (_subgroups), and no table of s is built."""
+    factors = s._factors("mul")
+    if factors is None:
+        groups = _subgroups(s)
+    else:
+        lo, hi = _subgroups(factors[0]), _subgroups(factors[-1])
+        grid = s._coords().grid
+        pairs = sorted((grid[a, b].item(), a, b) for a in lo for b in hi)
+        groups = {e: np.sort(grid[lo[a][:, None], hi[b]], axis=None).tolist()
+                  for e, a, b in pairs}
+    return [{"idempotent": s.label(e), "order": len(members),
+             "members": s.labels(members)}
+            for e, members in groups.items()]
 
 
 def thm_unit_square_witness(s):
@@ -1303,35 +1337,64 @@ def is_s_ring(s):
     Search order: additive spans of e*g with e a multiplicative idempotent
     and g a carrier element — degenerate (diagonal) pairs first on
     interval carriers — then, for carriers of at most SPAN_SEARCH_CAP
-    elements, additive spans of single elements and of pairs.
+    elements, additive spans of single elements and of pairs.  On N(D)
+    over a D whose addition is a group, only the diagonal pairs are
+    tried, read off D with no table of the carrier, and when none of
+    them is a field no subset is (_s_ring_spans).
     """
     if not (s.has_op("add") and s.has_op("mul")):
         return False, None
+    seen = set()
+    for span in _s_ring_spans(s):
+        if span is None or span in seen:
+            continue
+        seen.add(span)
+        if not 2 <= len(span) < s.n:
+            continue
+        members = sorted(span)
+        ok, info = _field_verdict(s.restrict(members))
+        if ok:
+            return True, {"members": s.labels(members),
+                          "identity": info["identity"],
+                          "order": len(members), "member_indices": members}
+    return False, None
+
+
+def _s_ring_spans(s):
+    """The candidate spans of is_s_ring in search order, as frozensets of
+    carrier indices, None for one that leaves the carrier.
+
+    On a full interval product whose lo and hi parts are one factor f
+    with an additive group (_diagonal_factor), only the diagonal phase
+    runs, on f: the spans of e*g for f's idempotents e and its parts g,
+    in part order, mapped onto the diagonal [p, p].  No other phase can
+    hit there.  A subfield F of D x D projects into each factor by a map
+    pi that keeps + and *, so pi(0_F) is 0_D, the one additive idempotent
+    of a group.  If pi(x) = 0_D for some x != 0_F, then every w = x(w/x)
+    has pi(w) = 0_D pi(w/x) = pi(0_F (w/x)) = 0_D; as F has at least two
+    elements, one projection is injective.  Its image is a subfield of
+    D, and the prime field of that image is the additive span of its
+    identity e, an idempotent of D, whose diagonal copy is the span of
+    [e, e] * [e, e]: a proper subfield, which this phase tries."""
+    read = _diagonal_factor(s)
+    if read is not None:
+        f, diagonal = read
+        t = f.table("mul")
+        for e in f.idempotents():
+            for prod in t[e].tolist():
+                if prod >= 0:
+                    span = _additive_span(f, prod)
+                    yield frozenset(diagonal[sorted(span)].tolist())
+        return
     t = s.table("mul")
-    z = s.identity_index("add")
-    if z is None:
-        return False, None
+    if s.identity_index("add") is None:
+        return
     n = s.n
     idem = s.idempotents()
 
     def diag(i):
         e = s.elements[i]
         return isinstance(e, NaturalInterval) and e.is_degenerate
-
-    seen = set()
-
-    def try_span(span):
-        if span is None or span in seen:
-            return None
-        seen.add(span)
-        if not 2 <= len(span) < n:
-            return None
-        members = sorted(span)
-        ok, info = _field_verdict(s.restrict(members))
-        if ok:
-            return {"members": s.labels(members), "identity": info["identity"],
-                    "order": len(members), "member_indices": members}
-        return None
 
     phases = []
     if s.kind == "interval":
@@ -1343,29 +1406,33 @@ def is_s_ring(s):
             row = t[e]
             for g in gs:
                 prod = int(row[g])
-                if prod < 0:
-                    continue
-                hit = try_span(_additive_span(s, prod))
-                if hit:
-                    return True, hit
+                if prod >= 0:
+                    yield _additive_span(s, prod)
     if n <= SPAN_SEARCH_CAP:
-        spans = []
-        for i in range(n):
-            sp = _additive_span(s, i)
-            if sp is not None:
-                spans.append(sp)
-        singles = sorted(set(spans), key=sorted)
-        for sp in singles:
-            hit = try_span(sp)
-            if hit:
-                return True, hit
+        spans = (_additive_span(s, i) for i in range(n))
+        singles = sorted({sp for sp in spans if sp is not None}, key=sorted)
+        yield from singles
         for a in range(len(singles)):
             for b in range(a + 1, len(singles)):
-                joined = _close_under_add(s, singles[a] | singles[b])
-                hit = try_span(joined)
-                if hit:
-                    return True, hit
-    return False, None
+                yield _close_under_add(s, singles[a] | singles[b])
+
+
+def _diagonal_factor(s):
+    """(f, diagonal) when is_s_ring reads s off one factor f: s is a full
+    interval product whose lo and hi parts agree (N(D) is D x D), its
+    diagonal elements diagonal[p] = [p, p] lie in part order, and f's add
+    is a group (closed and associative, with an identity and inverses).
+    None for any other structure."""
+    if s.kind != "interval":
+        return None
+    factors = s._factors("add", "mul")
+    if factors is None or len(factors) != 1:
+        return None
+    f, diagonal = factors[0], np.diagonal(s._coords().grid)
+    if not ((np.diff(diagonal) > 0).all() and f.associative("add")[0]
+            and f.inverses("add")[0]):
+        return None
+    return f, diagonal
 
 
 def _close_under_add(s, seed):
