@@ -40,13 +40,6 @@ class Flavor(Enum):
         raise ParseError(f"unknown flavor {code!r}", text=code,
                          expected=[f.code for f in cls])
 
-    @classmethod
-    def from_brackets(cls, left, right):
-        for f in cls:
-            if f.left == left and f.right == right:
-                return f
-        raise ParseError(f"unknown bracket pair {left!r} {right!r}")
-
 
 class Trend(Enum):
     INCREASING = "increasing"

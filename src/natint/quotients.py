@@ -1,6 +1,11 @@
 """Ideals and quotient constructions over finite carriers.
 
-Two quotient kinds are supported:
+A quotient (QuotientStructure) is a FiniteStructure, a view of its
+ambient (structures): class c is the element labeled as below, standing
+for the ambient element reps[c], and class_of maps every ambient element
+to its class.  Its tables, verdicts and element facts are the view's
+own, so a quotient is analyzed as any structure is.  Two quotient kinds
+are supported:
 
 standard
     True additive cosets x + I.  Requires the subset to be a genuine
@@ -20,9 +25,9 @@ of an element outside the ideal.
 
 An operation that is well defined on the classes is a congruence, and
 the classes inherit its associativity and distributivity from the
-ambient (see structures).  For a quotient by an ideal that passed
-is_ideal, the congruence lemma decides well_defined without comparing
-any products:
+ambient (structures: FiniteStructure._known asks _congruent).  For a
+quotient by an ideal that passed is_ideal, the congruence lemma decides
+well_defined without comparing any products:
 
 - rees mul always, because the ideal absorbs products on both sides;
 - standard add when the ambient's addition is proven associative and
@@ -484,13 +489,19 @@ def ideal_summary(ideal):
 # ----------------------------------------------------------------------
 
 
-class QuotientStructure:
-    """Partition of a carrier by an ideal, with class-level tables.
+class QuotientStructure(FiniteStructure):
+    """The classes of a carrier modulo an ideal, as a view of the carrier.
 
-    class_of maps ambient index -> class id; reps holds one ambient
-    index per class with the ideal's class always id 0.  `_is_ideal` is
-    set by rees_quotient and standard_quotient, which run is_ideal first;
-    only then does the congruence lemma apply.
+    Class c stands for the ambient element reps[c], and an ambient element
+    x lies in class class_of[x]; the ideal's class is always 0.  The
+    elements are the class labels, and the tables and verdicts are those
+    of any view (structures): a class table is gathered off the ambient
+    when first asked for, and a quotient of more classes than one band
+    holds reads its facts off the ambient without one.  An op inherits
+    the ambient's proven laws only when it is well defined on the classes
+    (_congruent).  `_is_ideal` is set by rees_quotient and
+    standard_quotient, which run is_ideal first; only then does the
+    congruence lemma apply.
     """
 
     def __init__(self, ambient, ideal, kind):
@@ -498,10 +509,7 @@ class QuotientStructure:
             raise ValueError(f"unknown quotient kind {kind!r}")
         self.ambient = ambient
         self.ideal = ideal
-        self.kind = kind
         self._is_ideal = False
-        self._memo = {}
-        self._structure = None
         n = ambient.n
         if kind == "rees":
             outside = np.flatnonzero(~ideal.mask())
@@ -527,58 +535,29 @@ class QuotientStructure:
             class_of_rep[order] = np.arange(len(order))
             self.class_of = class_of_rep[rep]
             self.reps = order
+        kept = ambient.labels(self.reps[1:])
+        if kind == "standard":
+            kept = [f"{rep}+{ideal.name}" for rep in kept]
+        if ideal.name in kept:
+            raise ParseError(
+                f"ideal name {ideal.name!r} is also the label of a class the "
+                f"quotient keeps; give the ideal another name=")
+        super().__init__(
+            [ideal.name] + kept, mul=self._on_labels("mul"),
+            add=self._on_labels("add") if ambient.has_op("add") else None,
+            name=f"{ambient.name}/{ideal.name}[{kind}]", kind=kind,
+            view=(ambient, np.asarray(self.reps), self.class_of))
 
-    @property
-    def n_classes(self):
-        return len(self.reps)
+    def _on_labels(self, op):
+        """op on class labels, read off the class table."""
+        def fn(x, y):
+            k = int(self.table(op)[self.index[x], self.index[y]])
+            return self.elements[k] if k >= 0 else None
 
-    def class_label(self, c):
-        if c == 0:
-            return self.ideal.name
-        rep = self.ambient.label(self.reps[c])
-        if self.kind == "standard":
-            return f"{rep}+{self.ideal.name}"
-        return rep
+        return fn
 
-    @_once
-    def class_labels(self):
-        """The label of every class, formatted once per quotient."""
-        return [self.class_label(c) for c in range(self.n_classes)]
-
-    def class_table(self, op):
-        """The class table of op: the table of structure()."""
-        return self.structure().table(op)
-
-    def structure(self):
-        """The classes as a FiniteStructure, a view of the ambient
-        (ambient, reps, class_of): its class tables are gathered when
-        first asked for, and, on more classes than one band holds, its
-        identities, absorbing elements, characteristic, units and
-        inverses, first zero pairs and the predicted rows of
-        _compare_products are read in bands off the ambient's without
-        them (FiniteStructure._reads_ambient).  It is closed when the
-        ambient is proven closed, as every ambient element has a class.
-        It inherits the ambient's proven laws for the ops well defined on
-        the classes, and its commutativity for every op."""
-        if self._structure is None:
-            labels = self.class_labels()
-
-            def mk(op):
-                def fn(x, y):
-                    cls = self._structure
-                    k = int(cls.table(op)[cls.index[x], cls.index[y]])
-                    return labels[k] if k >= 0 else None
-
-                return fn
-
-            self._structure = FiniteStructure(
-                labels, mul=mk("mul"),
-                add=mk("add") if self.ambient.has_op("add") else None,
-                name=f"{self.ambient.name}/{self.ideal.name}[{self.kind}]",
-                kind="quotient",
-                view=(self.ambient, np.asarray(self.reps), self.class_of),
-                congruent=lambda op: self.well_defined(op)[0])
-        return self._structure
+    def _congruent(self, op):
+        return self.well_defined(op)[0]
 
     @_once
     def well_defined(self, op):
@@ -607,14 +586,13 @@ class QuotientStructure:
         (FiniteStructure._bands), so the scan stops at the band of the
         first mismatch.  Each band's prediction is the block of the class
         table for the classes of its rows and of every column, which a
-        view above one band reads off the ambient (_block) and a smaller
-        one off its built table.  So no table of the ambient's size is
-        built for a product ambient, and no class table for a large
-        quotient."""
-        structure = self.structure()
+        quotient above one band reads off the ambient (_block) and a
+        smaller one off its built table.  So no table of the ambient's
+        size is built for a product ambient, and no class table for a
+        large quotient."""
         cls = self.class_of
         for lo, actual in self.ambient._bands(op, relabel=cls):
-            predicted = structure._block(op, cls[lo:lo + len(actual)], cls)
+            predicted = self._block(op, cls[lo:lo + len(actual)], cls)
             diff = _first_true(actual != predicted)
             if diff is not None:
                 i, y = diff
@@ -622,10 +600,9 @@ class QuotientStructure:
                 return False, {
                     "x": self.ambient.label(lo + i),
                     "y": self.ambient.label(y),
-                    "class_of_result":
-                        self.class_label(got) if got >= 0 else None,
+                    "class_of_result": self.label(got) if got >= 0 else None,
                     "class_from_reps":
-                        self.class_label(want) if want >= 0 else None,
+                        self.label(want) if want >= 0 else None,
                 }
         return True, None
 
@@ -638,16 +615,15 @@ class QuotientStructure:
             out[f"well_defined_{op}"] = ok
             if wit:
                 out[f"well_defined_{op}_witness"] = wit
-        cls = self.structure()
-        if cls.has_op("add"):
+        if self.has_op("add"):
             try:
-                assoc, wit = cls.associative("add")
+                assoc, wit = self.associative("add")
             except TooLarge:
                 assoc, wit = None, None
                 out["associative_add_note"] = "skipped: too many classes"
             out["associative_add"] = assoc
             if assoc is False:
-                out["associative_add_witness"] = cls.labels(wit)
+                out["associative_add_witness"] = self.labels(wit)
         return out
 
 
@@ -664,10 +640,6 @@ def _ideal_quotient(s, ideal, kind):
     if not ok:
         raise NotAnIdeal(f"{ideal.name}: {info['reason']}")
     q = QuotientStructure(s, ideal, kind)
-    if ideal.name in q.class_labels()[1:]:
-        raise ParseError(
-            f"ideal name {ideal.name!r} is also the label of a class the "
-            f"quotient keeps; give the ideal another name=")
     q._is_ideal = True
     return q
 
@@ -709,23 +681,22 @@ def semifield_verdict(cls):
 
 def quotient_analysis(q):
     """Full serializable report for a quotient."""
-    cls = q.structure()
     out = {
         "schema": "natint/1",
         "kind": q.kind,
         "ambient": q.ambient.name,
         "ambient_order": q.ambient.n,
         "ideal": ideal_summary(q.ideal),
-        "classes": cls.n,
+        "classes": q.n,
         "diagnostics": q.diagnostics(),
-        "axioms": {"mul": axiom_report(cls, "mul")},
+        "axioms": {"mul": axiom_report(q, "mul")},
     }
-    if cls.has_op("add"):
-        out["axioms"]["add"] = axiom_report(cls, "add")
-        out["characteristic"] = cls.characteristic()
-    out["semifield"] = semifield_verdict(cls)
-    if cls.n <= CLASS_REPORT_CAP:
-        specials = find_special_elements(cls, with_orders=True)
+    if q.has_op("add"):
+        out["axioms"]["add"] = axiom_report(q, "add")
+        out["characteristic"] = q.characteristic()
+    out["semifield"] = semifield_verdict(q)
+    if q.n <= CLASS_REPORT_CAP:
+        specials = find_special_elements(q, with_orders=True)
         out["elements"] = specials
         out["power_return"] = [
             {"class": ent["x"], "k": ent["return_exponent"]}

@@ -77,8 +77,10 @@ A subset and a quotient are both views of an ambient structure
 (FiniteStructure's `view`): element i stands for the ambient element
 reps[i], and entry (i, j) is the element class_of[reps[i] ∘ reps[j]].
 A subset's reps are its carrier indices and its class_of their
-relabeling, -1 for a product off the subset (restrict); a quotient's
-reps are one representative per class and its class_of the class map.
+relabeling, -1 for a product off the subset (restrict).  A quotient is
+itself such a view (quotients.QuotientStructure, a FiniteStructure):
+its reps are one representative per class, its class_of the class map
+and its elements the class labels.
 A view's table is gathered only when a fact needs all of it.  Until
 then a view whose table would not fit in one band reads what it needs
 off the ambient (_reads_ambient); a smaller one builds its table, which
@@ -169,25 +171,21 @@ class FiniteStructure:
     (quotients), and every block of its table, its n x n table too, is
     gathered from them (_bands).  `tables` seeds the cache directly.
     `view`, when given, is (ambient, reps, class_of): this structure is a
-    subset (restrict) or a quotient of the structure ambient, and
-    inherits its proven laws (_known).  Element i stands for the ambient
-    element reps[i], and an ambient product p is element class_of[p]
-    (-1 for none).
-    `congruent(op)`, when given, says whether op is well defined on the
-    classes of a quotient, and an op it rejects inherits only
-    commutativity.  A view's tables are read off the ambient's (_block)
-    when first asked for.  Until then a view larger than one band reads
-    its blocks and entries off the ambient's without building them
-    (_reads_ambient): its identity and absorbing element, characteristic,
-    units and inverses, first zero pairs and, for a quotient, the rows
-    that well_defined compares.  Its closure is proven on the ambient
-    when every ambient element has a class (closed).
+    subset (restrict) or a quotient (quotients.QuotientStructure) of the
+    structure ambient, and inherits its proven laws (_known).  Element i
+    stands for the ambient element reps[i], and an ambient product p is
+    element class_of[p] (-1 for none).  A view's tables are read off the
+    ambient's (_block) when first asked for.  Until then a view larger
+    than one band reads its blocks and entries off the ambient's without
+    building them (_reads_ambient): its identity and absorbing element,
+    characteristic, units and inverses, first zero pairs and, for a
+    quotient, the rows that well_defined compares.  Its closure is proven
+    on the ambient when every ambient element has a class (closed).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, diag=None, tables=None,
-                 congruent=None, view=None):
+                 parse_element=None, diag=None, tables=None, view=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -200,7 +198,6 @@ class FiniteStructure:
         self.flavor = flavor
         self.parse_element = parse_element
         self.diag = diag
-        self.congruent = congruent
         self.view = view
         self._tables = dict(tables) if tables else {}
         self._memo = {}
@@ -382,11 +379,17 @@ class FiniteStructure:
         a view?  Only proven ambient verdicts count.  Commutativity holds
         on any view of a commutative ambient, as its entries are read off
         the ambient's for its representatives; any other law only for ops
-        well defined here (congruent)."""
+        well defined here (_congruent)."""
         return self._by_factors(law, *ops) or (
             self.view is not None and _proven(self.view[0], law, *ops)
-            and (law == "commutative" or self.congruent is None
-                 or all(self.congruent(op) for op in ops)))
+            and (law == "commutative"
+                 or all(self._congruent(op) for op in ops)))
+
+    def _congruent(self, op):
+        """Is op well defined on the elements of this view?  Yes, unless
+        the view is a quotient (QuotientStructure), whose classes may
+        split a product: it asks well_defined."""
+        return True
 
     def restrict(self, indices):
         """The substructure on the given carrier indices, in that order: a
@@ -935,14 +938,17 @@ def axiom_report(s, op):
 
 def _group_verdict(s, op="mul"):
     """(ok, info): is s a group under op?  info holds the identity, or
-    the reason and, where there is one, the first witness."""
+    the reason and, where there is one, the first witness.  A "not
+    closed" witness names the product that leaves s, or None when s holds
+    op's table but no op to evaluate (the factors of a product)."""
     if s.n == 0:
         return False, {"reason": "empty"}
     closed, cw = s.closed(op)
     if not closed:
         x, y = (s.elements[i] for i in cw)
+        out = str(s.apply(op, x, y)) if s.has_op(op) else None
         return False, {"reason": "not closed",
-                       "witness": (*s.labels(cw), str(s.apply(op, x, y)))}
+                       "witness": (*s.labels(cw), out)}
     assoc, aw = s.associative(op)
     if not assoc:
         return False, {"reason": "not associative",
@@ -1421,16 +1427,14 @@ def _diagonal_factor(s):
     """(f, diagonal) when is_s_ring reads s off one factor f: s is a full
     interval product whose lo and hi parts agree (N(D) is D x D), its
     diagonal elements diagonal[p] = [p, p] lie in part order, and f's add
-    is a group (closed and associative, with an identity and inverses).
-    None for any other structure."""
+    is a group.  None for any other structure."""
     if s.kind != "interval":
         return None
     factors = s._factors("add", "mul")
     if factors is None or len(factors) != 1:
         return None
     f, diagonal = factors[0], np.diagonal(s._coords().grid)
-    if not ((np.diff(diagonal) > 0).all() and f.associative("add")[0]
-            and f.inverses("add")[0]):
+    if not ((np.diff(diagonal) > 0).all() and is_group(f, "add")):
         return None
     return f, diagonal
 

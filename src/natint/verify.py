@@ -790,22 +790,21 @@ def _rees_cols(n, flavor):
 def _c_ex_3_28(ctx):
     d = Mod(3)
     s, q = _rees_cols(3, _O)
-    cls = q.structure()
-    char = cls.characteristic()
+    char = q.characteristic()
     a, b = interval(d, 1, 0, _O), interval(d, 1, 2, _O)
     sum_cls = _class_of(q, a + b)
     want_sum = _class_of(q, interval(d, 2, 2, _O))
     prod_cls = _class_of(q, a * b)
     want_prod = _class_of(q, a)
-    agree = (q.n_classes == 7 and char == 3 and sum_cls == want_sum
+    agree = (q.n == 7 and char == 3 and sum_cls == want_sum
              and prod_cls == want_prod)
     return _verdict(agree,
                     {"classes": 7, "characteristic": 3,
                      "(1,0)+(1,2)": "class of 2",
                      "(1,0)(1,2)": "class of (1,0)"},
-                    {"classes": q.n_classes, "characteristic": char,
-                     "sum_class": q.class_label(sum_cls),
-                     "product_class": q.class_label(prod_cls)})
+                    {"classes": q.n, "characteristic": char,
+                     "sum_class": q.label(sum_cls),
+                     "product_class": q.label(prod_cls)})
 
 
 @claim("ex-3.29",
@@ -813,10 +812,10 @@ def _c_ex_3_28(ctx):
        "characteristic 6")
 def _c_ex_3_29(ctx):
     _, q = _rees_cols(6, _C)
-    char = q.structure().characteristic()
-    return _verdict(q.n_classes == 31 and char == 6,
+    char = q.characteristic()
+    return _verdict(q.n == 31 and char == 6,
                     {"classes": 31, "characteristic": 6},
-                    {"classes": q.n_classes, "characteristic": char})
+                    {"classes": q.n, "characteristic": char})
 
 
 @claim("ex-3.30",
@@ -825,15 +824,14 @@ def _c_ex_3_29(ctx):
 def _c_ex_3_30(ctx):
     d = Mod(4)
     _, q = _rees_cols(4, _OC)
-    cls = q.structure()
-    char = cls.characteristic()
+    char = q.characteristic()
     two = interval(d, 2, 2, _OC)
     nil = _class_of(q, two * two) == 0 and _class_of(q, two) != 0
-    agree = q.n_classes == 13 and char == 4 and nil
+    agree = q.n == 13 and char == 4 and nil
     return _verdict(agree,
                     {"classes": 13, "characteristic": 4,
                      "zero_divisors": True},
-                    {"classes": q.n_classes, "characteristic": char,
+                    {"classes": q.n, "characteristic": char,
                      "2*2_collapses": nil})
 
 
@@ -841,10 +839,10 @@ def _c_ex_3_30(ctx):
        "over Z5 the collapse leaves 21 classes of characteristic 5")
 def _c_ex_3_31(ctx):
     _, q = _rees_cols(5, _O)
-    char = q.structure().characteristic()
-    return _verdict(q.n_classes == 21 and char == 5,
+    char = q.characteristic()
+    return _verdict(q.n == 21 and char == 5,
                     {"classes": 21, "characteristic": 5},
-                    {"classes": q.n_classes, "characteristic": char})
+                    {"classes": q.n, "characteristic": char})
 
 
 @claim("ex-3.32",
@@ -853,15 +851,15 @@ def _c_ex_3_31(ctx):
 def _c_ex_3_32(ctx):
     d = Mod(10)
     _, q = _rees_cols(10, _O)
-    char = q.structure().characteristic()
+    char = q.characteristic()
     five, two = interval(d, 5, 0, _O), interval(d, 2, 0, _O)
     zd = _class_of(q, five * two) == 0
     idem = five * five == five
-    agree = q.n_classes == 91 and char == 10 and zd and idem
+    agree = q.n == 91 and char == 10 and zd and idem
     return _verdict(agree,
                     {"classes": 91, "characteristic": 10,
                      "(5,0)(2,0)": "zero class", "(5,0)^2": "(5,0)"},
-                    {"classes": q.n_classes, "characteristic": char,
+                    {"classes": q.n, "characteristic": char,
                      "product_collapses": zd,
                      "(5,0)^2": str(five * five)})
 
@@ -872,14 +870,14 @@ def _c_ex_3_32(ctx):
 def _c_ex_3_33(ctx):
     d = Mod(9)
     _, q = _rees_cols(9, _C)
-    char = q.structure().characteristic()
+    char = q.characteristic()
     sq1 = _class_of(q, _miv(d, 6, 3) ** 2) == 0
     sq2 = str(_miv(d, 8, 1) ** 2)
-    agree = q.n_classes == 73 and char == 9 and sq1 and sq2 == "1"
+    agree = q.n == 73 and char == 9 and sq1 and sq2 == "1"
     return _verdict(agree,
                     {"classes": 73, "characteristic": 9,
                      "[6,3]^2": "zero class", "[8,1]^2": "1"},
-                    {"classes": q.n_classes, "characteristic": char,
+                    {"classes": q.n, "characteristic": char,
                      "[6,3]^2_collapses": sq1, "[8,1]^2": sq2})
 
 
@@ -907,17 +905,15 @@ def _c_ex_3_33_idem(ctx):
 def _c_ex_3_34(ctx):
     d = Mod(7)
     _, q = _rees_cols(7, _O)
-    cls = q.structure()
-    char = cls.characteristic()
-    nz = int(_zero_products(cls.table("mul"), 0).sum())
+    char = q.characteristic()
+    nz = int(_zero_products(q.table("mul"), 0).sum())
     a0 = _class_of(q, interval(d, 1, 0, _O))
-    invertible = bool(cls.units()[a0] >= 0)
-    agree = (q.n_classes == 43 and char == 7 and not nz
-             and not invertible)
+    invertible = bool(q.units()[a0] >= 0)
+    agree = q.n == 43 and char == 7 and not nz and not invertible
     return _verdict(agree,
                     {"classes": 43, "characteristic": 7,
                      "zero_divisors": 0, "(1,0)_invertible": False},
-                    {"classes": q.n_classes, "characteristic": char,
+                    {"classes": q.n, "characteristic": char,
                      "zero_divisor_pairs": nz,
                      "(1,0)_invertible": invertible})
 
@@ -930,21 +926,19 @@ def _c_ex_3_35(ctx):
     _, q = _rees_cols(11, _C)
     p5 = str(_miv(d, 0, 5) ** 6)
     p3 = str(_miv(d, 0, 3) ** 6)
-    agree = q.n_classes == 111 and p5 == "[0,5]" and p3 == "[0,3]"
+    agree = q.n == 111 and p5 == "[0,5]" and p3 == "[0,3]"
     return _verdict(agree,
                     {"classes": 111, "[0,5]^6": "[0,5]",
                      "[0,3]^6": "[0,3]"},
-                    {"classes": q.n_classes, "[0,5]^6": p5,
-                     "[0,3]^6": p3})
+                    {"classes": q.n, "[0,5]^6": p5, "[0,3]^6": p3})
 
 
 def _power_return_exponents(q):
     """Least k > 1 with class^k = class, for every nonzero class."""
-    cls = q.structure()
     out = {}
-    for i in range(1, cls.n):
-        powers, end = cls.orbit("mul", i)
-        out[cls.label(i)] = len(powers) + 1 if end == i else None
+    for i in range(1, q.n):
+        powers, end = q.orbit("mul", i)
+        out[q.label(i)] = len(powers) + 1 if end == i else None
     return out
 
 
@@ -962,13 +956,13 @@ def _c_thm_3_7(ctx):
         col_ok, _ = is_ideal(s, _colzero(s).indices)
         row_ok, _ = is_ideal(s, parse_ideal_spec(s, "row-zero").indices)
         q = rees_quotient(s, _colzero(s))
-        char = q.structure().characteristic()
+        char = q.characteristic()
         exps = _power_return_exponents(q)
         returns = all(v is not None and v > 1 for v in exps.values())
         ok = (s.n == p * p and len(sp["zero_divisors"]) > 0 and col_ok
-              and row_ok and q.n_classes == p * p - p + 1 and char == p
+              and row_ok and q.n == p * p - p + 1 and char == p
               and returns)
-        out[f"p={p}"] = {"order": s.n, "classes": q.n_classes,
+        out[f"p={p}"] = {"order": s.n, "classes": q.n,
                          "characteristic": char,
                          "power_return": returns}
         agree = agree and ok
@@ -1003,13 +997,11 @@ def _c_thm_3_8(ctx):
     agree = True
     for n in (4, 6, 10):
         _, q = _rees_cols(n, _C)
-        cls = q.structure()
-        char = cls.characteristic()
-        zd = _first_zero_pair(cls, "mul", 0) is not None
-        units = int((cls.units() >= 0).sum())
-        ok = (q.n_classes == n * n - n + 1 and char == n and zd
-              and units > 1)
-        out[f"n={n}"] = {"classes": q.n_classes, "characteristic": char,
+        char = q.characteristic()
+        zd = _first_zero_pair(q, "mul", 0) is not None
+        units = int((q.units() >= 0).sum())
+        ok = q.n == n * n - n + 1 and char == n and zd and units > 1
+        out[f"n={n}"] = {"classes": q.n, "characteristic": char,
                          "zero_divisors": zd, "units": units}
         agree = agree and ok
     return _verdict(agree,
@@ -1024,7 +1016,6 @@ def _c_thm_3_8(ctx):
 def _c_ex_3_39(ctx):
     d = Mod(3)
     _, q = _rees_cols(3, _C)
-    cls = q.structure()
     got = {
         "2^3": str(_miv(d, 2, 2) ** 3),
         "[2,0]^3": str(_miv(d, 2, 0) ** 3),
@@ -1034,7 +1025,7 @@ def _c_ex_3_39(ctx):
     non_inv = []
     for a in (1, 2):
         i = _class_of(q, _miv(d, a, 0))
-        non_inv.append(bool(cls.units()[i] < 0))
+        non_inv.append(bool(q.units()[i] < 0))
     agree = (got == {"2^3": "2", "[2,0]^3": "[2,0]",
                      "[1,2][2,1]": "2", "[1,2]^2": "1"}
              and all(non_inv))
@@ -1052,7 +1043,7 @@ def _c_ex_3_40(ctx):
     d = Mod(12)
     _, q = _rees_cols(12, _O)
     got = {
-        "classes": q.n_classes,
+        "classes": q.n,
         "(3,4)(4,3)": _class_of(q, _miv(d, 3, 4, _O) * _miv(d, 4, 3, _O)),
         "(4,4)^2": str(_miv(d, 4, 4, _O) ** 2),
         "(4,0)^2": str(_miv(d, 4, 0, _O) ** 2),
@@ -1076,17 +1067,16 @@ def _c_ex_3_40(ctx):
 def _c_ex_3_41(ctx):
     d = Mod(53)
     _, q = _rees_cols(53, _C)
-    cls = q.structure()
-    char = cls.characteristic()
+    char = q.characteristic()
     a0 = _class_of(q, interval(d, 7, 0, _C))
-    line_inv = bool(cls.units()[a0] >= 0)
-    units = int((cls.units() >= 0).sum())
-    agree = (q.n_classes == 2757 and char == 53 and not line_inv
+    line_inv = bool(q.units()[a0] >= 0)
+    units = int((q.units() >= 0).sum())
+    agree = (q.n == 2757 and char == 53 and not line_inv
              and units == 52 * 52)
     return _verdict(agree,
                     {"classes": 2757, "characteristic": 53,
                      "(7,0)_invertible": False, "units": 2704},
-                    {"classes": q.n_classes, "characteristic": char,
+                    {"classes": q.n, "characteristic": char,
                      "(7,0)_invertible": line_inv, "units": units})
 
 
@@ -1097,7 +1087,7 @@ def _c_thm_3_9(ctx):
     agree = True
     for p in (3, 7):
         _, q = _rees_cols(p, _C)
-        found, wit = is_s_ring(q.structure())
+        found, wit = is_s_ring(q)
         out[f"p={p}"] = wit["members"] if found else None
         agree = agree and found
     return _verdict(agree,
@@ -1269,9 +1259,9 @@ def _c_ex_6_13(ctx):
     ideal = _colzero(s)
     ok_ideal, _ = is_ideal(s, ideal.indices)
     q = rees_quotient(s, ideal)
-    char = q.structure().characteristic()
+    char = q.characteristic()
     agree = (s.n == 16 and fld and ok_ideal and ideal.order == 4
-             and q.n_classes == 13 and char == 2)
+             and q.n == 13 and char == 2)
     return _verdict(agree,
                     {"order": 16, "two_element_field": True,
                      "ideal_order": 4, "classes": 13,
@@ -1279,7 +1269,7 @@ def _c_ex_6_13(ctx):
                     {"order": s.n, "field": fld,
                      "field_identity": finfo.get("identity"),
                      "ideal_order": ideal.order,
-                     "classes": q.n_classes, "characteristic": char})
+                     "classes": q.n, "characteristic": char})
 
 
 @claim("ex-6.13-semifield",
@@ -1289,7 +1279,7 @@ def _c_ex_6_13_semifield(ctx):
     d = Mod(2)
     s = matrix_structure(1, 2, d, _C)
     q = rees_quotient(s, _colzero(s))
-    verdict = semifield_verdict(q.structure())
+    verdict = semifield_verdict(q)
     x = IntervalMatrix(1, 2, (interval(d, 0, 1, _C),
                               interval(d, 1, 1, _C)), domain=d, flavor=_C)
     y = IntervalMatrix(1, 2, (interval(d, 1, 0, _C),

@@ -237,7 +237,7 @@ def test_quotient_views_read_facts_off_the_ambient(monkeypatch, spec,
     has_units = all(s.identity_index(op) is not None for op in ("add", "mul"))
     for ideal in enumerate_ideals(s):
         for make in KINDS.values():
-            cls = make(s, Ideal(s, ideal.indices, name="J")).structure()
+            cls = make(s, Ideal(s, ideal.indices, name="J"))
             twin = class_twin(cls, amb_twin)
             monkeypatch.setattr(structures, "_BAND_ENTRIES",
                                 band_rows * cls.n)
@@ -300,7 +300,7 @@ OPS = ("add", "mul")
 
 def quotient_verdicts(q, cls):
     """The verdicts of the quotient q that a view reads in bands or
-    proves on its ambient, on the class structure cls: q's own, or a
+    proves on its ambient, on the class structure cls: q itself, or a
     twin of it."""
     return ([cls.closed(op) for op in OPS], [q.well_defined(op) for op in OPS],
             semifield_verdict(cls), is_strict_semiring(cls))
@@ -313,7 +313,7 @@ def twin_quotient(q, amb_twin):
                                              name=q.ideal.name), q.kind)
     twin._is_ideal = q._is_ideal
     for op in OPS:
-        twin.class_table(op)
+        twin.table(op)
     return twin
 
 
@@ -333,15 +333,13 @@ def test_quotient_verdicts_match_the_twin(monkeypatch, spec, band_rows):
         for make in KINDS.values():
             q = make(s, Ideal(s, ideal.indices, name="J"))
             twin = twin_quotient(q, amb_twin)
-            cls = q.structure()
-            monkeypatch.setattr(structures, "_BAND_ENTRIES",
-                                band_rows * cls.n)
-            got = quotient_verdicts(q, cls)
+            monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * q.n)
+            got = quotient_verdicts(q, q)
             assert got == quotient_verdicts(
-                twin, class_twin(cls, amb_twin)), (cls.name, got)
+                twin, class_twin(q, amb_twin)), (q.name, got)
             mismatches.update(ok for ok, _ in got[1])
-            small = cls.n * cls.n <= structures._BAND_ENTRIES
-            assert bool(cls._tables) <= small, cls.name
+            small = q.n * q.n <= structures._BAND_ENTRIES
+            assert bool(q._tables) <= small, q.name
             monkeypatch.undo()
     assert False in mismatches
 
@@ -354,7 +352,7 @@ def test_a_compare_that_passes_reads_every_band(monkeypatch, band_rows):
     amb_twin = built_twin(build_carrier("N(Zn:6)"))
     q = QuotientStructure(s, parse_ideal_spec(s, "col-zero"), "standard")
     twin = twin_quotient(q, amb_twin)
-    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * q.n_classes)
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", band_rows * q.n)
     bands = []
     read = FiniteStructure._bands
 
@@ -368,14 +366,14 @@ def test_a_compare_that_passes_reads_every_band(monkeypatch, band_rows):
     assert q.well_defined("add") == twin.well_defined("add") == (True, None)
     step = max(1, structures._BAND_ENTRIES // s.n)
     assert bands == list(range(0, s.n, step))
-    assert not q.structure()._tables
+    assert not q._tables
 
 
 def test_a_closed_ambient_proves_a_quotient_but_not_a_subset_closed():
     s = build_carrier("N(Zn:6)")
     q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
-    assert q.structure().closed("add") == (True, None)
-    assert not q.structure()._tables
+    assert q.closed("add") == (True, None)
+    assert not q._tables
     # {[0,0], [1,1]}: [1,1] + [1,1] = [2,2] leaves the subset
     rows = [s.index[s.parse_element(x)] for x in ("[0,0]", "[1,1]")]
     twin = built_twin(s).restrict(rows)

@@ -17,6 +17,8 @@ from natint.carriers import build_carrier
 from natint.structures import (
     FiniteStructure,
     _diagonal_factor,
+    _group_verdict,
+    is_group,
     is_s_ring,
     maximal_subgroups,
 )
@@ -91,3 +93,13 @@ def test_product_answers_build_no_carrier_table(monkeypatch, spec):
 
     monkeypatch.setattr(FiniteStructure, "table", refuse)
     assert _answers(s) == searched
+
+
+def test_a_factor_that_is_not_closed_is_no_group():
+    # the factor {0, 1, 3} of Z6 holds its part tables but no op, so the
+    # witness of 1 + 1 = 2 leaving it names the pair and no product
+    f = build_carrier(NO_ADDITIVE_GROUP)._factors("add", "mul")[0]
+    assert not f.has_op("add")
+    assert _group_verdict(f, "add") == (
+        False, {"reason": "not closed", "witness": ("1", "1", None)})
+    assert not is_group(f, "add")

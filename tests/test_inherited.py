@@ -72,8 +72,7 @@ def assert_quotients_match_the_scan(s):
             for op in _ops(s):
                 assert q.well_defined(op) == unchecked.well_defined(op), (
                     kind, ideal.indices, op)
-            cls = q.structure()
-            assert verdicts(cls) == verdicts(built_twin(cls)), (
+            assert verdicts(q) == verdicts(built_twin(q)), (
                 kind, ideal.indices)
 
 
@@ -118,10 +117,9 @@ def test_rees_add_commutativity_needs_no_scan(monkeypatch, spec):
 
     for ideal in enumerate_ideals(s):
         q = rees_quotient(s, Ideal(s, ideal.indices, name="J"))
-        cls = q.structure()
-        want = built_twin(cls).commutative("add")
+        want = built_twin(q).commutative("add")
         monkeypatch.setattr(structures, "_first_true", refuse)
-        assert cls.commutative("add") == want == (True, None)
+        assert q.commutative("add") == want == (True, None)
         monkeypatch.setattr(structures, "_first_true", first_true)
         congruent.add(q.well_defined("add")[0])
     assert False in congruent
@@ -145,7 +143,7 @@ def test_a_non_commutative_ambient_is_scanned():
     for _ in range(2):  # the ambient's memo empty, then holding a failure
         got = []
         for indices in SUBGROUPS:
-            cls = rees_quotient(s, Ideal(s, indices, name="J")).structure()
+            cls = rees_quotient(s, Ideal(s, indices, name="J"))
             got.append(cls.commutative("add"))
             assert got[-1] == built_twin(cls).commutative("add"), indices
         assert got[0] == s.commutative("add") == (False, (1, 2))
@@ -186,7 +184,7 @@ def test_failing_ambient_is_scanned_not_inherited():
     assert s.associative("mul")[0] is False
     assert s.distributive()[0] is False
     ideals = {i.order: i for i in enumerate_ideals(s)}
-    copy = rees_quotient(s, ideals[1]).structure()  # by the zero ideal
+    copy = rees_quotient(s, ideals[1])  # by the zero ideal
     assert copy.associative("mul")[0] is False
     assert copy.distributive()[0] is False
     evens = standard_quotient(s, ideals[6])
@@ -225,7 +223,7 @@ def test_failing_factors_are_not_inherited(name):
 def test_rees_mul_verdicts_need_no_scan(monkeypatch):
     s = build_carrier("N(Zn:12)")
     q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
-    expected = axiom_report(built_twin(q.structure()), "mul")
+    expected = axiom_report(built_twin(q), "mul")
     assoc_witness = structures._assoc_witness
 
     def refuse_class_scan(table, *args):
@@ -241,7 +239,7 @@ def test_rees_mul_verdicts_need_no_scan(monkeypatch):
     monkeypatch.setattr(QuotientStructure, "_compare_products",
                         refuse_comparison)
     assert q.well_defined("mul") == (True, None)
-    assert axiom_report(q.structure(), "mul") == expected
+    assert axiom_report(q, "mul") == expected
     assert expected["associative"] is True
 
 
@@ -274,16 +272,16 @@ def test_rees_quotient_refuses_a_name_it_keeps_as_a_label():
     for ideal in enumerate_ideals(s):
         outside = [i for i in range(s.n) if i not in ideal.indices]
         kept = rees_quotient(s, Ideal(s, ideal.indices, name="J"))
-        assert kept.structure().elements == ["J"] + s.labels(outside)
+        assert kept.elements == ["J"] + s.labels(outside)
         if "I" in s.labels(outside):
             clashes += 1
             with pytest.raises(ParseError, match="'I'.*name="):
                 rees_quotient(s, ideal)
         else:
-            assert rees_quotient(s, ideal).structure().elements == (
+            assert rees_quotient(s, ideal).elements == (
                 ["I"] + s.labels(outside))
         # standard cosets are labelled "<rep>+I", never "I"
-        assert standard_quotient(s, ideal).structure().elements[0] == "I"
+        assert standard_quotient(s, ideal).elements[0] == "I"
     assert clashes == 8
 
 
@@ -295,7 +293,7 @@ def test_an_ideal_named_as_a_kept_class_is_refused_with_its_message(spec,
     the same message; the ideal's own name is no clash."""
     s = build_carrier(spec)
     idx = parse_ideal_spec(s, ideal).indices
-    kept = rees_quotient(s, Ideal(s, idx, name="J")).class_labels()[1:]
+    kept = rees_quotient(s, Ideal(s, idx, name="J")).elements[1:]
     assert kept == s.labels(sorted(set(range(s.n)) - set(idx)))
     for name in (kept[0], kept[-1]):
         with pytest.raises(ParseError) as err:
@@ -303,5 +301,5 @@ def test_an_ideal_named_as_a_kept_class_is_refused_with_its_message(spec,
         assert str(err.value) == (
             f"ideal name {name!r} is also the label of a class the quotient "
             f"keeps; give the ideal another name=")
-    assert rees_quotient(s, Ideal(s, idx, name=ideal)).class_labels()[0] == (
+    assert rees_quotient(s, Ideal(s, idx, name=ideal)).elements[0] == (
         ideal)

@@ -97,7 +97,7 @@ def _structures(spec):
     # the same carrier reversed, so zero and one sit at other indices
     yield FiniteStructure(s.elements[::-1], mul=s.mul_fn, add=s.add_fn)
     for ideal in ("col-zero", "row-zero"):
-        yield rees_quotient(s, parse_ideal_spec(s, ideal)).structure()
+        yield rees_quotient(s, parse_ideal_spec(s, ideal))
 
 
 @pytest.mark.parametrize("spec", CARRIERS)

@@ -69,7 +69,7 @@ def all_structures():
     for spec in CARRIERS:
         yield spec, build_carrier(spec)
     for name in QUOTIENTS:
-        yield name, quotient(name).structure()
+        yield name, quotient(name)
 
 
 def powers(s, op, i):
@@ -130,9 +130,8 @@ def test_the_subset_reaches_both_ends_of_a_walk():
 @pytest.mark.parametrize("name", QUOTIENTS)
 def test_quotient_return_exponents_match_brute_force(name):
     q = quotient(name)
-    cls = q.structure()
-    want = {cls.label(i): least_power(powers(cls, "mul", i), i, start=2)
-            for i in range(1, cls.n)}
+    want = {q.label(i): least_power(powers(q, "mul", i), i, start=2)
+            for i in range(1, q.n)}
     assert _power_return_exponents(q) == want
     assert any(v is not None for v in want.values())
 

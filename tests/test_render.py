@@ -168,8 +168,8 @@ def test_labels_are_the_elements_str(spec):
 @pytest.mark.parametrize("make", [rees_quotient, standard_quotient])
 def test_quotient_class_labels(make):
     s = build_carrier("N(Zn:6)")
-    cls = make(s, parse_ideal_spec(s, "col-zero")).structure()
-    assert cls.labels(range(cls.n)) == [str(e) for e in cls.elements]
+    q = make(s, parse_ideal_spec(s, "col-zero"))
+    assert q.labels(range(q.n)) == [str(e) for e in q.elements]
 
 
 # ---- eval refusals end in an exit code

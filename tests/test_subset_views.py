@@ -100,10 +100,10 @@ def test_element_facts_of_a_view_read_no_table(monkeypatch):
 
 def test_a_rees_view_finds_its_absorbing_element_without_a_table():
     s = build_carrier("N(Zn:53)")
-    cls = rees_quotient(s, parse_ideal_spec(s, "col-zero")).structure()
-    assert cls.n == 2757
-    assert cls.absorbing_index("mul") == 0
-    assert not cls._tables and not s._tables
+    q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
+    assert q.n == 2757
+    assert q.absorbing_index("mul") == 0
+    assert not q._tables and not s._tables
 
 
 def test_commutativity_needs_no_congruence_and_associativity_does():
@@ -111,12 +111,11 @@ def test_commutativity_needs_no_congruence_and_associativity_does():
     assert s.associative("add") == s.commutative("add") == (True, None)
     q = rees_quotient(s, parse_ideal_spec(s, "col-zero"))
     assert q.well_defined("add")[0] is False
-    cls = q.structure()
-    assert cls._known("commutative", "add")
-    assert not cls._known("associative", "add")
-    twin = built_twin(cls)
-    assert cls.commutative("add") == twin.commutative("add") == (True, None)
-    assert cls.associative("add") == twin.associative("add")
+    assert q._known("commutative", "add")
+    assert not q._known("associative", "add")
+    twin = built_twin(q)
+    assert q.commutative("add") == twin.commutative("add") == (True, None)
+    assert q.associative("add") == twin.associative("add")
 
 
 def test_the_inherited_substructure_is_a_named_view():
