@@ -20,6 +20,13 @@ identity order, a return exponent and an additive span are each a
 position in, or the end of, that walk.  The idempotents and the maximal
 subgroups are likewise found once per structure.
 
+The S-ring search (is_s_ring) tries the additive spans of e * g, for an
+idempotent e and an element g, and nothing else.  That is exhaustive
+over the subfields holding the additive zero, by the prime-field lemma:
+the prime field of such a subfield F is the span of its identity 1_F,
+an idempotent with 1_F * 1_F = 1_F, so the search reaches it
+(_s_ring_spans).
+
 Units are one remembered map too (FiniteStructure.units): each element's
 first two-sided inverse for the identity of mul, or -1 (_inverse_map).
 The unit list, the field verdict and the maximal subgroups read it, or
@@ -54,7 +61,7 @@ pairs and triples are exactly the pairs of the factors' (_by_factors).
 - When its lo and hi parts are one factor D whose addition is a group
   (N(D) is D x D), it has a proper subfield exactly when the span of
   e * g, for an idempotent e and an element g of D, is a field in D;
-  is_s_ring reads those spans off D and maps them onto the diagonal
+  is_s_ring runs its search on D and maps the spans onto the diagonal
   [p, p].  A subfield of D x D projects injectively into one factor,
   since a projection keeps + and * and a field has no ideal but 0 and
   itself, and the prime field of its image is the span of an
@@ -131,12 +138,6 @@ CUBIC_SCAN_CAP = 700
 _BLOCK_ENTRIES = 1 << 22
 # Largest carrier whose analysis lists the orders of every element.
 ORDERS_CAP = 512
-# Largest carrier whose S-ring search goes on to the additive spans of
-# single elements and of pairs.
-SPAN_SEARCH_CAP = 256
-# Rows per band when a table is compared with its transpose; a band of
-# columns stays in cache while its rows are read.
-_BAND_ROWS = 64
 # Entries per band when a block of a table is read (FiniteStructure._bands);
 # a band of part codes stays in cache between their sum and their lookup.
 _BAND_ENTRIES = 1 << 16
@@ -336,8 +337,9 @@ class FiniteStructure:
         return _table_bands(self.table(op), rows, cols, relabel, out)
 
     def _pairs(self, op, rows, cols):
-        """The entries (rows[k], cols[k]) of op's table.  When the table
-        is not built, a view reads them off its ambient's entries
+        """The entries (rows[k], cols[k]) of op's table, for indices or
+        index arrays that broadcast together.  When the table is not
+        built, a view reads them off its ambient's entries
         (_reads_ambient), and a product carrier looks up the code of each
         pair of part results in `where`, as _factored_bands does for a
         block."""
@@ -437,18 +439,17 @@ class FiniteStructure:
     def commutative(self, op):
         """x∘y = y∘x.  A view passes when its ambient is proven to, whether
         or not op is a congruence, and a product when its factors do
-        (_known).  Else the table is scanned in bands of rows against the
-        matching bands of columns above the diagonal.  The first mismatch
-        (i, j) in C order has j > i, since its mirror (j, i) is a mismatch
-        too, so row i's band finds it."""
+        (_known).  Else each band of rows (_bands) is compared with the
+        matching block of columns, and the first mismatch in C order is
+        the witness."""
         if self._known("commutative", op):
             return True, None
-        t = self.table(op)
-        for lo in range(0, self.n, _BAND_ROWS):
-            hi = lo + _BAND_ROWS
-            hit = _first_true(t[lo:hi, lo:] != t[lo:, lo:hi].T)
+        every = np.arange(self.n)
+        for lo, band in self._bands(op):
+            cols = self._block(op, every, every[lo:lo + len(band)])
+            hit = _first_true(band != cols.T)
             if hit is not None:
-                return False, (lo + hit[0], lo + hit[1])
+                return False, (lo + hit[0], hit[1])
         return True, None
 
     @_once
@@ -481,9 +482,8 @@ class FiniteStructure:
         identity), or = e (the absorbing element), or None; a full
         product's is the pair of its factors'.  e∘e = e and the entries
         of e with element 0 leave few candidates, and each is checked
-        against its row and its column: slices of a built table, or
-        entries read off the ambient (_pairs) by a view that reads off
-        it (_reads_ambient), which builds no table."""
+        against its row and its column, all read as pairs (_pairs), so a
+        view that reads off its ambient builds no table."""
         if self._factors(op):
             return self._pair(
                 "absorbing_index" if absorbing else "identity_index", op)
@@ -491,24 +491,12 @@ class FiniteStructure:
         if not n:
             return None
         ar = np.arange(n)
-        reads = self._reads_ambient(op)
-        if reads:
-            zero = np.zeros_like(ar)
-            diag, col0, row0 = self._pairs(
-                op, np.concatenate((ar, ar, zero)),
-                np.concatenate((ar, zero, ar))).reshape(3, n)
-        else:
-            t = self.table(op)
-            diag, col0, row0 = np.diagonal(t), t[:, 0], t[0]
+        diag, col0, row0 = (self._pairs(op, ar, ar), self._pairs(op, ar, 0),
+                            self._pairs(op, 0, ar))
         edge = ar if absorbing else 0
         cand = np.flatnonzero((diag == ar) & (col0 == edge) & (row0 == edge))
-        if reads:
-            at_cand, each = np.repeat(cand, n), np.tile(ar, len(cand))
-            row, col = self._pairs(
-                op, np.concatenate((at_cand, each)),
-                np.concatenate((each, at_cand))).reshape(2, len(cand), n)
-        else:
-            row, col = t[cand], t[:, cand].T
+        row = self._pairs(op, cand[:, None], ar)
+        col = self._pairs(op, ar, cand[:, None])
         want = cand[:, None] if absorbing else ar
         ok = ((row == want) & (col == want)).all(axis=1)
         return int(cand[ok][0]) if ok.any() else None
@@ -1340,13 +1328,13 @@ def _additive_span(s, i):
 def is_s_ring(s):
     """True iff some proper subset is a field under the induced operations.
 
-    Search order: additive spans of e*g with e a multiplicative idempotent
-    and g a carrier element — degenerate (diagonal) pairs first on
-    interval carriers — then, for carriers of at most SPAN_SEARCH_CAP
-    elements, additive spans of single elements and of pairs.  On N(D)
-    over a D whose addition is a group, only the diagonal pairs are
-    tried, read off D with no table of the carrier, and when none of
-    them is a field no subset is (_s_ring_spans).
+    The candidates are the additive spans of e*g, for a multiplicative
+    idempotent e and a carrier element g, and the first that is a proper
+    field is the witness.  Each span holds the additive identity z, and
+    the prime field of every proper subfield holding z is a candidate
+    (_s_ring_spans), so a False verdict means that no proper subset
+    holding z is a field.  When the addition is a group, every subfield
+    holds z, its one additive idempotent.
     """
     if not (s.has_op("add") and s.has_op("mul")):
         return False, None
@@ -1368,29 +1356,38 @@ def is_s_ring(s):
 
 def _s_ring_spans(s):
     """The candidate spans of is_s_ring in search order, as frozensets of
-    carrier indices, None for one that leaves the carrier.
+    carrier indices, None for one that leaves the carrier: the additive
+    spans of e*g (_additive_span), first for the diagonal idempotents e
+    and the diagonal elements g of an interval carrier, then for every
+    idempotent e and every element g.
+
+    The search is exhaustive.  Let F be a proper subfield holding the
+    additive identity z.  As z + x = x for x in F, z is F's zero, so the
+    prime field of F, the multiples of 1_F, is _additive_span(s, 1_F):
+    at least two elements, since 1_F != z, and proper, since it lies in
+    F.  1_F is an idempotent and 1_F * 1_F = 1_F, so the second phase
+    reaches that span at (e, g) = (1_F, 1_F) unless an earlier
+    candidate is a field.  So no other candidate, such as the span of
+    any element or the sum of two spans, can decide the verdict.
 
     On a full interval product whose lo and hi parts are one factor f
-    with an additive group (_diagonal_factor), only the diagonal phase
-    runs, on f: the spans of e*g for f's idempotents e and its parts g,
-    in part order, mapped onto the diagonal [p, p].  No other phase can
-    hit there.  A subfield F of D x D projects into each factor by a map
-    pi that keeps + and *, so pi(0_F) is 0_D, the one additive idempotent
-    of a group.  If pi(x) = 0_D for some x != 0_F, then every w = x(w/x)
-    has pi(w) = 0_D pi(w/x) = pi(0_F (w/x)) = 0_D; as F has at least two
+    with an additive group (_diagonal_factor), the search runs on f, and
+    its spans are mapped onto the diagonal [p, p].  f is not an interval
+    carrier, so that is the e*g phase over f's idempotents and parts,
+    and no span leaves f.  No other span can hit there.  A subfield F of
+    D x D projects into each factor by a map pi that keeps + and *, so
+    pi(0_F) is 0_D, the one additive idempotent of a group.  If
+    pi(x) = 0_D for some x != 0_F, then every w = x(w/x) has
+    pi(w) = 0_D pi(w/x) = pi(0_F (w/x)) = 0_D; as F has at least two
     elements, one projection is injective.  Its image is a subfield of
     D, and the prime field of that image is the additive span of its
     identity e, an idempotent of D, whose diagonal copy is the span of
-    [e, e] * [e, e]: a proper subfield, which this phase tries."""
+    [e, e] * [e, e]: a proper subfield, which this search tries."""
     read = _diagonal_factor(s)
     if read is not None:
         f, diagonal = read
-        t = f.table("mul")
-        for e in f.idempotents():
-            for prod in t[e].tolist():
-                if prod >= 0:
-                    span = _additive_span(f, prod)
-                    yield frozenset(diagonal[sorted(span)].tolist())
+        for span in _s_ring_spans(f):
+            yield frozenset(diagonal[sorted(span)].tolist())
         return
     t = s.table("mul")
     if s.identity_index("add") is None:
@@ -1414,13 +1411,6 @@ def _s_ring_spans(s):
                 prod = int(row[g])
                 if prod >= 0:
                     yield _additive_span(s, prod)
-    if n <= SPAN_SEARCH_CAP:
-        spans = (_additive_span(s, i) for i in range(n))
-        singles = sorted({sp for sp in spans if sp is not None}, key=sorted)
-        yield from singles
-        for a in range(len(singles)):
-            for b in range(a + 1, len(singles)):
-                yield _close_under_add(s, singles[a] | singles[b])
 
 
 def _diagonal_factor(s):
@@ -1437,24 +1427,6 @@ def _diagonal_factor(s):
     if not ((np.diff(diagonal) > 0).all() and is_group(f, "add")):
         return None
     return f, diagonal
-
-
-def _close_under_add(s, seed):
-    """The closure of the index set seed under addition, as a frozenset,
-    or None if a sum leaves the carrier.  Sums are marked in a mask with
-    one slot appended for -1."""
-    t = s.table("add")
-    mask = np.zeros(s.n + 1, dtype=bool)
-    mask[list(seed)] = True
-    cur = np.flatnonzero(mask)
-    while True:
-        mask[t.take(cur, axis=0).take(cur, axis=1)] = True
-        if mask[-1]:
-            return None
-        new = np.flatnonzero(mask)
-        if len(new) == len(cur):
-            return frozenset(cur.tolist())
-        cur = new
 
 
 def is_strict_semiring(s):

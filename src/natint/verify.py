@@ -1104,7 +1104,7 @@ def _c_thm_3_10(ctx):
         rep = modmap_suite(n, pairs=10000, seed=ctx["seed"])
         out[f"n={n}"] = {"cases": rep["cases"],
                          "failures": rep["failures"],
-                         "classes": n * n}
+                         "classes": interval_structure(Mod(n)).n}
         agree = agree and rep["ok"]
     agree = agree and out["n=3"]["classes"] == 9 \
         and out["n=4"]["classes"] == 16
