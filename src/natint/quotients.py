@@ -49,27 +49,27 @@ associative too, so that the sum of two ideals found is additively
 closed, as the closure engine assumes.  Every other carrier, including
 a full product whose factor has no unity, runs one closure per element.
 
-On such a product the quotients come from the factors too, and, as its
-other facts (see structures), no table of the carrier itself is built:
+The quotients read the ambient in blocks (FiniteStructure._bands), which
+a product carrier gathers from its part tables, so no table of such a
+carrier is built:
 
-- R x S / (I x J) is R/I x S/J: the coset of (a, b) is (a + I) x (b + J),
-  so the standard classes are read off the factors' cosets, still
-  ordered by the least carrier index of each coset, which is found over
-  the carrier's own order (matrices and polynomials are not listed
-  lo-major);
+- the standard class of x is keyed by the least carrier index in x + I,
+  the minimum of x's row of the ambient's add block over the ideal's
+  columns, and the classes are ordered by that key;
 - the class tables of both kinds, and the rows that well_defined
-  compares, are gathered from the part tables (FiniteStructure._bands),
-  as they are on any product carrier; a quotient of more classes than
-  one band holds gathers the rows it predicts the same way, in bands,
-  and builds no class table (_compare_products).
+  compares, are blocks too; a quotient of more classes than one band
+  holds gathers the rows it predicts the same way, in bands, and builds
+  no class table (_compare_products).
 
 is_ideal reads a subset P x Q off the factors on any full product whose
 factors' additive inverses are unique, with or without a unity: P x Q is
 then an ideal exactly when P and Q are ideals of the factors, since each
 ideal condition holds pair by pair, the inverse of (a, b) being the pair
-of the inverses of a and b.  A subset that fails, or is
-no product, falls through to the scans of the carrier's tables, so its
-verdict keeps its first witness in carrier order.
+of the inverses of a and b.  A subset that fails, or is no product,
+falls through to the scans of the carrier's blocks, so its verdict keeps
+its first witness in carrier order.  The scan reads the subset's
+negatives, each member's first right inverse, off one block of the add
+table.
 """
 
 import numpy as np
@@ -159,10 +159,12 @@ def is_ideal(s, indices):
     mask[idx] = True
     if not mask[z]:
         return False, {"reason": "does not contain zero"}
-    neg = s.neg_index()
-    if neg is None:
+    if not s.inverses("add")[0]:
         return False, {"reason": "ambient addition is not a group"}
-    bad = idx[~mask[neg[idx]]]
+    # each member's negative is its first right inverse
+    every = np.arange(n)
+    neg = (s._block("add", idx, every) == z).argmax(axis=1)
+    bad = idx[~mask[neg]]
     if bad.size:
         return False, {"reason": "not closed under negation",
                        "witness": s.label(int(bad[0]))}
@@ -174,7 +176,6 @@ def is_ideal(s, indices):
         i, j = hit
         return False, {"reason": "not closed under addition",
                        "witness": [s.label(int(idx[i])), s.label(int(idx[j]))]}
-    every = np.arange(n)
     hit = _first_true(s._block("mul", every, idx, outside) != 0)
     if hit is not None:
         x, j = hit
@@ -196,7 +197,7 @@ def generate_ideal(s, generator_indices):
     Results are marked in a mask with one slot appended for -1, so a
     product leaving the carrier shows in that slot.
     """
-    if s.neg_index() is None:
+    if not s.inverses("add")[0]:
         raise NotAnIdeal("ambient addition is not a group")
     n = s.n
     start = [int(g) for g in generator_indices]
@@ -327,53 +328,20 @@ def _ideal_factors(s):
 
 
 def _factor_ideals(s, idx):
-    """((lo factor, hi factor, coords), P, Q) when the sorted index array
-    idx is P x Q for ideals P of the lo factor and Q of the hi factor of
-    a full product whose factors' additive inverses are unique (module
+    """(P, Q), sorted part-index arrays, when the sorted index array idx
+    is P x Q for ideals P of the lo factor and Q of the hi factor of a
+    full product whose factors' additive inverses are unique (module
     docstring).  Such a product is an ideal.  None for any other subset,
     which is_ideal scans for its first witness."""
     factors = s._factors("add", "mul")
     if factors is None or not all(map(_unique_negatives, factors)):
         return None
-    f_lo, f_hi, c = factors[0], factors[-1], s._coords()
-    p, q = _parts_of(c.lo[idx], f_lo.n), _parts_of(c.hi[idx], f_hi.n)
-    if (len(p) * len(q) != idx.size or not _is_factor_ideal(f_lo, p)
-            or not _is_factor_ideal(f_hi, q)):
+    c = s._coords()
+    p, q = np.unique(c.lo[idx]), np.unique(c.hi[idx])
+    if (p.size * q.size != idx.size or not is_ideal(factors[0], p)[0]
+            or not is_ideal(factors[-1], q)[0]):
         return None
-    return (f_lo, f_hi, c), p, q
-
-
-def _parts_of(part, m):
-    """The distinct part indices in part, of m parts, as a sorted tuple."""
-    seen = np.zeros(m, dtype=bool)
-    seen[part] = True
-    return tuple(np.flatnonzero(seen).tolist())
-
-
-@_once
-def _is_factor_ideal(f, parts):
-    """is_ideal's verdict on the tuple parts of the factor f, found once
-    per factor and subset: a quotient asks again after is_ideal."""
-    return is_ideal(f, parts)[0]
-
-
-def _factor_cosets(s, idx):
-    """The least carrier index in the coset x + I of every element x,
-    read off the factors' cosets when I = P x Q splits (_factor_ideals):
-    the coset of (a, b) is (a + P) x (b + Q).  Each coset is keyed by the
-    least part index of a + P and of b + Q, and its least carrier index
-    is found over the carrier's order, which need not be lo-major.  None
-    when s does not split (_ideal_factors), so that the cosets of each
-    factor need not partition it, or I does not."""
-    found = _ideal_factors(s) and _factor_ideals(s, idx)
-    if not found:
-        return None
-    (f_lo, f_hi, c), p, q = found
-    key = (f_lo.table("add").take(p, axis=1).min(axis=1)[c.lo] * f_hi.n
-           + f_hi.table("add").take(q, axis=1).min(axis=1)[c.hi])
-    least = np.full(f_lo.n * f_hi.n, s.n)
-    np.minimum.at(least, key, np.arange(s.n))
-    return least[key]
+    return p, q
 
 
 def _meets_ideal_lemma(f):
@@ -405,7 +373,7 @@ def enumerate_ideals(s):
     is again an ideal).  Deterministic: results sorted by (order,
     membership).
     """
-    if s.neg_index() is None:
+    if not s.inverses("add")[0]:
         raise NotAnIdeal("ambient addition is not a group")
     if not s.commutative("add")[0]:
         raise NotAnIdeal("ambient addition is not commutative")
@@ -517,13 +485,10 @@ class QuotientStructure(FiniteStructure):
             self.class_of = np.zeros(n, dtype=np.int32)
             self.class_of[outside] = np.arange(1, outside.size + 1)
         else:
-            idx = np.array(ideal.indices, dtype=np.int64)
-            rep = _factor_cosets(ambient, idx)
-            if rep is None:
-                cosets = ambient.table("add")[:, idx]
-                if (cosets < 0).any():
-                    raise NotAnIdeal("addition leaves the carrier")
-                rep = cosets.min(axis=1)
+            cosets = ambient._block("add", np.arange(n), ideal.indices)
+            if (cosets < 0).any():
+                raise NotAnIdeal("addition leaves the carrier")
+            rep = cosets.min(axis=1)
             uniq = np.unique(rep)
             if len(uniq) * ideal.order != n:
                 raise NotAnIdeal(

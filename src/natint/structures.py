@@ -36,7 +36,8 @@ that give zero (_zero_products), built fresh for each reader and never
 remembered: it is n x n bools, 7.6 MB on a 2757-class quotient.  The
 first such pair, which the strict and semifield checks ask for, is read
 band by band and stops at the first band with one (_first_zero_pair).
-The unit map and inverses(op) share one search (_inverse_bands): each
+The unit map, the negation map (neg_index, the same search for the
+identity of add) and inverses(op) share one search (_inverse_bands): each
 element's first right inverse, kept when it is two-sided, since every
 two-sided inverse is a right inverse, and searched on only where it is
 not.  inverses(op) stops at the band of the first element without an
@@ -52,8 +53,6 @@ pairs and triples are exactly the pairs of the factors' (_by_factors).
   factors are (an unclosed factor may fail where the product passes).
 - Its identity and its absorbing element are the pairs of the factors',
   and it has none when a factor has none.
-- When both factors' additive inverses are unique, the one inverse of
-  (a, b) is (-a, -b).
 - Its idempotents are the pairs (e, f) of the factors' idempotents, and
   the maximal subgroup at (e, f) is H_e x H_f: (x, y) has an inverse in
   the corner of (e, f) exactly when x has one in the corner of e and y
@@ -67,11 +66,10 @@ pairs and triples are exactly the pairs of the factors' (_by_factors).
   itself, and the prime field of its image is the span of an
   idempotent of D (_s_ring_spans).
 
-Such a verdict is exhaustive over the factors.  When a factor fails, or
-has an element with two additive inverses, the carrier's own table is
-scanned, which yields the first counterexample (or inverse) in carrier
-order.  The factors need only the part tables, which are built before,
-and without, the carrier's n x n table.
+Such a verdict is exhaustive over the factors.  When a factor fails,
+the carrier's own table is scanned, which yields the first
+counterexample in carrier order.  The factors need only the part
+tables, which are built before, and without, the carrier's n x n table.
 
 Every block of a table (a quotient's class tables and the rows it
 compares, a subset's table, a product carrier's n x n table) is read by
@@ -544,22 +542,17 @@ class FiniteStructure:
 
     @_once
     def neg_index(self):
-        """Map i -> index of the additive inverse (read-only), or None: the
-        pair of the factors' when both have unique inverses (module
-        docstring), else the first in carrier order."""
-        factors = self._factors("add")
-        if factors and all(map(_unique_negatives, factors)):
-            lo, hi = factors[0].neg_index(), factors[-1].neg_index()
-            c = self._coords()
-            neg = c.grid[lo[c.lo], hi[c.hi]].astype(np.intp)
-        else:
-            z = self.identity_index("add")
-            if z is None:
-                return None
-            m = (self.table("add") == z)
-            if not m.any(axis=1).all():
-                return None
-            neg = np.argmax(m, axis=1)
+        """Map i -> i's first two-sided additive inverse (read-only), or
+        None when an element has none: the search units() runs
+        (_inverse_map).  The addition of every carrier (N(D), matrices,
+        polynomials, their subsets and quotients) is commutative, so this
+        is each element's first right inverse too."""
+        z = self.identity_index("add")
+        if z is None:
+            return None
+        neg = _inverse_map(self, "add", z)
+        if (neg < 0).any():
+            return None
         neg.flags.writeable = False
         return neg
 

@@ -83,6 +83,16 @@ def test_quotient_standard_kind(capsys):
     assert json.loads(out)["classes"] == 3
 
 
+def test_standard_cosets_that_leave_the_carrier_exit_4(capsys):
+    # {[0,0],[2,0]} is an ideal of the subset, but the coset [2,2] + I
+    # holds [2,2] + [2,0] = [0,2], which the subset lacks
+    code, out, err = run(capsys, "quotient",
+                         "Sub{[0,0],[2,0],[2,2]} of N(Zn:4)", "gen{[2,0]}",
+                         "--kind", "standard")
+    assert code == 4 and not out
+    assert err == "error: addition leaves the carrier\n"
+
+
 def test_empty_generator_list_is_a_parse_error(capsys):
     code, _, err = run(capsys, "quotient", "N(Zn:4)", "gen{}")
     assert code == 2

@@ -3,8 +3,8 @@ scans of the carrier's own tables.
 
 A full product carrier passes a law when its lo and hi part tables pass;
 when a factor fails, the carrier scan gives the first witness in carrier
-order.  Its identity and absorbing element are the pairs of its factors',
-and its additive inverses too when the factors' are unique.  Each check
+order.  Its identity and absorbing element are the pairs of its
+factors', and its negation map is searched as its unit map is.  Each check
 compares every fact, with its witness, with a twin that holds the same
 tables but no product form, so every fact of the twin comes from the
 carrier scan.

@@ -37,6 +37,12 @@ FLAVORS = ("c", "o", "oc", "co")
 CARRIERS = ([f"N(Zn:{k},{f})" for k in range(2, 13) for f in FLAVORS]
             + ["N(ZnI:4)", "N(Zn+I:2)", "Mat(1,2,N(Zn:2))",
                "Poly(N(Zn:2),cyc=2)", NO_UNITY])
+# subsets that are no product, whose cosets are read off blocks of the
+# subset's add table: the diagonal of N(Zn:4) and the pairs of N(Zn:6)
+# congruent mod 3
+NOT_PRODUCTS = ["Sub{[0,0],[1,1],[2,2],[3,3]} of N(Zn:4)",
+                "Sub{[0,0],[0,3],[1,1],[1,4],[2,2],[2,5],[3,0],[3,3],[4,1],"
+                "[4,4],[5,2],[5,5]} of N(Zn:6)"]
 KINDS = {"rees": rees_quotient, "standard": standard_quotient}
 
 
@@ -76,7 +82,7 @@ def failing_subsets(s):
     return [sorted(set(np.ravel(x).tolist())) for x in subsets]
 
 
-@pytest.mark.parametrize("spec", CARRIERS)
+@pytest.mark.parametrize("spec", CARRIERS + NOT_PRODUCTS)
 def test_product_ideals_and_quotients_match_the_twin(spec):
     twin = built_twin(build_carrier(spec))
     splits = quotients._ideal_factors(build_carrier(spec)) is not None

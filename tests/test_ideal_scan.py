@@ -1,0 +1,104 @@
+"""is_ideal's verdicts against a check written element by element.
+
+The carrier and its built twin share is_ideal's scan, so comparing them
+cannot catch a fault in it.  Here each verdict, with its reason and
+first witness, is compared with a plain Python check that applies the
+operations to the elements one pair at a time, on random subsets of
+small carriers: two products, whose ideals is_ideal may read off the
+factors, and five subsets of N(Zn:4) and N(Zn:6), one with no additive
+group, some with an addition that leaves the carrier.
+"""
+
+import random
+
+import pytest
+
+from natint.carriers import build_carrier
+from natint.quotients import is_ideal
+from conftest import built_twin
+
+H = ("Sub{[0,0],[0,3],[1,1],[1,4],[2,2],[2,5],[3,0],[3,3],[4,1],[4,4],"
+     "[5,2],[5,5]} of N(Zn:6)")
+CARRIERS = ("N(Zn:2)", "N(Zn:3,o)", "Mat(1,2,N(Zn:2))",
+            "Sub{[0,0],[1,1],[2,2],[3,3]} of N(Zn:4)",
+            "Sub{[0,0],[2,0],[2,2]} of N(Zn:4)",
+            "Sub{[0,0],[1,1],[3,3],[1,2],[2,0]} of N(Zn:4)", H)
+DRAWS = 150
+
+
+def plain_check(s, indices):
+    """(ok, reason, witness) of is_ideal, found one element pair at a
+    time from the operations."""
+    n, members = s.n, sorted(set(indices))
+    inside = set(members)
+
+    def op(name, i, j):
+        return s.index.get(s.apply(name, s.elements[i], s.elements[j]), -1)
+
+    zeros = [e for e in range(n)
+             if all(op("add", e, x) == x == op("add", x, e)
+                    for x in range(n))]
+    if not zeros:
+        return False, "ambient has no additive identity", None
+    z = zeros[0]
+    if z not in inside:
+        return False, "does not contain zero", None
+    negs = [[j for j in range(n) if op("add", i, j) == z] for i in range(n)]
+    if not all(negs):
+        return False, "ambient addition is not a group", None
+    for i in members:
+        if negs[i][0] not in inside:
+            return False, "not closed under negation", s.label(i)
+    for i in members:
+        for j in members:
+            if op("add", i, j) not in inside:
+                return False, "not closed under addition", s.labels([i, j])
+    for x in range(n):
+        for j in members:
+            if op("mul", x, j) not in inside:
+                return False, "not absorbing on the left", s.labels([x, j])
+    for i in members:
+        for y in range(n):
+            if op("mul", i, y) not in inside:
+                return False, "not absorbing on the right", s.labels([i, y])
+    return True, None, None
+
+
+def draws(spec, n):
+    """DRAWS nonempty subsets of range(n), drawn with a generator seeded by
+    spec.  Every other one holds element 0, the additive zero of each
+    carrier here, so that more of them reach the later checks."""
+    rng = random.Random(spec)
+    for k in range(DRAWS):
+        subset = set(rng.sample(range(n), rng.randint(1, n)))
+        if k % 2:
+            subset.add(0)
+        yield sorted(subset)
+
+
+def verdict(s, indices):
+    ok, info = is_ideal(s, indices)
+    return ok, info.get("reason"), info.get("witness")
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+def test_is_ideal_matches_the_plain_check(spec):
+    s = build_carrier(spec)
+    twin = built_twin(build_carrier(spec))
+    for indices in draws(spec, s.n):
+        want = plain_check(s, indices)
+        assert verdict(s, indices) == want, indices
+        assert verdict(twin, indices) == want, indices
+
+
+def test_the_draws_reach_every_kind_of_verdict():
+    reasons = set()
+    for spec in CARRIERS:
+        s = build_carrier(spec)
+        reasons.update(plain_check(s, indices)[1]
+                       for indices in draws(spec, s.n))
+    assert reasons >= {None, "does not contain zero",
+                       "ambient addition is not a group",
+                       "not closed under negation",
+                       "not closed under addition",
+                       "not absorbing on the left"}
