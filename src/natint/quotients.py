@@ -36,6 +36,27 @@ well_defined without comparing any products:
 
 Every other case compares the ambient's products class by class.
 
+A Rees quotient by an ideal I that passed is_ideal, and that reads off
+its ambient (a smaller one searches its built class table), reads two
+more facts off I and never reads a band of the ambient for them:
+
+- the coset lemma: every class has an additive inverse when class 0 is
+  the additive identity and the ambient's addition is proven
+  associative, so that each ambient r has exactly one inverse -r.  For
+  r outside I, -r is outside I too, since I is closed under negation
+  and -(-r) = r, and r + (-r) = 0 lies in I, which is class 0.  Class 0
+  is its own inverse, as I is closed under addition.
+- the product lemma: on a full product with I = P x Q (_factor_ideals),
+  a∘b lies in I exactly when a1∘b1 lies in P and a2∘b2 in Q.  Let B1 be
+  the parts b1 with a1∘b1 in P, and B2 those b2 with a2∘b2 in Q.  The b
+  with a∘b in I are then B1 x B2, and (B1 ∩ P) x (B2 ∩ Q) of them lie in
+  I, so a outside I has a partner outside I exactly when
+  |B1| |B2| > |B1 ∩ P| |B2 ∩ Q|.  The classes other than 0 keep ambient
+  order, so the first such a and its least partner outside I, found
+  through the grid of the parts, are the first pair of classes other
+  than 0 whose product is class 0 (structures._first_zero_pair).  That
+  costs O(n + m^2) on parts of m elements, not n^2.
+
 Ideals of a product are read off its factors.  In a full product R x S
 (N(D) is D x D, and so are the matrices and polynomials over it) whose
 factors are closed, each with a multiplicative identity 1 and an
@@ -468,8 +489,13 @@ class QuotientStructure(FiniteStructure):
     holds reads its facts off the ambient without one.  An op inherits
     the ambient's proven laws only when it is well defined on the classes
     (_congruent).  `_is_ideal` is set by rees_quotient and
-    standard_quotient, which run is_ideal first; only then does the
-    congruence lemma apply.
+    standard_quotient, which run is_ideal first; only then do the
+    congruence lemma and the two Rees lemmas apply (module docstring).
+    By the Rees lemmas, a Rees quotient that reads off its ambient has
+    every additive inverse when class 0 is its additive identity and the
+    ambient's addition is proven associative (inverses), and reads its
+    first zero pair of mul for class 0 off the factors' tables when its
+    ideal is P x Q on a full product (_zero_pair).
     """
 
     def __init__(self, ambient, ideal, kind):
@@ -523,6 +549,62 @@ class QuotientStructure(FiniteStructure):
 
     def _congruent(self, op):
         return self.well_defined(op)[0]
+
+    def _rees_lemma(self, op):
+        """Is this the Rees quotient by an ideal that passed is_ideal, the
+        premise of both Rees lemmas (module docstring), and does it read
+        op off its ambient (_reads_ambient)?  A smaller quotient builds
+        its class table, and searching that costs less than the other
+        premises."""
+        return (self._is_ideal and self.kind == "rees"
+                and self._reads_ambient(op))
+
+    @_once
+    def inverses(self, op):
+        """FiniteStructure.inverses, but by the Rees coset lemma (module
+        docstring) every class has an additive inverse, with no band
+        read, when class 0 is the additive identity and the ambient's
+        addition is proven associative."""
+        if (op == "add" and self._rees_lemma(op)
+                and self.identity_index("add") == 0
+                and _proven(self.ambient, "associative", "add")):
+            return True, None
+        return super().inverses(op)
+
+    def _zero_pair(self, op, z):
+        """The first pair of classes other than z = 0 whose product is
+        class 0, by the Rees product lemma (module docstring), when the
+        ideal is P x Q on a full product (_factor_ideals); no band is
+        read.  Else (False, None), and _first_zero_pair searches."""
+        if not (op == "mul" and z == 0 and self._rees_lemma(op)):
+            return False, None
+        s = self.ambient
+        split = _factor_ideals(s, np.asarray(self.ideal.indices))
+        if split is None:
+            return False, None
+        p, q = split
+        factors, c = s._factors("add", "mul"), s._coords()
+        # row x of a factor's mask holds the parts y with x∘y in its ideal
+        masks = []
+        for f, part in ((factors[0], p), (factors[-1], q)):
+            keep = np.zeros(f.n + 1, dtype=bool)
+            keep[part] = True
+            masks.append(keep[f.table("mul")])  # -1 reads the last slot
+        lo_mask, hi_mask = masks
+        # a∘b lies in I for the b in B1 x B2, of which (B1 ∩ P) x (B2 ∩ Q)
+        # lie in I themselves; class order is ambient order outside I
+        outside = ~self.ideal.mask()
+        pairs = lo_mask.sum(axis=1)[c.lo] * hi_mask.sum(axis=1)[c.hi]
+        inner = (lo_mask[:, p].sum(axis=1)[c.lo]
+                 * hi_mask[:, q].sum(axis=1)[c.hi])
+        first = _first_true(outside & (pairs > inner))
+        if first is None:
+            return True, None
+        a = first[0]
+        partners = c.grid[np.ix_(np.flatnonzero(lo_mask[c.lo[a]]),
+                                 np.flatnonzero(hi_mask[c.hi[a]]))]
+        b = partners[outside[partners]].min()
+        return True, (int(self.class_of[a]), int(self.class_of[b]))
 
     @_once
     def well_defined(self, op):

@@ -41,7 +41,8 @@ identity of add) and inverses(op) share one search (_inverse_bands): each
 element's first right inverse, kept when it is two-sided, since every
 two-sided inverse is a right inverse, and searched on only where it is
 not.  inverses(op) stops at the band of the first element without an
-inverse.
+inverse; one that reads every band keeps the map, so the search runs
+once per structure and op.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) reads each fact off its factors,
@@ -98,7 +99,9 @@ one band buffer at a time, and so are its first zero pairs
 closure needs no read at all when every ambient element has a class
 and the ambient is proven closed (closed).  So the 2757-class Rees
 quotient of N(Z53) gets every verdict of its report without its two
-30 MB class tables.
+30 MB class tables.  Its additive inverses and its first zero pair of
+mul are read off its ideal, with no band of the ambient
+(quotients.QuotientStructure).
 
 A view inherits these laws, and commutativity, from its ambient.  A
 subset closed under an operation is associative (distributive) when
@@ -391,6 +394,12 @@ class FiniteStructure:
         split a product: it asks well_defined."""
         return True
 
+    def _zero_pair(self, op, z):
+        """(True, pair) when a lemma gives _first_zero_pair's answer
+        without reading a band, else (False, None).  Only a Rees quotient
+        has such a lemma (quotients.QuotientStructure)."""
+        return False, None
+
     def restrict(self, indices):
         """The substructure on the given carrier indices, in that order: a
         view of this structure whose class_of relabels them, so a product
@@ -503,15 +512,19 @@ class FiniteStructure:
     def inverses(self, op):
         """Does every element have a two-sided inverse for the identity?
         The search stops at the band of the first element without one
-        (_inverse_bands)."""
+        (_inverse_bands).  One that reads every band keeps the map it
+        built, which neg_index and units then return (_inverse_map)."""
         e = self.identity_index(op)
         if e is None:
             return None, None
         if self._by_factors("inverses", op):
             return True, None
-        for lo, inv in _inverse_bands(self, op, e):
-            if (inv < 0).any():
-                return False, lo + int(np.argmin(inv))
+        inv = np.empty(self.n, dtype=np.intp)
+        for lo, band in _inverse_bands(self, op, e):
+            if (band < 0).any():
+                return False, lo + int(np.argmin(band))
+            inv[lo:lo + len(band)] = band
+        self._memo["inverse_map", op] = inv
         return True, None
 
     @_once
@@ -754,7 +767,13 @@ def _inverse_of(t, e):
 
 def _inverse_map(s, op, e):
     """Entry i: the first j in carrier order with i∘j == j∘i == e under
-    op, or -1 when there is none (_inverse_bands)."""
+    op, or -1 when there is none (_inverse_bands).  The map that
+    s.inverses(op) kept, when its search read every band, is returned
+    without a second search: every caller passes op's identity as e,
+    save _inverse_of, whose structure is new."""
+    inv = s._memo.get(("inverse_map", op))
+    if inv is not None:
+        return inv
     inv = np.empty(s.n, dtype=np.intp)
     for lo, band in _inverse_bands(s, op, e):
         inv[lo:lo + len(band)] = band
@@ -802,7 +821,11 @@ def _first_zero_pair(s, op, z):
     """The first (i, j) in C order with i∘j == z under op, i != z and
     j != z, or None.  op's table is read in bands (FiniteStructure._bands)
     and the search stops at the first band with a hit, so a view that
-    reads off its ambient builds no table."""
+    reads off its ambient builds no table.  Where a lemma gives the pair
+    (FiniteStructure._zero_pair), no band is read."""
+    known, pair = s._zero_pair(op, z)
+    if known:
+        return pair
     for lo, band in s._bands(op):
         m = band == z
         m[:, z] = False

@@ -12,6 +12,8 @@ table of the carrier; a subset that fails falls through to the scan and
 must give the twin's first witness.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,8 @@ from natint.quotients import (
 )
 from natint.structures import FiniteStructure, is_strict_semiring
 from conftest import built_twin
-from test_factored_ideals import NO_UNITY
+from test_factored_ideals import NO_UNITY, RING_PRODUCTS
+from test_factored_substructures import REORDERED
 
 FLAVORS = ("c", "o", "oc", "co")
 CARRIERS = ([f"N(Zn:{k},{f})" for k in range(2, 13) for f in FLAVORS]
@@ -418,3 +421,165 @@ def test_a_large_rees_quotient_builds_no_class_table(monkeypatch, ideal):
     assert report["classes"] == 2757
     assert report["semifield"]["has_zero_divisors"] is False
     assert report["semifield"]["strict_addition"] is False
+
+
+# ----------------------------------------------------------------------
+# the Rees lemmas: a Rees quotient that reads off its ambient reads its
+# additive inverses and its first zero pair of mul off its ideal
+
+# every full product with an addition, N(Zn:6) listed so that its zero is
+# no first element (its col-zero ideal starts at [0,2]), and two subsets
+# that are no product
+REES_CARRIERS = RING_PRODUCTS + [REORDERED] + NOT_PRODUCTS
+# Largest quotient whose whole report is compared with its twin's
+REPORT_CLASSES = 64
+
+
+def rees_facts(cls):
+    """The facts the Rees lemmas decide, asked before anything else."""
+    return ([cls.inverses(op) for op in OPS],
+            structures._first_zero_pair(cls, "mul", 0),
+            semifield_verdict(cls))
+
+
+def rees_quotients(s):
+    """The Rees quotient of s by each of its ideals, by the whole carrier
+    (one class), and by its second ideal built without is_ideal, so that
+    no lemma applies."""
+    ideals = [ideal.indices for ideal in enumerate_ideals(s)]
+    out = [rees_quotient(s, Ideal(s, idx, name="J")) for idx in ideals]
+    out.append(rees_quotient(s, Ideal(s, range(s.n), name="J")))
+    out.append(QuotientStructure(s, Ideal(s, ideals[1], name="J"), "rees"))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _gathered_twin(spec):
+    """A twin of spec's carrier holding the tables the carrier gathers."""
+    s = build_carrier(spec)
+    for op in OPS:
+        s.table(op)
+    return built_twin(s)
+
+
+@pytest.mark.parametrize("band", (1, structures._BAND_ENTRIES))
+@pytest.mark.parametrize("spec", REES_CARRIERS)
+def test_rees_lemmas_match_the_twin(monkeypatch, spec, band):
+    # with bands of one entry every quotient of more than one class reads
+    # off its ambient, so the lemmas decide wherever their premises hold;
+    # at the default only quotients of more than 256 classes do.  The
+    # twins hold built tables, which they read at the default band
+    amb_twin = _gathered_twin(spec)
+    s = build_carrier(spec)
+    for q in rees_quotients(s):
+        with monkeypatch.context() as m:
+            m.setattr(structures, "_BAND_ENTRIES", band)
+            got = rees_facts(q)
+        assert got == rees_facts(class_twin(q, amb_twin)), q.name
+        if q.n <= REPORT_CLASSES:
+            fresh = QuotientStructure(s, q.ideal, "rees")
+            fresh._is_ideal = q._is_ideal
+            with monkeypatch.context() as m:
+                m.setattr(structures, "_BAND_ENTRIES", band)
+                got = quotient_analysis(fresh)
+            assert got == quotient_analysis(twin_quotient(q, amb_twin)), q.name
+
+
+def _reads_no_band(q):
+    """(inverses of add, first zero pair of mul): is it decided with no
+    band of the quotient or its ambient read?  The factors' bands do not
+    count."""
+    bands = []
+    read = FiniteStructure._bands
+
+    def counted(self, *args, **kwargs):
+        if self is q or self is q.ambient:
+            bands.append(self)
+        return read(self, *args, **kwargs)
+
+    unread = []
+    for ask in (lambda: q.inverses("add"),
+                lambda: structures._first_zero_pair(q, "mul", 0)):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(FiniteStructure, "_bands", counted)
+            ask()
+        unread.append(not bands)
+        bands.clear()
+    return tuple(unread)
+
+
+@pytest.mark.parametrize("spec, ideal, kind, unread", [
+    # the lemmas' premises hold, on lo-major and other products
+    ("N(Zn:6)", "col-zero", "rees", (True, True)),
+    ("N(Zn:6)", "row-zero", "rees", (True, True)),
+    ("Mat(1,2,N(Zn:2))", "col-zero", "rees", (True, True)),
+    # the ideal starts at [0,2], so class 0 is no additive identity (the
+    # classes have none, so inverses reads nothing either); the ideal is
+    # the product {0} x Z6 all the same
+    (REORDERED, "col-zero", "rees", (True, True)),
+    # no product: the ideal does not split, and the subset is not proven
+    # associative by any factor
+    (NOT_PRODUCTS[1], "gen{[3,0]}", "rees", (False, False)),
+    ("N(Zn:6)", "col-zero", "standard", (False, False)),
+    ("N(Zn:6)", "col-zero", None, (False, False)),
+])
+def test_rees_lemmas_decide_only_on_their_premises(monkeypatch, spec, ideal,
+                                                   kind, unread):
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", 1)
+    s = build_carrier(spec)
+    ideal = parse_ideal_spec(s, ideal)
+    if kind is None:  # built without is_ideal
+        q = QuotientStructure(s, ideal, "rees")
+    else:
+        q = KINDS[kind](s, ideal)
+    assert _reads_no_band(q) == unread
+
+
+def _loop():
+    """A commutative loop {0, b, a, c} whose addition is not associative,
+    with mul constantly 0: b has the two inverses b and a, so I = {0, b}
+    passes is_ideal (b's first inverse is b), but the Rees class of a
+    has no inverse, as a + a = c and a + c = a."""
+    names = ["0", "b", "a", "c"]
+    add = np.array([[0, 1, 2, 3],
+                    [1, 0, 0, 3],
+                    [2, 0, 3, 2],
+                    [3, 3, 2, 0]], dtype=np.int32)
+    mul = np.zeros((4, 4), dtype=np.int32)
+
+    def op(t):
+        return lambda x, y: names[t[names.index(x), names.index(y)]]
+
+    return FiniteStructure(names, mul=op(mul), add=op(add),
+                           tables={"add": add, "mul": mul})
+
+
+def test_the_coset_lemma_needs_an_associative_addition(monkeypatch):
+    monkeypatch.setattr(structures, "_BAND_ENTRIES", 1)
+    s = _loop()
+    q = rees_quotient(s, Ideal(s, [0, 1]))
+    assert q.identity_index("add") == 0
+    assert q.inverses("add") == (False, 1)
+    # and when the ambient is known to fail
+    assert s.associative("add")[0] is False
+    assert rees_quotient(s, Ideal(s, [0, 1])).inverses("add") == (False, 1)
+
+
+@pytest.mark.parametrize("ideal", ("col-zero", "row-zero"))
+def test_a_large_rees_quotient_reads_few_ambient_bands(monkeypatch, capsys,
+                                                       ideal):
+    # the band search read 244 bands of the 2809-element ambient: 121 for
+    # the inverses, 120 for the zero pair of mul, one for strictness and
+    # two for well_defined("add"), whose witness is in the first band
+    read = structures._factored_bands
+    bands = []
+
+    def counted(*args, **kwargs):
+        for start, band in read(*args, **kwargs):
+            bands.append(start)
+            yield start, band
+
+    monkeypatch.setattr(structures, "_factored_bands", counted)
+    assert cli.main(["quotient", "N(Zn:53)", ideal, "--kind", "rees"]) == 0
+    assert capsys.readouterr().out
+    assert len(bands) <= 5

@@ -3,6 +3,7 @@ from operator import add, mul, xor
 import pytest
 
 from natint import structures
+from natint.carriers import build_carrier
 from natint import (
     FiniteStructure,
     Flavor,
@@ -25,6 +26,7 @@ from natint import (
     maximal_subgroups,
     thm_unit_square_witness,
 )
+from conftest import built_twin
 
 
 def miv(n, lo, hi, flavor=Flavor.CLOSED):
@@ -308,6 +310,40 @@ def test_each_fact_is_computed_once(monkeypatch):
     assert subgroup_scans == [True, False]
     assert len(walks) == len(set(walks))
     assert {op for _, op, _ in walks} == {"add", "mul"}
+
+
+# the pairs [x,y] of N(Zn:6) with x = y mod 3, which split into no product
+CONGRUENT_PAIRS = "Sub{%s} of N(Zn:6)" % ",".join(
+    f"[{x},{y}]" for x in range(6) for y in range(6) if (x - y) % 3 == 0)
+
+
+@pytest.mark.parametrize("spec, op, ask", [
+    # enumerate_ideals asks inverses("add"), then every principal closure
+    # reads neg_index
+    (CONGRUENT_PAIRS, "add", enumerate_ideals),
+    # N(Zn:3)\0 is a group under mul: units() follows inverses("mul")
+    ("N(Zn:3)\\0", "mul", lambda s: (s.inverses("mul"), s.units())),
+])
+def test_one_inverse_search_per_structure_and_op(monkeypatch, spec, op,
+                                                 ask):
+    # inverses(op) reads every band without a miss and keeps the map it
+    # built, which neg_index and units return; both twins are no product,
+    # so no verdict comes from factors
+    searches = []
+    search = structures._inverse_bands
+
+    def counted(s, op, e):
+        searches.append(op)
+        return search(s, op, e)
+
+    s = built_twin(build_carrier(spec))
+    monkeypatch.setattr(structures, "_inverse_bands", counted)
+    ask(s)
+    assert searches == [op]
+    kept = s.neg_index() if op == "add" else s.units()
+    e = s.identity_index(op)
+    assert kept.tolist() == structures._inverse_map(
+        built_twin(build_carrier(spec)), op, e).tolist()
 
 
 def test_duplicate_elements_rejected():
