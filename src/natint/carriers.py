@@ -17,6 +17,9 @@ every table, report and witness is deterministic.
 """
 
 import itertools
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from .errors import (
     FuzzyRangeOverflow,
@@ -82,6 +85,55 @@ def interval_elements(domain, flavor=Flavor.CLOSED):
             for lo in scalars for hi in scalars]
 
 
+class Lowering(NamedTuple):
+    """A carrier's ops on its parts, lowered to the code tables of its
+    domain (scalars.Domain.code_tables).  A part is `width` scalars,
+    entries(part) in order.  ops[op](tables, a, b) takes the parts of a
+    and of b, rows of `width` scalar codes, and gives the codes of op
+    on each pair of a row of a and a row of b, shape (len(a), len(b),
+    width); tables holds the domain's "add" and "mul" tables and the
+    code of its "zero".  FiniteStructure._parts builds part tables with
+    it."""
+    width: int
+    entries: Callable
+    ops: dict
+
+
+def _entrywise(op):
+    """op on each pair of parts, entry by entry."""
+    def compose(tables, a, b):
+        return tables[op][a[:, None], b[None]]
+    return compose
+
+
+def _mat_product(r):
+    """mat_mul on r x r parts, row by column, folded as mat_mul folds:
+    the product of entries 0, then each next product added."""
+    def compose(tables, a, b):
+        plus, times = tables["add"], tables["mul"]
+        a = a.reshape(len(a), 1, r, r)
+        b = b.reshape(1, len(b), r, r)
+        acc = times[a[..., :, 0, None], b[..., None, 0, :]]
+        for k in range(1, r):
+            acc = plus[acc, times[a[..., :, k, None], b[..., None, k, :]]]
+        return acc.reshape(acc.shape[0], acc.shape[1], r * r)
+    return compose
+
+
+def _poly_product(cyclic):
+    """poly_mul on parts of `cyclic` coefficients: a_i * b_j added into
+    slot (i + j) mod cyclic, from zero, in the order of i and then j as
+    poly_mul adds them; for one i, each j has its own slot."""
+    def compose(tables, a, b):
+        plus, times = tables["add"], tables["mul"]
+        acc = np.full((len(a), len(b), cyclic), tables["zero"])
+        for i in range(cyclic):
+            terms = times[a[:, None, i, None], b[None]]
+            acc = plus[acc, np.roll(terms, i, axis=-1)]
+        return acc
+    return compose
+
+
 def _interval_context(domain, flavor):
     """Operations, element parser and diagonal builder of N(domain).
 
@@ -102,6 +154,8 @@ def _interval_context(domain, flavor):
         "add": add, "mul": lambda x, y: x * y,
         "parse": lambda s: parse_interval(s, domain, flavor),
         "diag": lambda p: NaturalInterval(domain, p, p, flavor),
+        "lower": Lowering(1, lambda p: (p,), {
+            "add": _entrywise("add"), "mul": _entrywise("mul")}),
     }
 
 
@@ -113,6 +167,10 @@ def _matrix_context(rows, cols, domain, flavor):
         "add": mat_add, "mul": mat_mul if rows == cols else mat_hadamard,
         "parse": lambda s: parse_matrix(s, domain, flavor),
         "diag": lambda p: mat_recompose(p, p, domain, flavor),
+        "lower": Lowering(rows * cols, itertools.chain.from_iterable, {
+            "add": _entrywise("add"),
+            "mul": _mat_product(rows) if rows == cols
+            else _entrywise("mul")}),
     }
 
 
@@ -123,15 +181,20 @@ def _poly_context(domain, flavor, cyclic):
         "add": poly_add, "mul": poly_mul,
         "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
         "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
+        "lower": Lowering(cyclic, lambda p: p + (domain.zero,) * (
+            cyclic - len(p)), {
+            "add": _entrywise("add"), "mul": _poly_product(cyclic)}),
     }
 
 
 def _structure(elements, ctx, name):
-    """A carrier whose tables are read off its lo and hi part tables."""
+    """A carrier whose tables are read off its lo and hi part tables,
+    which are built from the code tables of a finite domain (ctx's
+    lowering), or one op per pair of parts when the domain has none."""
     return FiniteStructure(
         elements, mul=ctx["mul"], add=ctx["add"], name=name,
         kind=ctx["kind"], domain=ctx["domain"], flavor=ctx["flavor"],
-        parse_element=ctx["parse"], diag=ctx["diag"])
+        parse_element=ctx["parse"], diag=ctx["diag"], lower=ctx["lower"])
 
 
 def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,

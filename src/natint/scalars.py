@@ -14,6 +14,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import (
     FuzzyRangeOverflow,
     InfiniteDomain,
@@ -26,6 +28,10 @@ from .errors import (
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _PURE_NEUTRO_RE = re.compile(r"^(?P<b>[+-]?[\d/.]*)I$")
 _MIXED_NEUTRO_RE = re.compile(r"^(?P<a>[+-]?[\d/.]+)(?P<sign>[+-])(?P<b>[\d/.]*)I$")
+
+# Largest domain whose add and mul are given as code tables
+# (Domain.code_tables); each table holds CODE_TABLE_CAP^2 codes.
+CODE_TABLE_CAP = 256
 
 
 def _rand_below(rng, n):
@@ -99,6 +105,21 @@ class Domain:
 
     def units(self):
         return [x for x in self.elements() if self.inv(x) is not None]
+
+    def code_tables(self):
+        """add and mul as index tables over codes, where a scalar's code
+        is its position in elements(): {"add": t, "mul": t}, t[a, b] the
+        code of a op b.  None for an infinite domain, one above
+        CODE_TABLE_CAP elements and one that gives no tables.  They are
+        built afresh on each call, so a caller keeps what it reads again;
+        the domains are shared across requests (Mod), and so would be any
+        table kept on them."""
+        if self.size is None or self.size > CODE_TABLE_CAP:
+            return None
+        return self._code_tables()
+
+    def _code_tables(self):
+        return None
 
     def parse_scalar(self, text):
         raise NotImplementedError
@@ -308,6 +329,12 @@ class ModDomain(Domain):
     def elements(self):
         return iter(range(self.n))
 
+    def _code_tables(self):
+        # a residue is its own code
+        r = np.arange(self.n)
+        return {"add": np.add.outer(r, r) % self.n,
+                "mul": np.multiply.outer(r, r) % self.n}
+
     def parse_scalar(self, text):
         if not _INT_RE.match(text):
             raise ParseError(f"not an integer: {text!r}", text=text)
@@ -368,6 +395,9 @@ class PureNeutroDomain(Domain):
 
     def elements(self):
         return self.base.elements()
+
+    def _code_tables(self):
+        return self.base.code_tables()
 
     def parse_scalar(self, text):
         text = text.strip()
@@ -462,6 +492,20 @@ class MixedNeutroDomain(Domain):
         for a in self.base.elements():
             for p in list(self.base.elements()):
                 yield (a, p)
+
+    def _code_tables(self):
+        # (a, p) is code a * m + p over the base's m codes; mul gathers
+        # the base's tables in the order mul folds them
+        base = self.base.code_tables()
+        if base is None:
+            return None
+        plus, times = base["add"], base["mul"]
+        m = len(plus)
+        a, p = np.divmod(np.arange(m * m), m)
+        a, p, c, d = a[:, None], p[:, None], a[None], p[None]
+        tail = plus[plus[times[a, d], times[p, c]], times[p, d]]
+        return {"add": plus[a, c] * m + plus[p, d],
+                "mul": times[a, c] * m + tail}
 
     def parse_scalar(self, text):
         text = text.strip()

@@ -71,6 +71,12 @@ Such a verdict is exhaustive over the factors.  When a factor fails,
 the carrier's own table is scanned, which yields the first
 counterexample in carrier order.  The factors need only the part
 tables, which are built before, and without, the carrier's n x n table.
+Over a finite domain (Zn, ZnI, Zn+I) a part is a row of scalar codes,
+and a part table is composed on the domain's add and mul code tables,
+in bands of rows of parts (_coded_part_table): entrywise, row by column
+for a matrix and mod the cycle for a polynomial.  Only a carrier over
+another domain (the fuzzy grids, subsets of N(Z) and N(Q)) evaluates
+its op once per pair of parts (_part_table).
 
 Every block of a table (a quotient's class tables and the rows it
 compares, a subset's table, a product carrier's n x n table) is read by
@@ -142,6 +148,8 @@ ORDERS_CAP = 512
 # Entries per band when a block of a table is read (FiniteStructure._bands);
 # a band of part codes stays in cache between their sum and their lookup.
 _BAND_ENTRIES = 1 << 16
+# Largest packed code of a part (_coded_part_table).
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _once(method):
@@ -168,7 +176,9 @@ class FiniteStructure:
     a product carrier: every element decomposes into a lo and a hi part
     that mul and add act on independently, and diag(p) is the element
     with both parts p.  Such a carrier computes its part tables first
-    (_parts), one evaluation per pair of parts; they decide its
+    (_parts): on its domain's code tables when `lower` (a
+    carriers.Lowering) gives its ops on coded parts and the domain has
+    code tables, else one evaluation per pair of parts.  They decide its
     associativity and distributivity, and its ideals and quotients
     (quotients), and every block of its table, its n x n table too, is
     gathered from them (_bands).  `tables` seeds the cache directly.
@@ -187,7 +197,8 @@ class FiniteStructure:
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, diag=None, tables=None, view=None):
+                 parse_element=None, diag=None, lower=None, tables=None,
+                 view=None):
         self.elements = list(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -200,6 +211,7 @@ class FiniteStructure:
         self.flavor = flavor
         self.parse_element = parse_element
         self.diag = diag
+        self.lower = lower
         self.view = view
         self._tables = dict(tables) if tables else {}
         self._memo = {}
@@ -269,15 +281,40 @@ class FiniteStructure:
     def _parts(self, op):
         """The part tables of op on a product carrier: (lo, hi), or (lo,)
         when the two part lists agree.  In a part table, the part count
-        marks a result outside the parts (_part_table).  Refused above
-        TABLE_CAP elements, as the carrier's own table is."""
+        marks a result outside the parts.  A carrier whose parts have
+        codes (_part_codes) composes them on its domain's code tables
+        (_coded_part_table); any other evaluates op once per pair of
+        parts (_part_table).  Refused above TABLE_CAP elements, as the
+        carrier's own table is."""
         fn = self.op_fn(op)
         _refuse_table(self.n, op, TABLE_CAP)
-        c = self._coords()
-        lo_table = _part_table(c.lo_parts, fn, self.diag)
-        if c.hi_parts is c.lo_parts:
-            return (lo_table,)
-        return lo_table, _part_table(c.hi_parts, fn, self.diag)
+        coded = self._part_codes()
+        if coded is None:
+            return tuple(_part_table(parts, fn, self.diag)
+                         for parts in _part_lists(self._coords()))
+        tables, codes = coded
+        compose = functools.partial(self.lower.ops[op], tables)
+        return tuple(_coded_part_table(k, compose, self.domain.size)
+                     for k in codes)
+
+    @_once
+    def _part_codes(self):
+        """(tables, codes) when the carrier lowers its ops (`lower`, a
+        carriers.Lowering) onto the code tables of its domain: tables
+        are the domain's code tables and the code of its zero, and codes
+        holds, for each part list of _parts, one row of lower.width
+        scalar codes per part.  None without a lowering, without code
+        tables, and when a part's codes, packed base |D|, would not fit
+        in an int64."""
+        lower, domain = self.lower, self.domain
+        tables = None if lower is None else domain.code_tables()
+        if tables is None or domain.size ** lower.width > _INT64_MAX:
+            return None
+        code = {x: i for i, x in enumerate(domain.elements())}
+        tables["zero"] = code[domain.zero]
+        return tables, [np.array([[code[x] for x in lower.entries(p)]
+                                  for p in parts], dtype=np.intp)
+                        for parts in _part_lists(self._coords())]
 
     @_once
     def _factors(self, *ops):
@@ -677,6 +714,14 @@ class _Coords:
         self.grid = where[:m_lo, :m_hi] if n == m_lo * m_hi else None
 
 
+def _part_lists(coords):
+    """The distinct part lists of _Coords coords, as _parts lists their
+    tables: (lo_parts, hi_parts), or (lo_parts,) when the two agree."""
+    if coords.hi_parts is coords.lo_parts:
+        return (coords.lo_parts,)
+    return coords.lo_parts, coords.hi_parts
+
+
 def _factored_bands(parts, coords, rows=None, cols=None, relabel=None,
                     out=None):
     """FiniteStructure._bands of a product carrier, gathered from the part
@@ -732,7 +777,10 @@ def _table_bands(t, rows=None, cols=None, relabel=None, out=None):
 
 def _part_table(parts, fn, diag):
     """fn on the diagonal elements of parts, as part indices; a result
-    that is no part, or None, is len(parts), whose codes index -1."""
+    that is no part, or None, is len(parts), whose codes index -1.  One
+    evaluation per pair of parts: it serves the carriers whose parts
+    have no codes (FiniteStructure._part_codes), and it is the twin that
+    _coded_part_table is tested against."""
     m = len(parts)
     table = np.full((m, m), m, dtype=np.int32)
     diags = [diag(p) for p in parts]
@@ -742,6 +790,33 @@ def _part_table(parts, fn, diag):
             r = fn(x, y)
             if r is not None:
                 row[j] = parts.get(_hashable(r.decompose()[0]), m)
+    return table
+
+
+def _coded_part_table(codes, compose, radix):
+    """_part_table from the parts' scalar codes (one row of k codes per
+    part, FiniteStructure._part_codes) and compose(a, b), the k codes of
+    the op on each pair of a row of a and a row of b.  Each result's
+    codes are packed base radix into one int64 and found among the
+    parts' packed codes by a binary search; one that is no part is the
+    part count, as in _part_table.  Rows are composed in bands of about
+    _BAND_ENTRIES pairs, so about _BAND_ENTRIES * k codes are held at
+    once besides the m x m table."""
+    m, k = codes.shape
+    weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = codes @ weights
+    order = np.argsort(keys)
+    # a search past the last part reads the sentinels: no key, part m
+    ordered = np.append(keys[order], -1)
+    order = np.append(order, m).astype(np.int32)
+    table = np.empty((m, m), dtype=np.int32)
+    band = max(1, _BAND_ENTRIES // m)
+    for start in range(0, m, band):
+        packed = compose(codes[start:start + band], codes) @ weights
+        at = np.searchsorted(ordered[:-1], packed)
+        found = order.take(at)
+        found[ordered.take(at) != packed] = m
+        table[start:start + band] = found
     return table
 
 
