@@ -690,7 +690,7 @@ def cmd_table(args, cfg):
         "op": args.op,
         "order": s.n,
         "labels": labels,
-        "closed": s.closed(args.op)[0],
+        "closed": bool((t >= 0).all()),
         "table": grid,
     }
     return payload, EXIT_OK

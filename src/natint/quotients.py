@@ -337,12 +337,13 @@ def _sum_of_sets(ta, a_idx, b_idx):
 @_once
 def _ideal_factors(s):
     """(lo factor, hi factor, coords) when s is a full product whose
-    ideals are products of its factors' (module docstring): coords says
-    where each element sits among the parts (structures._Coords), and
-    coords.grid[a, b] is the index of the element with parts (a, b).  The
-    two factors are one structure when their part lists agree.  None for
-    any other carrier.  Only the part tables are built, never s's own."""
-    factors = s._factors("add", "mul")
+    ideals are products of its factors' (module docstring): the factors
+    are s._factors(), the one structure per part list that every reader
+    of s shares, so the lo and hi factor are one when the part lists
+    agree.  coords says where each element sits among the parts
+    (structures._Coords), and coords.grid[a, b] is the element with parts
+    (a, b).  None for any other carrier.  s's own tables are not built."""
+    factors = s._factors()
     if factors is None or not all(map(_meets_ideal_lemma, factors)):
         return None
     return factors[0], factors[-1], s._coords()
@@ -354,7 +355,7 @@ def _factor_ideals(s, idx):
     full product whose factors' additive inverses are unique (module
     docstring).  Such a product is an ideal.  None for any other subset,
     which is_ideal scans for its first witness."""
-    factors = s._factors("add", "mul")
+    factors = s._factors()
     if factors is None or not all(map(_unique_negatives, factors)):
         return None
     c = s._coords()
@@ -583,7 +584,7 @@ class QuotientStructure(FiniteStructure):
         if split is None:
             return False, None
         p, q = split
-        factors, c = s._factors("add", "mul"), s._coords()
+        factors, c = s._factors(), s._coords()
         # row x of a factor's mask holds the parts y with x∘y in its ideal
         masks = []
         for f, part in ((factors[0], p), (factors[-1], q)):

@@ -46,8 +46,10 @@ once per structure and op.
 
 A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
 the polynomials and the fuzzy grids) reads each fact off its factors,
-the structures on its lo and hi part tables, where that is exact: its
-pairs and triples are exactly the pairs of the factors' (_by_factors).
+where that is exact: its pairs and triples are exactly the pairs of the
+factors' (_by_factors).  Its factors are one structure per distinct part
+list, holding the part tables of every op and shared by every reader, so
+each fact of a factor is computed once (_factors).
 
 - It is closed, associative, distributive, and has inverses for its
   identity, exactly when both factors do; it is commutative when both
@@ -317,22 +319,22 @@ class FiniteStructure:
                         for parts in _part_lists(self._coords())]
 
     @_once
-    def _factors(self, *ops):
+    def _factors(self):
         """The factors of a full product carrier, one whose every pair of a
-        lo and a hi part is an element: structures on part indices holding
-        the part tables of ops, one per distinct part list (lo and hi, or
-        one when they agree), with -1 for a part result outside the
-        parts.  None for any other carrier, and for one whose part tables
-        are refused.  No table of the carrier itself is built."""
-        if self.diag is None or self.n > TABLE_CAP:
+        lo and a hi part is an element: one structure on part indices per
+        distinct part list (lo and hi, or one when they agree), holding
+        the part table of every op the carrier has (-1 for a result outside
+        the parts) and the carrier's name, which MissingTable names.  None
+        for any other carrier, and for one whose part tables are refused.
+        No table of the carrier itself is built."""
+        if (self.diag is None or self.n > TABLE_CAP
+                or self._coords().grid is None):
             return None
-        parts = [self._parts(op) for op in ops]
-        if self._coords().grid is None:
-            return None
-        return [FiniteStructure(range(len(side[0])), tables={
+        ops = [op for op in ("add", "mul") if self.has_op(op)]
+        return [FiniteStructure(range(len(side[0])), name=self.name, tables={
                     op: np.where(t < len(t), t, -1).astype(np.int32)
                     for op, t in zip(ops, side)})
-                for side in zip(*parts)]
+                for side in zip(*map(self._parts, ops))]
 
     def _block(self, op, rows, cols, relabel=None):
         """The entries rows x cols of op's table, as _bands reads them,
@@ -395,24 +397,16 @@ class FiniteStructure:
 
     def _by_factors(self, law, *ops):
         """Does law (closed, commutative, associative, inverses or
-        distributive) hold for ops on both factors of a full product
-        (_factors), and so here?  No table of this structure is built; a
-        factor too large to scan proves nothing."""
-        factors = self._factors(*ops)
+        distributive) hold for ops on each factor of a full product (one
+        per part list, holding every op: _factors), and so here?  No
+        table of it is built; a factor too large to scan proves nothing."""
+        factors = self._factors()
         args = () if law == "distributive" else ops
         try:
             return factors is not None and all(
                 getattr(f, law)(*args)[0] is True for f in factors)
         except TooLarge:
             return False
-
-    def _pair(self, fact, op):
-        """The element whose parts are fact(op) of the lo and of the hi
-        factor of a full product, or None when a factor has none."""
-        factors = self._factors(op)
-        lo, hi = (getattr(f, fact)(op) for f in (factors[0], factors[-1]))
-        return None if lo is None or hi is None else int(
-            self._coords().grid[lo, hi])
 
     def _known(self, law, *ops):
         """Does law hold on the factors (_by_factors), or on the ambient of
@@ -524,13 +518,16 @@ class FiniteStructure:
     def _two_sided(self, op, absorbing):
         """The first element e with e∘x = x∘e = x for every x (the
         identity), or = e (the absorbing element), or None; a full
-        product's is the pair of its factors'.  e∘e = e and the entries
-        of e with element 0 leave few candidates, and each is checked
-        against its row and its column, all read as pairs (_pairs), so a
-        view that reads off its ambient builds no table."""
-        if self._factors(op):
-            return self._pair(
-                "absorbing_index" if absorbing else "identity_index", op)
+        product's is the pair of its factors' (_factors), or None.  e∘e =
+        e and the entries of e with element 0 leave few candidates, and
+        each is checked against its row and its column, all read as pairs
+        (_pairs), so a view that reads off its ambient builds no table."""
+        factors = self._factors()
+        if factors:
+            fact = "absorbing_index" if absorbing else "identity_index"
+            lo, hi = (getattr(f, fact)(op) for f in (factors[0], factors[-1]))
+            return None if lo is None or hi is None else int(
+                self._coords().grid[lo, hi])
         n = self.n
         if not n:
             return None
@@ -1351,7 +1348,7 @@ def maximal_subgroups(s):
     (x, y) has an inverse in the corner of (e, f) exactly when x has one
     in the corner of e and y in the corner of f; so only the factors'
     corners are searched (_subgroups), and no table of s is built."""
-    factors = s._factors("mul")
+    factors = s._factors()
     if factors is None:
         groups = _subgroups(s)
     else:
@@ -1511,7 +1508,7 @@ def _diagonal_factor(s):
     is a group.  None for any other structure."""
     if s.kind != "interval":
         return None
-    factors = s._factors("add", "mul")
+    factors = s._factors()
     if factors is None or len(factors) != 1:
         return None
     f, diagonal = factors[0], np.diagonal(s._coords().grid)

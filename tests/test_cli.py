@@ -52,9 +52,13 @@ def test_table_marks_non_closure(capsys):
 
 
 def test_table_missing_op_is_an_input_error(capsys):
-    code, _, err = run(capsys, "table", "N(Zn:3)\\0", "add")
-    assert code == 2
-    assert "error:" in err
+    # the error names the carrier, also where a factor of it (a structure
+    # on its part tables) is the first to be asked for the op
+    for argv in (("ideal", "Fuzzy(min,step=1/2)"), ("ideal", "N(Zn:3)\\0"),
+                 ("table", "N(Zn:3)\\0", "add")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: structure {argv[1]!r} has no add operation\n"
 
 
 # ---- analyze / quotient / ideal

@@ -76,7 +76,7 @@ def assert_same_as_scan(s):
     twin = built_twin(s)
     scanned = verdicts(twin, ops)
     assert verdicts(s, ops) == scanned
-    assert all(twin._factors(op) is None for op in ops)
+    assert twin._factors() is None
     # With one row per block, the first block with a hit must still hold
     # the first witness in C order.
     with pytest.MonkeyPatch.context() as mp:
@@ -88,14 +88,15 @@ def assert_same_as_scan(s):
 def test_factored_verdicts_match_the_scan(spec):
     s = build_carrier(spec)
     assert_same_as_scan(s)
-    assert all(s._factors(op) is not None for op in _ops(s))
+    factors = s._factors()
+    assert factors and all(set(f._tables) == set(_ops(s)) for f in factors)
 
 
 @pytest.mark.parametrize("spec", NOT_PRODUCTS)
 def test_non_products_are_scanned(spec):
     s = build_carrier(spec)
     assert_same_as_scan(s)
-    assert all(s._factors(op) is None for op in _ops(s))
+    assert s._factors() is None
 
 
 def _z3(keep=lambda e: True):
@@ -130,7 +131,7 @@ def test_failing_factor_gives_the_scan_witness(case):
     assert ok is False and witness is not None
     decide = {"mul": lambda f: f.associative("mul"),
               "distributive": FiniteStructure.distributive}[law]
-    assert [decide(f)[0] for f in s._factors(*ops)] == factor_verdicts
+    assert [decide(f)[0] for f in s._factors()] == factor_verdicts
 
 
 # An addition on Z3 with identity 0 in which 1 has two inverses, 1 and 2.
@@ -149,7 +150,7 @@ def test_inverses_that_are_not_unique_are_scanned():
 
     s = FiniteStructure(elements, add=plus, diag=diag)
     assert_same_as_scan(s)
-    factors = s._factors("add")
+    factors = s._factors()
     assert not any(map(structures._unique_negatives, factors))
     c = s._coords()
     paired = c.grid[factors[0].neg_index()[c.lo],
@@ -194,3 +195,47 @@ def test_product_carriers_skip_the_cubic_scan(monkeypatch, spec):
     report = analyze_structure(s)
     for op in _ops(s):
         assert report["axioms"][op]["associative"] in (True, None)
+
+
+FACTOR_FACTS = ("closed", "associative", "identity_index", "inverses",
+                "commutative", "idempotents")
+
+
+@pytest.mark.parametrize("argv, held", [
+    (["analyze", "N(Zn:24)"], {"add", "mul"}),
+    (["analyze", "Mat(1,2,N(Zn:4))"], {"add", "mul"}),
+    (["analyze", "Fuzzy(min,step=1/15)"], {"mul"}),
+    (["ideal", "Mat(2,2,N(Zn:3))"], {"add", "mul"})])
+def test_each_factor_fact_is_computed_once(monkeypatch, capsys, argv, held):
+    # Every reader of a carrier's factors gets the same structures, which
+    # hold the part table of every op the carrier has.  So each fact of a
+    # factor, named by its carrier and its side, is computed at most once
+    # per op: a call that finds no memo entry is a computation.
+    carriers, side, computed = {}, {}, []
+    factors = FiniteStructure._factors
+
+    def kept(self):
+        found = factors(self)
+        carriers[id(self)] = self
+        for k, f in enumerate(found or ()):
+            side[id(f)] = (id(self), k)
+        return found
+
+    monkeypatch.setattr(FiniteStructure, "_factors", kept)
+    for fact in FACTOR_FACTS:
+        def counted(self, *args, fact=fact,
+                    decide=getattr(FiniteStructure, fact)):
+            if id(self) in side and (fact,) + args not in self._memo:
+                computed.append((side[id(self)], fact) + args)
+            return decide(self, *args)
+
+        monkeypatch.setattr(FiniteStructure, fact, counted)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert computed and len(computed) == len(set(computed))
+    assert {fact for _, fact, *_ in computed} >= {"closed", "identity_index"}
+    for s in carriers.values():
+        assert [key for key in s._memo if key[0] == "_factors"] == [
+            ("_factors",)]
+    assert {frozenset(f._tables) for s in carriers.values()
+            for f in s._memo["_factors",] or ()} == {frozenset(held)}

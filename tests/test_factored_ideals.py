@@ -145,7 +145,7 @@ def test_a_factor_with_non_associative_addition_is_closed_whole():
         mul=lambda x, y: _Pair(_loop_mul(a, b) for a, b in zip(x, y)),
         diag=lambda p: _Pair((p, p)))
     twin = built_twin(s)
-    assert len(enumerate_ideals(s._factors("add", "mul")[0])) == 5
+    assert len(enumerate_ideals(s._factors()[0])) == 5
     assert quotients._ideal_factors(s) is None
     assert _ideals(s) == _ideals(twin)
     assert len(_ideals(s)) == 34

@@ -69,7 +69,7 @@ def failing_subsets(s):
     """Product subsets {0, p} x Q and P x {0, q} of one fresh carrier,
     most of which are no ideal, and two subsets that are no product: the
     union of the two lines through zero, and the diagonal."""
-    f = s._factors("add", "mul")
+    f = s._factors()
     c = s._coords()
     zero_lo = f[0].identity_index("add")
     zero_hi = f[-1].identity_index("add")
