@@ -41,6 +41,7 @@ from .matrices import (
     mat_mul,
     mat_recompose,
     parse_matrix,
+    scalar_rows,
 )
 from .polys import (
     IntervalPoly,
@@ -48,6 +49,7 @@ from .polys import (
     poly_add,
     poly_mul,
     poly_recompose,
+    trimmed,
 )
 from .scalars import FuzzyUnitDomain, parse_domain
 from .structures import (
@@ -88,14 +90,17 @@ def interval_elements(domain, flavor=Flavor.CLOSED):
 class Lowering(NamedTuple):
     """A carrier's ops on its parts, lowered to the code tables of its
     domain (scalars.Domain.code_tables).  A part is `width` scalars,
-    entries(part) in order.  ops[op](tables, a, b) takes the parts of a
-    and of b, rows of `width` scalar codes, and gives the codes of op
-    on each pair of a row of a and a row of b, shape (len(a), len(b),
+    entries(part) in order, and part(scalars) is the part of `width`
+    scalars as decompose gives it.  ops[op](tables, a, b) takes the parts
+    of a and of b, rows of `width` scalar codes, and gives the codes of
+    op on each pair of a row of a and a row of b, shape (len(a), len(b),
     width); tables holds the domain's "add" and "mul" tables and the
     code of its "zero".  FiniteStructure._parts builds part tables with
-    it."""
+    it, and structures._Coords.of_codes the parts of a spec-built
+    carrier."""
     width: int
     entries: Callable
+    part: Callable
     ops: dict
 
 
@@ -154,7 +159,7 @@ def _interval_context(domain, flavor):
         "add": add, "mul": lambda x, y: x * y,
         "parse": lambda s: parse_interval(s, domain, flavor),
         "diag": lambda p: NaturalInterval(domain, p, p, flavor),
-        "lower": Lowering(1, lambda p: (p,), {
+        "lower": Lowering(1, lambda p: (p,), lambda xs: xs[0], {
             "add": _entrywise("add"), "mul": _entrywise("mul")}),
     }
 
@@ -167,7 +172,8 @@ def _matrix_context(rows, cols, domain, flavor):
         "add": mat_add, "mul": mat_mul if rows == cols else mat_hadamard,
         "parse": lambda s: parse_matrix(s, domain, flavor),
         "diag": lambda p: mat_recompose(p, p, domain, flavor),
-        "lower": Lowering(rows * cols, itertools.chain.from_iterable, {
+        "lower": Lowering(rows * cols, itertools.chain.from_iterable,
+                          lambda xs: scalar_rows(xs, cols), {
             "add": _entrywise("add"),
             "mul": _mat_product(rows) if rows == cols
             else _entrywise("mul")}),
@@ -182,19 +188,25 @@ def _poly_context(domain, flavor, cyclic):
         "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
         "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
         "lower": Lowering(cyclic, lambda p: p + (domain.zero,) * (
-            cyclic - len(p)), {
+            cyclic - len(p)), lambda xs: trimmed(xs, domain.zero), {
             "add": _entrywise("add"), "mul": _poly_product(cyclic)}),
     }
 
 
-def _structure(elements, ctx, name):
+def _structure(elements, ctx, name, scalar_codes=None):
     """A carrier whose tables are read off its lo and hi part tables,
     which are built from the code tables of a finite domain (ctx's
-    lowering), or one op per pair of parts when the domain has none."""
+    lowering), or one op per pair of parts when the domain has none.
+    scalar_codes, from interval_structure, matrix_structure and
+    poly_structure, are the codes of the scalars that every entry's
+    endpoints range over: the elements are then every choice of entries,
+    in the order those functions make them, and the carrier reads where
+    each sits among its parts off those codes (structures._Coords)."""
     return FiniteStructure(
         elements, mul=ctx["mul"], add=ctx["add"], name=name,
         kind=ctx["kind"], domain=ctx["domain"], flavor=ctx["flavor"],
-        parse_element=ctx["parse"], diag=ctx["diag"], lower=ctx["lower"])
+        parse_element=ctx["parse"], diag=ctx["diag"], lower=ctx["lower"],
+        scalar_codes=scalar_codes)
 
 
 def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,
@@ -207,16 +219,18 @@ def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,
     if count > size_bound:
         raise TooLarge(f"carrier of {count} elements exceeds the bound "
                        f"{size_bound}")
-    elements = interval_elements(domain, flavor)
+    scalars = list(domain.elements())
+    codes = range(len(scalars))
     ctx = _interval_context(domain, flavor)
     if remove_zero:
-        z = domain.zero
-        elements = [e for e in elements if e.lo != z and e.hi != z]
+        codes = [c for c in codes if scalars[c] != domain.zero]
         ctx["add"] = None
+    elements = [NaturalInterval(domain, scalars[lo], scalars[hi], flavor)
+                for lo in codes for hi in codes]
     if name is None:
         rz = "\\0" if remove_zero else ""
         name = f"N({domain.spec}{rz},{flavor.code})"
-    return _structure(elements, ctx, name)
+    return _structure(elements, ctx, name, codes)
 
 
 def matrix_structure(rows, cols, domain, flavor=Flavor.CLOSED,
@@ -233,7 +247,7 @@ def matrix_structure(rows, cols, domain, flavor=Flavor.CLOSED,
     if name is None:
         name = f"Mat({rows},{cols},N({domain.spec},{flavor.code}))"
     return _structure(elements, _matrix_context(rows, cols, domain, flavor),
-                      name)
+                      name, range(domain.size))
 
 
 def poly_structure(domain, flavor=Flavor.CLOSED, cyclic=1,
@@ -251,7 +265,8 @@ def poly_structure(domain, flavor=Flavor.CLOSED, cyclic=1,
                 for combo in itertools.product(ivs, repeat=cyclic)]
     if name is None:
         name = f"Poly(N({domain.spec},{flavor.code}),cyc={cyclic})"
-    return _structure(elements, _poly_context(domain, flavor, cyclic), name)
+    return _structure(elements, _poly_context(domain, flavor, cyclic), name,
+                      range(domain.size))
 
 
 def _parse_nspec(text):

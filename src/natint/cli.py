@@ -215,6 +215,8 @@ def _write_json(obj, out, nl):
                 return
             except TypeError:
                 pass
+        elif _write_records(obj, out, nl):
+            return
         head = "[" + inner
         for value in obj:
             fmt = _SCALARS.get(type(value))
@@ -243,6 +245,37 @@ def _write_json(obj, out, nl):
         out.append(nl + "}")
     else:
         _write_json(_json_default(obj), out, nl)
+
+
+def _write_records(records, out, nl):
+    """Append records' indent-2 JSON as _write_json writes a list, and
+    return True, when they are flat records: dicts with the first one's
+    keys, in its order, all str, and values of _SCALARS types, as the
+    element reports' lists are.  Each key's head is made once and each
+    record is one join.  Append nothing and return False for any other
+    list; nl is the newline and indent of the list's own line.  Keys must
+    be str because 1, True and 1.0 compare equal but are written apart."""
+    if type(records[0]) is not dict or not records[0]:
+        return False
+    keys = tuple(records[0])
+    if not all(type(key) is str for key in keys):
+        return False
+    inner = nl + "  "
+    heads = [inner + "  " + _json_key(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0]
+    close = inner + "}"
+    pieces = []
+    for record in records:
+        if type(record) is not dict or tuple(record) != keys:
+            return False
+        try:
+            pieces.append(",".join([head + _SCALARS[type(value)](value)
+                                    for head, value in zip(
+                                        heads, record.values())]) + close)
+        except KeyError:
+            return False
+    out.append("[" + inner + ("," + inner).join(pieces) + nl + "]")
+    return True
 
 
 def _to_json(obj):

@@ -124,13 +124,8 @@ class IntervalPoly:
     def decompose(self):
         """(lo scalar coefficients, hi scalar coefficients), trimmed."""
         zero = self.domain.zero
-        lo = [c.lo for c in self.coeffs]
-        hi = [c.hi for c in self.coeffs]
-        while lo and lo[-1] == zero:
-            lo.pop()
-        while hi and hi[-1] == zero:
-            hi.pop()
-        return tuple(lo), tuple(hi)
+        return (trimmed([c.lo for c in self.coeffs], zero),
+                trimmed([c.hi for c in self.coeffs], zero))
 
     def __eq__(self, other):
         return (isinstance(other, IntervalPoly)
@@ -177,6 +172,16 @@ def poly_mul(p, q):
 
 def poly_decompose(p):
     return p.decompose()
+
+
+def trimmed(scalars, zero):
+    """The scalar coefficients without their trailing zeros, as a tuple:
+    one side of IntervalPoly.decompose, and the part a Poly carrier keys
+    it by (carriers.Lowering.part)."""
+    k = len(scalars)
+    while k and scalars[k - 1] == zero:
+        k -= 1
+    return tuple(scalars[:k])
 
 
 def poly_recompose(lo, hi, domain, flavor=Flavor.CLOSED, cyclic=None):

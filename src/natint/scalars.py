@@ -73,6 +73,7 @@ class Domain:
 
     zero = None
     one = None
+    _hash = None  # hash(self._key()), taken once: an interval hash reads it
 
     def add(self, x, y):
         raise NotImplementedError
@@ -155,7 +156,9 @@ class Domain:
                                  and self._key() == other._key())
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"<domain {self.spec}>"

@@ -13,12 +13,14 @@ witness in row r costs O(r n^2) work and memory stays bounded.  A
 verdict is computed once per structure, because its tables never change
 once built.
 
-Element facts are read from one remembered orbit per element and op
-(FiniteStructure.orbit): the powers x, x∘x, (x∘x)∘x, ... up to the first
-repeat or the first power outside the carrier.  A nilpotency index, an
-identity order, a return exponent and an additive span are each a
-position in, or the end of, that walk.  The idempotents and the maximal
-subgroups are likewise found once per structure.
+Element facts are read from one remembered walk per op that takes
+every element's orbit at once (FiniteStructure._orbits, _walk): the
+powers x, x∘x, (x∘x)∘x, ... up to the first repeat or the first power
+outside the carrier, each step one gather for every walk still going.
+A nilpotency index, an identity order, a return exponent and an
+additive span are each a position in, or the end of, an element's walk
+(FiniteStructure.orbit).  The idempotents and the maximal subgroups are
+likewise found once per structure.
 
 The S-ring search (is_s_ring) tries the additive spans of e * g, for an
 idempotent e and an element g, and nothing else.  That is exhaustive
@@ -127,6 +129,7 @@ check and the cubic-scan cap run first, so a refusal stays a refusal.
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,7 +186,15 @@ class FiniteStructure:
     code tables, else one evaluation per pair of parts.  They decide its
     associativity and distributivity, and its ideals and quotients
     (quotients), and every block of its table, its n x n table too, is
-    gathered from them (_bands).  `tables` seeds the cache directly.
+    gathered from them (_bands).  `scalar_codes`, given by a carrier
+    built from a spec (carriers._structure), are the codes of the scalars
+    that every entry's endpoints range over: the elements are then every
+    choice of entries, in carriers' order, so where each sits among the
+    parts is read off the codes (_Coords.of_codes), and the elements are
+    distinct without a check.  Any other carrier hashes its elements into `index` at once,
+    to refuse duplicates; a spec-built one builds `index` on first use.
+    An element's label is formatted when first asked for (label,
+    labels).  `tables` seeds the cache directly.
     `view`, when given, is (ambient, reps, class_of): this structure is a
     subset (restrict) or a quotient (quotients.QuotientStructure) of the
     structure ambient, and inherits its proven laws (_known).  Element i
@@ -199,12 +210,13 @@ class FiniteStructure:
 
     def __init__(self, elements, mul=None, add=None, *, name="",
                  kind="generic", domain=None, flavor=None,
-                 parse_element=None, diag=None, lower=None, tables=None,
-                 view=None):
+                 parse_element=None, diag=None, lower=None, scalar_codes=None,
+                 tables=None, view=None):
         self.elements = list(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
+        self._index = None
+        if scalar_codes is None and len(self.index) != len(self.elements):
             raise ValueError("carrier contains duplicate elements")
+        self.scalar_codes = scalar_codes
         self.mul_fn = mul
         self.add_fn = add
         self.name = name
@@ -228,19 +240,37 @@ class FiniteStructure:
     def __repr__(self):
         return f"<structure {self.name or self.kind}: {self.n} elements>"
 
-    def _labels(self):
-        """str of every element, formatted once per structure."""
-        labels = self._memo.get("labels")
-        if labels is None:
-            labels = self._memo["labels"] = list(map(str, self.elements))
-        return labels
+    @property
+    def index(self):
+        """{element: carrier index}, built on first use.  A carrier that
+        gives no scalar_codes builds it at once, as its duplicate check."""
+        if self._index is None:
+            self._index = {e: i for i, e in enumerate(self.elements)}
+        return self._index
 
     def label(self, i):
-        return self._labels()[i]
+        """str of element i, formatted the first time it is asked for."""
+        kept = self._memo.get("labels")
+        label = None if kept is None else kept[i]
+        return self.labels((i,))[0] if label is None else label
 
     def labels(self, indices):
-        labels = self._labels()
-        return [labels[i] for i in indices]
+        """str of each element of indices, each formatted the first time
+        it is asked for and kept."""
+        indices = list(indices)
+        kept = self._kept_labels(indices)
+        return [kept[i] for i in indices]
+
+    def _kept_labels(self, indices):
+        """The list of kept labels, by carrier index, with those of
+        indices formatted; an element not yet asked for is None."""
+        kept = self._memo.get("labels")
+        if kept is None:
+            kept = self._memo["labels"] = [None] * self.n
+        for i in indices:
+            if kept[i] is None:
+                kept[i] = str(self.elements[i])
+        return kept
 
     def op_fn(self, op):
         fn = self.mul_fn if op == "mul" else self.add_fn
@@ -276,7 +306,11 @@ class FiniteStructure:
     @_once
     def _coords(self):
         """Where the elements of a product carrier (diag given) sit among
-        its parts (_Coords)."""
+        its parts (_Coords): read off the scalar codes of a spec-built
+        carrier (_Coords.of_codes), else off its elements."""
+        if self.scalar_codes is not None:
+            return _Coords.of_codes(self.lower, self.scalar_codes,
+                                    list(self.domain.elements()))
         return _Coords(self.elements)
 
     @_once
@@ -314,9 +348,12 @@ class FiniteStructure:
             return None
         code = {x: i for i, x in enumerate(domain.elements())}
         tables["zero"] = code[domain.zero]
+        coords = self._coords()
+        if coords.codes is not None:
+            return tables, coords.codes
         return tables, [np.array([[code[x] for x in lower.entries(p)]
                                   for p in parts], dtype=np.intp)
-                        for parts in _part_lists(self._coords())]
+                        for parts in _part_lists(coords)]
 
     @_once
     def _factors(self):
@@ -603,20 +640,20 @@ class FiniteStructure:
         neg.flags.writeable = False
         return neg
 
-    @_once
     def orbit(self, op, i):
         """The powers of element i under op, i, i∘i, (i∘i)∘i, ..., up to
         the first repeat, and how the walk ended: the power that repeats,
         or -1 when a power left the carrier.  So i^k is powers[k-1], and
-        an end other than -1 is i^(len(powers)+1)."""
-        t = self.table(op)
-        powers, seen = [i], {i}
-        p = int(t[i, i])
-        while p >= 0 and p not in seen:
-            powers.append(p)
-            seen.add(p)
-            p = int(t[p, i])
-        return tuple(powers), p
+        an end other than -1 is i^(len(powers)+1).  Read off the walk of
+        every element at once (_orbits)."""
+        w = self._orbits(op)
+        return tuple(w.powers[:w.length[i], i].tolist()), int(w.end[i])
+
+    @_once
+    def _orbits(self, op):
+        """Every element's orbit under op, walked at once on op's table
+        (_walk)."""
+        return _walk(self.table(op))
 
     @_once
     def units(self):
@@ -687,10 +724,17 @@ class _Coords:
     outside the parts; where[code] is the element with those parts, or
     -1.  grid[a, b] is the element with parts (a, b) when every pair is
     an element (a full product), else None.  The codes are int32, which
-    holds for carriers of up to TABLE_CAP elements.
+    holds for carriers of up to TABLE_CAP elements.  codes holds, for
+    each part list, one row of scalar codes per part when the producer
+    knows them (of_codes), else None.
+
+    Two producers fill it: _Coords(elements) decomposes every element,
+    and of_codes reads a spec-built carrier's places off its scalar
+    codes, with no element decomposed.
     """
 
-    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid")
+    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid",
+                 "codes")
 
     def __init__(self, elements):
         lo_parts, hi_parts = {}, {}
@@ -701,12 +745,39 @@ class _Coords:
             hi.append(hi_parts.setdefault(_hashable(hi_part), len(hi_parts)))
         if list(hi_parts) == list(lo_parts):
             hi_parts = lo_parts
+        self._place(lo_parts, hi_parts, np.array(lo, dtype=np.intp),
+                    np.array(hi, dtype=np.intp), None)
+
+    @classmethod
+    def of_codes(cls, lower, keep, scalars):
+        """The _Coords of a carrier whose elements are every choice of
+        lower.width entries, each an interval [x, y] with x and y among
+        the scalars whose codes are keep, in the order carriers makes
+        them: entry 0 varies slowest, and in an entry x before y.  So element i is 2 * width digits base m = len(keep),
+        the lo codes at the even digits and the hi codes at the odd.
+        Parts first appear in the order of their digits, so a lo or hi
+        part's index is its digits read base m, and the lo and hi parts
+        are one list: the part with digits d is lower.part of the scalars
+        keep[d], in entry order."""
+        self = cls.__new__(cls)
+        width, m = lower.width, len(keep)
+        keep = np.asarray(keep, dtype=np.intp)
+        places = m ** np.arange(2 * width - 1, -1, -1)
+        digits = np.arange(m ** (2 * width))[:, None] // places % m
+        weights = m ** np.arange(width - 1, -1, -1)
+        codes = keep[np.arange(m ** width)[:, None] // weights % m]
+        parts = {lower.part([scalars[c] for c in row]): k
+                 for k, row in enumerate(codes.tolist())}
+        self._place(parts, parts, digits[:, 0::2] @ weights,
+                    digits[:, 1::2] @ weights, [codes])
+        return self
+
+    def _place(self, lo_parts, hi_parts, lo, hi, codes):
         self.lo_parts, self.hi_parts = lo_parts, hi_parts
+        self.lo, self.hi, self.codes = lo, hi, codes
         n, m_lo, m_hi = len(lo), len(lo_parts), len(hi_parts)
-        self.lo = np.array(lo, dtype=np.intp)
-        self.hi = np.array(hi, dtype=np.intp)
         where = np.full((m_lo + 1, m_hi + 1), -1, dtype=np.int32)
-        where[self.lo, self.hi] = np.arange(n, dtype=np.int32)
+        where[lo, hi] = np.arange(n, dtype=np.int32)
         self.where = where.ravel()
         self.grid = where[:m_lo, :m_hi] if n == m_lo * m_hi else None
 
@@ -875,6 +946,55 @@ def _inverse_bands(s, op, e):
             both = right[on] & (cols == e).T
             inv[on] = np.where(both.any(axis=1), both.argmax(axis=1), -1)
         yield lo, inv
+
+
+class _Walk(NamedTuple):
+    """The orbits of every element of a table (_walk): powers[k, i] is
+    i^(k+1) while k < length[i], and -1 after; end[i] is the power that
+    repeats, or -1 when a power left the carrier."""
+    powers: np.ndarray
+    length: np.ndarray
+    end: np.ndarray
+
+
+def _walk(t, wrap=False):
+    """The orbits of every column element i of the table t (_Walk), whose
+    powers are i, then p∘i = t[p, i] for the last power p, up to the first
+    repeat or the first -1.  Each step advances every walk still going by
+    one gather and compares its new power with the walk's earlier ones,
+    so memory is O(n L) for the longest orbit L, and work O(n L^2).  The
+    powers are int32, as the tables are: at worst, an element of order n
+    (a cyclic group), L is n (n + 1 with wrap) and the powers take as
+    much as the table they walk.
+
+    With wrap, a -1 is read as numpy reads t[-1, i], as the last row: it
+    is a state n of its own, never equal to an element, whose next power
+    is t[n-1, i]; no walk then ends at -1.  _element_orders walks so
+    (bug 7b)."""
+    n = t.shape[1]
+    if wrap:
+        t = np.vstack([t, t[-1:]])
+        t[t < 0] = n
+    every = np.arange(n)
+    powers = np.full((max(1, min(n, 16)), n), -1, dtype=np.int32)
+    powers[0] = every
+    length = np.ones(n, dtype=np.int32)
+    end = np.full(n, -1, dtype=np.int32)
+    walking, p, k = every, every, 1
+    while walking.size:
+        nxt = t[p, walking]
+        stop = (nxt < 0) | (powers[:k, walking] == nxt).any(axis=0)
+        done = walking[stop]
+        end[done], length[done] = nxt[stop], k
+        walking, p = walking[~stop], nxt[~stop]
+        if not walking.size:
+            break
+        if k == len(powers):
+            grow = min(k, n + 1 - k)
+            powers = np.vstack([powers, np.full((grow, n), -1, np.int32)])
+        powers[k, walking] = p
+        k += 1
+    return _Walk(powers[:length.max(initial=1)], length, end)
 
 
 def _zero_products(t, z):
@@ -1174,12 +1294,9 @@ def find_special_elements(s, with_orders=True):
         rep["zero_divisors"] = [{"x": s.label(i), "witness": s.label(j)}
                                 for i, j in enumerate(first.tolist()) if j < n]
         rep["s_zero_divisors"] = _s_zero_divisors(s, m)
-        nil = []
-        for i in range(n):
-            powers, _ = s.orbit("mul", i)
-            if i != z and z in powers:
-                nil.append({"x": s.label(i), "index": powers.index(z) + 1})
-        rep["nilpotents"] = nil
+        rep["nilpotents"] = [
+            {"x": s.label(i), "index": k} for i, k in enumerate(
+                _first_position(s._orbits("mul").powers, z)) if k and i != z]
 
     rep["idempotents"] = s.labels(s.idempotents())
 
@@ -1213,7 +1330,6 @@ def _s_zero_divisors(s, m):
     against the ys still open, and nearly all of them in the first block.
     Their first b is the lowest set bit of ~m[a] & B_y.
     """
-    labels = s._labels()
     n = s.n
     clear = ~(np.uint64(1) << (np.arange(n) & 63).astype(np.uint64))
     zero_rows = _packed_rows(m)
@@ -1223,6 +1339,9 @@ def _s_zero_divisors(s, m):
     words = notm.shape[1]
     xs, cols = np.nonzero(m)
     ends = np.cumsum(np.bincount(xs, minlength=n)).tolist()
+    # x, y, a and b each have a zero product with another
+    labels = s._kept_labels(np.flatnonzero(m.any(axis=0) | m.any(axis=1))
+                            .tolist())
     out = []
     for x, start, end in zip(range(n), [0] + ends, ends):
         ann = cols[start:end]
@@ -1272,24 +1391,37 @@ def _packed_rows(mask):
 def _element_orders(s, one, zero):
     """Two notions per element, labeled: order relative to the identity
     (least k with x^k = 1, when it exists) and the return exponent
-    (least k > 1 with x^k = x, when it exists)."""
-    add = s.table("add") if s.has_op("add") else None
+    (least k > 1 with x^k = x, when it exists); with add, the additive
+    order, least k with k x = 0.  Each is read off the walk of every
+    element (_orbits).  Where a multiple leaves the carrier, the additive
+    walk reads the -1 as the last row of the add table, as numpy does
+    (bug 7b), so that walk is taken again with wrap (_walk)."""
+    mul = s._orbits("mul")
+    orders = _first_position(mul.powers, one)
+    returns = np.where(mul.end == np.arange(s.n), mul.length + 1, 0).tolist()
+    adds = None
+    if s.has_op("add"):
+        add = s._orbits("add")
+        if (add.end < 0).any():
+            add = _walk(s.table("add"), wrap=True)
+        adds = _first_position(add.powers, s.identity_index("add"))
     out = []
-    for i in range(s.n):
-        powers, end = s.orbit("mul", i)
-        entry = {"x": s.label(i),
-                 "identity_order": (powers.index(one) + 1 if one in powers
-                                    else None),
-                 "return_exponent": len(powers) + 1 if end == i else None}
-        if add is not None:
-            z = s.identity_index("add")
-            q, m = i, 1
-            while q != z and m <= s.n:
-                q = int(add[q, i])
-                m += 1
-            entry["additive_order"] = m if q == z else None
+    for i, (order, back) in enumerate(zip(orders, returns)):
+        entry = {"x": s.label(i), "identity_order": order or None,
+                 "return_exponent": back or None}
+        if adds is not None:
+            entry["additive_order"] = adds[i] or None
         out.append(entry)
     return out
+
+
+def _first_position(powers, target):
+    """For each walk of powers (_Walk), 1 + the position of target in it,
+    or 0 when it is absent or target is None."""
+    if target is None:
+        return [0] * powers.shape[1]
+    hits = powers == target
+    return np.where(hits.any(axis=0), hits.argmax(axis=0) + 1, 0).tolist()
 
 
 # ----------------------------------------------------------------------

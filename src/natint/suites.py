@@ -152,37 +152,69 @@ _MODMAP_OPS = (("add", operator.add), ("sub", operator.sub),
 def modmap_suite(n, pairs=10000, seed=0, workers=1):
     """The componentwise mod-n map N(Z) -> N(Zn) preserves add, sub and
     mul, and its kernel is N(nZ): multiples of n map to zero and nothing
-    sampled outside nZ x nZ does."""
-    dn = Mod(n)
-    zero = NaturalInterval(dn, 0, 0)
+    sampled outside nZ x nZ does.  The one-modulus case of
+    modmap_suites."""
+    return modmap_suites((n,), pairs, seed)[0]
 
-    def phi(x):
-        # residues mod n are already canonical in Zn
-        return NaturalInterval(dn, x.lo % n, x.hi % n)
+
+def modmap_suites(moduli, pairs=10000, seed=0):
+    """modmap_suite(n, pairs, seed) for each n of moduli, from one pass
+    over the drawn cases (_modmap_failures)."""
+    return [_report("modmap", pairs, seed, fails,
+                    {"modulus": n, "kernel": f"N({n}Z)"})
+            for n, fails in zip(moduli, _modmap_failures(moduli, pairs,
+                                                         seed))]
+
+
+def _modmap_failures(moduli, pairs, seed):
+    """The failure list of modmap_suite for each modulus of moduli.  A
+    case draws x and y and takes their Z-side sum, difference and product
+    once; then each modulus checks them in modmap_suite's order, and the
+    moduli that pass the ops share one draw of the kernel multipliers.  A
+    modulus that fails an op draws none, so where another passes on the
+    same case their streams part; such a modulus is run again on its
+    own."""
+    rings = [(n, Mod(n), NaturalInterval(Mod(n), 0, 0)) for n in moduli]
+    names, fns = zip(*_MODMAP_OPS)
+    failures = [[] for _ in moduli]
+    parted = set()
 
     def case(rng, k):
-        x = _rand_iv(Z, rng)
-        y = _rand_iv(Z, rng)
-        px, py = phi(x), phi(y)
-        for op, f in _MODMAP_OPS:
-            amb = phi(f(x, y))
-            img = f(px, py)
-            if amb != img:
-                return {"op": op, "x": str(x), "y": str(y), "case": k,
+        x, y = _rand_iv(Z, rng), _rand_iv(Z, rng)
+        zs = (x + y, x - y, x * y)  # in the order of _MODMAP_OPS
+        kernel, failed = None, ()
+        for j, (n, dn, zero) in enumerate(rings):
+            # residues mod n are already canonical in Zn
+            px = NaturalInterval(dn, x.lo % n, x.hi % n)
+            py = NaturalInterval(dn, y.lo % n, y.hi % n)
+            for op, f, z in zip(names, fns, zs):
+                amb = NaturalInterval(dn, z.lo % n, z.hi % n)
+                img = f(px, py)
+                if amb != img:
+                    failures[j].append({
+                        "op": op, "x": str(x), "y": str(y), "case": k,
                         "phi(x op y)": str(amb),
-                        "phi(x) op phi(y)": str(img)}
-        a, b = _rand_below(rng, 61) - 30, _rand_below(rng, 61) - 30
-        kern = NaturalInterval(Z, n * a, n * b)
-        if phi(kern) != zero:
-            return {"op": "kernel", "x": str(kern), "case": k,
-                    "expected": "[0,0]"}
-        if (x.lo % n, x.hi % n) != (0, 0) and px == zero:
-            return {"op": "kernel-only", "x": str(x), "case": k}
-        return None
+                        "phi(x) op phi(y)": str(img)})
+                    failed += (j,)
+                    break
+            else:
+                if kernel is None:
+                    kernel = (_rand_below(rng, 61) - 30,
+                              _rand_below(rng, 61) - 30)
+                kern = NaturalInterval(Z, n * kernel[0], n * kernel[1])
+                if NaturalInterval(dn, kern.lo % n, kern.hi % n) != zero:
+                    failures[j].append({"op": "kernel", "x": str(kern),
+                                        "case": k, "expected": "[0,0]"})
+                elif (x.lo % n, x.hi % n) != (0, 0) and px == zero:
+                    failures[j].append({"op": "kernel-only", "x": str(x),
+                                        "case": k})
+        if kernel is not None:
+            parted.update(failed)
 
-    failures = run_chunked(pairs, case, seed=seed, workers=workers)
-    return _report("modmap", pairs, seed, failures,
-                   {"modulus": n, "kernel": f"N({n}Z)"})
+    run_chunked(pairs, case, seed=seed)
+    for j in parted:
+        failures[j] = _modmap_failures((moduli[j],), pairs, seed)[0]
+    return failures
 
 
 def _scalar_matmul(d, a, b):

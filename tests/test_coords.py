@@ -1,0 +1,171 @@
+"""A spec-built carrier's places, labels and index read off its scalar
+codes, against the element-by-element reads they replace.
+
+N(D), N(D)\\0, Mat and Poly over a finite domain know their enumeration,
+so their _Coords come from the codes of their scalars
+(structures._Coords.of_codes), with no element decomposed.  Each check
+compares those coordinates, field by field, with _Coords(elements), the
+twin that decomposes every element.  Labels are formatted when first
+asked for and the index dict is built on first use; both must equal the
+eager reads.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from natint import cli
+from natint.carriers import build_carrier
+from natint.intervals import NaturalInterval
+from natint.matrices import IntervalMatrix
+from natint.polys import IntervalPoly
+from natint.structures import FiniteStructure, _Coords
+from test_carriers import FLAVOR_SPECS, KIND_SPECS
+from test_factored import FULL_PRODUCTS
+
+CARRIERS = list(dict.fromkeys(
+    list(KIND_SPECS) + list(FLAVOR_SPECS) + list(FULL_PRODUCTS)
+    + [f"N(Zn:{k})\\0" for k in range(2, 13)]
+    + ["N(Zn:7)", "N(Zn:5)\\0", "N(ZnI:4,o)\\0", "N(Zn+I:2)\\0",
+       "Mat(2,2,N(Zn:3))", "Mat(2,1,N(ZnI:2))", "Mat(1,2,N(Zn+I:2))",
+       "Mat(2,2,N(ZnI:2,oc))", "Mat(2,1,N(Zn+I:2))",
+       "Poly(N(Zn:3),cyc=3)", "Poly(N(ZnI:3),cyc=2)", "Poly(N(Zn:2),cyc=4)",
+       "Poly(N(Zn+I:2),cyc=2)", "Poly(N(ZnI:2,co),cyc=3)"]))
+
+
+def _spec_built(spec):
+    return spec.startswith(("N(", "Mat(", "Poly("))
+
+
+def assert_same_coords(a, b):
+    assert list(a.lo_parts.items()) == list(b.lo_parts.items())
+    assert list(a.hi_parts.items()) == list(b.hi_parts.items())
+    assert (a.hi_parts is a.lo_parts) == (b.hi_parts is b.lo_parts)
+    for field in ("lo", "hi", "where"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert (x == y).all(), field
+    assert (a.grid is None) == (b.grid is None)
+    if a.grid is not None:
+        assert a.grid.dtype == b.grid.dtype and (a.grid == b.grid).all()
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+def test_coords_from_codes_match_the_twin(spec):
+    s = build_carrier(spec)
+    assert (s.scalar_codes is not None) == _spec_built(spec)
+    coords = s._coords()
+    assert_same_coords(coords, _Coords(s.elements))
+    if s.scalar_codes is None:
+        assert coords.codes is None
+        return
+    # the code rows are those of each part, coded one by one
+    code = {x: i for i, x in enumerate(s.domain.elements())}
+    (rows,) = coords.codes
+    assert rows.dtype == np.intp
+    assert rows.tolist() == [[code[x] for x in s.lower.entries(p)]
+                             for p in coords.lo_parts]
+
+
+@pytest.mark.parametrize("spec", ["N(Zn:4)\\0", "N(Zn:3)\\0", "N(Zn:2)\\0"])
+def test_a_carrier_without_zero_counts_its_nonzero_scalars(spec):
+    s = build_carrier(spec)
+    m = s.domain.size - 1
+    assert s.n == m * m and len(s._coords().lo_parts) == m
+    assert s.domain.zero not in s._coords().lo_parts
+
+
+def _decompositions(monkeypatch):
+    """The list each later decompose call appends its element to."""
+    calls = []
+    for cls in (NaturalInterval, IntervalMatrix, IntervalPoly):
+        def counted(self, decompose=cls.decompose):
+            calls.append(self)
+            return decompose(self)
+        monkeypatch.setattr(cls, "decompose", counted)
+    return calls
+
+
+REQUESTS = [
+    ["analyze", "N(Zn:6)"], ["analyze", "N(Zn:5)\\0"],
+    ["analyze", "N(ZnI:3,o)"], ["analyze", "N(Zn+I:2)"],
+    ["analyze", "Mat(1,2,N(Zn:3))"], ["analyze", "Mat(2,2,N(Zn:2))"],
+    ["analyze", "Poly(N(Zn:2),cyc=3)"], ["analyze", "Poly(N(ZnI:2),cyc=2)"],
+    ["ideal", "N(Zn:12)"], ["ideal", "Mat(2,1,N(Zn+I:2))"],
+    ["ideal", "N(Zn:10)", "col-zero"], ["ideal", "Poly(N(Zn:3),cyc=2)"],
+    ["quotient", "N(Zn:8)", "col-zero", "--kind", "rees"],
+    ["quotient", "N(ZnI:6)", "row-zero", "--kind", "standard"],
+    ["quotient", "Mat(1,2,N(Zn:3))", "col-zero", "--kind", "rees"],
+    ["table", "N(Zn+I:2,oc)", "mul"], ["table", "Mat(2,1,N(ZnI:3,co))", "add"],
+    ["table", "Poly(N(Zn+I:2),cyc=2)", "mul"], ["table", "N(Zn:7,o)\\0", "mul"],
+]
+
+
+@pytest.mark.parametrize("argv", REQUESTS, ids=" ".join)
+def test_spec_built_carriers_decompose_no_element(monkeypatch, argv):
+    calls = _decompositions(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(list(argv))
+    assert code in (0, 4)
+    assert calls == []
+
+
+def test_a_subset_still_decomposes_its_elements(monkeypatch):
+    calls = _decompositions(monkeypatch)
+    s = build_carrier("Sub{[0,1],[1,0],[1,1],[0,0]} of N(Zn:2)")
+    s._coords()
+    assert len(calls) == s.n
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+def test_lazy_labels_are_the_elements_str(spec):
+    s = build_carrier(spec)
+    rng = np.random.default_rng(len(spec))
+    asked = rng.permutation(s.n)[: max(1, s.n // 3)].tolist()
+    assert s.labels(asked) == [str(s.elements[i]) for i in asked]
+    kept = s._memo["labels"]
+    assert [i for i, x in enumerate(kept) if x is not None] == sorted(asked)
+    assert [s.label(i) for i in range(s.n)] == list(map(str, s.elements))
+
+
+@pytest.mark.parametrize("argv", REQUESTS[:8] + REQUESTS[12:15],
+                         ids=" ".join)
+def test_labels_kept_by_a_request_are_the_elements_str(monkeypatch, argv):
+    built = []
+    init = FiniteStructure.__init__
+
+    def kept(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(FiniteStructure, "__init__", kept)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(list(argv))
+    for s in built:
+        labels = s._memo.get("labels") or ()
+        assert all(x is None or x == str(e)
+                   for x, e in zip(labels, s.elements)), s.name
+
+
+@pytest.mark.parametrize("spec", CARRIERS)
+def test_index_is_the_eager_dict(spec):
+    s = build_carrier(spec)
+    assert (s._index is None) == _spec_built(spec)
+    assert s.index == {e: i for i, e in enumerate(s.elements)}
+    assert s.index is s.index
+
+
+def test_a_caller_built_carrier_refuses_duplicates_at_once():
+    x = NaturalInterval(build_carrier("N(Zn:3)").domain, 1, 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        FiniteStructure([x, x], mul=lambda a, b: a)
+
+
+def test_domain_hash_is_taken_once(monkeypatch):
+    d = build_carrier("N(Zn+I:3)").domain
+    h = hash(d)
+    monkeypatch.setattr(type(d), "_key", lambda self: pytest.fail("rehashed"))
+    assert hash(d) == h

@@ -119,12 +119,94 @@ def test_element_facts_match_brute_force_powers(name, s):
         assert _additive_span(s, i) == want, s.label(i)
 
 
+@pytest.mark.parametrize("name,s", list(all_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_the_walk_of_every_element_matches_brute_force_powers(name, s):
+    # orbit(op, i) and the walk's arrays hold the distinct powers up to
+    # the first repeat, and then the repeat, or -1 for a power outside
+    for op in ("add", "mul"):
+        if not s.has_op(op):
+            continue
+        w = s._orbits(op)
+        assert w.powers.shape == (w.length.max(), s.n)
+        assert w.powers.dtype == np.int32
+        for i in range(s.n):
+            pw = powers(s, op, i)
+            stop = next(k for k, p in enumerate(pw)
+                        if p is None or p in pw[:k])
+            want = (tuple(pw[:stop]), -1 if pw[stop] is None else pw[stop])
+            assert s.orbit(op, i) == want, (op, s.label(i))
+            assert w.powers[:, i].tolist() == list(want[0]) + [-1] * (
+                len(w.powers) - stop)
+
+
+def additive_orders(t, z):
+    """Each element's additive order as a loop of numpy scalar reads finds
+    it: q = t[q, i] from q = i, at most n steps, and a -1 sum read as
+    numpy reads t[-1, i], as the last row (bug 7b)."""
+    n, out = len(t), []
+    for i in range(n):
+        q, m = i, 1
+        while q != z and m <= n:
+            q = int(t[q, i])
+            m += 1
+        out.append(m if q == z else None)
+    return out
+
+
+@pytest.mark.parametrize("name,s", list(all_structures()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_additive_orders_read_a_lost_sum_as_the_last_row(name, s):
+    if not s.has_op("add") or s.n > structures.ORDERS_CAP:
+        return
+    rep = find_special_elements(s, with_orders=True)
+    assert [e["additive_order"] for e in rep["element_orders"]] == \
+        additive_orders(s.table("add"), s.identity_index("add"))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 9, 33))
+def test_wrapped_walks_of_random_tables_match_the_loop(n):
+    # sums leave the carrier often, and the zero is sometimes the last
+    # element, whose row a lost sum is read as
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        t = rng.integers(-1, n, (n, n)).astype(np.int32)
+        z = n - 1 if trial % 2 else int(rng.integers(n))
+        w = structures._walk(t, wrap=True)
+        hits = w.powers == z
+        got = np.where(hits.any(axis=0), hits.argmax(axis=0) + 1, 0)
+        assert [k or None for k in got.tolist()] == additive_orders(t, z)
+        assert (w.end >= 0).all()
+        assert w.powers.dtype == np.int32 and len(w.powers) <= n + 1
+
+
+@pytest.mark.parametrize("n", (16, 17, 40))
+def test_a_cyclic_walk_takes_no_more_than_its_table(n):
+    # an element of order n walks n powers: the powers are n x n int32,
+    # as large as the table, and grow no further
+    t = (np.add.outer(np.arange(n), np.arange(n)) % n).astype(np.int32)
+    w = structures._walk(t)
+    assert w.powers.shape == (n, n) and w.powers.dtype == np.int32
+    assert w.powers[:, 1].tolist() == list(range(1, n)) + [0]
+    lost = np.where(t == 0, -1, t).astype(np.int32)
+    w = structures._walk(lost, wrap=True)
+    assert len(w.powers) <= n + 1 and w.powers.dtype == np.int32
+
+
 def test_the_subset_reaches_both_ends_of_a_walk():
-    """The subset has walks that end in a repeat and walks that leave."""
+    """The subset has walks that end in a repeat and walks that leave;
+    its additive orders read each lost sum as the last row, [3,3]: so
+    [1,1] + [1,1] = [2,2] reads as [3,3], and [3,3] + [1,1] = [0,0]
+    gives [1,1] the order 3, while [3,3] + [3,3] reads as [3,3] again and
+    never reaches zero."""
     s = build_carrier("Sub{[0,0],[1,1],[3,3]} of N(Zn:4)")
     assert [s.orbit("add", i)[1] for i in range(3)] == [0, -1, -1]
     assert [_additive_span(s, i) for i in range(3)] == [
         frozenset({0}), None, None]
+    rep = find_special_elements(s, with_orders=True)
+    assert [e["additive_order"] for e in rep["element_orders"]] == [
+        1, 3, None]
+    assert s.characteristic() == 3
 
 
 @pytest.mark.parametrize("name", QUOTIENTS)

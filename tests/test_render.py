@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from natint import cli
@@ -62,13 +62,49 @@ _scalars = st.one_of(
 )
 _keys = st.one_of(_text, st.integers(), st.floats(allow_nan=True),
                   st.booleans(), st.none())
+# the values of a flat record, with bool, int and None mixed in one field
+_flat = st.one_of(_text, st.none(), st.booleans(), st.integers(),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([True, 1, None, False, 0, 1.0]))
+# How a record list can miss the flat form by one record: another key
+# tuple, the same keys in another order, a nested value, an empty dict, an
+# item that is no dict.
+_MISSES = (None, "keys", "order", "nested", "empty", "item")
+
+
+@st.composite
+def _record_lists(draw):
+    """Records sharing one key tuple, str or not, as the element reports'
+    lists do; one of them is then made a near miss, or none is."""
+    keys = draw(st.lists(st.one_of(_text, st.integers(), st.none()),
+                         min_size=1, max_size=4, unique=True))
+    records = [dict(zip(keys, draw(st.tuples(*[_flat] * len(keys)))))
+               for _ in range(draw(st.integers(1, 6)))]
+    miss = draw(st.sampled_from(_MISSES))
+    k = draw(st.integers(0, len(records) - 1))
+    if miss == "order" and len(keys) > 1:
+        records[k] = dict(reversed(records[k].items()))
+    elif miss in ("keys", "order"):
+        records[k][max((x for x in keys if type(x) is int), default=0) + 1] = 0
+    elif miss == "nested":
+        records[k][keys[-1]] = draw(st.one_of(
+            st.lists(_flat, max_size=2), st.dictionaries(_text, _flat,
+                                                          max_size=2)))
+    elif miss == "empty":
+        records[k] = {}
+    elif miss == "item":
+        records[k] = draw(_flat)
+    return records
+
+
 _payloads = st.recursive(
     _scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
         st.lists(_text, max_size=5),
-        st.dictionaries(_keys, inner, max_size=5)),
+        st.dictionaries(_keys, inner, max_size=5),
+        _record_lists()),
     max_leaves=30)
 
 
@@ -76,6 +112,30 @@ _payloads = st.recursive(
 @given(_payloads)
 def test_writer_matches_dumps_on_drawn_payloads(payload):
     assert cli._to_json(payload) == dumps(payload)
+
+
+def _flat_records(records):
+    """Do records take cli._write_records's branch: dicts with the first
+    one's keys in its order, at least one and all str, and plain scalar
+    values?"""
+    keys = tuple(records[0]) if type(records[0]) is dict else ()
+    return bool(keys) and all(type(key) is str for key in keys) and all(
+        type(r) is dict and tuple(r) == keys
+        and all(type(v) in (str, int, float, bool, type(None))
+                for v in r.values()) for r in records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists())
+@example([{1: 0}, {True: 0}])
+@example([{1: 0}, {1.0: 0}])
+@example([{"a": 0, "b": None}, {"a": True, "b": 1.5}])
+def test_record_lists_take_their_branch_exactly_when_flat(records):
+    out = []
+    assert cli._write_records(records, out, "\n  ") == _flat_records(records)
+    assert bool(out) == _flat_records(records)
+    for payload in (records, {"elements": {"units": records}}):
+        assert cli._to_json(payload) == dumps(payload)
 
 
 class _Int(int):

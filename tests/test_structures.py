@@ -284,32 +284,32 @@ def test_each_fact_is_computed_once(monkeypatch):
         negs[0][0] = 0
 
     # analyze_structure scans for maximal subgroups once, though both
-    # is_s_semigroup and the report read them, and walks each (op,
-    # element) orbit at most once.  On N(Zn:6) itself the unit-square
+    # is_s_semigroup and the report read them, and walks the orbits of
+    # each op at most once, every element's in one walk.  On N(Zn:6)
+    # itself the unit-square
     # witness answers is_s_semigroup first, so this runs on a twin that is
     # no interval carrier.  A call that finds no memo entry is a scan.
     n6 = interval_structure(Mod(6))
     s = FiniteStructure(n6.elements, mul=n6.mul_fn, add=n6.add_fn)
     subgroup_scans, walks = [], []
     subgroups = structures.maximal_subgroups
-    orbit = FiniteStructure.orbit
+    walk = structures._walk
 
     def counted_subgroups(s):
         subgroup_scans.append(("maximal_subgroups",) not in s._memo)
         return subgroups(s)
 
-    def counted_orbit(self, op, i):
-        if ("orbit", op, i) not in self._memo:
-            walks.append((id(self), op, i))
-        return orbit(self, op, i)
+    def counted_walk(t, wrap=False):
+        walks.append(t)
+        return walk(t, wrap)
 
     monkeypatch.setattr(structures, "maximal_subgroups", counted_subgroups)
-    monkeypatch.setattr(FiniteStructure, "orbit", counted_orbit)
+    monkeypatch.setattr(structures, "_walk", counted_walk)
     report = analyze_structure(s)
     assert report["substructures"]["s_semigroup"] is True
     assert subgroup_scans == [True, False]
-    assert len(walks) == len(set(walks))
-    assert {op for _, op, _ in walks} == {"add", "mul"}
+    assert sorted(map(id, walks)) == sorted(
+        id(s.table(op)) for op in ("add", "mul"))
 
 
 # the pairs [x,y] of N(Zn:6) with x = y mod 3, which split into no product

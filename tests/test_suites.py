@@ -5,6 +5,8 @@ from natint import (
     poly_decompose_suite,
     strictness_suite,
 )
+from natint.scalars import ModDomain
+from natint.suites import modmap_suites
 
 
 def test_decomposition_small_run_is_clean():
@@ -56,3 +58,29 @@ def test_strictness_suite():
 def test_same_seed_same_report():
     assert modmap_suite(7, pairs=1000, seed=9) == \
         modmap_suite(7, pairs=1000, seed=9)
+
+
+MODULI = (3, 4, 11)
+
+
+def test_modmap_suites_equal_one_call_per_modulus():
+    # thm-3.10-modmap checks its three moduli on one pass over the draws;
+    # each report must be the one modulus's own, at every seed
+    for seed in range(8):
+        assert modmap_suites(MODULI, pairs=1500, seed=seed) == [
+            modmap_suite(n, pairs=1500, seed=seed) for n in MODULI]
+
+
+def test_a_modulus_that_fails_an_op_keeps_its_own_stream(monkeypatch):
+    # mod 4, 3 * 3 is off by one: that modulus fails mul and draws no
+    # kernel multipliers where the others pass, so its stream parts from
+    # theirs and its report must still be its own
+    mul = ModDomain.mul
+    monkeypatch.setattr(ModDomain, "mul", lambda self, x, y: (
+        mul(self, x, y) + (self.n == 4 and x == y == 3)) % self.n)
+    for seed in (0, 5):
+        reports = modmap_suites(MODULI, pairs=1500, seed=seed)
+        assert reports == [modmap_suite(n, pairs=1500, seed=seed)
+                           for n in MODULI]
+        assert [r["ok"] for r in reports] == [True, False, True]
+        assert {f["op"] for f in reports[1]["first_failures"]} == {"mul"}
