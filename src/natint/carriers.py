@@ -41,7 +41,6 @@ from .matrices import (
     mat_mul,
     mat_recompose,
     parse_matrix,
-    scalar_rows,
 )
 from .polys import (
     IntervalPoly,
@@ -49,7 +48,6 @@ from .polys import (
     poly_add,
     poly_mul,
     poly_recompose,
-    trimmed,
 )
 from .scalars import FuzzyUnitDomain, parse_domain
 from .structures import (
@@ -90,17 +88,15 @@ def interval_elements(domain, flavor=Flavor.CLOSED):
 class Lowering(NamedTuple):
     """A carrier's ops on its parts, lowered to the code tables of its
     domain (scalars.Domain.code_tables).  A part is `width` scalars,
-    entries(part) in order, and part(scalars) is the part of `width`
-    scalars as decompose gives it.  ops[op](tables, a, b) takes the parts
-    of a and of b, rows of `width` scalar codes, and gives the codes of
-    op on each pair of a row of a and a row of b, shape (len(a), len(b),
+    entries(part) in order.  ops[op](tables, a, b) takes the parts of a
+    and of b, rows of `width` scalar codes, and gives the codes of op on
+    each pair of a row of a and a row of b, shape (len(a), len(b),
     width); tables holds the domain's "add" and "mul" tables and the
-    code of its "zero".  FiniteStructure._parts builds part tables with
-    it, and structures._Coords.of_codes the parts of a spec-built
-    carrier."""
+    code of its "zero".  A carrier's sides build its part tables with it
+    (FiniteStructure._sides), and structures._Coords.of_codes reads the
+    parts of a spec-built carrier off `width` alone."""
     width: int
     entries: Callable
-    part: Callable
     ops: dict
 
 
@@ -159,7 +155,7 @@ def _interval_context(domain, flavor):
         "add": add, "mul": lambda x, y: x * y,
         "parse": lambda s: parse_interval(s, domain, flavor),
         "diag": lambda p: NaturalInterval(domain, p, p, flavor),
-        "lower": Lowering(1, lambda p: (p,), lambda xs: xs[0], {
+        "lower": Lowering(1, lambda p: (p,), {
             "add": _entrywise("add"), "mul": _entrywise("mul")}),
     }
 
@@ -172,8 +168,7 @@ def _matrix_context(rows, cols, domain, flavor):
         "add": mat_add, "mul": mat_mul if rows == cols else mat_hadamard,
         "parse": lambda s: parse_matrix(s, domain, flavor),
         "diag": lambda p: mat_recompose(p, p, domain, flavor),
-        "lower": Lowering(rows * cols, itertools.chain.from_iterable,
-                          lambda xs: scalar_rows(xs, cols), {
+        "lower": Lowering(rows * cols, itertools.chain.from_iterable, {
             "add": _entrywise("add"),
             "mul": _mat_product(rows) if rows == cols
             else _entrywise("mul")}),
@@ -188,7 +183,7 @@ def _poly_context(domain, flavor, cyclic):
         "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
         "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
         "lower": Lowering(cyclic, lambda p: p + (domain.zero,) * (
-            cyclic - len(p)), lambda xs: trimmed(xs, domain.zero), {
+            cyclic - len(p)), {
             "add": _entrywise("add"), "mul": _poly_product(cyclic)}),
     }
 

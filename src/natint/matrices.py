@@ -180,14 +180,6 @@ def mat_decompose(a):
     return a.decompose()
 
 
-def scalar_rows(scalars, cols):
-    """Row-major scalars as a tuple of row tuples: one side of decompose
-    made hashable (structures._hashable), the part a Mat carrier keys it
-    by (carriers.Lowering.part)."""
-    return tuple(tuple(scalars[i:i + cols])
-                 for i in range(0, len(scalars), cols))
-
-
 def mat_recompose(lo, hi, domain, flavor=Flavor.CLOSED):
     rows = len(lo)
     cols = len(lo[0]) if rows else 0

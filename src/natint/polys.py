@@ -176,8 +176,7 @@ def poly_decompose(p):
 
 def trimmed(scalars, zero):
     """The scalar coefficients without their trailing zeros, as a tuple:
-    one side of IntervalPoly.decompose, and the part a Poly carrier keys
-    it by (carriers.Lowering.part)."""
+    one side of IntervalPoly.decompose."""
     k = len(scalars)
     while k and scalars[k - 1] == zero:
         k -= 1

@@ -46,12 +46,15 @@ not.  inverses(op) stops at the band of the first element without an
 inverse; one that reads every band keeps the map, so the search runs
 once per structure and op.
 
-A full product carrier (N(D) is D x D, and so are N(D)\\0, the matrices,
-the polynomials and the fuzzy grids) reads each fact off its factors,
-where that is exact: its pairs and triples are exactly the pairs of the
-factors' (_by_factors).  Its factors are one structure per distinct part
-list, holding the part tables of every op and shared by every reader, so
-each fact of a factor is computed once (_factors).
+A product carrier is its sides: one structure per distinct part list
+(lo and hi, or one when they agree), whose table of an op is that list's
+part table, -1 for a result outside the parts, built when first asked
+for (_sides).  The sides are the only place part tables live.  A full
+product carrier (N(D) is D x D, and so are N(D)\\0, the matrices, the
+polynomials and the fuzzy grids) reads each fact off its sides, its
+factors, where that is exact: its pairs and triples are exactly the
+pairs of the factors' (_by_factors).  Every reader shares them, so each
+fact of a factor is computed once (_factors).
 
 - It is closed, associative, distributive, and has inverses for its
   identity, exactly when both factors do; it is commutative when both
@@ -85,9 +88,10 @@ its op once per pair of parts (_part_table).
 Every block of a table (a quotient's class tables and the rows it
 compares, a subset's table, a product carrier's n x n table) is read by
 one reader, in bands of rows that stay in cache (_bands).  A product
-carrier whose table is not built gathers the block from its part
+carrier whose table is not built gathers the block from its sides' part
 tables: each part's row of results is gathered once over the block's
-columns, then one part code and one lookup per entry (_factored_bands).
+columns, then one part code and one lookup per entry (_factored_bands),
+which reads a -1 of either side as -1 (_Coords).
 
 A subset and a quotient are both views of an ambient structure
 (FiniteStructure's `view`): element i stands for the ambient element
@@ -180,8 +184,9 @@ class FiniteStructure:
     the carrier (recorded as -1 in the tables).  `diag`, when given, marks
     a product carrier: every element decomposes into a lo and a hi part
     that mul and add act on independently, and diag(p) is the element
-    with both parts p.  Such a carrier computes its part tables first
-    (_parts): on its domain's code tables when `lower` (a
+    with both parts p.  Such a carrier is its sides, one structure per
+    distinct part list (_sides), which hold its part tables: each built
+    when first asked for, on its domain's code tables when `lower` (a
     carriers.Lowering) gives its ops on coded parts and the domain has
     code tables, else one evaluation per pair of parts.  They decide its
     associativity and distributivity, and its ideals and quotients
@@ -309,69 +314,51 @@ class FiniteStructure:
         its parts (_Coords): read off the scalar codes of a spec-built
         carrier (_Coords.of_codes), else off its elements."""
         if self.scalar_codes is not None:
-            return _Coords.of_codes(self.lower, self.scalar_codes,
-                                    list(self.domain.elements()))
+            return _Coords.of_codes(self.lower.width, self.scalar_codes)
         return _Coords(self.elements)
 
     @_once
-    def _parts(self, op):
-        """The part tables of op on a product carrier: (lo, hi), or (lo,)
-        when the two part lists agree.  In a part table, the part count
-        marks a result outside the parts.  A carrier whose parts have
-        codes (_part_codes) composes them on its domain's code tables
-        (_coded_part_table); any other evaluates op once per pair of
-        parts (_part_table).  Refused above TABLE_CAP elements, as the
-        carrier's own table is."""
-        fn = self.op_fn(op)
-        _refuse_table(self.n, op, TABLE_CAP)
-        coded = self._part_codes()
-        if coded is None:
-            return tuple(_part_table(parts, fn, self.diag)
-                         for parts in _part_lists(self._coords()))
-        tables, codes = coded
-        compose = functools.partial(self.lower.ops[op], tables)
-        return tuple(_coded_part_table(k, compose, self.domain.size)
-                     for k in codes)
-
-    @_once
-    def _part_codes(self):
-        """(tables, codes) when the carrier lowers its ops (`lower`, a
-        carriers.Lowering) onto the code tables of its domain: tables
-        are the domain's code tables and the code of its zero, and codes
-        holds, for each part list of _parts, one row of lower.width
-        scalar codes per part.  None without a lowering, without code
-        tables, and when a part's codes, packed base |D|, would not fit
-        in an int64."""
-        lower, domain = self.lower, self.domain
+    def _sides(self):
+        """One structure per distinct part list of a product carrier, lo
+        then hi, or one when the lists agree (_Side): the only holder of
+        its part tables.  Over a domain with code tables, when `lower`
+        gives the ops on coded parts and a part's codes packed base |D|
+        fit in an int64, a part table is composed on the code tables
+        (_coded_part_table); else op is evaluated once per pair of parts
+        (_part_table).  The code tables are built once, here."""
+        c, lower, domain = self._coords(), self.lower, self.domain
         tables = None if lower is None else domain.code_tables()
-        if tables is None or domain.size ** lower.width > _INT64_MAX:
-            return None
-        code = {x: i for i, x in enumerate(domain.elements())}
-        tables["zero"] = code[domain.zero]
-        coords = self._coords()
-        if coords.codes is not None:
-            return tables, coords.codes
-        return tables, [np.array([[code[x] for x in lower.entries(p)]
-                                  for p in parts], dtype=np.intp)
-                        for parts in _part_lists(coords)]
+        codes = None
+        if tables is not None and domain.size ** lower.width <= _INT64_MAX:
+            code = {x: i for i, x in enumerate(domain.elements())}
+            tables["zero"] = code[domain.zero]
+            codes = c.codes or [
+                np.array([[code[x] for x in lower.entries(p)] for p in parts],
+                         dtype=np.intp) for parts in c.parts]
+        fns = {op: self.op_fn(op) for op in ("add", "mul") if self.has_op(op)}
+        n, diag = self.n, self.diag
 
-    @_once
+        def build(k, op):
+            _refuse_table(n, op, TABLE_CAP)
+            if codes is None:
+                return _part_table(c.parts[k], fns[op], diag)
+            return _coded_part_table(codes[k], functools.partial(
+                lower.ops[op], tables), domain.size)
+
+        lists = c.parts if c.codes is None else c.codes
+        return [_Side(len(parts), self.name, {
+                    op: functools.partial(build, k, op) for op in fns})
+                for k, parts in enumerate(lists)]
+
     def _factors(self):
-        """The factors of a full product carrier, one whose every pair of a
-        lo and a hi part is an element: one structure on part indices per
-        distinct part list (lo and hi, or one when they agree), holding
-        the part table of every op the carrier has (-1 for a result outside
-        the parts) and the carrier's name, which MissingTable names.  None
-        for any other carrier, and for one whose part tables are refused.
-        No table of the carrier itself is built."""
+        """The sides (_sides) of a full product carrier, one whose every
+        pair of a lo and a hi part is an element; None for any other
+        carrier, and for one above TABLE_CAP elements, whose part tables
+        are refused.  No table of the carrier itself is built."""
         if (self.diag is None or self.n > TABLE_CAP
                 or self._coords().grid is None):
             return None
-        ops = [op for op in ("add", "mul") if self.has_op(op)]
-        return [FiniteStructure(range(len(side[0])), name=self.name, tables={
-                    op: np.where(t < len(t), t, -1).astype(np.int32)
-                    for op, t in zip(ops, side)})
-                for side in zip(*map(self._parts, ops))]
+        return self._sides()
 
     def _block(self, op, rows, cols, relabel=None):
         """The entries rows x cols of op's table, as _bands reads them,
@@ -409,8 +396,9 @@ class FiniteStructure:
                 op, reps if rows is None else reps[rows],
                 reps if cols is None else reps[cols], class_of, out)
         if op not in self._tables and self.diag is not None:
-            return _factored_bands(self._parts(op), self._coords(), rows,
-                                   cols, relabel, out)
+            sides = self._sides()
+            return _factored_bands(sides[0].table(op), sides[-1].table(op),
+                                   self._coords(), rows, cols, relabel, out)
         return _table_bands(self.table(op), rows, cols, relabel, out)
 
     def _pairs(self, op, rows, cols):
@@ -426,9 +414,9 @@ class FiniteStructure:
             return _relabel(ambient._pairs(op, reps[rows], reps[cols]),
                             class_of)
         if t is None and self.diag is not None:
-            c, parts = self._coords(), self._parts(op)
-            code = parts[0][c.lo[rows], c.lo[cols]] * (len(parts[-1]) + 1)
-            code += parts[-1][c.hi[rows], c.hi[cols]]
+            c, sides = self._coords(), self._sides()
+            code = sides[0].table(op)[c.lo[rows], c.lo[cols]] * (c.m_hi + 1)
+            code += sides[-1].table(op)[c.hi[rows], c.hi[cols]]
             return c.where[code]
         return self.table(op)[rows, cols]
 
@@ -717,23 +705,28 @@ class _Coords:
 
     Each element decomposes into a lo and a hi part that its operations
     never mix (N(D) is D x D, and so are its matrices and polynomials).
-    lo_parts and hi_parts number the distinct parts in order of first
-    appearance (hi_parts is lo_parts when the two lists agree); lo[i] and
-    hi[i] are the part indices of element i.  A pair of parts (a, b) is
-    coded a * (m_hi + 1) + b, so the part count m marks a part result
-    outside the parts; where[code] is the element with those parts, or
-    -1.  grid[a, b] is the element with parts (a, b) when every pair is
-    an element (a full product), else None.  The codes are int32, which
-    holds for carriers of up to TABLE_CAP elements.  codes holds, for
-    each part list, one row of scalar codes per part when the producer
-    knows them (of_codes), else None.
+    Each side numbers its distinct parts in order of first appearance;
+    m_lo and m_hi count them, and lo[i] and hi[i] are the part indices of
+    element i.  A pair of parts (a, b) is coded a * (m_hi + 1) + b, and
+    where[code] is the element with those parts, or -1.  where has one
+    row and one column of -1 past the parts: a part table marks a result
+    outside the parts with -1, and numpy reads a negative index from the
+    end of an array, so a code with a = -1 or b = -1 lands in that row
+    or that column and needs no clip.  grid[a, b] is the element with
+    parts (a, b) when every pair is an element (a full product), else
+    None.  The codes are int32, which holds for carriers of up to
+    TABLE_CAP elements.
 
-    Two producers fill it: _Coords(elements) decomposes every element,
-    and of_codes reads a spec-built carrier's places off its scalar
-    codes, with no element decomposed.
+    Two producers fill it.  _Coords(elements) decomposes every element
+    and keeps parts, one dict {part: index} per distinct part list (lo,
+    then hi unless the two agree), for the carriers without codes
+    (Sub{...}, the fuzzy grids).  of_codes reads a spec-built carrier's
+    places off its scalar codes, with no element decomposed, and keeps
+    codes, one row of scalar codes per part of its one part list.  The
+    other field is None.
     """
 
-    __slots__ = ("lo_parts", "hi_parts", "lo", "hi", "where", "grid",
+    __slots__ = ("lo", "hi", "m_lo", "m_hi", "where", "grid", "parts",
                  "codes")
 
     def __init__(self, elements):
@@ -743,58 +736,70 @@ class _Coords:
             lo_part, hi_part = e.decompose()
             lo.append(lo_parts.setdefault(_hashable(lo_part), len(lo_parts)))
             hi.append(hi_parts.setdefault(_hashable(hi_part), len(hi_parts)))
-        if list(hi_parts) == list(lo_parts):
-            hi_parts = lo_parts
-        self._place(lo_parts, hi_parts, np.array(lo, dtype=np.intp),
-                    np.array(hi, dtype=np.intp), None)
+        self.parts = ((lo_parts,) if list(hi_parts) == list(lo_parts)
+                      else (lo_parts, hi_parts))
+        self.codes = None
+        self._place(np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp),
+                    len(lo_parts), len(hi_parts))
 
     @classmethod
-    def of_codes(cls, lower, keep, scalars):
+    def of_codes(cls, width, keep):
         """The _Coords of a carrier whose elements are every choice of
-        lower.width entries, each an interval [x, y] with x and y among
-        the scalars whose codes are keep, in the order carriers makes
-        them: entry 0 varies slowest, and in an entry x before y.  So element i is 2 * width digits base m = len(keep),
-        the lo codes at the even digits and the hi codes at the odd.
-        Parts first appear in the order of their digits, so a lo or hi
-        part's index is its digits read base m, and the lo and hi parts
-        are one list: the part with digits d is lower.part of the scalars
-        keep[d], in entry order."""
+        width entries, each an interval [x, y] with x and y among the
+        scalars whose codes are keep, in the order carriers makes them:
+        entry 0 varies slowest, and in an entry x before y.  So element i
+        is 2 * width digits base m = len(keep), the lo codes at the even
+        digits and the hi codes at the odd.  Parts first appear in the
+        order of their digits, so a lo or hi part's index is its digits
+        read base m, the lo and hi parts are one list, and the part with
+        digits d has the scalar codes keep[d]."""
         self = cls.__new__(cls)
-        width, m = lower.width, len(keep)
+        m = len(keep)
         keep = np.asarray(keep, dtype=np.intp)
         places = m ** np.arange(2 * width - 1, -1, -1)
         digits = np.arange(m ** (2 * width))[:, None] // places % m
         weights = m ** np.arange(width - 1, -1, -1)
-        codes = keep[np.arange(m ** width)[:, None] // weights % m]
-        parts = {lower.part([scalars[c] for c in row]): k
-                 for k, row in enumerate(codes.tolist())}
-        self._place(parts, parts, digits[:, 0::2] @ weights,
-                    digits[:, 1::2] @ weights, [codes])
+        self.parts = None
+        self.codes = [keep[np.arange(m ** width)[:, None] // weights % m]]
+        self._place(digits[:, 0::2] @ weights, digits[:, 1::2] @ weights,
+                    m ** width, m ** width)
         return self
 
-    def _place(self, lo_parts, hi_parts, lo, hi, codes):
-        self.lo_parts, self.hi_parts = lo_parts, hi_parts
-        self.lo, self.hi, self.codes = lo, hi, codes
-        n, m_lo, m_hi = len(lo), len(lo_parts), len(hi_parts)
+    def _place(self, lo, hi, m_lo, m_hi):
+        self.lo, self.hi, self.m_lo, self.m_hi = lo, hi, m_lo, m_hi
+        n = len(lo)
         where = np.full((m_lo + 1, m_hi + 1), -1, dtype=np.int32)
         where[lo, hi] = np.arange(n, dtype=np.int32)
         self.where = where.ravel()
         self.grid = where[:m_lo, :m_hi] if n == m_lo * m_hi else None
 
 
-def _part_lists(coords):
-    """The distinct part lists of _Coords coords, as _parts lists their
-    tables: (lo_parts, hi_parts), or (lo_parts,) when the two agree."""
-    if coords.hi_parts is coords.lo_parts:
-        return (coords.lo_parts,)
-    return coords.lo_parts, coords.hi_parts
+class _Side(FiniteStructure):
+    """One distinct part list of a product carrier (FiniteStructure._sides)
+    as a structure on its part indices.  Its table of op is the part
+    table of op, -1 for a result outside the parts, built by builds[op]()
+    when first asked for; builds holds the carrier's ops.  It bears the
+    carrier's name, so asking it for an op the carrier lacks names the
+    carrier (MissingTable)."""
+
+    def __init__(self, m, name, builds):
+        super().__init__(range(m), name=name)
+        self._builds = builds
+
+    def table(self, op):
+        t = self._tables.get(op)
+        if t is None:
+            if op not in self._builds:
+                self.op_fn(op)  # raises MissingTable
+            t = self._tables[op] = self._builds[op]()
+        return t
 
 
-def _factored_bands(parts, coords, rows=None, cols=None, relabel=None,
-                    out=None):
-    """FiniteStructure._bands of a product carrier, gathered from the part
-    tables of one op (FiniteStructure._parts); coords is the carrier's
-    _Coords.  An entry is -1 where a part result is no part of the
+def _factored_bands(lo_table, hi_table, coords, rows=None, cols=None,
+                    relabel=None, out=None):
+    """FiniteStructure._bands of a product carrier, gathered from the lo
+    and hi part tables of one op (FiniteStructure._sides); coords is the
+    carrier's _Coords.  An entry is -1 where a part result is no part of the
     carrier, or where the op returned None (a fuzzy sum leaving [0, 1]).
     Without out, each band overwrites one buffer.
 
@@ -806,9 +811,9 @@ def _factored_bands(parts, coords, rows=None, cols=None, relabel=None,
     lo, hi = coords.lo, coords.hi
     lo_of, hi_of = (lo, hi) if rows is None else (lo[rows], hi[rows])
     lo_cols, hi_cols = (lo, hi) if cols is None else (lo[cols], hi[cols])
-    lo_rows = parts[0].take(lo_cols, axis=1)
-    lo_rows *= len(parts[-1]) + 1
-    hi_rows = parts[-1].take(hi_cols, axis=1)
+    lo_rows = lo_table.take(lo_cols, axis=1)
+    lo_rows *= coords.m_hi + 1
+    hi_rows = hi_table.take(hi_cols, axis=1)
     where = coords.where
     if relabel is not None:
         where = _relabel(where, relabel)
@@ -845,45 +850,45 @@ def _table_bands(t, rows=None, cols=None, relabel=None, out=None):
 
 def _part_table(parts, fn, diag):
     """fn on the diagonal elements of parts, as part indices; a result
-    that is no part, or None, is len(parts), whose codes index -1.  One
-    evaluation per pair of parts: it serves the carriers whose parts
-    have no codes (FiniteStructure._part_codes), and it is the twin that
-    _coded_part_table is tested against."""
+    that is no part, or None, is -1.  One evaluation per pair of parts:
+    it serves the carriers whose parts have no codes
+    (FiniteStructure._sides), and it is the twin that _coded_part_table
+    is tested against."""
     m = len(parts)
-    table = np.full((m, m), m, dtype=np.int32)
+    table = np.full((m, m), -1, dtype=np.int32)
     diags = [diag(p) for p in parts]
     for i, x in enumerate(diags):
         row = table[i]
         for j, y in enumerate(diags):
             r = fn(x, y)
             if r is not None:
-                row[j] = parts.get(_hashable(r.decompose()[0]), m)
+                row[j] = parts.get(_hashable(r.decompose()[0]), -1)
     return table
 
 
 def _coded_part_table(codes, compose, radix):
     """_part_table from the parts' scalar codes (one row of k codes per
-    part, FiniteStructure._part_codes) and compose(a, b), the k codes of
-    the op on each pair of a row of a and a row of b.  Each result's
-    codes are packed base radix into one int64 and found among the
-    parts' packed codes by a binary search; one that is no part is the
-    part count, as in _part_table.  Rows are composed in bands of about
+    part, FiniteStructure._sides) and compose(a, b), the k codes of the
+    op on each pair of a row of a and a row of b.  Each result's codes
+    are packed base radix into one int64 and found among the parts'
+    packed codes by a binary search; one that is no part is -1, as in
+    _part_table.  Rows are composed in bands of about
     _BAND_ENTRIES pairs, so about _BAND_ENTRIES * k codes are held at
     once besides the m x m table."""
     m, k = codes.shape
     weights = radix ** np.arange(k - 1, -1, -1, dtype=np.int64)
     keys = codes @ weights
     order = np.argsort(keys)
-    # a search past the last part reads the sentinels: no key, part m
+    # a search past the last part reads the sentinels: no key, no part
     ordered = np.append(keys[order], -1)
-    order = np.append(order, m).astype(np.int32)
+    order = np.append(order, -1).astype(np.int32)
     table = np.empty((m, m), dtype=np.int32)
     band = max(1, _BAND_ENTRIES // m)
     for start in range(0, m, band):
         packed = compose(codes[start:start + band], codes) @ weights
         at = np.searchsorted(ordered[:-1], packed)
         found = order.take(at)
-        found[ordered.take(at) != packed] = m
+        found[ordered.take(at) != packed] = -1
         table[start:start + band] = found
     return table
 
@@ -1396,9 +1401,8 @@ def _element_orders(s, one, zero):
     element (_orbits).  Where a multiple leaves the carrier, the additive
     walk reads the -1 as the last row of the add table, as numpy does
     (bug 7b), so that walk is taken again with wrap (_walk)."""
-    mul = s._orbits("mul")
-    orders = _first_position(mul.powers, one)
-    returns = np.where(mul.end == np.arange(s.n), mul.length + 1, 0).tolist()
+    orders = _first_position(s._orbits("mul").powers, one)
+    returns = _return_exponents(s)
     adds = None
     if s.has_op("add"):
         add = s._orbits("add")
@@ -1413,6 +1417,14 @@ def _element_orders(s, one, zero):
             entry["additive_order"] = adds[i] or None
         out.append(entry)
     return out
+
+
+def _return_exponents(s):
+    """For each element x, the least k > 1 with x^k = x under mul, or 0
+    when there is none: a walk of L powers that ends back at x returns
+    at x^(L+1) (_orbits)."""
+    mul = s._orbits("mul")
+    return np.where(mul.end == np.arange(s.n), mul.length + 1, 0).tolist()
 
 
 def _first_position(powers, target):

@@ -48,6 +48,7 @@ from .scalars import (
 )
 from .structures import (
     _first_zero_pair,
+    _return_exponents,
     _zero_products,
     check_subset_field,
     check_subset_group,
@@ -934,12 +935,10 @@ def _c_ex_3_35(ctx):
 
 
 def _power_return_exponents(q):
-    """Least k > 1 with class^k = class, for every nonzero class."""
-    out = {}
-    for i in range(1, q.n):
-        powers, end = q.orbit("mul", i)
-        out[q.label(i)] = len(powers) + 1 if end == i else None
-    return out
+    """Least k > 1 with class^k = class, or None, for every nonzero class
+    (structures._return_exponents)."""
+    exps = _return_exponents(q)
+    return {q.label(i): exps[i] or None for i in range(1, q.n)}
 
 
 @claim("thm-3.7",

@@ -302,6 +302,19 @@ def test_bad_config_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_worker_count_is_checked_and_changes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "natint.cfg"
+    cfg.write_text("worker_count = abc\n")
+    code, out, err = run(capsys, "analyze", "N(Zn:3)", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "bad config value" in err
+    cfg.write_text("worker_count = 3\n")
+    plain = run(capsys, "analyze", "N(Zn:3)")
+    assert plain[0] == 0
+    assert run(capsys, "analyze", "N(Zn:3)", "--config", str(cfg)) == plain
+    assert run(capsys, "analyze", "N(Zn:3)", "--workers", "3") == plain
+
+
 def test_config_file_not_utf8_rejected(tmp_path, capsys):
     cfg = tmp_path / "natint.cfg"
     cfg.write_bytes(b"\xff\xfe=1\n")

@@ -39,10 +39,14 @@ def _spec_built(spec):
     return spec.startswith(("N(", "Mat(", "Poly("))
 
 
+def _lists(coords):
+    """The distinct part lists of coords, as codes or as part dicts."""
+    return coords.parts if coords.codes is None else coords.codes
+
+
 def assert_same_coords(a, b):
-    assert list(a.lo_parts.items()) == list(b.lo_parts.items())
-    assert list(a.hi_parts.items()) == list(b.hi_parts.items())
-    assert (a.hi_parts is a.lo_parts) == (b.hi_parts is b.lo_parts)
+    assert (a.m_lo, a.m_hi) == (b.m_lo, b.m_hi)
+    assert len(_lists(a)) == len(_lists(b))
     for field in ("lo", "hi", "where"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
@@ -56,25 +60,30 @@ def assert_same_coords(a, b):
 def test_coords_from_codes_match_the_twin(spec):
     s = build_carrier(spec)
     assert (s.scalar_codes is not None) == _spec_built(spec)
-    coords = s._coords()
-    assert_same_coords(coords, _Coords(s.elements))
+    coords, twin = s._coords(), _Coords(s.elements)
+    assert_same_coords(coords, twin)
     if s.scalar_codes is None:
-        assert coords.codes is None
+        assert coords.codes is None and coords.parts is not None
         return
-    # the code rows are those of each part, coded one by one
+    assert coords.parts is None
+    # the code rows are the twin's parts, coded one by one in its order
     code = {x: i for i, x in enumerate(s.domain.elements())}
     (rows,) = coords.codes
+    (parts,) = twin.parts
     assert rows.dtype == np.intp
     assert rows.tolist() == [[code[x] for x in s.lower.entries(p)]
-                             for p in coords.lo_parts]
+                             for p in parts]
 
 
 @pytest.mark.parametrize("spec", ["N(Zn:4)\\0", "N(Zn:3)\\0", "N(Zn:2)\\0"])
 def test_a_carrier_without_zero_counts_its_nonzero_scalars(spec):
     s = build_carrier(spec)
     m = s.domain.size - 1
-    assert s.n == m * m and len(s._coords().lo_parts) == m
-    assert s.domain.zero not in s._coords().lo_parts
+    coords = s._coords()
+    assert s.n == m * m and coords.m_lo == coords.m_hi == m
+    zero = list(s.domain.elements()).index(s.domain.zero)
+    assert zero not in coords.codes[0]
+    assert s.domain.zero not in _Coords(s.elements).parts[0]
 
 
 def _decompositions(monkeypatch):

@@ -92,6 +92,17 @@ def test_factored_verdicts_match_the_scan(spec):
     assert factors and all(set(f._tables) == set(_ops(s)) for f in factors)
 
 
+@pytest.mark.parametrize("spec", FULL_PRODUCTS)
+def test_a_full_products_factors_are_its_sides(spec):
+    s = build_carrier(spec)
+    factors, sides = s._factors(), s._sides()
+    assert factors is sides and s._factors() is sides
+    # one side per distinct part list, as decomposing the elements finds
+    parts = structures._Coords(s.elements).parts
+    assert [f.n for f in sides] == list(map(len, parts))
+    assert all(f.name == s.name for f in sides)
+
+
 @pytest.mark.parametrize("spec", NOT_PRODUCTS)
 def test_non_products_are_scanned(spec):
     s = build_carrier(spec)
@@ -235,7 +246,7 @@ def test_each_factor_fact_is_computed_once(monkeypatch, capsys, argv, held):
     assert computed and len(computed) == len(set(computed))
     assert {fact for _, fact, *_ in computed} >= {"closed", "identity_index"}
     for s in carriers.values():
-        assert [key for key in s._memo if key[0] == "_factors"] == [
-            ("_factors",)]
+        assert [key for key in s._memo if key[0] == "_sides"] == (
+            [] if s._factors() is None else [("_sides",)])
     assert {frozenset(f._tables) for s in carriers.values()
-            for f in s._memo["_factors",] or ()} == {frozenset(held)}
+            for f in s._factors() or ()} == {frozenset(held)}

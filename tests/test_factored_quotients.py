@@ -288,8 +288,9 @@ def test_factored_bands_fill_the_block_band_by_band(monkeypatch):
     every = np.arange(s.n)
     monkeypatch.setattr(structures, "_BAND_ENTRIES", 3 * s.n)
     want = s._block("mul", every, every)
+    (side,) = s._sides()
     got = [(start, band.copy()) for start, band in structures._factored_bands(
-        s._parts("mul"), s._coords(), every, every)]
+        side.table("mul"), side.table("mul"), s._coords(), every, every)]
     assert [start for start, _ in got] == list(range(0, s.n, 3))
     assert np.array_equal(np.concatenate([band for _, band in got]), want)
 

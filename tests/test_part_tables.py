@@ -2,15 +2,17 @@
 the part tables that evaluate the op once per pair of parts.
 
 A carrier over Zn, ZnI or Zn+I codes each part as a row of scalar codes
-and composes them on its domain's add and mul tables
-(structures._coded_part_table).  Each check compares those tables, entry
-for entry, with structures._part_table on the same part lists, the twin
-that runs the carrier's own op on the diagonal elements.  Carriers
-without code tables, and one whose packed codes would not fit in an
-int64, keep the twin.
+and its sides compose them on its domain's add and mul tables
+(structures._coded_part_table).  Each check compares each side's table,
+entry for entry, with structures._part_table on the part lists that
+_Coords(elements) finds for the same elements, the twin that runs the
+carrier's own op on the diagonal elements.  Carriers without code
+tables, and one whose packed codes would not fit in an int64, keep the
+twin.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -18,12 +20,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from natint import cli, structures
 from natint.carriers import _ambient_context, _structure, build_carrier
+from natint.structures import FiniteStructure
 from test_carriers import FLAVOR_SPECS, KIND_SPECS
-from test_factored import FULL_PRODUCTS, NOT_PRODUCTS
+from test_factored import FULL_PRODUCTS, NOT_PRODUCTS, _ops
 from test_factored_substructures import REORDERED
 
 
@@ -86,55 +90,75 @@ CARRIERS = (
 
 
 def _twin(s, op):
-    """_part_table on each part list of s, as _parts lists them."""
-    return tuple(structures._part_table(parts, s.op_fn(op), s.diag)
-                 for parts in structures._part_lists(s._coords()))
+    """_part_table on each part list that _Coords(elements) finds for the
+    elements of s, so a spec-built carrier's twin reads no scalar code."""
+    return [structures._part_table(parts, s.op_fn(op), s.diag)
+            for parts in structures._Coords(s.elements).parts]
 
 
-def assert_parts_match_twin(s):
-    for op in ("add", "mul"):
-        if not s.has_op(op):
-            continue
-        coded, twin = s._parts(op), _twin(s, op)
-        assert len(coded) == len(twin)
-        for a, b in zip(coded, twin):
+def assert_sides_match_twin(s):
+    sides = s._sides()
+    for op in _ops(s):
+        twin = _twin(s, op)
+        assert len(sides) == len(twin)
+        for side, b in zip(sides, twin):
+            a = side.table(op)
             assert a.dtype == b.dtype and a.shape == b.shape, (s.name, op)
             assert (a == b).all(), (s.name, op)
 
 
-def _lowered(s):
-    """Does s compose its part tables on codes?  Every carrier here over
-    a finite domain does."""
-    return s._part_codes() is not None
+def _evaluated(s, monkeypatch):
+    """How many part tables building every side's table of every op of s
+    evaluates (_part_table), and how many it builds.  A carrier over a
+    finite domain composes them all on codes, so it evaluates none."""
+    with monkeypatch.context() as mp:
+        calls = _count_part_tables(mp)
+        tables = [side.table(op) for op in _ops(s) for side in s._sides()]
+    return len(calls), len(tables)
+
+
+def _lowered(s, monkeypatch):
+    return _evaluated(s, monkeypatch)[0] == 0
 
 
 @pytest.mark.parametrize("spec", list(dict.fromkeys(CARRIERS)))
-def test_coded_part_tables_match_the_twin(spec):
+def test_coded_part_tables_match_the_twin(monkeypatch, spec):
     s = build_carrier(spec)
-    assert _lowered(s) == (s.domain.size is not None)
-    assert_parts_match_twin(s)
+    assert _lowered(s, monkeypatch) == (s.domain.size is not None)
+    assert_sides_match_twin(s)
 
 
 @pytest.mark.parametrize("case", range(len(SEEDED_SUBS)))
-def test_seeded_subsets_match_the_twin(case):
+def test_seeded_subsets_match_the_twin(monkeypatch, case):
     s = _seeded_sub(case)
-    assert _lowered(s)
-    assert_parts_match_twin(s)
+    assert _lowered(s, monkeypatch)
+    assert_sides_match_twin(s)
 
 
-def test_a_product_that_is_no_part_is_the_part_count():
-    # 2 * 2 = 0 in Zn:4, and 0 is no part of N(Zn:4)\0
+def test_a_product_that_is_no_part_is_minus_one(monkeypatch):
+    # 2 * 2 = 0 in Zn:4, and 0 is no part of N(Zn:4)\0, whose parts are
+    # 1, 2, 3: so [2,2]^2 leaves both sides, [2,1]^2 the lo side and
+    # [1,2]^2 the hi side, and each code reads -1 through `where`
     s = build_carrier("N(Zn:4)\\0")
-    (mul,) = s._parts("mul")
-    assert _lowered(s) and mul[1, 1] == len(mul) == 3
-    assert_parts_match_twin(s)
+    assert _lowered(s, monkeypatch)
+    (side,) = s._sides()
+    mul = side.table("mul")
+    assert mul[1, 1] == -1 and (mul >= 0).sum() == 8
+    assert_sides_match_twin(s)
+    for x in ("[2,2]", "[2,1]", "[1,2]", "[3,2]", "[2,3]"):
+        i = s.index[s.parse_element(x)]
+        assert s._pairs("mul", i, i) == -1, x
+    every = np.arange(s.n)
+    gathered = s._block("mul", every, every)
+    assert (gathered == FiniteStructure._build_table(s, "mul")).all()
 
 
 def test_parts_keep_their_order_of_first_appearance():
     # the parts of REORDERED are 2, 3, 0, 1, 4, 5, so the scalar 0 is
     # part 2 and 2 is part 0: 3 + 3 = 0 and 2 + 0 = 2
     s = build_carrier(REORDERED)
-    (add,) = s._parts("add")
+    (side,) = s._sides()
+    add = side.table("add")
     assert add[1, 1] == 2 and add[0, 2] == 0
 
 
@@ -153,10 +177,9 @@ def _count_part_tables(monkeypatch):
 
 
 def _assert_keeps_the_twin(monkeypatch, s):
-    calls = _count_part_tables(monkeypatch)
-    tables = s._parts("add") + s._parts("mul")
-    assert not _lowered(s) and len(calls) == len(tables)
-    assert_parts_match_twin(s)
+    calls, tables = _evaluated(s, monkeypatch)
+    assert calls == tables == 2 * len(s._sides())
+    assert_sides_match_twin(s)
 
 
 def test_packed_codes_past_int64_keep_the_twin(monkeypatch):
@@ -207,6 +230,75 @@ def test_carriers_without_code_tables_evaluate_part_tables(
     assert _part_table_calls(monkeypatch, spec) > 0
 
 
+def _side_builds(monkeypatch):
+    """The list each later build of a side's table appends (carrier id, k,
+    op) to, for the k-th side of a carrier, and {side id: (carrier, k)}
+    for every side handed out, which keeps each carrier and its id."""
+    builds, owner = [], {}
+    sides, init = FiniteStructure._sides, structures._Side.__init__
+
+    def kept(self):
+        found = sides(self)
+        for k, side in enumerate(found):
+            owner[id(side)] = (self, k)
+        return found
+
+    def counted(self, m, name, ops):
+        def counting(op, build):
+            carrier, k = owner[id(self)]
+            builds.append((id(carrier), k, op))
+            return build()
+        init(self, m, name, {op: functools.partial(counting, op, build)
+                             for op, build in ops.items()})
+
+    monkeypatch.setattr(FiniteStructure, "_sides", kept)
+    monkeypatch.setattr(structures._Side, "__init__", counted)
+    return builds, owner
+
+
+def _run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+
+TWO_SIDES = "Sub{[0,0],[0,1],[0,2]} of N(Zn:3)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "N(Zn:12)"], ["analyze", "Mat(1,2,N(Zn:3))"],
+    ["analyze", "Fuzzy(min,step=1/5)"], ["analyze", TWO_SIDES],
+    ["analyze", SUB16], ["ideal", "Mat(2,1,N(Zn:3))"],
+    ["quotient", "N(Zn:8)", "col-zero", "--kind", "rees"],
+    ["quotient", "N(ZnI:4)", "row-zero", "--kind", "standard"]],
+    ids=" ".join)
+def test_each_side_table_is_built_once_per_carrier(monkeypatch, argv):
+    builds, owner = _side_builds(monkeypatch)
+    assert _run(argv) in (0, 4)
+    assert builds and len(builds) == len(set(builds))
+    ops = {op for *_, op in builds}
+    assert ops == ({"mul"} if "Fuzzy" in argv[1] else {"add", "mul"})
+    assert (max(k for c, k in owner.values()) == 1) == (
+        argv[1] in (TWO_SIDES, SUB16))
+
+
+@pytest.mark.parametrize("spec, op", [
+    ("N(Zn:12)", "mul"), ("N(Zn:12)", "add"), ("N(Zn:5)\\0", "mul"),
+    ("Mat(1,2,N(Zn:3))", "mul"), ("Poly(N(Zn:2),cyc=3)", "add"),
+    ("Fuzzy(min,step=1/5)", "mul"), (TWO_SIDES, "add"), (SUB16, "mul"),
+    (FALLBACK_REQUESTS[1], "add")])
+def test_a_table_request_builds_only_its_ops_part_tables(
+        monkeypatch, spec, op):
+    builds, owner = _side_builds(monkeypatch)
+    asked, factors = [], FiniteStructure._factors
+    monkeypatch.setattr(FiniteStructure, "_factors",
+                        lambda self: asked.append(self) or factors(self))
+    assert _run(["table", spec, op]) == 0
+    assert owner and sorted(builds) == sorted(
+        (id(c), k, op) for c, k in owner.values())
+    assert asked == []
+
+
 # The child builds the mul part table of 2000 distinct 2x2 matrices over
 # Zn:7 under an address-space limit of its own size plus HEADROOM bytes.
 # The table takes 16 MB; the m^2 * k packed codes of all pairs at once
@@ -224,24 +316,23 @@ elems = [ctx["coerce"](ctx["parse"](";".join(
     ",".join(str(c // 7 ** (2 * i + j) % 7) for j in range(2))
     for i in range(2)))) for c in codes]
 s = _structure(elems, ctx, "Sub of Mat(2,2,N(Zn:7))")
-s._coords()
-assert s._part_codes() is not None
+(side,) = s._sides()
 with open("/proc/self/status") as f:
     size = next(int(line.split()[1]) << 10 for line in f
                 if line.startswith("VmSize:"))
 soft, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
 try:
-    (table,) = s._parts("mul")
+    table = side.table("mul")
 except TooLarge:
     print(json.dumps("TooLarge"))
     sys.exit(0)
 resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-parts = s._coords().lo_parts
+(parts,) = s._coords().parts
 diags = [s.diag(p) for p in parts]
 rows = random.Random(0).sample(range(len(diags)), 4)
 want = [[parts.get(structures._hashable(s.mul_fn(diags[i], y).decompose()[0]),
-                   len(parts)) for y in diags] for i in rows]
+                   -1) for y in diags] for i in rows]
 print(json.dumps([table.shape, str(table.dtype),
                   table[rows].tolist() == want]))
 """
