@@ -80,7 +80,9 @@ carrier is built:
 - the class tables of both kinds, and the rows that well_defined
   compares, are blocks too; a quotient of more classes than one band
   holds gathers the rows it predicts the same way, in bands, and builds
-  no class table (_compare_products).
+  no class table (_compare_products);
+- is_ideal's scans read their blocks band by band.  Each of them, and
+  the comparison, stops at the first band with a hit (_first_hit).
 
 is_ideal reads a subset P x Q off the factors on any full product whose
 factors' additive inverses are unique, with or without a unity: P x Q is
@@ -88,9 +90,8 @@ then an ideal exactly when P and Q are ideals of the factors, since each
 ideal condition holds pair by pair, the inverse of (a, b) being the pair
 of the inverses of a and b.  A subset that fails, or is no product,
 falls through to the scans of the carrier's blocks, so its verdict keeps
-its first witness in carrier order.  The scan reads the subset's
-negatives, each member's first right inverse, off one block of the add
-table.
+its first witness in carrier order.  The negation scan takes each
+member's first right inverse in the add table as its negative.
 """
 
 import numpy as np
@@ -99,10 +100,12 @@ from .errors import NotAnIdeal, ParseError, TooLarge
 from .intervals import NaturalInterval, split_top_level
 from .structures import (
     FiniteStructure,
+    _first_hit,
     _first_true,
     _first_zero_pair,
     _once,
     _proven,
+    _relabel,
     _unique_negatives,
     _zero_index,
     axiom_report,
@@ -183,30 +186,24 @@ def is_ideal(s, indices):
     if not s.inverses("add")[0]:
         return False, {"reason": "ambient addition is not a group"}
     # each member's negative is its first right inverse
-    every = np.arange(n)
-    neg = (s._block("add", idx, every) == z).argmax(axis=1)
-    bad = idx[~mask[neg]]
-    if bad.size:
+    hit = _first_hit((lo, ~mask[(band == z).argmax(axis=1)])
+                     for lo, band in s._bands("add", idx))
+    if hit is not None:
         return False, {"reason": "not closed under negation",
-                       "witness": s.label(int(bad[0]))}
-    # blocks of the tables read each product as 1 outside the subset, 0
-    # inside it and -1 outside the carrier
+                       "witness": s.label(int(idx[hit[0]]))}
+    # the bands read each product as 1 outside the subset, 0 inside it
+    # and -1 outside the carrier
     outside = (~mask).astype(np.int32)
-    hit = _first_true(s._block("add", idx, idx, outside) != 0)
-    if hit is not None:
-        i, j = hit
-        return False, {"reason": "not closed under addition",
-                       "witness": [s.label(int(idx[i])), s.label(int(idx[j]))]}
-    hit = _first_true(s._block("mul", every, idx, outside) != 0)
-    if hit is not None:
-        x, j = hit
-        return False, {"reason": "not absorbing on the left",
-                       "witness": [s.label(x), s.label(int(idx[j]))]}
-    hit = _first_true(s._block("mul", idx, every, outside) != 0)
-    if hit is not None:
-        i, y = hit
-        return False, {"reason": "not absorbing on the right",
-                       "witness": [s.label(int(idx[i])), s.label(y)]}
+    every = np.arange(n)
+    for reason, op, rows, cols in (
+            ("not closed under addition", "add", idx, idx),
+            ("not absorbing on the left", "mul", every, idx),
+            ("not absorbing on the right", "mul", idx, every)):
+        hit = _first_hit((lo, band != 0) for lo, band in s._bands(
+            op, rows, cols, outside))
+        if hit is not None:
+            return False, {"reason": reason, "witness": s.labels(
+                [int(rows[hit[0]]), int(cols[hit[1]])])}
     return True, {"order": int(idx.size)}
 
 
@@ -638,21 +635,20 @@ class QuotientStructure(FiniteStructure):
         smaller one off its built table.  So no table of the ambient's
         size is built for a product ambient, and no class table for a
         large quotient."""
-        cls = self.class_of
-        for lo, actual in self.ambient._bands(op, relabel=cls):
-            predicted = self._block(op, cls[lo:lo + len(actual)], cls)
-            diff = _first_true(actual != predicted)
-            if diff is not None:
-                i, y = diff
-                got, want = int(actual[i, y]), int(predicted[i, y])
-                return False, {
-                    "x": self.ambient.label(lo + i),
-                    "y": self.ambient.label(y),
-                    "class_of_result": self.label(got) if got >= 0 else None,
-                    "class_from_reps":
-                        self.label(want) if want >= 0 else None,
-                }
-        return True, None
+        cls, s = self.class_of, self.ambient
+        hit = _first_hit(
+            (lo, actual != self._block(op, cls[lo:lo + len(actual)], cls))
+            for lo, actual in s._bands(op, relabel=cls))
+        if hit is None:
+            return True, None
+        x, y = hit
+        got = int(_relabel(s._pairs(op, x, y), cls))
+        want = int(self._pairs(op, cls[x], cls[y]))
+        return False, {
+            "x": s.label(x), "y": s.label(y),
+            "class_of_result": self.label(got) if got >= 0 else None,
+            "class_from_reps": self.label(want) if want >= 0 else None,
+        }
 
     def diagnostics(self):
         out = {}

@@ -5,13 +5,13 @@ with one or two binary operations (mul, and optionally add).  Cayley
 tables are integer index tables built lazily; an entry of -1 marks a
 product that falls outside the carrier (non-closure).  All axiom checks
 are exhaustive and vectorized over the tables, and every negative
-verdict carries the first counterexample in carrier order.  The cubic
-scans walk blocks of rows in order and stop at the first block with a
-hit, so that hit is the first counterexample.  The first block is one
-row and each next one doubles, up to about _BLOCK_ENTRIES triples, so a
-witness in row r costs O(r n^2) work and memory stays bounded.  A
-verdict is computed once per structure, because its tables never change
-once built.
+verdict carries the first counterexample in carrier order.  Every scan
+for one reads its mask in blocks of rows, in order, up to the first
+block with a hit, which holds it (_first_hit).  The cubic scans' first
+block is one row and each next one doubles, up to about _BLOCK_ENTRIES
+triples, so a witness in row r costs O(r n^2) work and memory stays
+bounded; the others read bands (_bands).  A verdict is computed once
+per structure, because its tables never change once built.
 
 Element facts are read from one remembered walk per op that takes
 every element's orbit at once (FiniteStructure._orbits, _walk): the
@@ -36,8 +36,8 @@ _inverse_of on a corner of the table.  Zero divisors and
 S-zero-divisors read one mask of the products of two nonzero elements
 that give zero (_zero_products), built fresh for each reader and never
 remembered: it is n x n bools, 7.6 MB on a 2757-class quotient.  The
-first such pair, which the strict and semifield checks ask for, is read
-band by band and stops at the first band with one (_first_zero_pair).
+first such pair, which the strict and semifield checks ask for, reads
+that mask band by band, up to the first band with one (_first_zero_pair).
 The unit map, the negation map (neg_index, the same search for the
 identity of add) and inverses(op) share one search (_inverse_bands): each
 element's first right inverse, kept when it is two-sided, since every
@@ -53,7 +53,7 @@ for (_sides).  The sides are the only place part tables live.  A full
 product carrier (N(D) is D x D, and so are N(D)\\0, the matrices, the
 polynomials and the fuzzy grids) reads each fact off its sides, its
 factors, where that is exact: its pairs and triples are exactly the
-pairs of the factors' (_by_factors).  Every reader shares them, so each
+pairs of the factors' (_proven).  Every reader shares them, so each
 fact of a factor is computed once (_factors).
 
 - It is closed, associative, distributive, and has inverses for its
@@ -420,26 +420,13 @@ class FiniteStructure:
             return c.where[code]
         return self.table(op)[rows, cols]
 
-    def _by_factors(self, law, *ops):
-        """Does law (closed, commutative, associative, inverses or
-        distributive) hold for ops on each factor of a full product (one
-        per part list, holding every op: _factors), and so here?  No
-        table of it is built; a factor too large to scan proves nothing."""
-        factors = self._factors()
-        args = () if law == "distributive" else ops
-        try:
-            return factors is not None and all(
-                getattr(f, law)(*args)[0] is True for f in factors)
-        except TooLarge:
-            return False
-
     def _known(self, law, *ops):
-        """Does law hold on the factors (_by_factors), or on the ambient of
-        a view?  Only proven ambient verdicts count.  Commutativity holds
-        on any view of a commutative ambient, as its entries are read off
-        the ambient's for its representatives; any other law only for ops
-        well defined here (_congruent)."""
-        return self._by_factors(law, *ops) or (
+        """Is law proven here without a scan (_proven), or on the ambient
+        of a view?  Only proven ambient verdicts count.  Commutativity
+        holds on any view of a commutative ambient, as its entries are
+        read off the ambient's for its representatives; any other law only
+        for ops well defined here (_congruent)."""
+        return _proven(self, law, *ops) or (
             self.view is not None and _proven(self.view[0], law, *ops)
             and (law == "commutative"
                  or all(self._congruent(op) for op in ops)))
@@ -486,12 +473,12 @@ class FiniteStructure:
     @_once
     def closed(self, op):
         """Is every product an element?  A full product is closed when its
-        factors are (_by_factors).  A view whose class_of gives every
-        ambient element a class is closed when its ambient is proven
-        closed (_proven), since an entry is -1 only where the ambient's
-        product is, and no table is read.  Else the table is scanned, as
-        it is for a subset, whose class_of has -1."""
-        if self._by_factors("closed", op) or (
+        factors are (_proven).  A view whose class_of gives every ambient
+        element a class is closed when its ambient is proven closed, since
+        an entry is -1 only where the ambient's product is, and no table
+        is read.  Else the table is scanned, as it is for a subset, whose
+        class_of has -1."""
+        if _proven(self, "closed", op) or (
                 self.view is not None and (self.view[2] >= 0).all()
                 and _proven(self.view[0], "closed", op)):
             return True, None
@@ -503,17 +490,15 @@ class FiniteStructure:
         """x∘y = y∘x.  A view passes when its ambient is proven to, whether
         or not op is a congruence, and a product when its factors do
         (_known).  Else each band of rows (_bands) is compared with the
-        matching block of columns, and the first mismatch in C order is
-        the witness."""
+        matching block of columns, and the first mismatch is the witness
+        (_first_hit)."""
         if self._known("commutative", op):
             return True, None
         every = np.arange(self.n)
-        for lo, band in self._bands(op):
-            cols = self._block(op, every, every[lo:lo + len(band)])
-            hit = _first_true(band != cols.T)
-            if hit is not None:
-                return False, (lo + hit[0], hit[1])
-        return True, None
+        hit = _first_hit(
+            (lo, band != self._block(op, every, every[lo:lo + len(band)]).T)
+            for lo, band in self._bands(op))
+        return hit is None, hit
 
     @_once
     def associative(self, op):
@@ -576,7 +561,7 @@ class FiniteStructure:
         e = self.identity_index(op)
         if e is None:
             return None, None
-        if self._by_factors("inverses", op):
+        if _proven(self, "inverses", op):
             return True, None
         inv = np.empty(self.n, dtype=np.intp)
         for lo, band in _inverse_bands(self, op, e):
@@ -681,15 +666,21 @@ class FiniteStructure:
 
 
 def _proven(s, law, *ops):
-    """Is law ("closed", "associative", "commutative" or "distributive")
-    known to hold on s for ops, without a scan of s?  True only when s's
+    """Is law (closed, commutative, associative, inverses or distributive)
+    known to hold on s for ops without a scan of s?  True only when s's
     memo holds a passing verdict, or when s is a full product whose
-    factors pass (m^3 work on m-element factors).  s itself is never
-    scanned."""
-    done = s._memo.get((law,) + (() if law == "distributive" else ops))
+    factors (_factors) all pass, at m^3 work on m-element factors; a
+    factor too large to scan proves nothing.  No table of s is built."""
+    args = () if law == "distributive" else ops
+    done = s._memo.get((law,) + args)
     if done is not None:
         return done[0] is True
-    return s._by_factors(law, *ops)
+    factors = s._factors()
+    try:
+        return factors is not None and all(
+            getattr(f, law)(*args)[0] is True for f in factors)
+    except TooLarge:
+        return False
 
 
 @_once
@@ -1002,35 +993,42 @@ def _walk(t, wrap=False):
     return _Walk(powers[:length.max(initial=1)], length, end)
 
 
-def _zero_products(t, z):
-    """A fresh mask of the products i∘j == z with i != z and j != z; never
-    remembered, as an n x n mask must not outlive its caller.  Only the
-    readers of the whole mask build it: find_special_elements, with
-    _s_zero_divisors, and the zero-pair count of book claim ex-3.34.  A
-    first zero pair is read in bands (_first_zero_pair)."""
-    m = (t == z)
-    m[z, :] = False
+def _zero_products(t, z, lo=0):
+    """A fresh mask of the products i∘j == z with i != z and j != z, of
+    the rows lo, lo + 1, ... of a table that t holds: all of it, or one
+    band (_first_zero_pair).  Never remembered, as an n x n mask must not
+    outlive its caller; only find_special_elements, with _s_zero_divisors,
+    and the zero-pair count of book claim ex-3.34 build it whole."""
+    m = t == z
     m[:, z] = False
+    if lo <= z < lo + len(m):
+        m[z - lo] = False
     return m
 
 
 def _first_zero_pair(s, op, z):
     """The first (i, j) in C order with i∘j == z under op, i != z and
     j != z, or None.  op's table is read in bands (FiniteStructure._bands)
-    and the search stops at the first band with a hit, so a view that
-    reads off its ambient builds no table.  Where a lemma gives the pair
+    up to the first with a hit (_first_hit), so a view that reads off its
+    ambient builds no table.  Where a lemma gives the pair
     (FiniteStructure._zero_pair), no band is read."""
     known, pair = s._zero_pair(op, z)
     if known:
         return pair
-    for lo, band in s._bands(op):
-        m = band == z
-        m[:, z] = False
-        if lo <= z < lo + len(m):
-            m[z - lo] = False
-        hit = _first_true(m)
+    return _first_hit((lo, _zero_products(band, z, lo))
+                      for lo, band in s._bands(op))
+
+
+def _first_hit(blocks):
+    """The first True in C order of a mask given as (lo, block) pairs of
+    consecutive blocks of its rows, block holding rows lo, lo + 1, ...:
+    its index in the whole mask, or None.  A later block holds only later
+    entries, so the first block with a hit holds the first hit, and no
+    block after it is read (or, from a generator, built)."""
+    for lo, mask in blocks:
+        hit = _first_true(mask)
         if hit is not None:
-            return lo + hit[0], hit[1]
+            return (lo + hit[0],) + hit[1:]
     return None
 
 
@@ -1076,29 +1074,19 @@ def _row_blocks(n):
 
 def _assoc_witness(t):
     """The first (x, y, z) in C order with (xy)z != x(yz), or None.  Rows
-    of x are scanned in order, in blocks that start at one row and double
-    up to about _BLOCK_ENTRIES triples (_row_blocks), so the first block
-    with a hit holds the first witness, and a witness in row r costs
-    O(r n^2) work."""
-    for lo, hi in _row_blocks(t.shape[0]):
-        rows = t[lo:hi]
-        hit = _first_true(t[rows, :] != rows[:, t])
-        if hit is not None:
-            a, b, c = hit
-            return (lo + a, b, c)
-    return None
+    of x are scanned in blocks that start at one row and double up to
+    about _BLOCK_ENTRIES triples (_row_blocks, _first_hit), so a witness
+    in row r costs O(r n^2) work."""
+    return _first_hit((lo, t[t[lo:hi]] != t[lo:hi][:, t])
+                      for lo, hi in _row_blocks(len(t)))
 
 
 def _left_distrib_witness(m, a):
     """The first (x, y, z) in C order with x(y+z) != xy+xz, or None,
     scanned in growing blocks of rows of x as _assoc_witness is."""
-    for lo, hi in _row_blocks(m.shape[0]):
-        rows = m[lo:hi]
-        hit = _first_true(rows[:, a] != a[rows[:, :, None], rows[:, None, :]])
-        if hit is not None:
-            x, y, z = hit
-            return (lo + x, y, z)
-    return None
+    return _first_hit(
+        (lo, m[lo:hi, a] != a[m[lo:hi, :, None], m[lo:hi, None, :]])
+        for lo, hi in _row_blocks(len(m)))
 
 
 # ----------------------------------------------------------------------
@@ -1675,7 +1663,9 @@ def is_strict_semiring(s):
 # ----------------------------------------------------------------------
 
 def analyze_structure(s):
-    """Full deterministic report: axioms, elements, substructures."""
+    """Full deterministic report: axioms, elements, substructures.  The
+    classification comes first, so a refused scan refuses before a verdict."""
+    classification = classify(s)
     report = {
         "schema": "natint/1",
         "spec": s.name,
@@ -1690,16 +1680,13 @@ def analyze_structure(s):
     if s.has_op("mul"):
         report["axioms"]["mul"] = axiom_report(s, "mul")
     if s.has_op("add") and s.has_op("mul"):
-        try:
-            dist, dw = s.distributive()
-        except TooLarge:
-            dist, dw = None, None
+        dist, dw = s.distributive()
         report["axioms"]["distributive"] = dist
         if dist is False:
             side, x, y, z = dw
             report["axioms"]["distributive_counterexample"] = {
                 "side": side, "triple": s.labels((x, y, z))}
-    report["classification"] = classify(s)
+    report["classification"] = classification
     if s.has_op("mul"):
         report["elements"] = find_special_elements(
             s, with_orders=s.n <= ORDERS_CAP)

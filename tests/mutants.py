@@ -15,7 +15,7 @@ do not pass on the unedited tree, which is checked first.  Nothing in
 the repository is written.  Exits 0 when every mutant is killed, else 1.
 
 The file's name keeps it out of pytest's collection: it runs a pytest
-per mutant, about a minute in all, and belongs in CI as its own step.
+per mutant, about two minutes in all, and belongs in CI as its own step.
 """
 
 import os
@@ -44,9 +44,11 @@ CODED_PARTS = "Part tables from the domain's arithmetic"
 FACTORS = "One factor structure per side"
 CARRIER_COST = "Per-element work at carrier cost"
 SIDES = "A product carrier is its sides"
+FIRST_HITS = "One scan for every first witness"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
+RECORDS = ("tests/test_render.py", "-k", "record or payloads")
 
 MUTANTS = (
     Mutant("mat-mul-column-by-row", CODED_PARTS, "carriers.py",
@@ -92,6 +94,21 @@ MUTANTS = (
     Mutant("trimmed-keeps-a-zero", CARRIER_COST, "polys.py",
            "return tuple(scalars[:k])", "return tuple(scalars[:k + 1])",
            ("tests/test_coords.py", "-k", "coords_from_codes")),
+    Mutant("record-heads-sorted", CARRIER_COST, "cli.py",
+           '_json_key(key) + ": " for key in keys]',
+           '_json_key(key) + ": " for key in sorted(keys)]',
+           RECORDS),
+    Mutant("record-nested-value-as-scalar", CARRIER_COST, "cli.py",
+           "head + _SCALARS[type(value)](value)",
+           "head + _SCALARS.get(type(value), str)(value)",
+           RECORDS),
+    Mutant("record-later-keys-unchecked", CARRIER_COST, "cli.py",
+           "if type(record) is not dict or tuple(record) != keys:",
+           "if type(record) is not dict:",
+           RECORDS),
+    Mutant("parted-modulus-not-run-again", CARRIER_COST, "suites.py",
+           "for j in parted:", "for j in ():",
+           ("tests/test_suites.py", "-k", "modulus")),
     Mutant("rees-p-and-q-swapped", REES_LEMMAS, "quotients.py",
            "((factors[0], p), (factors[-1], q))",
            "((factors[0], q), (factors[-1], p))",
@@ -115,6 +132,19 @@ MUTANTS = (
     Mutant("minus-one-clipped-in-pairs", SIDES, "structures.py",
            "return c.where[code]", "return c.where.take(code, mode='clip')",
            ("tests/test_part_tables.py", "-k", "minus_one")),
+    Mutant("first-hit-without-offset", FIRST_HITS, "structures.py",
+           "return (lo + hit[0],) + hit[1:]", "return (hit[0],) + hit[1:]",
+           ("tests/test_kernels.py", "-k", "first_true")),
+    Mutant("first-hit-drops-a-coordinate", FIRST_HITS, "structures.py",
+           "return (lo + hit[0],) + hit[1:]", "return (lo + hit[0], hit[1])",
+           ("tests/test_kernels.py", "-k", "first_true")),
+    Mutant("zero-mask-keeps-row-z", FIRST_HITS, "structures.py",
+           "if lo <= z < lo + len(m):", "if lo < z < lo + len(m):",
+           ("tests/test_orbits.py", "-k", "zero")),
+    Mutant("left-absorption-reads-add", FIRST_HITS, "quotients.py",
+           '("not absorbing on the left", "mul",',
+           '("not absorbing on the left", "add",',
+           ("tests/test_ideal_scan.py",)),
 )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from natint.cli import eval_expression, main
 from natint import Flavor, Mod, ParseError, Q, interval, parse_domain
+from natint import structures
 
 
 def run(capsys, *argv):
@@ -284,6 +285,28 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     assert out.startswith("schema:")  # text, not json
     code, _, err = run(capsys, "analyze", "N(Zn:12)", "--config", str(cfg))
     assert code == 3  # 144 elements > configured bound
+
+
+# Analyses refused as too large (3), each with its message.  The
+# classification runs before any other verdict, and its scans are the
+# ones refused, so the refusal comes before any axiom report.
+REFUSED_ANALYSES = (
+    ("N(Zn:101)", "10201x10201 add table exceeds the build cap (10000)"),
+    ("N(Zn:29)\\0", "associativity scan over 784^3 triples refused (cap 700)"),
+    ("N(Zn:27)", "associativity scan over 729^3 triples refused (cap 700)"),
+    ("Mat(2,2,N(Zn:3))",
+     "associativity scan over 6561^3 triples refused (cap 700)"),
+)
+
+
+@pytest.mark.parametrize("spec, message", REFUSED_ANALYSES)
+def test_a_refused_analysis_reports_nothing_first(monkeypatch, capsys, spec,
+                                                  message):
+    def refuse(s, op):
+        raise AssertionError("an axiom report came before the refusal")
+
+    monkeypatch.setattr(structures, "axiom_report", refuse)
+    assert run(capsys, "analyze", spec) == (3, "", f"error: {message}\n")
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):

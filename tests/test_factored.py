@@ -176,7 +176,8 @@ def test_a_factor_too_large_to_scan_proves_nothing(monkeypatch, capsys):
     # class table and gets its report.
     monkeypatch.setattr(structures, "CUBIC_SCAN_CAP", 5)
     spec = "Sub{[0,0],[0,1],[0,2],[0,3],[0,4],[0,5]} of N(Zn:6)"
-    assert build_carrier(spec)._by_factors("associative", "add") is False
+    s = build_carrier(spec)
+    assert structures._proven(s, "associative", "add") is False
     assert cli.main(["quotient", spec, "col-zero", "--kind", "standard"]) == 0
     assert '"associative_add": true' in capsys.readouterr().out
 

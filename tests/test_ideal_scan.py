@@ -9,12 +9,16 @@ factors, and five subsets of N(Zn:4) and N(Zn:6), one with no additive
 group, some with an addition that leaves the carrier.
 """
 
+import functools
+import itertools
 import random
 
 import pytest
 
+from natint import structures
 from natint.carriers import build_carrier
 from natint.quotients import is_ideal
+from natint.structures import FiniteStructure
 from conftest import built_twin
 
 H = ("Sub{[0,0],[0,3],[1,1],[1,4],[2,2],[2,5],[3,0],[3,3],[4,1],[4,4],"
@@ -102,3 +106,70 @@ def test_the_draws_reach_every_kind_of_verdict():
                        "not closed under negation",
                        "not closed under addition",
                        "not absorbing on the left"}
+
+
+SCANS = ("not closed under negation", "not closed under addition",
+         "not absorbing on the left", "not absorbing on the right")
+
+
+M2_Z2 = list(itertools.product(range(2), repeat=4))
+# the matrices of M2_Z2 with column 0 zero absorb on the left, not the right
+COLUMN_ZERO = [i for i, e in enumerate(M2_Z2) if e[0] == e[2] == 0]
+
+
+def m2_z2():
+    """The 2x2 matrices over Z2, (a, b, c, d) for [[a, b], [c, d]], built
+    element by element: a ring with no product form whose mul is not
+    commutative."""
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % 2, (a * f + b * h) % 2,
+                (c * e + d * g) % 2, (c * f + d * h) % 2)
+
+    def add(x, y):
+        return tuple((u + v) % 2 for u, v in zip(x, y))
+
+    return FiniteStructure(M2_Z2, mul=mul, add=add, name="M2(Z2)")
+
+
+def failing_subsets():
+    """(make, indices, reason): for each carrier of CARRIERS with no
+    product form, and for M2(Z2), the first subset that fails each of
+    is_ideal's four scans; make builds the carrier afresh."""
+    cases = [(functools.partial(build_carrier, spec),
+              draws(spec, build_carrier(spec).n)) for spec in CARRIERS
+             if build_carrier(spec)._factors() is None]
+    cases.append((m2_z2, [COLUMN_ZERO, *draws("M2(Z2)", len(M2_Z2))]))
+    out = []
+    for make, subsets in cases:
+        s, seen = make(), set()
+        for indices in subsets:
+            reason = plain_check(s, indices)[1]
+            if reason in SCANS and reason not in seen:
+                seen.add(reason)
+                out.append((make, indices, reason))
+    return out
+
+
+FAILING = failing_subsets()
+
+
+def test_failing_subsets_reach_every_scan():
+    assert {reason for _, _, reason in FAILING} == set(SCANS)
+
+
+@pytest.mark.parametrize("band", [1, None])
+def test_scans_read_bands_and_keep_the_first_witness(monkeypatch, band):
+    # one row per band, or the default band; no whole block is read
+    if band is not None:
+        monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("is_ideal read a whole block")
+
+    monkeypatch.setattr(FiniteStructure, "_block", refuse)
+    for make, indices, reason in FAILING:
+        s = make()
+        assert verdict(s, indices) == plain_check(s, indices), (s.name,
+                                                                 indices)

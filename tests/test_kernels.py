@@ -12,7 +12,7 @@ from natint import (
     parse_ideal_spec,
     rees_quotient,
 )
-from natint.structures import _first_true, _relabel
+from natint.structures import _first_hit, _first_true, _relabel
 
 CARRIERS = ("N(Zn:6)", "N(ZnI:4)", "Mat(1,2,N(Zn:2))")
 
@@ -32,6 +32,23 @@ def test_first_true_matches_argwhere(shape, density):
     hits = np.argwhere(view)
     assert _first_true(view) == (tuple(int(v) for v in hits[0])
                                  if hits.size else None)
+    # read as consecutive blocks of rows, split at random (some empty) or
+    # row by row, the mask gives the same hit, and the last block read is
+    # the one that holds it
+    cuts = sorted(rng.integers(0, len(mask) + 1, size=4).tolist())
+    for bounds in ([0, *cuts, len(mask)], range(len(mask) + 1)):
+        read = []
+
+        def blocks():
+            for lo, hi in zip(bounds, bounds[1:]):
+                read.append((lo, hi))
+                yield lo, mask[lo:hi]
+
+        assert _first_hit(blocks()) == expected
+        if expected is None:
+            assert len(read) == len(bounds) - 1
+        else:
+            assert read[-1][0] <= expected[0] < read[-1][1]
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (9, 4), (60, 60), (300, 17)])

@@ -353,3 +353,44 @@ def test_coded_part_tables_are_composed_in_bands():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result == "TooLarge" or result == [[2000, 2000], "int32", True]
+
+
+# The child checks the commutativity of mul on Mat(2,2,N(Zn:3)) under an
+# address-space limit of its own size plus BANDED_HEADROOM bytes: the
+# check reads bands gathered off the part tables, while the 6561-element
+# mul table takes 164 MiB and must not fit.
+BANDED_HEADROOM = 100 << 20
+BANDED_CHILD = r"""
+import json, resource, sys
+from natint.carriers import build_carrier
+
+s = build_carrier("Mat(2,2,N(Zn:3))")
+with open("/proc/self/status") as f:
+    size = next(int(line.split()[1]) << 10 for line in f
+                if line.startswith("VmSize:"))
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+verdict = s.commutative("mul")
+try:
+    s.table("mul")
+    table = "built"
+except MemoryError:
+    table = "MemoryError"
+print(json.dumps([verdict, table]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the process size from /proc")
+def test_commutativity_of_a_product_is_read_in_bands():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                       "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(
+                       os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-c", BANDED_CHILD, str(BANDED_HEADROOM)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[False, [1, 9]], "MemoryError"]
