@@ -72,21 +72,11 @@ def fuzzy_semigroup_report(op, step_denominator=10):
         "grid_step": f"1/{s}",
         "grid_size": struct.n,
     }
-    if op in ("min", "max"):
-        ax = axiom_report(struct, "mul")
-        rep["closed_on_grid"] = ax["closed"]
-        rep["associative"] = ax["associative"]
-        rep["associativity_method"] = "grid Cayley table"
-        rep["commutative"] = ax["commutative"]
-        rep["identity"] = ax["identity"]
-        rep["absorbing"] = ax["absorbing"]
-        fn = _op_fn(op)
-        rep["idempotent_law"] = all(fn(x, x) == x for x in struct.elements)
-    else:
-        closed, wit = struct.closed("mul")
-        rep["closed_on_grid"] = closed
-        if not closed:
-            rep["closed_on_grid_counterexample"] = struct.labels(wit)
+    ax = axiom_report(struct, "mul")
+    rep["closed_on_grid"] = ax["closed"]
+    if not ax["closed"]:
+        rep["closed_on_grid_counterexample"] = ax["closed_counterexample"]
+    if op == "prod":
         # Endpoint products, as numerators over s^2, decide closure in
         # [0, 1] and commutativity for every interval pair componentwise.
         k = np.arange(s + 1, dtype=np.int64)
@@ -98,10 +88,15 @@ def fuzzy_semigroup_report(op, step_denominator=10):
             f"exact rational, all {triples} endpoint triples per slot "
             f"(covers every interval triple componentwise)")
         rep["commutative"] = bool((prods == prods.T).all())
-        # A product off the grid is -1 in the table, so it can never make
-        # an element look like the identity or absorbing.
-        e = struct.identity_index("mul")
-        rep["identity"] = struct.label(e) if e is not None else None
-        z = struct.absorbing_index("mul")
-        rep["absorbing"] = struct.label(z) if z is not None else None
+    else:
+        rep["associative"] = ax["associative"]
+        rep["associativity_method"] = "grid Cayley table"
+        rep["commutative"] = ax["commutative"]
+    # A product off the grid is -1 in the table, so it can never make an
+    # element look like the identity or absorbing.
+    rep["identity"] = ax["identity"]
+    rep["absorbing"] = ax["absorbing"]
+    if op != "prod":
+        fn = _op_fn(op)
+        rep["idempotent_law"] = all(fn(x, x) == x for x in struct.elements)
     return rep

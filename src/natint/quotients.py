@@ -82,7 +82,9 @@ carrier is built:
   holds gathers the rows it predicts the same way, in bands, and builds
   no class table (_compare_products);
 - is_ideal's scans read their blocks band by band.  Each of them, and
-  the comparison, stops at the first band with a hit (_first_hit).
+  the comparison, stops at the first band with a hit (_first_hit); the
+  closure and both absorption scans ask for the first product that
+  leaves the subset (structures._first_leak).
 
 is_ideal reads a subset P x Q off the factors on any full product whose
 factors' additive inverses are unique, with or without a unity: P x Q is
@@ -101,6 +103,7 @@ from .intervals import NaturalInterval, split_top_level
 from .structures import (
     FiniteStructure,
     _first_hit,
+    _first_leak,
     _first_true,
     _first_zero_pair,
     _once,
@@ -191,19 +194,14 @@ def is_ideal(s, indices):
     if hit is not None:
         return False, {"reason": "not closed under negation",
                        "witness": s.label(int(idx[hit[0]]))}
-    # the bands read each product as 1 outside the subset, 0 inside it
-    # and -1 outside the carrier
-    outside = (~mask).astype(np.int32)
     every = np.arange(n)
     for reason, op, rows, cols in (
             ("not closed under addition", "add", idx, idx),
             ("not absorbing on the left", "mul", every, idx),
             ("not absorbing on the right", "mul", idx, every)):
-        hit = _first_hit((lo, band != 0) for lo, band in s._bands(
-            op, rows, cols, outside))
-        if hit is not None:
-            return False, {"reason": reason, "witness": s.labels(
-                [int(rows[hit[0]]), int(cols[hit[1]])])}
+        leak = _first_leak(s, op, rows, cols, idx)
+        if leak is not None:
+            return False, {"reason": reason, "witness": s.labels(leak)}
     return True, {"order": int(idx.size)}
 
 

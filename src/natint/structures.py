@@ -1019,6 +1019,20 @@ def _first_zero_pair(s, op, z):
                       for lo, band in s._bands(op))
 
 
+def _first_leak(s, op, rows, cols, members):
+    """The first (rows[i], cols[j]) in C order whose product under op is
+    not one of members, a product outside the carrier included, or None.
+    The bands (FiniteStructure._bands) read each product as 1 outside
+    members, 0 inside them and -1 outside the carrier, up to the first
+    band with a leak (_first_hit)."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    outside = np.ones(s.n, dtype=np.int32)
+    outside[members] = 0
+    hit = _first_hit((lo, band != 0)
+                     for lo, band in s._bands(op, rows, cols, outside))
+    return None if hit is None else (int(rows[hit[0]]), int(cols[hit[1]]))
+
+
 def _first_hit(blocks):
     """The first True in C order of a mask given as (lo, block) pairs of
     consecutive blocks of its rows, block holding rows lo, lo + 1, ...:

@@ -47,6 +47,7 @@ from .scalars import (
     _rand_below,
 )
 from .structures import (
+    _first_leak,
     _first_zero_pair,
     _return_exponents,
     _zero_products,
@@ -70,34 +71,6 @@ SCHEMA = "natint/1"
 
 # ----------------------------------------------------------------------
 # result plumbing
-
-class VerificationResult:
-    """Outcome of re-deriving one recorded claim."""
-
-    __slots__ = ("claim_id", "status", "expected", "computed", "citation",
-                 "note")
-
-    def __init__(self, claim_id, status, expected, computed, citation,
-                 note=None):
-        self.claim_id = claim_id
-        self.status = status
-        self.expected = expected
-        self.computed = computed
-        self.citation = citation
-        self.note = note
-
-    def as_dict(self):
-        out = {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "expected": _safe(self.expected),
-            "computed": _safe(self.computed),
-            "citation": self.citation,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
 
 def _safe(v):
     """Recursively coerce a value into JSON-friendly primitives."""
@@ -129,29 +102,15 @@ def claim_ids():
     return [cid for cid, _, _ in _REGISTRY]
 
 
-def _ok(expected, computed, note=None):
-    return {"status": "pass", "expected": expected, "computed": computed,
-            "note": note}
-
-
-def _bad(expected, computed, note=None):
-    return {"status": "fail", "expected": expected, "computed": computed,
-            "note": note}
-
-
-def _erratum(expected, computed, note=None):
-    return {"status": "erratum", "expected": expected, "computed": computed,
-            "note": note}
-
-
-def _skip(expected, note):
-    return {"status": "skipped", "expected": expected, "computed": None,
-            "note": note}
+def _result(status, expected, computed, note=None):
+    """What a checker returns: one of the four statuses, the recorded and
+    the computed side, and a note (kept in the record only when it is
+    not empty)."""
+    return status, expected, computed, note
 
 
 def _verdict(agree, expected, computed, note=None):
-    return _ok(expected, computed, note) if agree else \
-        _bad(expected, computed, note)
+    return _result("pass" if agree else "fail", expected, computed, note)
 
 
 # ----------------------------------------------------------------------
@@ -384,17 +343,13 @@ def _c_ex_2_7(ctx):
 def _c_ex_2_10(ctx):
     d = Mod(12)
     s = interval_structure(d, _O)
-    t = s.table("mul")
     evens = {0, 2, 4, 6, 8, 10}
     w = [i for i, e in enumerate(s.elements)
          if e.lo in evens and e.hi in evens]
-    wset = set(w)
-    absorbed = all(int(t[i, j]) in wset for i in range(s.n) for j in w)
+    absorbed = _first_leak(s, "mul", range(s.n), w, w) is None
     diag = [i for i, e in enumerate(s.elements) if e.is_degenerate]
-    dset = set(diag)
-    diag_leak = next(((s.label(i), s.label(j))
-                      for i in range(s.n) for j in diag
-                      if int(t[i, j]) not in dset), None)
+    leak = _first_leak(s, "mul", range(s.n), diag, diag)
+    diag_leak = None if leak is None else s.labels(leak)
     agree = len(w) == 36 and absorbed and diag_leak is not None
     return _verdict(agree,
                     {"even_subset_order": 36, "absorbs": True,
@@ -410,12 +365,12 @@ def _c_thm_2_5(ctx):
     found = {}
     for n, f in ((5, _O), (12, _C)):
         s = interval_structure(Mod(n), f)
-        t = s.table("mul")
-        diag = set(i for i, e in enumerate(s.elements) if e.is_degenerate)
-        leak = next(((s.label(i), s.label(j))
-                     for i in range(s.n) for j in diag
-                     if int(t[i, j]) not in diag), None)
-        found[f"Zn:{n}"] = leak
+        # the diagonal is read in the iteration order of a set of its
+        # indices, not in carrier order: the recorded witnesses follow it
+        diag = list(set(i for i, e in enumerate(s.elements)
+                        if e.is_degenerate))
+        leak = _first_leak(s, "mul", range(s.n), diag, diag)
+        found[f"Zn:{n}"] = None if leak is None else s.labels(leak)
     agree = all(v is not None for v in found.values())
     return _verdict(agree, "an absorption leak exists for every carrier",
                     found)
@@ -501,10 +456,10 @@ def _c_ex_2_26(ctx):
        "the multiplicative interval semigroup over the even integers "
        "contains no proper subset forming a nontrivial group")
 def _c_ex_2_27(ctx):
-    return _skip("no subgroup witness exists",
-                 "infinite carrier: ruling out every subset is not "
-                 "mechanically checkable; note 1 is not an even integer, "
-                 "so no degenerate identity candidate exists")
+    return _result("skipped", "no subgroup witness exists", None,
+                   "infinite carrier: ruling out every subset is not "
+                   "mechanically checkable; note 1 is not an even "
+                   "integer, so no degenerate identity candidate exists")
 
 
 @claim("ex-2.31",
@@ -667,9 +622,9 @@ def _c_thm_3_4(ctx):
 @claim("ex-3.13",
        "the interval ring over Q has infinitely many ideals")
 def _c_ex_3_13(ctx):
-    return _skip("infinitely many ideals",
-                 "infinite carrier: ideal enumeration needs a finite "
-                 "structure")
+    return _result("skipped", "infinitely many ideals", None,
+                   "infinite carrier: ideal enumeration needs a finite "
+                   "structure")
 
 
 @claim("ex-3.14",
@@ -707,16 +662,16 @@ def _c_ex_3_14(ctx):
 
     refuted = inner_strict and outer_strict
     if all(ideal_ok.values()) and refuted:
-        return _erratum(
-            "N({0,15}) minimal and N(3s) maximal",
+        return _result(
+            "erratum", "N({0,15}) minimal and N(3s) maximal",
             {"all_four_are_ideals": True,
              "inside_N({0,15})": "{0, [0,15]} is a smaller nonzero ideal",
              "above_N(3s)": "{[a,b] : 3 | a} is a larger proper ideal"},
-            note="the four subsets are ideals as recorded, but the "
-                 "minimality and maximality attributions fail")
-    return _bad("refutation witnesses verify",
-                {"ideal_ok": ideal_ok, "inner_strict": inner_strict,
-                 "outer_strict": outer_strict})
+            "the four subsets are ideals as recorded, but the "
+            "minimality and maximality attributions fail")
+    return _result("fail", "refutation witnesses verify",
+                   {"ideal_ok": ideal_ok, "inner_strict": inner_strict,
+                    "outer_strict": outer_strict})
 
 
 @claim("ex-3.25",
@@ -890,14 +845,13 @@ def _c_ex_3_33_idem(ctx):
     x = _miv(d, 1, 0)
     witness = x * x == x and _class_of(q, x) != 0
     if witness:
-        return _erratum("no idempotents",
-                        "[1,0]+I is a nonzero idempotent class "
-                        "([1,0]^2 = [1,0])",
-                        note="idempotent scalars mod 9 are only 0 and 1, "
-                             "so [1,0] survives the collapse and squares "
-                             "to itself")
-    return _bad("the recorded refutation witness verifies",
-                {"[1,0]^2": str(x * x)})
+        return _result("erratum", "no idempotents",
+                       "[1,0]+I is a nonzero idempotent class "
+                       "([1,0]^2 = [1,0])",
+                       "idempotent scalars mod 9 are only 0 and 1, so "
+                       "[1,0] survives the collapse and squares to itself")
+    return _result("fail", "the recorded refutation witness verifies",
+                   {"[1,0]^2": str(x * x)})
 
 
 @claim("ex-3.34",
@@ -1217,9 +1171,9 @@ def _c_ex_5_12(ctx):
        "a six-element cyclic polynomial monoid where the generator "
        "satisfies both x^6 = 1 and x^5 = 1")
 def _c_ex_5_16(ctx):
-    return _skip("internally inconsistent as recorded",
-                 "the two recorded relations x^6 = 1 and x^5 = 1 force "
-                 "x = 1, so there is no six-element witness to build")
+    return _result("skipped", "internally inconsistent as recorded", None,
+                   "the two recorded relations x^6 = 1 and x^5 = 1 force "
+                   "x = 1, so there is no six-element witness to build")
 
 
 @claim("ex-5.18",
@@ -1286,14 +1240,14 @@ def _c_ex_6_13_semifield(ctx):
     collapse = (_class_of(q, x.hadamard(y)) == 0
                 and _class_of(q, x) != 0 and _class_of(q, y) != 0)
     if collapse and verdict["has_zero_divisors"]:
-        return _erratum(
-            "no zero divisors; semifield",
+        return _result(
+            "erratum", "no zero divisors; semifield",
             {"witness": "([0,1],1).([1,0],1) lands in the zero class",
              "verdict": verdict["verdict"]},
-            note="the first slots [0,1] and [1,0] multiply to the zero "
-                 "interval, so two nonzero classes annihilate")
-    return _bad("the recorded refutation witness verifies",
-                {"collapse": collapse, "verdict": verdict})
+            "the first slots [0,1] and [1,0] multiply to the zero "
+            "interval, so two nonzero classes annihilate")
+    return _result("fail", "the recorded refutation witness verifies",
+                   {"collapse": collapse, "verdict": verdict})
 
 
 @claim("ex-6.14",
@@ -1510,44 +1464,36 @@ def _c_sec8_values(ctx):
                      "max": str(mx)})
 
 
+def _grid_identity(op, claimed, actual):
+    """The recorded identity of op (min or max) on the fuzzy grid is the
+    degenerate interval `claimed`, which absorbs instead: an erratum when
+    it absorbs (0.3,0.7) and the grid's identity is `actual`."""
+    s = grid_structure(op)
+    fn = {"min": iv_min, "max": iv_max}[op]
+    absorbed = fn(_fiv(claimed, claimed), _fiv("3/10", "7/10"))
+    e = s.identity_index("mul")
+    ident = s.elements[e] if e is not None else None
+    if absorbed == _fiv(claimed, claimed) and ident == _fiv(actual, actual):
+        return _result("erratum", f"identity is {claimed}",
+                       {f"{op}({claimed}, (0.3,0.7))": str(absorbed),
+                        "computed_identity": str(ident)},
+                       f"{claimed} is absorbing for {op}; the identity on "
+                       f"the grid is {actual} = ({actual},{actual})")
+    return _result("fail", "the recorded refutation verifies",
+                   {f"{op}({claimed},x)": str(absorbed),
+                    "identity": str(ident)})
+
+
 @claim("sec8-min-identity",
        "0 acts as the identity for min on fuzzy intervals")
 def _c_sec8_min_identity(ctx):
-    s = grid_structure("min")
-    zero = NaturalInterval(F01, Fraction(0), Fraction(0), _C)
-    one = NaturalInterval(F01, Fraction(1), Fraction(1), _C)
-    x = _fiv("3/10", "7/10")
-    absorbed = iv_min(zero, x)
-    e = s.identity_index("mul")
-    ident = s.elements[e] if e is not None else None
-    if absorbed == zero and ident == one:
-        return _erratum("identity is 0",
-                        {"min(0, (0.3,0.7))": str(absorbed),
-                         "computed_identity": str(ident)},
-                        note="0 is absorbing for min; the identity on "
-                             "the grid is 1 = (1,1)")
-    return _bad("the recorded refutation verifies",
-                {"min(0,x)": str(absorbed), "identity": str(ident)})
+    return _grid_identity("min", 0, 1)
 
 
 @claim("sec8-max-identity",
        "1 = (1,1) acts as the identity for max on fuzzy intervals")
 def _c_sec8_max_identity(ctx):
-    s = grid_structure("max")
-    zero = NaturalInterval(F01, Fraction(0), Fraction(0), _C)
-    one = NaturalInterval(F01, Fraction(1), Fraction(1), _C)
-    x = _fiv("3/10", "7/10")
-    absorbed = iv_max(one, x)
-    e = s.identity_index("mul")
-    ident = s.elements[e] if e is not None else None
-    if absorbed == one and ident == zero:
-        return _erratum("identity is 1",
-                        {"max(1, (0.3,0.7))": str(absorbed),
-                         "computed_identity": str(ident)},
-                        note="1 is absorbing for max; the identity on "
-                             "the grid is 0 = (0,0)")
-    return _bad("the recorded refutation verifies",
-                {"max(1,x)": str(absorbed), "identity": str(ident)})
+    return _grid_identity("max", 1, 0)
 
 
 @claim("fuzzy-assoc-grid",
@@ -1619,26 +1565,28 @@ def run_verification(seed=0, only=None):
     """
     ctx = {"seed": seed}
     wanted = set(only) if only else None
-    results = []
+    claims = []
+    counts = {"pass": 0, "fail": 0, "erratum": 0, "skipped": 0}
     for claim_id, citation, fn in _REGISTRY:
         if wanted is not None and claim_id not in wanted:
             continue
         try:
-            r = fn(ctx)
+            status, expected, computed, note = fn(ctx)
         except Exception as exc:  # noqa: BLE001 - any crash is a failure
-            r = _bad("checker completes",
-                     f"{type(exc).__name__}: {exc}")
-        results.append(VerificationResult(
-            claim_id, r["status"], r["expected"], r["computed"],
-            citation, r.get("note")))
-    counts = {"pass": 0, "fail": 0, "erratum": 0, "skipped": 0}
-    for res in results:
-        counts[res.status] += 1
+            status, expected, computed, note = _result(
+                "fail", "checker completes", f"{type(exc).__name__}: {exc}")
+        record = {"claim_id": claim_id, "status": status,
+                  "expected": _safe(expected), "computed": _safe(computed),
+                  "citation": citation}
+        if note:
+            record["note"] = note
+        claims.append(record)
+        counts[status] += 1
     return {
         "schema": SCHEMA,
         "tool": "verify-book",
         "seed": seed,
-        "claims": [res.as_dict() for res in results],
+        "claims": claims,
         "counts": counts,
         "ok": counts["fail"] == 0,
     }

@@ -14,8 +14,13 @@ mutant or retires it, and says so in CHANGES.md), or when the selections
 do not pass on the unedited tree, which is checked first.  Nothing in
 the repository is written.  Exits 0 when every mutant is killed, else 1.
 
+Equivalent mutants (EQUIVALENT) change no verdict the program can
+print, each for the reason it gives.  They run only when named, and then
+the run fails unless each survives its selection.
+
 The file's name keeps it out of pytest's collection: it runs a pytest
-per mutant, about two minutes in all, and belongs in CI as its own step.
+per mutant, WORKERS at a time, under three minutes in all, and belongs
+in CI as its own step.
 """
 
 import os
@@ -24,9 +29,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# pytest runs at a time: each run is mostly its own start-up, so two
+# halve the step's time on two cores
+WORKERS = 2
 
 
 class Mutant(NamedTuple):
@@ -45,10 +54,27 @@ FACTORS = "One factor structure per side"
 CARRIER_COST = "Per-element work at carrier cost"
 SIDES = "A product carrier is its sides"
 FIRST_HITS = "One scan for every first witness"
+PACKED_SZD = "S-zero-divisors in one packed search per x"
+DRAWS = "The book at the cost of its draws"
+BANDED_READER = "One banded reader for every block of a table"
+VIEWS = "Subsets are views like quotients"
+NO_CLASS_TABLE = "Large quotients with no class table"
+FACTOR_S_RING = ("S-ring verdicts and maximal subgroups of a full product "
+                 "read off its factor")
+PRIME_FIELDS = "The S-ring search ends at the prime fields"
+BLOCK_READER = "Ideals read the carrier through its block reader"
+CLAIMS = "The claim catalogue asks the engine"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
 RECORDS = ("tests/test_render.py", "-k", "record or payloads")
+SZD_TWIN = ("tests/test_orbits.py", "-k", "s_zero_divisors_of_random")
+VIEW_TWIN = ("tests/test_subset_views.py",)
+S_RING_TWIN = ("tests/test_s_ring_exhaustive.py",)
+FACTOR_S_RING_TWIN = ("tests/test_factored_substructures.py",)
+QUOTIENT_TWIN = ("tests/test_factored_quotients.py", "-k",
+                 "quotient_verdicts")
+LEAK_TWIN = ("tests/test_ideal_scan.py", "-k", "first_leak")
 
 MUTANTS = (
     Mutant("mat-mul-column-by-row", CODED_PARTS, "carriers.py",
@@ -145,6 +171,164 @@ MUTANTS = (
            '("not absorbing on the left", "mul",',
            '("not absorbing on the left", "add",',
            ("tests/test_ideal_scan.py",)),
+    Mutant("szd-keeps-x-in-b", PACKED_SZD, "structures.py",
+           "        b[:, x >> 6] &= clear[x]\n", "",
+           SZD_TWIN),
+    Mutant("szd-keeps-y-in-b", PACKED_SZD, "structures.py",
+           "    zero_rows[np.arange(n), np.arange(n) >> 6] &= clear\n", "",
+           SZD_TWIN),
+    Mutant("szd-candidate-a-is-x", PACKED_SZD, "structures.py",
+           "        if ann[k] == x:\n            cand[k] = 0\n", "",
+           SZD_TWIN),
+    Mutant("szd-b-from-row-x", PACKED_SZD, "structures.py",
+           "b = zero_rows.take(ys, axis=0)",
+           "b = zero_rows.take(np.full_like(ys, x), axis=0)",
+           SZD_TWIN),
+    Mutant("szd-packs-m-not-its-complement", PACKED_SZD, "structures.py",
+           "notm = ~zero_rows", "notm = zero_rows.copy()",
+           SZD_TWIN),
+    Mutant("szd-first-a-without-offset", PACKED_SZD, "structures.py",
+           "first[todo[found]] = lo + valid.argmax(axis=0)[found]",
+           "first[todo[found]] = valid.argmax(axis=0)[found]",
+           SZD_TWIN),
+    Mutant("draw-width-of-n-minus-one", DRAWS, "scalars.py",
+           "k = n.bit_length()", "k = (n - 1).bit_length()",
+           ("tests/test_scalars.py", "-k", "rand_below")),
+    Mutant("domains-equal-only-to-themselves", DRAWS, "scalars.py",
+           "return self is other or (isinstance(other, Domain)",
+           "return self is other or (False and isinstance(other, Domain)",
+           ("tests/test_intervals.py", "-k", "distinct_objects")),
+    Mutant("integer-draw-offset-49", DRAWS, "scalars.py",
+           "return _rand_below(rng, 101) - 50",
+           "return _rand_below(rng, 101) - 49",
+           ("tests/test_scalars.py", "-k", "randranges_stream")),
+    Mutant("table-bands-drop-the-last-band", BANDED_READER, "structures.py",
+           "    for start in range(0, len(t if rows is None else rows), "
+           "band):",
+           "    for start in range(0, len(t if rows is None else rows) "
+           "- band + 1, band):",
+           VIEW_TWIN),
+    Mutant("table-bands-not-relabeled", BANDED_READER, "structures.py",
+           "block = _relabel(block, relabel, dest)", "block = block",
+           QUOTIENT_TWIN),
+    Mutant("view-rows-not-read-through-reps", BANDED_READER,
+           "structures.py",
+           "op, reps if rows is None else reps[rows],",
+           "op, reps if rows is None else rows,",
+           VIEW_TWIN),
+    Mutant("absorbing-candidates-as-an-identity", VIEWS, "structures.py",
+           "edge = ar if absorbing else 0", "edge = 0",
+           VIEW_TWIN),
+    Mutant("identity-candidates-as-absorbing", VIEWS, "structures.py",
+           "edge = ar if absorbing else 0", "edge = ar",
+           VIEW_TWIN),
+    Mutant("commutativity-asks-the-congruence", VIEWS, "structures.py",
+           'and (law == "commutative"\n', 'and (False\n',
+           (VIEW_TWIN[0], "-k", "congruence")),
+    Mutant("known-ignores-the-congruence", VIEWS, "structures.py",
+           "or all(self._congruent(op) for op in ops)))",
+           "or True))",
+           (VIEW_TWIN[0], "-k", "congruence")),
+    Mutant("restrict-relabels-in-reverse", VIEWS, "structures.py",
+           "relabel[rows] = np.arange(len(rows))",
+           "relabel[rows] = np.arange(len(rows))[::-1]",
+           VIEW_TWIN),
+    Mutant("closure-ignores-minus-one-in-class-of", NO_CLASS_TABLE,
+           "structures.py",
+           "self.view is not None and (self.view[2] >= 0).all()",
+           "self.view is not None",
+           VIEW_TWIN),
+    Mutant("zero-pair-row-z-without-offset", NO_CLASS_TABLE,
+           "structures.py",
+           "_zero_products(band, z, lo))", "_zero_products(band, z))",
+           ("tests/test_factored_quotients.py", "-k",
+            "first_zero_pair_matches")),
+    Mutant("compared-rows-without-offset", NO_CLASS_TABLE, "quotients.py",
+           "self._block(op, cls[lo:lo + len(actual)], cls)",
+           "self._block(op, cls[:len(actual)], cls)",
+           QUOTIENT_TWIN),
+    Mutant("compared-columns-without-classes", NO_CLASS_TABLE,
+           "quotients.py",
+           "self._block(op, cls[lo:lo + len(actual)], cls)",
+           "self._block(op, cls[lo:lo + len(actual)], "
+           "np.arange(len(cls)) % self.n)",
+           QUOTIENT_TWIN),
+    Mutant("subgroups-of-the-sides-swapped", FACTOR_S_RING, "structures.py",
+           "lo, hi = _subgroups(factors[0]), _subgroups(factors[-1])",
+           "hi, lo = _subgroups(factors[0]), _subgroups(factors[-1])",
+           FACTOR_S_RING_TWIN),
+    Mutant("diagonal-order-gate-dropped", FACTOR_S_RING, "structures.py",
+           'if not ((np.diff(diagonal) > 0).all() and is_group(f, "add")):',
+           'if not is_group(f, "add"):',
+           FACTOR_S_RING_TWIN),
+    Mutant("additive-group-gate-dropped", FACTOR_S_RING, "structures.py",
+           'if not ((np.diff(diagonal) > 0).all() and is_group(f, "add")):',
+           "if not (np.diff(diagonal) > 0).all():",
+           FACTOR_S_RING_TWIN),
+    Mutant("phase-two-diagonal-idempotents-only", PRIME_FIELDS,
+           "structures.py",
+           "    phases.append((idem, range(n)))",
+           "    phases.append(([e for e in idem if diag(e)], range(n)))",
+           S_RING_TWIN),
+    Mutant("phase-two-skipped-after-phase-one", PRIME_FIELDS,
+           "structures.py",
+           "    phases.append((idem, range(n)))",
+           "    phases.append((idem, range(n) if not phases else ()))",
+           S_RING_TWIN),
+    Mutant("spans-without-the-zero", PRIME_FIELDS, "structures.py",
+           "frozenset(powers) | {z}", "frozenset(powers) - {z}",
+           S_RING_TWIN),
+    Mutant("negation-check-skipped", BLOCK_READER, "quotients.py",
+           "hit = _first_hit((lo, ~mask[(band == z).argmax(axis=1)])",
+           "hit = _first_hit((lo, mask[:0])",
+           ("tests/test_ideal_scan.py",)),
+    Mutant("group-check-asks-commutativity", BLOCK_READER, "quotients.py",
+           '    if not s.inverses("add")[0]:\n'
+           '        return False, {"reason": "ambient addition',
+           '    if not s.commutative("add")[0]:\n'
+           '        return False, {"reason": "ambient addition',
+           ("tests/test_ideal_scan.py",)),
+    Mutant("first-leak-pair-swapped", CLAIMS, "structures.py",
+           "(int(rows[hit[0]]), int(cols[hit[1]]))",
+           "(int(cols[hit[1]]), int(rows[hit[0]]))",
+           LEAK_TWIN),
+    Mutant("first-leak-keeps-minus-one-inside", CLAIMS, "structures.py",
+           "hit = _first_hit((lo, band != 0)",
+           "hit = _first_hit((lo, band > 0)",
+           LEAK_TWIN),
+    Mutant("grid-identity-reads-max-for-min", CLAIMS, "verify.py",
+           '{"min": iv_min, "max": iv_max}', '{"min": iv_max, "max": iv_max}',
+           ("tests/test_verify.py", "-k", "errata")),
+    Mutant("record-keeps-an-empty-note", CLAIMS, "verify.py",
+           "        if note:\n", "        if note is not None:\n",
+           ("tests/test_verify.py", "-k", "raises")),
+)
+
+# Mutants that no selection kills, run only when named, each with the
+# reason it changes no verdict.
+EQUIVALENT = (
+    (Mutant("span-without-its-zero-added", PRIME_FIELDS, "structures.py",
+            "frozenset(powers) | {z}", "frozenset(powers)",
+            S_RING_TWIN),
+     "on an additive group an orbit always reaches zero, and no carrier "
+     "the program builds has a field on an orbit that misses it"),
+    (Mutant("s-ring-span-of-g", FACTOR_S_RING, "structures.py",
+            "yield _additive_span(s, prod)", "yield _additive_span(s, g)",
+            S_RING_TWIN + FACTOR_S_RING_TWIN),
+     "every e*g is itself some g, so the spans of every g hold each "
+     "prime field the search needs and every verdict stays; a witness "
+     "could move only where an idempotent other than 0 and 1 comes "
+     "first in carrier order and spans a field sooner, which no test "
+     "carrier and none of the benchmark refs shows"),
+    (Mutant("two-sided-reads-swapped", VIEWS, "structures.py",
+            "row = self._pairs(op, cand[:, None], ar)\n"
+            "        col = self._pairs(op, ar, cand[:, None])",
+            "col = self._pairs(op, cand[:, None], ar)\n"
+            "        row = self._pairs(op, ar, cand[:, None])",
+            VIEW_TWIN),
+     "the row and the column of a candidate are compared with the same "
+     "target and the verdict needs both, so swapping them changes no "
+     "comparison"),
 )
 
 
@@ -179,43 +363,68 @@ def mutate(tree, m):
     return None
 
 
-def baseline(mutants):
+def baseline(mutants, pool):
     """The selections that fail on the unedited tree, each run once on
     its own, so a -k expression applies only to its own files."""
     with tempfile.TemporaryDirectory(prefix="natint-mutants-") as tree:
         copy_tree(tree)
-        return [tests for tests in dict.fromkeys(m.tests for m in mutants)
-                if run_selection(tree, tests) != 0]
+        selections = list(dict.fromkeys(m.tests for m in mutants))
+        codes = pool.map(lambda tests: run_selection(tree, tests),
+                         selections)
+        return [tests for tests, code in zip(selections, codes) if code]
+
+
+def run_mutant(m):
+    """(error, exit code, seconds) of m's selection on a copy of the tree
+    with m's edit; the error when the edit cannot be applied."""
+    with tempfile.TemporaryDirectory(prefix="natint-mutant-") as tree:
+        copy_tree(tree)
+        error = mutate(tree, m)
+        start = time.perf_counter()
+        code = None if error else run_selection(tree, m.tests)
+    return error, code, time.perf_counter() - start
 
 
 def main(argv):
-    mutants = [m for m in MUTANTS if not argv or m.id in argv]
-    unknown = set(argv) - {m.id for m in MUTANTS}
+    equivalent = {m.id: reason for m, reason in EQUIVALENT}
+    catalogue = MUTANTS + tuple(m for m, _ in EQUIVALENT)
+    mutants = [m for m in catalogue
+               if m.id in argv or not argv and m.id not in equivalent]
+    unknown = set(argv) - {m.id for m in catalogue}
     if unknown:
         print(f"unknown mutants: {sorted(unknown)}")
         return 1
-    failed = [f"{' '.join(tests)}: fails on the unedited tree"
-              for tests in baseline(mutants)]
-    killed = 0
-    for m in mutants:
-        with tempfile.TemporaryDirectory(prefix="natint-mutant-") as tree:
-            copy_tree(tree)
-            error = mutate(tree, m)
-            start = time.perf_counter()
-            code = None if error else run_selection(tree, m.tests)
-        wall = time.perf_counter() - start
-        if error is None and code != 1:
-            error = ("survived" if code == 0
-                     else f"pytest exited {code}, not a test failure")
-        print(f"{'killed' if error is None else 'FAILED'} {wall:5.1f} s "
-              f"{m.id} ({m.listed})" + (f": {error}" if error else ""))
-        if error:
-            failed.append(f"{m.id}: {error}")
-        else:
-            killed += 1
+    with ThreadPoolExecutor(WORKERS) as pool:
+        failed = [f"{' '.join(tests)}: fails on the unedited tree"
+                  for tests in baseline(mutants, pool)]
+        killed = 0
+        for m, (error, code, wall) in zip(mutants,
+                                          pool.map(run_mutant, mutants)):
+            if m.id in equivalent and error is None:
+                # an equivalent mutant must survive its selection
+                error = None if code == 0 else f"pytest exited {code}"
+                print(f"{'survived' if error is None else 'FAILED'} "
+                      f"{wall:5.1f} s {m.id} (equivalent: "
+                      f"{equivalent[m.id]})" + (f": {error}" if error
+                                                else ""))
+                if error:
+                    failed.append(f"{m.id}: {error}")
+                continue
+            if error is None and code != 1:
+                error = ("survived" if code == 0
+                         else f"pytest exited {code}, not a test failure")
+            print(f"{'killed' if error is None else 'FAILED'} {wall:5.1f} s "
+                  f"{m.id} ({m.listed})" + (f": {error}" if error else ""))
+            if error:
+                failed.append(f"{m.id}: {error}")
+            else:
+                killed += 1
     for line in failed:
         print(line)
-    print(f"{killed} of {len(mutants)} mutants killed")
+    live = sum(m.id not in equivalent for m in mutants)
+    print(f"{killed} of {live} mutants killed"
+          + (f", {len(mutants) - live} equivalent" if live < len(mutants)
+             else ""))
     return 1 if failed else 0
 
 

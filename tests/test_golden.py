@@ -100,6 +100,10 @@ GOLDEN = {
         0, "39a341fa987563ef1fbf73464b9dc64c6d9985dec70fd77776a7e5cf380b5aaf"),
     ('analyze', 'N(Zn:16)'): (
         0, "275f2cfa263fabd025f321e41f889e571b73af424a3ac93cd9571fd19312128c"),
+    ('verify-book', '--seed', '0', '--format', 'text'): (
+        0, "cd1f87846933f904705de6d2606479cf1e753af575ba741669782372c008d31e"),
+    ('verify-book', '--seed', '0', '--format', 'csv'): (
+        0, "8379eab3f391db7b97bd6ebaa0d492c67c57850ff58ed9b26001f0c3a0f3ba5c"),
 }
 
 

@@ -173,3 +173,58 @@ def test_scans_read_bands_and_keep_the_first_witness(monkeypatch, band):
         s = make()
         assert verdict(s, indices) == plain_check(s, indices), (s.name,
                                                                  indices)
+
+
+# _first_leak: the closure and absorption scans of is_ideal, and the book's
+# absorption claims, against the loop over a table they replace
+LEAK_CARRIERS = ("N(Zn:5,o)", "N(Zn:12)",
+                 "Sub{[0,0],[1,1],[2,2],[1,-1],[-1,1]} of N(Z)",
+                 "Mat(1,2,N(Zn:2))")
+
+
+def plain_leak(s, op, rows, cols, members):
+    """The first (i, j) over rows x cols whose product, found from the
+    operation, is not one of members; a product outside the carrier is
+    not."""
+    inside = set(members)
+    for i in rows:
+        for j in cols:
+            product = s.apply(op, s.elements[i], s.elements[j])
+            if s.index.get(product, -1) not in inside:
+                return i, j
+    return None
+
+
+def leak_cases(s, spec):
+    """(rows, cols, members) over subsets drawn with a generator seeded by
+    spec and the whole carrier, each subset in carrier order, reversed and
+    in the iteration order of a set, as the columns, the rows or both."""
+    rng = random.Random(spec)
+    every = list(range(s.n))
+    subsets = [rng.sample(every, rng.randint(1, min(s.n, 12)))
+               for _ in range(4)] + [every]
+    for subset in subsets:
+        for members in (sorted(subset), sorted(subset, reverse=True),
+                        list(set(subset))):
+            for rows, cols in ((every, members), (members, every),
+                               (members, members)):
+                yield rows, cols, members
+
+
+@pytest.mark.parametrize("band", [1, None])
+@pytest.mark.parametrize("spec", LEAK_CARRIERS)
+def test_first_leak_matches_the_loop(monkeypatch, spec, band):
+    if band is not None:
+        monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
+    s = build_carrier(spec)
+    seen = set()
+    for rows, cols, members in leak_cases(s, spec):
+        for op in ("add", "mul"):
+            want = plain_leak(s, op, rows, cols, members)
+            got = structures._first_leak(s, op, rows, cols, members)
+            assert got == want, (op, rows, cols, members)
+            if want is not None:
+                seen.add(s.index.get(s.apply(op, *(s.elements[k]
+                                                   for k in want)), -1) < 0)
+    # the unclosed subset of N(Z) leaks a product outside the carrier
+    assert seen == ({False, True} if spec.startswith("Sub") else {False})

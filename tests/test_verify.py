@@ -2,7 +2,11 @@ import json
 
 import pytest
 
-from natint import claim_ids, run_verification
+from natint import claim_ids, run_verification, verify
+from natint.carriers import interval_structure
+from natint.intervals import Flavor
+from natint.scalars import Mod
+from natint.structures import _first_leak
 
 
 def test_claim_ids_are_unique_and_stable():
@@ -62,3 +66,47 @@ def test_claims_run_in_catalogue_order():
     got = [c["claim_id"] for c in rep["claims"]]
     ids = claim_ids()
     assert got == sorted(got, key=ids.index)
+
+
+def test_a_checker_that_raises_is_a_fail(monkeypatch):
+    def passes(ctx):
+        return verify._result("pass", "x", "x", "")
+
+    def raises(ctx):
+        raise ValueError("no such carrier")
+
+    monkeypatch.setattr(verify, "_REGISTRY", [
+        ("passes", "a claim whose checker passes", passes),
+        ("raises", "a claim whose checker raises", raises)])
+    rep = run_verification()
+    assert rep["claims"] == [
+        {"claim_id": "passes", "status": "pass", "expected": "x",
+         "computed": "x", "citation": "a claim whose checker passes"},
+        {"claim_id": "raises", "status": "fail",
+         "expected": "checker completes",
+         "computed": "ValueError: no such carrier",
+         "citation": "a claim whose checker raises"}]
+    assert [list(c) for c in rep["claims"]] == [
+        ["claim_id", "status", "expected", "computed", "citation"]] * 2
+    assert rep["counts"] == {"pass": 1, "fail": 1, "erratum": 0,
+                             "skipped": 0}
+    assert rep["ok"] is False
+
+
+@pytest.mark.parametrize("n, flavor, in_set_order, in_carrier_order", [
+    (5, Flavor.OPEN, ["(0,1)", "1"], ["(0,1)", "1"]),
+    (12, Flavor.CLOSED, ["[0,1]", "5"], ["[0,1]", "1"])])
+def test_thm_2_5_reads_the_diagonal_in_set_order(n, flavor, in_set_order,
+                                                 in_carrier_order):
+    # The claim's witness is the first leak with the diagonal read in the
+    # iteration order of a set of its indices, as recorded; in carrier
+    # order the first leak of Zn:12 differs.
+    s = interval_structure(Mod(n), flavor)
+    diag = [i for i, e in enumerate(s.elements) if e.is_degenerate]
+    every = range(s.n)
+    assert s.labels(_first_leak(s, "mul", every, list(set(diag)),
+                                diag)) == in_set_order
+    assert s.labels(_first_leak(s, "mul", every, diag,
+                                diag)) == in_carrier_order
+    found = run_verification(only=["thm-2.5"])["claims"][0]["computed"]
+    assert found[f"Zn:{n}"] == in_set_order
