@@ -1326,63 +1326,75 @@ def _s_zero_divisors(s, m):
     Pairs reported once with x <= y, each with its first a and then its
     first b in carrier order.
 
-    One packed search per x, with no BLAS.  The rows of m are packed once
-    into 64-bit words, and their complement gives the rows of ~m.  For x,
-    the candidates a are ann(x) without x, and each y >= x of ann(x) has
-    the word row B_y: row y of m with columns x and y cleared.
-    (a, y) has a witness b exactly when ~m[a] & B_y has a set bit; a = y
-    never has one, as ~m[y] & m[y] is empty.  The OR of the candidates'
-    rows drops every y without a witness at once.  The other ys find
-    their first a in blocks of candidates, each about _BAND_ENTRIES words
-    against the ys still open, and nearly all of them in the first block.
-    Their first b is the lowest set bit of ~m[a] & B_y.
+    One batched search over every pair (x, y >= x) of m, with no BLAS.
+    The rows of m are packed once into 64-bit words, and their complement
+    gives the rows of ~m; its padding bits stay set, since every word of
+    ~m is read through a B_y, whose padding bits are clear.  The
+    candidates a of x are ann(x) without x, and the pair's B_y is row y
+    of m with columns x and y cleared.  (a, y) has a witness b exactly
+    when ~m[a] & B_y has a set bit; a = y never has one, as ~m[y] & m[y]
+    is empty.
+    1. One OR per x of its candidates' rows of ~m, from one chunked
+       np.bitwise_or.reduceat over m's nonzero entries.
+    2. The pairs, in bands of about _BAND_ENTRIES words: each gathers its
+       B_y once, and every pair whose B_y misses its x's OR is dropped.
+    3. Round r tests the r-th candidate of every pair still open, in one
+       gather, skipping a = x; a pair that hits leaves.  The first a sits
+       at candidate 0 for nearly every pair, so few rounds run.
+    4. The first b is the lowest set bit of ~m[a] & B_y.
+    Peak memory: the OR buffer, n x words uint64 (12.5 MB at n = 10^4),
+    and a few buffers of one band's _BAND_ENTRIES words, beside the
+    packed rows of m and ~m and the positions of m's nonzero entries.
     """
     n = s.n
+    # np.nonzero of a 2-d mask is far slower than a flat one's
+    xs, cols = np.divmod(np.flatnonzero(m), n)
+    pairs = np.flatnonzero(cols >= xs)
+    if not pairs.size:
+        return []
     clear = ~(np.uint64(1) << (np.arange(n) & 63).astype(np.uint64))
     zero_rows = _packed_rows(m)
-    # the padding bits of ~m's words are set, and every B_y's are clear
     notm = ~zero_rows
     zero_rows[np.arange(n), np.arange(n) >> 6] &= clear
     words = notm.shape[1]
-    xs, cols = np.nonzero(m)
-    ends = np.cumsum(np.bincount(xs, minlength=n)).tolist()
+    step = max(1, _BAND_ENTRIES // words)
+    # the OR over each x's candidates, a chunk of entries at a time; an x
+    # split across two chunks ORs both parts in
+    union = np.zeros_like(notm)
+    for lo in range(0, len(xs), step):
+        x, a = xs[lo:lo + step], cols[lo:lo + step]
+        rows = notm.take(a, axis=0)
+        rows[a == x] = 0
+        heads = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        union[x[heads]] |= np.bitwise_or.reduceat(rows, heads, axis=0)
     # x, y, a and b each have a zero product with another
     labels = s._kept_labels(np.flatnonzero(m.any(axis=0) | m.any(axis=1))
                             .tolist())
     out = []
-    for x, start, end in zip(range(n), [0] + ends, ends):
-        ann = cols[start:end]
-        k = int(ann.searchsorted(x))
-        if k == len(ann):
-            continue
-        ys = ann[k:]
-        cand = notm.take(ann, axis=0)
-        if ann[k] == x:
-            cand[k] = 0
-        b = zero_rows.take(ys, axis=0)
-        b[:, x >> 6] &= clear[x]
-        # y has a witness exactly when some a's row of ~m meets B_y
-        hit = np.flatnonzero((b & np.bitwise_or.reduce(cand)).any(axis=1))
+    for lo in range(0, len(pairs), step):
+        x, y = xs[pairs[lo:lo + step]], cols[pairs[lo:lo + step]]
+        b = zero_rows.take(y, axis=0)
+        b[np.arange(len(x)), x >> 6] &= clear[x]
+        # a pair has a witness exactly when some a's row of ~m meets B_y
+        hit = np.flatnonzero((b & union.take(x, axis=0)).any(axis=1))
         if not hit.size:
             continue
-        ys, b = ys[hit], b[hit]
-        first = np.empty(len(ys), np.intp)
-        todo = np.arange(len(ys))
-        lo = 0
+        x, y, b = x[hit], y[hit], b[hit]
+        # at: the position in cols of each open pair's next candidate
+        a, at, todo = np.empty_like(x), xs.searchsorted(x), np.arange(len(x))
         while todo.size:
-            step = max(1, _BAND_ENTRIES // (len(todo) * words))
-            valid = (cand[lo:lo + step, None] & b[None, todo]).any(axis=2)
-            found = valid.any(axis=0)
-            first[todo[found]] = lo + valid.argmax(axis=0)[found]
-            todo = todo[~found]
-            lo += step
-        a = ann[first]
-        w = (notm[a] & b).astype("<u8", copy=False).view(np.uint8)
+            cand = cols[at]
+            found = (cand != x[todo]) & (notm.take(cand, axis=0)
+                                         & b[todo]).any(axis=1)
+            a[todo[found]] = cand[found]
+            todo, at = todo[~found], at[~found] + 1
+        w = (notm.take(a, axis=0) & b).astype("<u8", copy=False).view(
+            np.uint8)
         bit = np.unpackbits(w, axis=1, bitorder="little").argmax(axis=1)
-        out.extend({"x": labels[x], "y": labels[y], "a": labels[ai],
+        out.extend({"x": labels[xi], "y": labels[yi], "a": labels[ai],
                     "b": labels[bi]}
-                   for y, ai, bi in zip(ys.tolist(), a.tolist(),
-                                        bit.tolist()))
+                   for xi, yi, ai, bi in zip(x.tolist(), y.tolist(),
+                                             a.tolist(), bit.tolist()))
     return out
 
 

@@ -7,12 +7,15 @@ Each mutant is one exact edit of one source file: a fault that a fast
 path could acquire in a later change, which a named selection of tests
 must catch.  For each mutant, src/ and tests/ are copied to a temporary
 directory, the edit is applied there, and the selection is run with
-`pytest -x -q`.  The mutant is killed when the selection fails.  The
-run fails when a mutant survives, when its old text does not occur
-exactly once in its file ("target moved": a refactor re-targets the
-mutant or retires it, and says so in CHANGES.md), or when the selections
-do not pass on the unedited tree, which is checked first.  Nothing in
-the repository is written.  Exits 0 when every mutant is killed, else 1.
+`pytest -x -q`.  The mutant is killed when the selection fails, or when
+it runs past TIMEOUT (60 s; the slowest selection takes about 12 s on a
+2-core VM), so a fault that makes a loop endless is caught and costs
+one worker a minute.  The run fails when a mutant survives, when its
+old text does not occur exactly once in its file ("target moved": a
+refactor re-targets the mutant or retires it, and says so in
+CHANGES.md), or when a selection fails or times out on the unedited
+tree, which is checked first.  Nothing in the repository is written.
+Exits 0 when every mutant is killed, else 1.
 
 Equivalent mutants (EQUIVALENT) change no verdict the program can
 print, each for the reason it gives.  They run only when named, and then
@@ -36,6 +39,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # pytest runs at a time: each run is mostly its own start-up, so two
 # halve the step's time on two cores
 WORKERS = 2
+# seconds a selection may run; past it the pytest is killed
+TIMEOUT = 60
+TIMED_OUT = "timed out"
 
 
 class Mutant(NamedTuple):
@@ -54,7 +60,7 @@ FACTORS = "One factor structure per side"
 CARRIER_COST = "Per-element work at carrier cost"
 SIDES = "A product carrier is its sides"
 FIRST_HITS = "One scan for every first witness"
-PACKED_SZD = "S-zero-divisors in one packed search per x"
+BATCHED_SZD = "S-zero-divisors in one batched pass"
 DRAWS = "The book at the cost of its draws"
 BANDED_READER = "One banded reader for every block of a table"
 VIEWS = "Subsets are views like quotients"
@@ -69,6 +75,7 @@ PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
 RECORDS = ("tests/test_render.py", "-k", "record or payloads")
 SZD_TWIN = ("tests/test_orbits.py", "-k", "s_zero_divisors_of_random")
+SZD_DEEP = ("tests/test_orbits.py", "-k", "s_zero_divisors_of_deep")
 VIEW_TWIN = ("tests/test_subset_views.py",)
 S_RING_TWIN = ("tests/test_s_ring_exhaustive.py",)
 FACTOR_S_RING_TWIN = ("tests/test_factored_substructures.py",)
@@ -171,26 +178,38 @@ MUTANTS = (
            '("not absorbing on the left", "mul",',
            '("not absorbing on the left", "add",',
            ("tests/test_ideal_scan.py",)),
-    Mutant("szd-keeps-x-in-b", PACKED_SZD, "structures.py",
-           "        b[:, x >> 6] &= clear[x]\n", "",
+    Mutant("szd-keeps-x-in-b", BATCHED_SZD, "structures.py",
+           "        b[np.arange(len(x)), x >> 6] &= clear[x]\n", "",
            SZD_TWIN),
-    Mutant("szd-keeps-y-in-b", PACKED_SZD, "structures.py",
+    Mutant("szd-keeps-y-in-b", BATCHED_SZD, "structures.py",
            "    zero_rows[np.arange(n), np.arange(n) >> 6] &= clear\n", "",
            SZD_TWIN),
-    Mutant("szd-candidate-a-is-x", PACKED_SZD, "structures.py",
-           "        if ann[k] == x:\n            cand[k] = 0\n", "",
+    Mutant("szd-candidate-a-is-x", BATCHED_SZD, "structures.py",
+           "        rows[a == x] = 0\n", "",
            SZD_TWIN),
-    Mutant("szd-b-from-row-x", PACKED_SZD, "structures.py",
-           "b = zero_rows.take(ys, axis=0)",
-           "b = zero_rows.take(np.full_like(ys, x), axis=0)",
+    Mutant("szd-b-from-row-x", BATCHED_SZD, "structures.py",
+           "b = zero_rows.take(y, axis=0)",
+           "b = zero_rows.take(x, axis=0)",
            SZD_TWIN),
-    Mutant("szd-packs-m-not-its-complement", PACKED_SZD, "structures.py",
+    Mutant("szd-packs-m-not-its-complement", BATCHED_SZD, "structures.py",
            "notm = ~zero_rows", "notm = zero_rows.copy()",
            SZD_TWIN),
-    Mutant("szd-first-a-without-offset", PACKED_SZD, "structures.py",
-           "first[todo[found]] = lo + valid.argmax(axis=0)[found]",
-           "first[todo[found]] = valid.argmax(axis=0)[found]",
+    Mutant("szd-first-a-without-offset", BATCHED_SZD, "structures.py",
+           "xs.searchsorted(x)", "np.zeros_like(x)",
            SZD_TWIN),
+    Mutant("szd-round-allows-a-is-x", BATCHED_SZD, "structures.py",
+           "found = (cand != x[todo]) & (", "found = (",
+           SZD_TWIN),
+    Mutant("szd-split-x-keeps-its-last-chunk", BATCHED_SZD, "structures.py",
+           "union[x[heads]] |= ", "union[x[heads]] = ",
+           SZD_TWIN),
+    Mutant("szd-round-skips-a-candidate", BATCHED_SZD, "structures.py",
+           "at[~found] + 1", "at[~found] + 2",
+           SZD_DEEP),
+    Mutant("szd-without-x-equal-y", BATCHED_SZD, "structures.py",
+           "pairs = np.flatnonzero(cols >= xs)",
+           "pairs = np.flatnonzero(cols > xs)",
+           SZD_DEEP),
     Mutant("draw-width-of-n-minus-one", DRAWS, "scalars.py",
            "k = n.bit_length()", "k = (n - 1).bit_length()",
            ("tests/test_scalars.py", "-k", "rand_below")),
@@ -198,6 +217,9 @@ MUTANTS = (
            "return self is other or (isinstance(other, Domain)",
            "return self is other or (False and isinstance(other, Domain)",
            ("tests/test_intervals.py", "-k", "distinct_objects")),
+    Mutant("rand-below-without-its-guard", DRAWS, "scalars.py",
+           "if n < 1:", "if False:",
+           ("tests/test_scalars.py::test_rand_below_refuses_an_empty_range",)),
     Mutant("integer-draw-offset-49", DRAWS, "scalars.py",
            "return _rand_below(rng, 101) - 50",
            "return _rand_below(rng, 101) - 49",
@@ -329,6 +351,13 @@ EQUIVALENT = (
      "the row and the column of a candidate are compared with the same "
      "target and the verdict needs both, so swapping them changes no "
      "comparison"),
+    (Mutant("szd-padding-of-not-m-cleared", BATCHED_SZD, "structures.py",
+            "notm = ~zero_rows",
+            "notm = ~zero_rows\n"
+            "    notm[:, -1] &= ~np.uint64(0) >> np.uint64(-n % 64)",
+            ("tests/test_orbits.py", "-k", "s_zero_divisors")),
+     "every row of ~m is read through an AND with a B_y, whose padding "
+     "bits are clear, as _packed_rows pads m with zeros"),
 )
 
 
@@ -341,13 +370,18 @@ def copy_tree(dest):
 
 
 def run_selection(tree, args):
-    """The exit code of pytest -x -q on args, run in the copy tree."""
+    """The exit code of pytest -x -q on args, run in the copy tree, or
+    TIMED_OUT when it runs past TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *args], cwd=tree, env=env, stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider", *args], cwd=tree, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT).returncode
+    except subprocess.TimeoutExpired:
+        return TIMED_OUT
 
 
 def mutate(tree, m):
@@ -364,14 +398,16 @@ def mutate(tree, m):
 
 
 def baseline(mutants, pool):
-    """The selections that fail on the unedited tree, each run once on
-    its own, so a -k expression applies only to its own files."""
+    """(selection, exit code) of the selections that fail or time out on
+    the unedited tree, each run once on its own, so a -k expression
+    applies only to its own files."""
     with tempfile.TemporaryDirectory(prefix="natint-mutants-") as tree:
         copy_tree(tree)
         selections = list(dict.fromkeys(m.tests for m in mutants))
         codes = pool.map(lambda tests: run_selection(tree, tests),
                          selections)
-        return [tests for tests, code in zip(selections, codes) if code]
+        return [(tests, code) for tests, code in zip(selections, codes)
+                if code]
 
 
 def run_mutant(m):
@@ -395,14 +431,16 @@ def main(argv):
         print(f"unknown mutants: {sorted(unknown)}")
         return 1
     with ThreadPoolExecutor(WORKERS) as pool:
-        failed = [f"{' '.join(tests)}: fails on the unedited tree"
-                  for tests in baseline(mutants, pool)]
+        failed = [f"{' '.join(tests)}: "
+                  f"{TIMED_OUT if code == TIMED_OUT else 'fails'} on the "
+                  f"unedited tree" for tests, code in baseline(mutants, pool)]
         killed = 0
         for m, (error, code, wall) in zip(mutants,
                                           pool.map(run_mutant, mutants)):
             if m.id in equivalent and error is None:
                 # an equivalent mutant must survive its selection
-                error = None if code == 0 else f"pytest exited {code}"
+                error = None if code == 0 else (
+                    code if code == TIMED_OUT else f"pytest exited {code}")
                 print(f"{'survived' if error is None else 'FAILED'} "
                       f"{wall:5.1f} s {m.id} (equivalent: "
                       f"{equivalent[m.id]})" + (f": {error}" if error
@@ -410,11 +448,12 @@ def main(argv):
                 if error:
                     failed.append(f"{m.id}: {error}")
                 continue
-            if error is None and code != 1:
+            if error is None and code not in (1, TIMED_OUT):
                 error = ("survived" if code == 0
                          else f"pytest exited {code}, not a test failure")
             print(f"{'killed' if error is None else 'FAILED'} {wall:5.1f} s "
-                  f"{m.id} ({m.listed})" + (f": {error}" if error else ""))
+                  f"{m.id} ({m.listed})" + (f": {error}" if error else "")
+                  + (f" ({TIMED_OUT})" if code == TIMED_OUT else ""))
             if error:
                 failed.append(f"{m.id}: {error}")
             else:

@@ -290,16 +290,15 @@ def s_zero_divisors(t, z):
     the first a, b in C order outside {0, x, y} with xa = 0, yb = 0 and
     ab != 0."""
     n, out = len(t), []
+    ann = [[j for j in range(n) if t[i][j] == z] for i in range(n)]
+    nonzero = [{j for j in range(n) if t[i][j] != z} for i in range(n)]
     for x in range(n):
         for y in range(x, n):
             if z in (x, y) or t[x][y] != z:
                 continue
-            a_set = [a for a in range(n)
-                     if a not in (z, x, y) and t[x][a] == z]
-            b_set = [b for b in range(n)
-                     if b not in (z, x, y) and t[y][b] == z]
-            hit = next(((a, b) for a in a_set for b in b_set
-                        if t[a][b] != z), None)
+            b_set = {b for b in ann[y] if b not in (z, x, y)}
+            hit = next(((a, min(nonzero[a] & b_set)) for a in ann[x]
+                        if a not in (z, x, y) and nonzero[a] & b_set), None)
             if hit is not None:
                 out.append((x, y) + hit)
     return out
@@ -349,24 +348,81 @@ def random_zero_table(n, seed):
     return t, z
 
 
-# Around the byte and 64-bit word boundaries of the packed rows; one row
-# per block of candidates when the band holds a single entry.
+def deep_zero_table(n, seed):
+    """Like random_zero_table, but the elements below a drawn k, from n/2
+    to 3n/4, have a zero product with all but about half an element:
+    their rows of ~m are almost empty, so most of x's candidates a below
+    k have no witness b, and the first a lies deep in ann(x).  Their
+    squares are zero, so x = y pairs abound."""
+    rng = np.random.default_rng(seed)
+    t, z = random_zero_table(n, seed)
+    k = int(rng.integers(n // 2, 3 * n // 4 + 1))
+    t[:k][rng.random((k, n)) < 1 - 0.5 / n] = z
+    t[:k, :k][np.diag_indices(k)] = z
+    t[(z + 1) % n, (z + 2) % n] = -1
+    t[z] = t[:, z] = z
+    return t, z
+
+
+def s_zero_divisor_records(draw, n):
+    """The quadruples of _s_zero_divisors on three tables drawn by draw,
+    each checked against the brute force."""
+    got = []
+    for seed in range(3):
+        t, z = draw(n, 1000 * n + seed)
+        assert (t != t.T).any() and (t == -1).any()
+        s = FiniteStructure(range(n), tables={"mul": t})
+        found = structures._s_zero_divisors(s,
+                                            structures._zero_products(t, z))
+        want = s_zero_divisors(t.tolist(), z)
+        assert found == [dict(zip("xyab", s.labels(q))) for q in want]
+        got += [(t, z, q) for q in want]
+    return got
+
+
+# Around the byte and 64-bit word boundaries of the packed rows.  A band
+# of one entry holds one pair and one candidate row, below one row of
+# words from n = 65 on.
 @pytest.mark.parametrize("band", (None, 1))
 @pytest.mark.parametrize("n", (7, 8, 9, 63, 64, 65, 129))
 def test_s_zero_divisors_of_random_tables_match_brute_force(monkeypatch, n,
                                                             band):
     if band is not None:
         monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
-    found = 0
-    for seed in range(3):
-        t, z = random_zero_table(n, 1000 * n + seed)
-        assert (t != t.T).any() and (t == -1).any()
-        s = FiniteStructure(range(n), tables={"mul": t})
-        got = structures._s_zero_divisors(s, structures._zero_products(t, z))
-        assert got == [dict(zip("xyab", s.labels(q)))
-                       for q in s_zero_divisors(t.tolist(), z)]
-        found += len(got)
-    assert found
+    assert s_zero_divisor_records(random_zero_table, n)
+
+
+# A band of eight words holds two to eight pairs and splits the
+# candidates of some xs between two chunks.
+@pytest.mark.parametrize("band", (None, 8))
+@pytest.mark.parametrize("n", (7, 8, 9, 63, 64, 65, 129))
+def test_s_zero_divisors_of_deep_tables_match_brute_force(monkeypatch, n,
+                                                          band):
+    if band is not None:
+        monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
+    got = s_zero_divisor_records(deep_zero_table, n)
+    assert any(x == y for _, _, (x, y, _, _) in got)
+    # the position of the deepest first a among x's zero products
+    assert max(int((t[x, :a] == z).sum())
+               for t, z, (x, _, a, _) in got) >= n // 4
+
+
+@pytest.mark.parametrize("band", (None, 1))
+@pytest.mark.parametrize("spec,ideal", (("N(Zn:16)", "row-zero"),
+                                        ("N(Zn:12)", "diag-multiples:6")))
+def test_s_zero_divisors_of_rees_quotients_match_brute_force(monkeypatch,
+                                                             spec, ideal,
+                                                             band):
+    s = build_carrier(spec)
+    q = rees_quotient(s, parse_ideal_spec(s, ideal))
+    z = _zero_index(q)
+    m = structures._zero_products(q.table("mul"), z)
+    if band is not None:
+        monkeypatch.setattr(structures, "_BAND_ENTRIES", band)
+    want = s_zero_divisors(products(q, "mul"), z)
+    assert len(want) > 100
+    assert structures._s_zero_divisors(q, m) == [
+        dict(zip("xyab", q.labels(w))) for w in want]
 
 
 @pytest.mark.parametrize("name,s", list(fact_structures()),
