@@ -15,7 +15,9 @@ run; a request's time on a side is its best of BEST.
 Both sides' exit codes and stdout sha256 are checked against the
 references.  Per workload it prints the sum over slots of each slot's
 median request time, for each side, the change in throughput that the
-two sums imply, and the MOVED slots whose sums moved most.
+two sums imply, the LARGEST slots of the parent with each side's median
+as a share of the parent's sum, and the MOVED slots whose medians moved
+most.
 Exits 1 when either side mismatches a reference.
 
 One process sees both sides through the same slow spells of a noisy
@@ -42,6 +44,7 @@ import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
 BEST = 5   # runs per request and side; a side's time is the best of them
+LARGEST = 3  # slots printed per workload, the parent's largest
 MOVED = 5  # slots printed per workload, those whose medians moved most
 
 
@@ -103,6 +106,13 @@ def main(argv):
                   f"change {total['change'] * 1e3:.1f} ms summed slot "
                   f"medians, {total['parent'] / total['change'] - 1:+.1%} "
                   f"req/s; {len(bad)} mismatches")
+            largest = sorted(medians["parent"],
+                             key=lambda slot: -medians["parent"][slot])
+            for slot in largest[:LARGEST]:
+                a, b = medians["parent"][slot], medians["change"][slot]
+                print(f"  largest {slot}: {a * 1e3:.2f} ms "
+                      f"({a / total['parent']:.1%} of the parent's sum) -> "
+                      f"{b * 1e3:.2f} ms ({b / total['parent']:.1%})")
             moved = sorted(medians["parent"], key=lambda slot: -abs(
                 medians["change"][slot] - medians["parent"][slot]))
             for slot in moved[:MOVED]:

@@ -70,6 +70,7 @@ FACTOR_S_RING = ("S-ring verdicts and maximal subgroups of a full product "
 PRIME_FIELDS = "The S-ring search ends at the prime fields"
 BLOCK_READER = "Ideals read the carrier through its block reader"
 CLAIMS = "The claim catalogue asks the engine"
+MODMAP_PAIRS = "The mod-n map once per operand pair"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -82,6 +83,7 @@ FACTOR_S_RING_TWIN = ("tests/test_factored_substructures.py",)
 QUOTIENT_TWIN = ("tests/test_factored_quotients.py", "-k",
                  "quotient_verdicts")
 LEAK_TWIN = ("tests/test_ideal_scan.py", "-k", "first_leak")
+MODMAP_TWIN = "tests/test_suites.py::test_batched_modmap_matches_the_case_loop"
 
 MUTANTS = (
     Mutant("mat-mul-column-by-row", CODED_PARTS, "carriers.py",
@@ -324,6 +326,19 @@ MUTANTS = (
     Mutant("record-keeps-an-empty-note", CLAIMS, "verify.py",
            "        if note:\n", "        if note is not None:\n",
            ("tests/test_verify.py", "-k", "raises")),
+    Mutant("modmap-image-keyed-on-x-only", MODMAP_PAIRS, "suites.py",
+           "np.unique(codes[:, 0] * n * n + codes[:, 1],",
+           "np.unique(codes[:, 0] * n * n,",
+           (MODMAP_TWIN + "[no-fault-0]",)),
+    Mutant("modmap-hi-not-compared", MODMAP_PAIRS, "suites.py",
+           "(images[inv] == codes[:, 2:5]).all()",
+           "(images[inv] // n == codes[:, 2:5] // n).all()",
+           (MODMAP_TWIN + "[mod-fault-0]",)),
+    Mutant("modmap-batched-case-skips-the-kernel-draw", MODMAP_PAIRS,
+           "suites.py",
+           "kernel = (_rand_below(rng, 61) - 30, _rand_below(rng, 61) - 30)",
+           "kernel = (0, 0)",
+           ("tests/test_suites.py", "-k", "draws_what")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

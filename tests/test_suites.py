@@ -1,3 +1,8 @@
+import random
+import types
+
+import pytest
+
 from natint import (
     decomposition_suite,
     matmul_decompose_suite,
@@ -5,8 +10,11 @@ from natint import (
     poly_decompose_suite,
     strictness_suite,
 )
+from natint import suites
+from natint.intervals import NaturalInterval
 from natint.scalars import ModDomain
 from natint.suites import modmap_suites
+from test_golden import FAULTS, _fault
 
 
 def test_decomposition_small_run_is_clean():
@@ -71,16 +79,108 @@ def test_modmap_suites_equal_one_call_per_modulus():
             modmap_suite(n, pairs=1500, seed=seed) for n in MODULI]
 
 
-def test_a_modulus_that_fails_an_op_keeps_its_own_stream(monkeypatch):
-    # mod 4, 3 * 3 is off by one: that modulus fails mul and draws no
-    # kernel multipliers where the others pass, so its stream parts from
-    # theirs and its report must still be its own
+def _mul_off_by_one_mod_4(monkeypatch):
+    # mod 4, 3 * 3 is off by one
     mul = ModDomain.mul
     monkeypatch.setattr(ModDomain, "mul", lambda self, x, y: (
         mul(self, x, y) + (self.n == 4 and x == y == 3)) % self.n)
+
+
+def _mod_fault(monkeypatch):
+    # tests/test_golden.py's "mod" fault: a flipped hi endpoint from add,
+    # sub or mul over Zn on about one operand pair in a thousand
+    ops, kind, zero_sum = FAULTS["mod"]
+    for attr in ops:
+        monkeypatch.setattr(NaturalInterval, attr, _fault(
+            vars(NaturalInterval)[attr], kind, zero_sum))
+
+
+def test_a_modulus_that_fails_an_op_keeps_its_own_stream(monkeypatch):
+    # the modulus 4 fails mul and draws no kernel multipliers where the
+    # others pass, so its stream parts from theirs and its report must
+    # still be its own
+    _mul_off_by_one_mod_4(monkeypatch)
     for seed in (0, 5):
         reports = modmap_suites(MODULI, pairs=1500, seed=seed)
         assert reports == [modmap_suite(n, pairs=1500, seed=seed)
                            for n in MODULI]
         assert [r["ok"] for r in reports] == [True, False, True]
         assert {f["op"] for f in reports[1]["first_failures"]} == {"mul"}
+
+
+TWIN_MODULI = [(n,) for n in (2, 3, 4, 5, 6, 7, 11, 12, 30)] + [MODULI]
+TWIN_PAIRS = (0, 1, 999, 1000, 1001, 2500)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("fault", [None, _mod_fault, _mul_off_by_one_mod_4],
+                         ids=["no-fault", "mod-fault", "mul-off-by-one"])
+def test_batched_modmap_matches_the_case_loop(fault, seed, monkeypatch):
+    # the batched pass gives the case loop's (empty) failure lists when
+    # every case passes, and None exactly when some case fails
+    if fault is not None:
+        fault(monkeypatch)
+    outcomes = set()
+    for moduli in TWIN_MODULI:
+        for pairs in TWIN_PAIRS:
+            want = suites._modmap_cases(moduli, pairs, seed)
+            got = suites._modmap_batched(moduli, pairs, seed)
+            failed = any(want)
+            outcomes.add(failed)
+            assert got == (None if failed else want), (moduli, pairs)
+    # without a fault nothing fails; under either fault some moduli and
+    # case counts fail and some pass
+    assert outcomes == ({False} if fault is None else {False, True})
+
+
+def test_batched_modmap_draws_what_the_case_loop_draws(monkeypatch):
+    # a pass that parts from the stream still reports no failure, so the
+    # draws themselves are compared: every bit-draw of every chunk
+    class Logged(random.Random):
+        def getrandbits(self, k):
+            out = super().getrandbits(k)
+            log.append((k, out))
+            return out
+
+    monkeypatch.setattr(suites, "random", types.SimpleNamespace(
+        Random=Logged))
+    for seed in (0, 3):
+        for moduli in ((5,), MODULI):
+            logs = []
+            for run in (suites._modmap_cases, suites._modmap_batched):
+                log = []
+                assert run(moduli, 2500, seed) == [[] for _ in moduli]
+                logs.append(log)
+            # four endpoint draws and two kernel draws a case, at least
+            assert len(logs[0]) >= 6 * 2500
+            assert logs[0] == logs[1]
+
+
+def test_batched_modmap_runs_each_image_op_once_per_operand_pair(
+        monkeypatch):
+    mul = NaturalInterval.__mul__
+    calls = []
+
+    def counted(self, other):
+        if self.domain.kind == "Mod":
+            calls.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(NaturalInterval, "__mul__", counted)
+    assert modmap_suite(3, pairs=10000)["ok"]
+    # N(Z3) has 9 elements, so 81 operand pairs
+    assert 0 < len(calls) <= 81
+
+
+def test_a_modulus_too_large_to_intern_is_checked_case_by_case(
+        monkeypatch):
+    # N(Zn) of a modulus above MODMAP_BATCHED is not interned: the batched
+    # pass declines before it draws, and the case loop gives the reports
+    big = suites.MODMAP_BATCHED + 1
+    with monkeypatch.context() as m:
+        m.setattr(suites, "run_chunked", None)
+        assert suites._modmap_batched((3, big), 10, 0) is None
+    moduli = (3, big, 10**12)
+    reports = modmap_suites(moduli, pairs=200, seed=4)
+    assert reports == [modmap_suite(n, pairs=200, seed=4) for n in moduli]
+    assert all(r["ok"] for r in reports)
