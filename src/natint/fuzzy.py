@@ -97,6 +97,5 @@ def fuzzy_semigroup_report(op, step_denominator=10):
     rep["identity"] = ax["identity"]
     rep["absorbing"] = ax["absorbing"]
     if op != "prod":
-        fn = _op_fn(op)
-        rep["idempotent_law"] = all(fn(x, x) == x for x in struct.elements)
+        rep["idempotent_law"] = len(struct.idempotents()) == struct.n
     return rep

@@ -1725,7 +1725,7 @@ def analyze_structure(s):
         inh = inherited_substructure(s)
         report["substructures"]["inherited"] = {
             "order": inh.n,
-            "members": s.labels(s.index[e] for e in inh.elements)}
+            "members": inh.labels(range(inh.n))}
     if s.has_op("add") and s.has_op("mul"):
         found, wit = is_s_ring(s)
         report["substructures"]["s_ring"] = found

@@ -12,10 +12,18 @@ the cases are pure Python, and threads only took turns on the
 interpreter lock.  The suites keep the parameter because the benchmark
 harness (perfbench/run.py) calls them with it.
 
-The mod-n map's image side N(Zn) is finite, so for moduli up to
-MODMAP_BATCHED modmap_suite checks its cases in one batched pass that
-runs each image op once per distinct operand pair, and runs them case
-by case only when some case fails, to write its failures.  On a 2-core
+Each law is checked one way.  A suite over several domains
+(decomposition, matmul and poly) runs one chunked pass per domain
+through _by_domain, each case a function of that domain alone.  The
+mod-n map draws one stream per modulus: a case draws x and y, checks
+add, sub and mul, and only when all three pass draws the kernel
+multipliers.  Its image side N(Zn) is finite, so for moduli up to
+MODMAP_BATCHED the cases are first checked in one batched pass over
+the draws, which are the same for every modulus as long as every case
+passes; only when some case fails is each modulus run again on its own
+stream, case by case, to write its failures.  The kernel checks reduce
+with Python's % and not through a Mod op, so they hold by
+construction: only the add, sub and mul checks can fail.  On a 2-core
 VM (Python 3.11.7), modmap_suite(11, 10000) takes 0.06 s (0.09 s case by
 case) and decomposition_suite(10000) 1.8 s, best of 7 and of 3 runs.
 """
@@ -23,13 +31,12 @@ case) and decomposition_suite(10000) 1.8 s, best of 7 and of 3 runs.
 import operator
 import random
 from array import array
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import FuzzyRangeOverflow
 from .intervals import Flavor, NaturalInterval, interval, iv_max, iv_min
-from .scalars import Mod, Q, Z, _rand_below, parse_domain
+from .scalars import Mod, Z, _rand_below, parse_domain
 
 CHUNK = 1000
 
@@ -66,6 +73,84 @@ def _rand_iv(d, rng, flavor=Flavor.CLOSED):
 DECOMPOSITION_DOMAINS = ("Z", "Q", "Zn:12", "ZnI:7", "Zn+I:5", "F01")
 
 
+def _by_domain(name, domains, cases, seed, check, extra):
+    """The report of suite `name` over each domain spec of domains, in
+    order: check(d) gives domain d's case function, extra(d) the fields
+    its report adds after its domain."""
+    reports = []
+    for spec in domains:
+        d = parse_domain(spec)
+        failures = run_chunked(cases, check(d), seed=seed)
+        reports.append(_report(name, cases, seed, failures,
+                               {"domain": d.spec, **extra(d)}))
+    return {"suite": name, "seed": seed,
+            "ok": all(r["ok"] for r in reports), "domains": reports}
+
+
+def _ops(d):
+    """The ops decomposition_suite lists for domain d."""
+    if d.kind == "FuzzyUnit":
+        return ["mul", "min", "max", "add"]
+    return (["add", "sub", "mul", "div", "min", "max"] if d.ordered
+            else ["add", "sub", "mul", "div"])
+
+
+def _decomposition_case(d):
+    """The case function of decomposition_suite over domain d."""
+    sub = "sub" in _ops(d)  # F01 has none
+
+    def case(rng, k):
+        x = _rand_iv(d, rng)
+        y = _rand_iv(d, rng)
+
+        def mismatch(op, got, want):
+            # None on a side: an F01 sum that overflows [0, 1]
+            return {"domain": d.spec, "op": op, "x": str(x), "y": str(y),
+                    "case": k, "got": "overflow" if got is None else str(got),
+                    "expected": "overflow" if want is None
+                    else str(interval(d, *want))}
+
+        try:
+            want = (d.add(x.lo, y.lo), d.add(x.hi, y.hi))
+        except FuzzyRangeOverflow:
+            want = None
+        try:
+            got = x + y
+        except FuzzyRangeOverflow:
+            got = None
+        if (None if got is None else (got.lo, got.hi)) != want:
+            return mismatch("add", got, want)
+        if sub:
+            got = x - y
+            want = (d.sub(x.lo, y.lo), d.sub(x.hi, y.hi))
+            if (got.lo, got.hi) != want:
+                return mismatch("sub", got, want)
+        got = x * y
+        want = (d.mul(x.lo, y.lo), d.mul(x.hi, y.hi))
+        if (got.lo, got.hi) != want:
+            return mismatch("mul", got, want)
+        if d.inv(y.lo) is not None and d.inv(y.hi) is not None:
+            got = x / y
+            want = (d.div(x.lo, y.lo), d.div(x.hi, y.hi))
+            if (got.lo, got.hi) != want:
+                return mismatch("div", got, want)
+        if d.ordered:
+            got = iv_min(x, y)
+            # as builtin min and max: the first operand on a tie
+            want = (y.lo if d.lt(y.lo, x.lo) else x.lo,
+                    y.hi if d.lt(y.hi, x.hi) else x.hi)
+            if (got.lo, got.hi) != want:
+                return mismatch("min", got, want)
+            got = iv_max(x, y)
+            want = (y.lo if d.lt(x.lo, y.lo) else x.lo,
+                    y.hi if d.lt(x.hi, y.hi) else x.hi)
+            if (got.lo, got.hi) != want:
+                return mismatch("max", got, want)
+        return None
+
+    return case
+
+
 def decomposition_suite(cases=100000, seed=0, workers=1,
                         domains=DECOMPOSITION_DOMAINS):
     """Interval arithmetic is the product structure Domain x Domain.
@@ -76,81 +161,8 @@ def decomposition_suite(cases=100000, seed=0, workers=1,
     is partial (F01) the interval must overflow exactly when a component
     does.
     """
-    reports = []
-    for spec in domains:
-        d = parse_domain(spec)
-        fuzzy = (d.kind == "FuzzyUnit")
-
-        def case(rng, k, d=d, fuzzy=fuzzy):
-            x = _rand_iv(d, rng)
-            y = _rand_iv(d, rng)
-
-            def mismatch(op, got, lo, hi):
-                return {"domain": d.spec, "op": op, "x": str(x), "y": str(y),
-                        "case": k, "got": str(got),
-                        "expected": str(interval(d, lo, hi))}
-
-            if fuzzy:
-                try:
-                    lo = d.add(x.lo, y.lo)
-                    hi = d.add(x.hi, y.hi)
-                    want = (lo, hi)
-                except FuzzyRangeOverflow:
-                    want = None
-                try:
-                    got = x + y
-                except FuzzyRangeOverflow:
-                    got = None
-                if want is None or got is None:
-                    if want is not None or got is not None:
-                        return {"domain": d.spec, "op": "add", "x": str(x),
-                                "y": str(y), "case": k,
-                                "got": "overflow" if got is None else str(got),
-                                "expected": "overflow" if want is None
-                                else str(interval(d, *want))}
-                elif (got.lo, got.hi) != want:
-                    return mismatch("add", got, *want)
-            else:
-                got = x + y
-                if (got.lo, got.hi) != (d.add(x.lo, y.lo), d.add(x.hi, y.hi)):
-                    return mismatch("add", got, d.add(x.lo, y.lo),
-                                    d.add(x.hi, y.hi))
-                got = x - y
-                if (got.lo, got.hi) != (d.sub(x.lo, y.lo), d.sub(x.hi, y.hi)):
-                    return mismatch("sub", got, d.sub(x.lo, y.lo),
-                                    d.sub(x.hi, y.hi))
-            got = x * y
-            if (got.lo, got.hi) != (d.mul(x.lo, y.lo), d.mul(x.hi, y.hi)):
-                return mismatch("mul", got, d.mul(x.lo, y.lo),
-                                d.mul(x.hi, y.hi))
-            if d.inv(y.lo) is not None and d.inv(y.hi) is not None:
-                got = x / y
-                want = (d.div(x.lo, y.lo), d.div(x.hi, y.hi))
-                if (got.lo, got.hi) != want:
-                    return mismatch("div", got, *want)
-            if d.ordered:
-                got = iv_min(x, y)
-                # as builtin min and max: the first operand on a tie
-                want = (y.lo if d.lt(y.lo, x.lo) else x.lo,
-                        y.hi if d.lt(y.hi, x.hi) else x.hi)
-                if (got.lo, got.hi) != want:
-                    return mismatch("min", got, *want)
-                got = iv_max(x, y)
-                want = (y.lo if d.lt(x.lo, y.lo) else x.lo,
-                        y.hi if d.lt(x.hi, y.hi) else x.hi)
-                if (got.lo, got.hi) != want:
-                    return mismatch("max", got, *want)
-            return None
-
-        failures = run_chunked(cases, case, seed=seed)
-        ops = (["mul", "min", "max", "add"] if fuzzy else
-               (["add", "sub", "mul", "div", "min", "max"] if d.ordered
-                else ["add", "sub", "mul", "div"]))
-        reports.append(_report("decomposition", cases, seed, failures,
-                               {"domain": d.spec, "ops": ops}))
-    return {"suite": "decomposition", "seed": seed,
-            "ok": all(r["ok"] for r in reports),
-            "domains": reports}
+    return _by_domain("decomposition", domains, cases, seed,
+                      _decomposition_case, lambda d: {"ops": _ops(d)})
 
 
 _MODMAP_OPS = (("add", operator.add), ("sub", operator.sub),
@@ -168,8 +180,9 @@ def modmap_suite(n, pairs=10000, seed=0, workers=1):
 
 
 def modmap_suites(moduli, pairs=10000, seed=0):
-    """modmap_suite(n, pairs, seed) for each n of moduli, from one pass
-    over the drawn cases (_modmap_failures)."""
+    """modmap_suite(n, pairs, seed) for each n of moduli, from one
+    batched pass over the drawn cases while every case passes
+    (_modmap_failures)."""
     return [_report("modmap", pairs, seed, fails,
                     {"modulus": n, "kernel": f"N({n}Z)"})
             for n, fails in zip(moduli, _modmap_failures(moduli, pairs,
@@ -178,10 +191,12 @@ def modmap_suites(moduli, pairs=10000, seed=0):
 
 def _modmap_failures(moduli, pairs, seed):
     """The failure list of modmap_suite for each modulus of moduli: the
-    batched pass's empty lists when every case passes, else the lists
-    of the case loop (_modmap_cases), which writes each failure."""
+    batched pass's empty lists when every case passes, else each
+    modulus's own case loop (_modmap_cases), which writes its failures."""
     fails = _modmap_batched(moduli, pairs, seed)
-    return _modmap_cases(moduli, pairs, seed) if fails is None else fails
+    if fails is None:
+        return [_modmap_cases(n, pairs, seed) for n in moduli]
+    return fails
 
 
 def _modmap_batched(moduli, pairs, seed):
@@ -190,8 +205,8 @@ def _modmap_batched(moduli, pairs, seed):
     MODMAP_BATCHED, whose N(Zn) is too large to intern.
 
     Each case draws x and y, takes their Z-side results and draws the
-    kernel multipliers, as _modmap_cases does where every modulus passes,
-    and keeps the endpoints in one flat buffer (32-bit: the Z-side
+    kernel multipliers, as a passing case of _modmap_cases does for any
+    modulus, and keeps the endpoints in one flat buffer (32-bit: the Z-side
     endpoints are at most 2500 in size).  _modmap_passes checks them."""
     if any(n > MODMAP_BATCHED for n in moduli):
         return None
@@ -250,55 +265,37 @@ def _modmap_passes(n, drawn):
     return bool((images[inv] == codes[:, 2:5]).all())
 
 
-def _modmap_cases(moduli, pairs, seed):
-    """The failure list of modmap_suite for each modulus of moduli, case
-    by case.  A case draws x and y and takes their Z-side sum, difference
-    and product once; then each modulus checks them in modmap_suite's
-    order, and the moduli that pass the ops share one draw of the kernel
-    multipliers.  A modulus that fails an op draws none, so where another
-    passes on the same case their streams part; such a modulus is run
-    again on its own."""
-    rings = [(n, Mod(n), NaturalInterval(Mod(n), 0, 0)) for n in moduli]
-    names, fns = zip(*_MODMAP_OPS)
-    failures = [[] for _ in moduli]
-    parted = set()
+def _modmap_cases(n, pairs, seed):
+    """The failure list of modmap_suite(n, pairs, seed), case by case.  A
+    case draws x and y and checks add, sub and mul in that order; only
+    when all three pass does it draw the kernel multipliers, so a case
+    that fails an op draws no more.  Both kernel checks reduce with
+    Python's % and not through a Mod op, so they hold by construction."""
+    dn = Mod(n)
+    zero = NaturalInterval(dn, 0, 0)
 
     def case(rng, k):
         x, y = _rand_iv(Z, rng), _rand_iv(Z, rng)
-        zs = (x + y, x - y, x * y)  # in the order of _MODMAP_OPS
-        kernel, failed = None, ()
-        for j, (n, dn, zero) in enumerate(rings):
-            # residues mod n are already canonical in Zn
-            px = NaturalInterval(dn, x.lo % n, x.hi % n)
-            py = NaturalInterval(dn, y.lo % n, y.hi % n)
-            for op, f, z in zip(names, fns, zs):
-                amb = NaturalInterval(dn, z.lo % n, z.hi % n)
-                img = f(px, py)
-                if amb != img:
-                    failures[j].append({
-                        "op": op, "x": str(x), "y": str(y), "case": k,
-                        "phi(x op y)": str(amb),
-                        "phi(x) op phi(y)": str(img)})
-                    failed += (j,)
-                    break
-            else:
-                if kernel is None:
-                    kernel = (_rand_below(rng, 61) - 30,
-                              _rand_below(rng, 61) - 30)
-                kern = NaturalInterval(Z, n * kernel[0], n * kernel[1])
-                if NaturalInterval(dn, kern.lo % n, kern.hi % n) != zero:
-                    failures[j].append({"op": "kernel", "x": str(kern),
-                                        "case": k, "expected": "[0,0]"})
-                elif (x.lo % n, x.hi % n) != (0, 0) and px == zero:
-                    failures[j].append({"op": "kernel-only", "x": str(x),
-                                        "case": k})
-        if kernel is not None:
-            parted.update(failed)
+        # residues mod n are already canonical in Zn
+        px = NaturalInterval(dn, x.lo % n, x.hi % n)
+        py = NaturalInterval(dn, y.lo % n, y.hi % n)
+        for op, f in _MODMAP_OPS:
+            z = f(x, y)
+            amb = NaturalInterval(dn, z.lo % n, z.hi % n)
+            img = f(px, py)
+            if amb != img:
+                return {"op": op, "x": str(x), "y": str(y), "case": k,
+                        "phi(x op y)": str(amb), "phi(x) op phi(y)": str(img)}
+        kern = NaturalInterval(Z, n * (_rand_below(rng, 61) - 30),
+                               n * (_rand_below(rng, 61) - 30))
+        if NaturalInterval(dn, kern.lo % n, kern.hi % n) != zero:
+            return {"op": "kernel", "x": str(kern), "case": k,
+                    "expected": "[0,0]"}
+        if (x.lo % n, x.hi % n) != (0, 0) and px == zero:
+            return {"op": "kernel-only", "x": str(x), "case": k}
+        return None
 
-    run_chunked(pairs, case, seed=seed)
-    for j in parted:
-        failures[j] = _modmap_cases((moduli[j],), pairs, seed)[0]
-    return failures
+    return run_chunked(pairs, case, seed=seed)
 
 
 def _scalar_matmul(d, a, b):
@@ -321,11 +318,8 @@ def matmul_decompose_suite(cases=1000, seed=0, workers=1,
     products: lo(AB) = lo(A)lo(B) and hi(AB) = hi(A)hi(B)."""
     from .matrices import IntervalMatrix
 
-    reports = []
-    for spec in domains:
-        d = parse_domain(spec)
-
-        def case(rng, k, d=d):
+    def check(d):
+        def case(rng, k):
             ents_a = [_rand_iv(d, rng) for _ in range(size * size)]
             ents_b = [_rand_iv(d, rng) for _ in range(size * size)]
             a = IntervalMatrix(size, size, ents_a, d, Flavor.CLOSED)
@@ -340,12 +334,10 @@ def matmul_decompose_suite(cases=1000, seed=0, workers=1,
                 return {"domain": d.spec, "case": k, "side": "hi",
                         "a": str(a), "b": str(b)}
             return None
+        return case
 
-        failures = run_chunked(cases, case, seed=seed)
-        reports.append(_report("matmul-decompose", cases, seed, failures,
-                               {"domain": d.spec, "shape": [size, size]}))
-    return {"suite": "matmul-decompose", "seed": seed,
-            "ok": all(r["ok"] for r in reports), "domains": reports}
+    return _by_domain("matmul-decompose", domains, cases, seed, check,
+                      lambda d: {"shape": [size, size]})
 
 
 def _scalar_polymul(d, a, b, cyclic):
@@ -372,11 +364,8 @@ def poly_decompose_suite(cases=1000, seed=0, workers=1,
     convolutions (with the same exponent folding when cyclic)."""
     from .polys import IntervalPoly
 
-    reports = []
-    for spec in domains:
-        d = parse_domain(spec)
-
-        def case(rng, k, d=d):
+    def check(d):
+        def case(rng, k):
             na = _rand_below(rng, max_terms) + 1
             nb = _rand_below(rng, max_terms) + 1
             p = IntervalPoly(d, Flavor.CLOSED,
@@ -393,12 +382,10 @@ def poly_decompose_suite(cases=1000, seed=0, workers=1,
                 return {"domain": d.spec, "case": k, "side": "hi",
                         "p": str(p), "q": str(q)}
             return None
+        return case
 
-        failures = run_chunked(cases, case, seed=seed)
-        reports.append(_report("poly-decompose", cases, seed, failures,
-                               {"domain": d.spec, "cyclic": cyclic}))
-    return {"suite": "poly-decompose", "seed": seed,
-            "ok": all(r["ok"] for r in reports), "domains": reports}
+    return _by_domain("poly-decompose", domains, cases, seed, check,
+                      lambda d: {"cyclic": cyclic})
 
 
 def strictness_suite(cases=20000, seed=0, workers=1):

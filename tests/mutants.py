@@ -71,6 +71,7 @@ PRIME_FIELDS = "The S-ring search ends at the prime fields"
 BLOCK_READER = "Ideals read the carrier through its block reader"
 CLAIMS = "The claim catalogue asks the engine"
 MODMAP_PAIRS = "The mod-n map once per operand pair"
+ONE_WAY = "The randomized suites check each law one way"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -84,6 +85,19 @@ QUOTIENT_TWIN = ("tests/test_factored_quotients.py", "-k",
                  "quotient_verdicts")
 LEAK_TWIN = ("tests/test_ideal_scan.py", "-k", "first_leak")
 MODMAP_TWIN = "tests/test_suites.py::test_batched_modmap_matches_the_case_loop"
+# the op checks and the kernel draw of a case of suites._modmap_cases
+MODMAP_OP_CHECKS = (
+    "        for op, f in _MODMAP_OPS:\n"
+    "            z = f(x, y)\n"
+    "            amb = NaturalInterval(dn, z.lo % n, z.hi % n)\n"
+    "            img = f(px, py)\n"
+    "            if amb != img:\n"
+    '                return {"op": op, "x": str(x), "y": str(y), "case": k,\n'
+    '                        "phi(x op y)": str(amb), "phi(x) op phi(y)": '
+    'str(img)}\n')
+KERNEL_DRAW = (
+    "        kern = NaturalInterval(Z, n * (_rand_below(rng, 61) - 30),\n"
+    "                               n * (_rand_below(rng, 61) - 30))\n")
 
 MUTANTS = (
     Mutant("mat-mul-column-by-row", CODED_PARTS, "carriers.py",
@@ -141,9 +155,6 @@ MUTANTS = (
            "if type(record) is not dict or tuple(record) != keys:",
            "if type(record) is not dict:",
            RECORDS),
-    Mutant("parted-modulus-not-run-again", CARRIER_COST, "suites.py",
-           "for j in parted:", "for j in ():",
-           ("tests/test_suites.py", "-k", "modulus")),
     Mutant("rees-p-and-q-swapped", REES_LEMMAS, "quotients.py",
            "((factors[0], p), (factors[-1], q))",
            "((factors[0], q), (factors[-1], p))",
@@ -339,6 +350,18 @@ MUTANTS = (
            "kernel = (_rand_below(rng, 61) - 30, _rand_below(rng, 61) - 30)",
            "kernel = (0, 0)",
            ("tests/test_suites.py", "-k", "draws_what")),
+    Mutant("modmap-cases-draw-the-kernel-first", ONE_WAY, "suites.py",
+           MODMAP_OP_CHECKS + KERNEL_DRAW, KERNEL_DRAW + MODMAP_OP_CHECKS,
+           ("tests/test_golden.py", "-k", "faulted and modmap")),
+    Mutant("one-sided-overflow-passes", ONE_WAY, "suites.py",
+           "if (None if got is None else (got.lo, got.hi)) != want:",
+           "if got is not None and want is not None "
+           "and (got.lo, got.hi) != want:",
+           ("tests/test_suites.py", "-k", "one_sided")),
+    Mutant("by-domain-runs-the-last-domain", ONE_WAY, "suites.py",
+           "run_chunked(cases, check(d), seed=seed)",
+           "run_chunked(cases, check(parse_domain(domains[-1])), seed=seed)",
+           ("tests/test_golden.py", "-k", "faulted and decomposition")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

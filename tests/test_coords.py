@@ -21,7 +21,7 @@ from natint.carriers import build_carrier
 from natint.intervals import NaturalInterval
 from natint.matrices import IntervalMatrix
 from natint.polys import IntervalPoly
-from natint.structures import FiniteStructure, _Coords
+from natint.structures import FiniteStructure, _Coords, analyze_structure
 from test_carriers import FLAVOR_SPECS, KIND_SPECS
 from test_factored import FULL_PRODUCTS
 
@@ -165,6 +165,17 @@ def test_index_is_the_eager_dict(spec):
     assert (s._index is None) == _spec_built(spec)
     assert s.index == {e: i for i, e in enumerate(s.elements)}
     assert s.index is s.index
+
+
+@pytest.mark.parametrize("spec", ["N(ZnI:3)", "N(Zn+I:2)"])
+def test_inherited_members_need_no_index(spec):
+    # the members are the inherited view's own labels, not looked up in
+    # the carrier's index
+    s = build_carrier(spec)
+    report = analyze_structure(s)
+    assert s._index is None
+    assert report["substructures"]["inherited"]["members"] == [
+        str(e) for e in s.elements if e.is_degenerate]
 
 
 def test_a_caller_built_carrier_refuses_duplicates_at_once():

@@ -50,6 +50,17 @@ def test_min_max_grids_are_closed_semigroups():
         assert rep["idempotent_law"]
 
 
+@pytest.mark.parametrize("step", [1, 2, 3, 10])
+@pytest.mark.parametrize("op, fn", [("min", iv_min), ("max", iv_max)])
+def test_idempotent_law_is_every_element_idempotent(op, fn, step):
+    # the report reads the law off the engine's idempotents; the loop
+    # over the grid elements is its twin
+    rep = fuzzy_semigroup_report(op, step)
+    assert rep["idempotent_law"] == all(
+        fn(x, x) == x for x in fuzzy_grid(step))
+    assert rep["idempotent_law"]
+
+
 def test_product_grid_report():
     rep = fuzzy_semigroup_report("prod")
     assert rep["associative"]

@@ -1,5 +1,6 @@
 import random
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from natint import (
     strictness_suite,
 )
 from natint import suites
+from natint.errors import FuzzyRangeOverflow
 from natint.intervals import NaturalInterval
 from natint.scalars import ModDomain
 from natint.suites import modmap_suites
@@ -30,6 +32,51 @@ def test_decomposition_deterministic_across_workers():
     one = decomposition_suite(cases=3000, seed=42, workers=1)
     four = decomposition_suite(cases=3000, seed=42, workers=4)
     assert one == four
+
+
+def _add_clamped(add):
+    # an F01 interval sum that stays at 1 where a component overflows
+    def op(self, other):
+        try:
+            return add(self, other)
+        except FuzzyRangeOverflow:
+            d = self.domain
+            return NaturalInterval(d, min(self.lo + other.lo, d.one),
+                                   min(self.hi + other.hi, d.one),
+                                   self.flavor)
+    return op
+
+
+def _add_overflows_early(add):
+    # an F01 interval sum that overflows once its hi passes 9/10
+    def op(self, other):
+        out = add(self, other)
+        if out.domain.kind == "FuzzyUnit" and out.hi > Fraction(9, 10):
+            raise FuzzyRangeOverflow(f"{out} leaves [0, 9/10]")
+        return out
+    return op
+
+
+@pytest.mark.parametrize("patch, cases, failures, first", [
+    (_add_clamped, 20, 15,
+     {"domain": "F01", "op": "add", "x": "[49/100,97/100]",
+      "y": "[53/100,1/20]", "case": 0, "got": "1", "expected": "overflow"}),
+    (_add_overflows_early, 200, 11,
+     {"domain": "F01", "op": "add", "x": "[19/100,1/25]",
+      "y": "[1/10,89/100]", "case": 28, "got": "overflow",
+      "expected": "[29/100,93/100]"})],
+    ids=["interval-side-sums", "interval-side-overflows"])
+def test_a_one_sided_f01_overflow_is_a_failure(patch, cases, failures, first,
+                                               monkeypatch):
+    # the interval sum must overflow exactly when a component does; where
+    # only one side overflows, the record says so on that side
+    monkeypatch.setattr(NaturalInterval, "__add__",
+                        patch(NaturalInterval.__add__))
+    rep = decomposition_suite(cases=cases, seed=0, domains=["F01"])
+    [f01] = rep["domains"]
+    assert f01["failures"] == failures
+    assert f01["first_failures"][0] == first
+    assert {f["op"] for f in f01["first_failures"]} == {"add"}
 
 
 def test_modmap_preserves_operations():
@@ -96,16 +143,21 @@ def _mod_fault(monkeypatch):
 
 
 def test_a_modulus_that_fails_an_op_keeps_its_own_stream(monkeypatch):
-    # the modulus 4 fails mul and draws no kernel multipliers where the
-    # others pass, so its stream parts from theirs and its report must
-    # still be its own
-    _mul_off_by_one_mod_4(monkeypatch)
-    for seed in (0, 5):
-        reports = modmap_suites(MODULI, pairs=1500, seed=seed)
-        assert reports == [modmap_suite(n, pairs=1500, seed=seed)
-                           for n in MODULI]
-        assert [r["ok"] for r in reports] == [True, False, True]
-        assert {f["op"] for f in reports[1]["first_failures"]} == {"mul"}
+    # a modulus that fails an op draws no kernel multipliers on that case
+    # where another passes and draws them, so their streams would part on
+    # one shared pass: each report must still be the modulus's own.  Each
+    # fault comes with the ops each modulus fails (none: it passes)
+    for fault, ops in ((_mul_off_by_one_mod_4, [set(), {"mul"}, set()]),
+                       (_mod_fault, [{"add"}, {"add"}, {"add"}])):
+        with monkeypatch.context() as m:
+            fault(m)
+            for seed in (0, 5):
+                reports = modmap_suites(MODULI, pairs=1500, seed=seed)
+                assert reports == [modmap_suite(n, pairs=1500, seed=seed)
+                                   for n in MODULI]
+                assert [r["ok"] for r in reports] == [not o for o in ops]
+                assert [{f["op"] for f in r.get("first_failures", ())}
+                        for r in reports] == ops
 
 
 TWIN_MODULI = [(n,) for n in (2, 3, 4, 5, 6, 7, 11, 12, 30)] + [MODULI]
@@ -123,7 +175,7 @@ def test_batched_modmap_matches_the_case_loop(fault, seed, monkeypatch):
     outcomes = set()
     for moduli in TWIN_MODULI:
         for pairs in TWIN_PAIRS:
-            want = suites._modmap_cases(moduli, pairs, seed)
+            want = [suites._modmap_cases(n, pairs, seed) for n in moduli]
             got = suites._modmap_batched(moduli, pairs, seed)
             failed = any(want)
             outcomes.add(failed)
@@ -146,14 +198,16 @@ def test_batched_modmap_draws_what_the_case_loop_draws(monkeypatch):
         Random=Logged))
     for seed in (0, 3):
         for moduli in ((5,), MODULI):
-            logs = []
-            for run in (suites._modmap_cases, suites._modmap_batched):
-                log = []
-                assert run(moduli, 2500, seed) == [[] for _ in moduli]
-                logs.append(log)
+            log = []
+            assert suites._modmap_batched(moduli, 2500, seed) == [
+                [] for _ in moduli]
+            batched = log
             # four endpoint draws and two kernel draws a case, at least
-            assert len(logs[0]) >= 6 * 2500
-            assert logs[0] == logs[1]
+            assert len(batched) >= 6 * 2500
+            for n in moduli:
+                log = []
+                assert suites._modmap_cases(n, 2500, seed) == []
+                assert log == batched, n
 
 
 def test_batched_modmap_runs_each_image_op_once_per_operand_pair(
