@@ -14,6 +14,13 @@ from scratch, and reports one of four statuses:
 ``run_verification`` executes the registry in catalogue order.  For a
 fixed seed the report is byte-identical between runs; nothing
 time-dependent is included.
+
+The Rees collapses of chapter 3 are built once per run (``_collapse``):
+a claim may read a collapse built by an earlier claim of the same run,
+so a checker never changes a construction it reads.  A claim checked
+case by case runs through ``_each``; a collapse claim that checks class
+count, characteristic and named facts writes its verdict through
+``_collapse_verdict``.
 """
 
 import random
@@ -111,6 +118,19 @@ def _result(status, expected, computed, note=None):
 
 def _verdict(agree, expected, computed, note=None):
     return _result("pass" if agree else "fail", expected, computed, note)
+
+
+def _each(cases, expected, check, note=None):
+    """The verdict of a claim checked case by case: ``check(*case)`` gives
+    the case's key, whether it agrees and its record; the claim passes
+    when every case agrees."""
+    out = {}
+    agree = True
+    for case in cases:
+        key, ok, record = check(*case)
+        out[key] = record
+        agree = agree and ok
+    return _verdict(agree, expected, out, note)
 
 
 # ----------------------------------------------------------------------
@@ -362,18 +382,17 @@ def _c_ex_2_10(ctx):
        "no degenerate-diagonal subsemigroup is a multiplicative ideal of "
        "its interval carrier")
 def _c_thm_2_5(ctx):
-    found = {}
-    for n, f in ((5, _O), (12, _C)):
+    def check(n, f):
         s = interval_structure(Mod(n), f)
         # the diagonal is read in the iteration order of a set of its
         # indices, not in carrier order: the recorded witnesses follow it
         diag = list(set(i for i, e in enumerate(s.elements)
                         if e.is_degenerate))
         leak = _first_leak(s, "mul", range(s.n), diag, diag)
-        found[f"Zn:{n}"] = None if leak is None else s.labels(leak)
-    agree = all(v is not None for v in found.values())
-    return _verdict(agree, "an absorption leak exists for every carrier",
-                    found)
+        return (f"Zn:{n}", leak is not None,
+                None if leak is None else s.labels(leak))
+    return _each(((5, _O), (12, _C)),
+                 "an absorption leak exists for every carrier", check)
 
 
 @claim("ex-2.14",
@@ -504,48 +523,40 @@ def _c_ex_2_33(ctx):
        "for prime p the nonzero-endpoint intervals over Zp form a "
        "multiplicative group of order (p-1)^2")
 def _c_thm_2_7(ctx):
-    out = {}
-    agree = True
-    for p, f in ((3, _O), (5, _OC), (7, _C), (11, _CO)):
+    def check(p, f):
         s = interval_structure(Mod(p), f, remove_zero=True)
         g = is_group(s, "mul")
-        out[f"p={p}"] = {"order": s.n, "group": g}
-        agree = agree and g and s.n == (p - 1) ** 2
-    return _verdict(agree, "group of order (p-1)^2 for p in {3,5,7,11}",
-                    out)
+        return (f"p={p}", g and s.n == (p - 1) ** 2,
+                {"order": s.n, "group": g})
+    return _each(((3, _O), (5, _OC), (7, _C), (11, _CO)),
+                 "group of order (p-1)^2 for p in {3,5,7,11}", check)
 
 
 @claim("thm-2.8",
        "for composite n the multiplicative interval semigroup over Zn is "
        "not a group but is an S-semigroup (a proper subset is a group)")
 def _c_thm_2_8(ctx):
-    out = {}
-    agree = True
-    for n in (4, 6, 12):
+    def check(n):
         s = interval_structure(Mod(n), _O)
         g = is_group(s, "mul")
         sm, wit = is_s_semigroup(s)
-        out[f"n={n}"] = {"group": g, "s_semigroup": sm,
-                         "witness": wit["members"] if sm else None}
-        agree = agree and (not g) and sm
-    return _verdict(agree,
-                    "not a group, S-semigroup, for n in {4,6,12}", out)
+        return (f"n={n}", (not g) and sm,
+                {"group": g, "s_semigroup": sm,
+                 "witness": wit["members"] if sm else None})
+    return _each(((4,), (6,), (12,)),
+                 "not a group, S-semigroup, for n in {4,6,12}", check)
 
 
 @claim("thm-2.9",
        "{1, [1,n-1], [n-1,1], [n-1,n-1]} is a multiplicative subgroup of "
        "the interval semigroup over Zn")
 def _c_thm_2_9(ctx):
-    out = {}
-    agree = True
-    for n in (4, 6, 12, 40):
-        s = interval_structure(Mod(n), _C)
-        wit = thm_unit_square_witness(s)
-        out[f"n={n}"] = wit
-        agree = agree and wit is not None
-    return _verdict(agree,
-                    "canonical four-element subgroup exists for "
-                    "n in {4,6,12,40}", out)
+    def check(n):
+        wit = thm_unit_square_witness(interval_structure(Mod(n), _C))
+        return f"n={n}", wit is not None, wit
+    return _each(((4,), (6,), (12,), (40,)),
+                 "canonical four-element subgroup exists for "
+                 "n in {4,6,12,40}", check)
 
 
 @claim("sec2-special-definite",
@@ -596,9 +607,7 @@ def _c_ex_3_4(ctx):
        "for prime p the interval ring over Zp has exactly two proper "
        "nonzero ideals, {(0,a)} and {(a,0)}, each both maximal and minimal")
 def _c_thm_3_4(ctx):
-    out = {}
-    agree = True
-    for p in (3, 5, 7):
+    def check(p):
         s = interval_structure(Mod(p), _O)
         rep = maximal_minimal_ideals(s)
         col = set(_colzero(s).indices)
@@ -609,14 +618,13 @@ def _c_thm_3_4(ctx):
                     and col in min_members and row in min_members
                     and col in max_members and row in max_members)
         both = (len(rep["maximal"]) == 2 and len(rep["minimal"]) == 2)
-        out[f"p={p}"] = {"proper_nonzero": rep["proper_nonzero"],
-                         "maximal": len(rep["maximal"]),
-                         "minimal": len(rep["minimal"]),
-                         "shapes": shape_ok}
-        agree = agree and shape_ok and both
-    return _verdict(agree,
-                    "two proper nonzero ideals, both maximal and minimal, "
-                    "for p in {3,5,7}", out)
+        return (f"p={p}", shape_ok and both,
+                {"proper_nonzero": rep["proper_nonzero"],
+                 "maximal": len(rep["maximal"]),
+                 "minimal": len(rep["minimal"]), "shapes": shape_ok})
+    return _each(((3,), (5,), (7,)),
+                 "two proper nonzero ideals, both maximal and minimal, "
+                 "for p in {3,5,7}", check)
 
 
 @claim("ex-3.13",
@@ -734,9 +742,31 @@ def _c_ex_3_27(ctx):
                     {"squares": idem, "[0,24]^2": extra})
 
 
-def _rees_cols(n, flavor):
-    s = interval_structure(Mod(n), flavor)
-    return s, rees_quotient(s, _colzero(s))
+def _collapse(ctx, n, flavor):
+    """The Rees collapse of col-zero in the interval ring over Zn, built
+    once per run and kept in ctx for every later claim that reads it."""
+    key = (n, flavor)
+    if key not in ctx["collapses"]:
+        s = interval_structure(Mod(n), flavor)
+        ctx["collapses"][key] = rees_quotient(s, _colzero(s))
+    return ctx["collapses"][key]
+
+
+def _collapse_verdict(q, classes, char, checks):
+    """The verdict of a collapse claim: q has `classes` classes and
+    characteristic `char` (left out when None), and each named check,
+    given as (expected key, expected value, computed key, computed
+    value, agrees), agrees."""
+    exp, got = {"classes": classes}, {"classes": q.n}
+    agree = q.n == classes
+    if char is not None:
+        exp["characteristic"] = char
+        got["characteristic"] = q.characteristic()
+        agree = agree and got["characteristic"] == char
+    for want_key, want, got_key, value, ok in checks:
+        exp[want_key], got[got_key] = want, value
+        agree = agree and ok
+    return _verdict(agree, exp, got)
 
 
 @claim("ex-3.28",
@@ -745,60 +775,38 @@ def _rees_cols(n, flavor):
        "and (1,0)(1,2) staying at (1,0)")
 def _c_ex_3_28(ctx):
     d = Mod(3)
-    s, q = _rees_cols(3, _O)
-    char = q.characteristic()
+    q = _collapse(ctx, 3, _O)
     a, b = interval(d, 1, 0, _O), interval(d, 1, 2, _O)
-    sum_cls = _class_of(q, a + b)
-    want_sum = _class_of(q, interval(d, 2, 2, _O))
-    prod_cls = _class_of(q, a * b)
-    want_prod = _class_of(q, a)
-    agree = (q.n == 7 and char == 3 and sum_cls == want_sum
-             and prod_cls == want_prod)
-    return _verdict(agree,
-                    {"classes": 7, "characteristic": 3,
-                     "(1,0)+(1,2)": "class of 2",
-                     "(1,0)(1,2)": "class of (1,0)"},
-                    {"classes": q.n, "characteristic": char,
-                     "sum_class": q.label(sum_cls),
-                     "product_class": q.label(prod_cls)})
+    sum_cls, prod_cls = _class_of(q, a + b), _class_of(q, a * b)
+    return _collapse_verdict(q, 7, 3, [
+        ("(1,0)+(1,2)", "class of 2", "sum_class", q.label(sum_cls),
+         sum_cls == _class_of(q, interval(d, 2, 2, _O))),
+        ("(1,0)(1,2)", "class of (1,0)", "product_class", q.label(prod_cls),
+         prod_cls == _class_of(q, a))])
 
 
 @claim("ex-3.29",
        "the analogous collapse over Z6 leaves 31 classes of "
        "characteristic 6")
 def _c_ex_3_29(ctx):
-    _, q = _rees_cols(6, _C)
-    char = q.characteristic()
-    return _verdict(q.n == 31 and char == 6,
-                    {"classes": 31, "characteristic": 6},
-                    {"classes": q.n, "characteristic": char})
+    return _collapse_verdict(_collapse(ctx, 6, _C), 31, 6, [])
 
 
 @claim("ex-3.30",
        "over Z4 the collapse leaves 13 classes of characteristic 4, with "
        "zero divisors")
 def _c_ex_3_30(ctx):
-    d = Mod(4)
-    _, q = _rees_cols(4, _OC)
-    char = q.characteristic()
-    two = interval(d, 2, 2, _OC)
+    q = _collapse(ctx, 4, _OC)
+    two = interval(Mod(4), 2, 2, _OC)
     nil = _class_of(q, two * two) == 0 and _class_of(q, two) != 0
-    agree = q.n == 13 and char == 4 and nil
-    return _verdict(agree,
-                    {"classes": 13, "characteristic": 4,
-                     "zero_divisors": True},
-                    {"classes": q.n, "characteristic": char,
-                     "2*2_collapses": nil})
+    return _collapse_verdict(q, 13, 4, [
+        ("zero_divisors", True, "2*2_collapses", nil, nil)])
 
 
 @claim("ex-3.31",
        "over Z5 the collapse leaves 21 classes of characteristic 5")
 def _c_ex_3_31(ctx):
-    _, q = _rees_cols(5, _O)
-    char = q.characteristic()
-    return _verdict(q.n == 21 and char == 5,
-                    {"classes": 21, "characteristic": 5},
-                    {"classes": q.n, "characteristic": char})
+    return _collapse_verdict(_collapse(ctx, 5, _O), 21, 5, [])
 
 
 @claim("ex-3.32",
@@ -806,18 +814,13 @@ def _c_ex_3_31(ctx):
        "(5,0)(2,0) collapses to zero and (5,0) is idempotent")
 def _c_ex_3_32(ctx):
     d = Mod(10)
-    _, q = _rees_cols(10, _O)
-    char = q.characteristic()
+    q = _collapse(ctx, 10, _O)
     five, two = interval(d, 5, 0, _O), interval(d, 2, 0, _O)
     zd = _class_of(q, five * two) == 0
-    idem = five * five == five
-    agree = q.n == 91 and char == 10 and zd and idem
-    return _verdict(agree,
-                    {"classes": 91, "characteristic": 10,
-                     "(5,0)(2,0)": "zero class", "(5,0)^2": "(5,0)"},
-                    {"classes": q.n, "characteristic": char,
-                     "product_collapses": zd,
-                     "(5,0)^2": str(five * five)})
+    return _collapse_verdict(q, 91, 10, [
+        ("(5,0)(2,0)", "zero class", "product_collapses", zd, zd),
+        ("(5,0)^2", "(5,0)", "(5,0)^2", str(five * five),
+         five * five == five)])
 
 
 @claim("ex-3.33",
@@ -825,24 +828,19 @@ def _c_ex_3_32(ctx):
        "[6,3]^2 collapses to zero and [8,1]^2 = 1")
 def _c_ex_3_33(ctx):
     d = Mod(9)
-    _, q = _rees_cols(9, _C)
-    char = q.characteristic()
+    q = _collapse(ctx, 9, _C)
     sq1 = _class_of(q, _miv(d, 6, 3) ** 2) == 0
     sq2 = str(_miv(d, 8, 1) ** 2)
-    agree = q.n == 73 and char == 9 and sq1 and sq2 == "1"
-    return _verdict(agree,
-                    {"classes": 73, "characteristic": 9,
-                     "[6,3]^2": "zero class", "[8,1]^2": "1"},
-                    {"classes": q.n, "characteristic": char,
-                     "[6,3]^2_collapses": sq1, "[8,1]^2": sq2})
+    return _collapse_verdict(q, 73, 9, [
+        ("[6,3]^2", "zero class", "[6,3]^2_collapses", sq1, sq1),
+        ("[8,1]^2", "1", "[8,1]^2", sq2, sq2 == "1")])
 
 
 @claim("ex-3.33-idempotents",
        "that quotient over Z9 has no idempotent classes")
 def _c_ex_3_33_idem(ctx):
-    d = Mod(9)
-    _, q = _rees_cols(9, _C)
-    x = _miv(d, 1, 0)
+    q = _collapse(ctx, 9, _C)
+    x = _miv(Mod(9), 1, 0)
     witness = x * x == x and _class_of(q, x) != 0
     if witness:
         return _result("erratum", "no idempotents",
@@ -858,19 +856,14 @@ def _c_ex_3_33_idem(ctx):
        "over Z7 the collapse leaves 43 classes of characteristic 7 with "
        "no zero divisors; classes of (a,0) are not invertible")
 def _c_ex_3_34(ctx):
-    d = Mod(7)
-    _, q = _rees_cols(7, _O)
-    char = q.characteristic()
+    q = _collapse(ctx, 7, _O)
     nz = int(_zero_products(q.table("mul"), 0).sum())
-    a0 = _class_of(q, interval(d, 1, 0, _O))
+    a0 = _class_of(q, interval(Mod(7), 1, 0, _O))
     invertible = bool(q.units()[a0] >= 0)
-    agree = q.n == 43 and char == 7 and not nz and not invertible
-    return _verdict(agree,
-                    {"classes": 43, "characteristic": 7,
-                     "zero_divisors": 0, "(1,0)_invertible": False},
-                    {"classes": q.n, "characteristic": char,
-                     "zero_divisor_pairs": nz,
-                     "(1,0)_invertible": invertible})
+    return _collapse_verdict(q, 43, 7, [
+        ("zero_divisors", 0, "zero_divisor_pairs", nz, not nz),
+        ("(1,0)_invertible", False, "(1,0)_invertible", invertible,
+         not invertible)])
 
 
 @claim("ex-3.35",
@@ -878,14 +871,10 @@ def _c_ex_3_34(ctx):
        "[0,5]^6 = [0,5] and [0,3]^6 = [0,3]")
 def _c_ex_3_35(ctx):
     d = Mod(11)
-    _, q = _rees_cols(11, _C)
-    p5 = str(_miv(d, 0, 5) ** 6)
-    p3 = str(_miv(d, 0, 3) ** 6)
-    agree = q.n == 111 and p5 == "[0,5]" and p3 == "[0,3]"
-    return _verdict(agree,
-                    {"classes": 111, "[0,5]^6": "[0,5]",
-                     "[0,3]^6": "[0,3]"},
-                    {"classes": q.n, "[0,5]^6": p5, "[0,3]^6": p3})
+    p5, p3 = str(_miv(d, 0, 5) ** 6), str(_miv(d, 0, 3) ** 6)
+    return _collapse_verdict(_collapse(ctx, 11, _C), 111, None, [
+        ("[0,5]^6", "[0,5]", "[0,5]^6", p5, p5 == "[0,5]"),
+        ("[0,3]^6", "[0,3]", "[0,3]^6", p3, p3 == "[0,3]")])
 
 
 def _power_return_exponents(q):
@@ -901,28 +890,24 @@ def _power_return_exponents(q):
        "p^2-p+1 classes of characteristic p, and every nonzero class "
        "returns to itself under some power > 1")
 def _c_thm_3_7(ctx):
-    out = {}
-    agree = True
-    for p in (3, 5, 7):
-        s = interval_structure(Mod(p), _C)
+    def check(p):
+        q = _collapse(ctx, p, _C)
+        s = q.ambient
         sp = find_special_elements(s, with_orders=False)
-        col_ok, _ = is_ideal(s, _colzero(s).indices)
+        col_ok, _ = is_ideal(s, q.ideal.indices)
         row_ok, _ = is_ideal(s, parse_ideal_spec(s, "row-zero").indices)
-        q = rees_quotient(s, _colzero(s))
         char = q.characteristic()
         exps = _power_return_exponents(q)
         returns = all(v is not None and v > 1 for v in exps.values())
         ok = (s.n == p * p and len(sp["zero_divisors"]) > 0 and col_ok
               and row_ok and q.n == p * p - p + 1 and char == p
               and returns)
-        out[f"p={p}"] = {"order": s.n, "classes": q.n,
-                         "characteristic": char,
-                         "power_return": returns}
-        agree = agree and ok
-    return _verdict(agree,
-                    "order p^2, both line ideals, p^2-p+1 classes of "
-                    "characteristic p, power-return for p in {3,5,7}",
-                    out)
+        return (f"p={p}", ok, {"order": s.n, "classes": q.n,
+                               "characteristic": char,
+                               "power_return": returns})
+    return _each(((3,), (5,), (7,)),
+                 "order p^2, both line ideals, p^2-p+1 classes of "
+                 "characteristic p, power-return for p in {3,5,7}", check)
 
 
 @claim("sec3-power-return",
@@ -930,9 +915,7 @@ def _c_thm_3_7(ctx):
        "((2,0))^5 = (2,0) with 5 minimal, ((4,0))^3 = (4,0), "
        "((1,0))^2 = (1,0)")
 def _c_sec3_power_return(ctx):
-    d = Mod(5)
-    _, q = _rees_cols(5, _O)
-    exps = _power_return_exponents(q)
+    exps = _power_return_exponents(_collapse(ctx, 5, _O))
     wanted = {"(2,0)": 5, "(4,0)": 3, "(1,0)": 2, "(2,4)": 5}
     got = {k: exps.get(k) for k in wanted}
     agree = got == wanted
@@ -946,20 +929,17 @@ def _c_sec3_power_return(ctx):
        "for composite n the collapse over Zn keeps n^2-n+1 classes of "
        "characteristic n and shows zero divisors and units")
 def _c_thm_3_8(ctx):
-    out = {}
-    agree = True
-    for n in (4, 6, 10):
-        _, q = _rees_cols(n, _C)
+    def check(n):
+        q = _collapse(ctx, n, _C)
         char = q.characteristic()
         zd = _first_zero_pair(q, "mul", 0) is not None
         units = int((q.units() >= 0).sum())
         ok = q.n == n * n - n + 1 and char == n and zd and units > 1
-        out[f"n={n}"] = {"classes": q.n, "characteristic": char,
-                         "zero_divisors": zd, "units": units}
-        agree = agree and ok
-    return _verdict(agree,
-                    "n^2-n+1 classes, characteristic n, zero divisors "
-                    "and units for n in {4,6,10}", out)
+        return (f"n={n}", ok, {"classes": q.n, "characteristic": char,
+                               "zero_divisors": zd, "units": units})
+    return _each(((4,), (6,), (10,)),
+                 "n^2-n+1 classes, characteristic n, zero divisors "
+                 "and units for n in {4,6,10}", check)
 
 
 @claim("ex-3.39",
@@ -968,7 +948,7 @@ def _c_thm_3_8(ctx):
        "invertible, so the quotient is not a field")
 def _c_ex_3_39(ctx):
     d = Mod(3)
-    _, q = _rees_cols(3, _C)
+    q = _collapse(ctx, 3, _C)
     got = {
         "2^3": str(_miv(d, 2, 2) ** 3),
         "[2,0]^3": str(_miv(d, 2, 0) ** 3),
@@ -994,23 +974,17 @@ def _c_ex_3_39(ctx):
        "(4,4) and (4,0) are idempotent, (6,0) nilpotent, (11,11) a unit")
 def _c_ex_3_40(ctx):
     d = Mod(12)
-    _, q = _rees_cols(12, _O)
-    got = {
-        "classes": q.n,
-        "(3,4)(4,3)": _class_of(q, _miv(d, 3, 4, _O) * _miv(d, 4, 3, _O)),
-        "(4,4)^2": str(_miv(d, 4, 4, _O) ** 2),
-        "(4,0)^2": str(_miv(d, 4, 0, _O) ** 2),
-        "(6,0)^2_class": _class_of(q, _miv(d, 6, 0, _O) ** 2),
-        "(11,11)^2": str(_miv(d, 11, 11, _O) ** 2),
-    }
-    agree = (got["classes"] == 133 and got["(3,4)(4,3)"] == 0
-             and got["(4,4)^2"] == "4" and got["(4,0)^2"] == "(4,0)"
-             and got["(6,0)^2_class"] == 0 and got["(11,11)^2"] == "1")
-    return _verdict(agree,
-                    {"classes": 133, "(3,4)(4,3)": "zero class",
-                     "(4,4)^2": "4", "(4,0)^2": "(4,0)",
-                     "(6,0)": "nilpotent", "(11,11)^2": "1"},
-                    got)
+    q = _collapse(ctx, 12, _O)
+    zc = _class_of(q, _miv(d, 3, 4, _O) * _miv(d, 4, 3, _O))
+    sq44, sq40, sq1111 = (str(_miv(d, a, b, _O) ** 2)
+                          for a, b in ((4, 4), (4, 0), (11, 11)))
+    nil = _class_of(q, _miv(d, 6, 0, _O) ** 2)
+    return _collapse_verdict(q, 133, None, [
+        ("(3,4)(4,3)", "zero class", "(3,4)(4,3)", zc, zc == 0),
+        ("(4,4)^2", "4", "(4,4)^2", sq44, sq44 == "4"),
+        ("(4,0)^2", "(4,0)", "(4,0)^2", sq40, sq40 == "(4,0)"),
+        ("(6,0)", "nilpotent", "(6,0)^2_class", nil, nil == 0),
+        ("(11,11)^2", "1", "(11,11)^2", sq1111, sq1111 == "1")])
 
 
 @claim("ex-3.41",
@@ -1018,33 +992,24 @@ def _c_ex_3_40(ctx):
        "characteristic 53; classes of (a,0) are not invertible and "
        "classes with both endpoints nonzero are")
 def _c_ex_3_41(ctx):
-    d = Mod(53)
-    _, q = _rees_cols(53, _C)
-    char = q.characteristic()
-    a0 = _class_of(q, interval(d, 7, 0, _C))
+    q = _collapse(ctx, 53, _C)
+    a0 = _class_of(q, interval(Mod(53), 7, 0, _C))
     line_inv = bool(q.units()[a0] >= 0)
     units = int((q.units() >= 0).sum())
-    agree = (q.n == 2757 and char == 53 and not line_inv
-             and units == 52 * 52)
-    return _verdict(agree,
-                    {"classes": 2757, "characteristic": 53,
-                     "(7,0)_invertible": False, "units": 2704},
-                    {"classes": q.n, "characteristic": char,
-                     "(7,0)_invertible": line_inv, "units": units})
+    return _collapse_verdict(q, 2757, 53, [
+        ("(7,0)_invertible", False, "(7,0)_invertible", line_inv,
+         not line_inv),
+        ("units", 2704, "units", units, units == 52 * 52)])
 
 
 @claim("thm-3.9",
        "the collapse of the interval ring over Zp is an S-ring")
 def _c_thm_3_9(ctx):
-    out = {}
-    agree = True
-    for p in (3, 7):
-        _, q = _rees_cols(p, _C)
-        found, wit = is_s_ring(q)
-        out[f"p={p}"] = wit["members"] if found else None
-        agree = agree and found
-    return _verdict(agree,
-                    "a proper subset field exists for p in {3,7}", out)
+    def check(p):
+        found, wit = is_s_ring(_collapse(ctx, p, _C))
+        return f"p={p}", found, wit["members"] if found else None
+    return _each(((3,), (7,)),
+                 "a proper subset field exists for p in {3,7}", check)
 
 
 @claim("thm-3.10-modmap",
@@ -1267,21 +1232,18 @@ def _c_ex_6_14(ctx):
        "n x n interval matrices over Zp form an S-ring for "
        "prime p")
 def _c_thm_6_1(ctx):
-    out = {}
-    agree = True
-    for p in (3, 5):
+    def check(p):
         found, wit = corner_s_ring_witness(2, 2, Mod(p), _C)
-        out[f"p={p}"] = {"found": found,
-                         "base_members": wit["base_members"] if found
-                         else None}
-        agree = agree and found
-    return _verdict(agree,
-                    "a corner-embedded subset field exists for "
-                    "p in {3,5}", out,
-                    note="the recorded proof takes every interval corner "
-                         "entry, which admits zero divisors such as "
-                         "[1,0]; a degenerate corner subset does give "
-                         "the field, so the statement itself stands")
+        return (f"p={p}", found,
+                {"found": found,
+                 "base_members": wit["base_members"] if found else None})
+    return _each(((3,), (5,)),
+                 "a corner-embedded subset field exists for p in {3,5}",
+                 check,
+                 note="the recorded proof takes every interval corner "
+                      "entry, which admits zero divisors such as [1,0]; "
+                      "a degenerate corner subset does give the field, "
+                      "so the statement itself stands")
 
 
 @claim("thm-6.2",
@@ -1311,14 +1273,11 @@ def _two_point_corner_field(rows, d, flavor, scalar):
        "over Z2p the pair {0, p*E11} of n x n interval matrices is a "
        "field, so the matrix ring is an S-ring")
 def _c_thm_6_3(ctx):
-    out = {}
-    agree = True
-    for p in (3, 5):
+    def check(p):
         ok, info = _two_point_corner_field(2, Mod(2 * p), _C, p)
-        out[f"p={p}"] = {"field": ok, "identity": info.get("identity")}
-        agree = agree and ok
-    return _verdict(agree,
-                    "two-element corner field for p in {3,5}, n=2", out)
+        return f"p={p}", ok, {"field": ok, "identity": info.get("identity")}
+    return _each(((3,), (5,)),
+                 "two-element corner field for p in {3,5}, n=2", check)
 
 
 @claim("ex-6.19",
@@ -1500,16 +1459,14 @@ def _c_sec8_max_identity(ctx):
        "min, max and the product are associative and commutative on the "
        "unit grid of fuzzy intervals")
 def _c_fuzzy_assoc(ctx):
-    out = {}
-    agree = True
-    for op in ("min", "max", "prod"):
+    def check(op):
         rep = fuzzy_semigroup_report(op)
-        out[op] = {"associative": rep["associative"],
-                   "commutative": rep["commutative"],
-                   "method": rep["associativity_method"]}
-        agree = agree and rep["associative"] and rep["commutative"]
-    return _verdict(agree, "all three operations associative and "
-                           "commutative", out)
+        return (op, rep["associative"] and rep["commutative"],
+                {"associative": rep["associative"],
+                 "commutative": rep["commutative"],
+                 "method": rep["associativity_method"]})
+    return _each((("min",), ("max",), ("prod",)),
+                 "all three operations associative and commutative", check)
 
 
 # ======================================================================
@@ -1563,7 +1520,7 @@ def run_verification(seed=0, only=None):
     ``only`` restricts to an iterable of claim ids.  A checker that
     raises is reported as a fail, never as a crash of the runner.
     """
-    ctx = {"seed": seed}
+    ctx = {"seed": seed, "collapses": {}}
     wanted = set(only) if only else None
     claims = []
     counts = {"pass": 0, "fail": 0, "erratum": 0, "skipped": 0}

@@ -72,6 +72,7 @@ BLOCK_READER = "Ideals read the carrier through its block reader"
 CLAIMS = "The claim catalogue asks the engine"
 MODMAP_PAIRS = "The mod-n map once per operand pair"
 ONE_WAY = "The randomized suites check each law one way"
+FAMILIES = "The claim catalogue by families"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -362,6 +363,23 @@ MUTANTS = (
            "run_chunked(cases, check(d), seed=seed)",
            "run_chunked(cases, check(parse_domain(domains[-1])), seed=seed)",
            ("tests/test_golden.py", "-k", "faulted and decomposition")),
+    Mutant("collapse-cache-keyed-on-n", FAMILIES, "verify.py",
+           "key = (n, flavor)", "key = n",
+           ("tests/test_verify.py", "-k", "alone or once")),
+    Mutant("collapse-check-keys-swapped", FAMILIES, "verify.py",
+           '("(5,0)(2,0)", "zero class", "product_collapses", zd, zd)',
+           '("product_collapses", "zero class", "(5,0)(2,0)", zd, zd)',
+           ("tests/test_golden.py", "-k", "verify")),
+    Mutant("collapse-verdict-forgets-a-failed-check", FAMILIES, "verify.py",
+           "        exp[want_key], got[got_key] = want, value\n"
+           "        agree = agree and ok\n",
+           "        exp[want_key], got[got_key] = want, value\n"
+           "        agree = ok\n",
+           ("tests/test_verify.py", "-k", "collapse_verdict")),
+    Mutant("each-forgets-a-failed-case", FAMILIES, "verify.py",
+           "        out[key] = record\n        agree = agree and ok\n",
+           "        out[key] = record\n        agree = ok\n",
+           ("tests/test_verify.py", "-k", "earlier_failed_case")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

@@ -4,7 +4,8 @@ import pytest
 
 from natint import claim_ids, run_verification, verify
 from natint.carriers import interval_structure
-from natint.intervals import Flavor
+from natint.intervals import Flavor, NaturalInterval
+from natint.quotients import rees_quotient
 from natint.scalars import Mod
 from natint.structures import _first_leak
 
@@ -110,3 +111,58 @@ def test_thm_2_5_reads_the_diagonal_in_set_order(n, flavor, in_set_order,
                                 diag)) == in_carrier_order
     found = run_verification(only=["thm-2.5"])["claims"][0]["computed"]
     assert found[f"Zn:{n}"] == in_set_order
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_each_claim_reads_the_same_alone_as_in_a_full_run(seed):
+    # a full run hands each collapse on to the later claims that read it,
+    # memo state and all; each claim's record must not show it
+    full = run_verification(seed)
+    alone = [run_verification(seed, only=[c])["claims"][0]
+             for c in claim_ids()]
+    assert full["claims"] == alone
+    assert full["counts"] == {"pass": 70, "fail": 0, "erratum": 5,
+                              "skipped": 3}
+
+
+def test_a_full_run_builds_each_interval_collapse_once(monkeypatch):
+    built = []
+
+    def counted(s, ideal):
+        e = s.elements[0]
+        if isinstance(e, NaturalInterval):
+            built.append((e.domain.n, e.flavor))
+        return rees_quotient(s, ideal)
+
+    monkeypatch.setattr(verify, "rees_quotient", counted)
+    run_verification(seed=0)
+    assert len(built) == len(set(built)) == 15
+
+
+def test_collapse_verdict_fails_on_an_earlier_failed_check():
+    q = verify._collapse({"collapses": {}}, 3, Flavor.OPEN)
+    status, expected, computed, _ = verify._collapse_verdict(q, 7, 3, [
+        ("first", "wanted", "first_computed", "other", False),
+        ("second", "wanted", "second_computed", "wanted", True)])
+    assert status == "fail"
+    assert list(expected.items()) == [
+        ("classes", 7), ("characteristic", 3), ("first", "wanted"),
+        ("second", "wanted")]
+    assert list(computed.items()) == [
+        ("classes", 7), ("characteristic", 3), ("first_computed", "other"),
+        ("second_computed", "wanted")]
+    # without a characteristic the key is left out and not computed
+    _, expected, computed, _ = verify._collapse_verdict(q, 7, None, [])
+    assert expected == computed == {"classes": 7}
+
+
+def test_each_fails_on_an_earlier_failed_case():
+    status, expected, computed, note = verify._each(
+        [(1, "no"), (2, "yes")], "every case agrees",
+        lambda k, word: (f"k={k}", word == "yes", {"word": word}),
+        note="a note")
+    assert status == "fail"
+    assert expected == "every case agrees"
+    assert list(computed.items()) == [("k=1", {"word": "no"}),
+                                      ("k=2", {"word": "yes"})]
+    assert note == "a note"
