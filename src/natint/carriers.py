@@ -12,11 +12,19 @@ Spec forms:
                                 ambient flavor)
     Fuzzy(<min|max|prod>[,step=1/<s>])  the fuzzy unit grid
 
+One reader, _ambient_context, parses and checks N, Mat and Poly specs,
+of a carrier and of a Sub{...} ambient alike: a matrix shape and a cyclic
+modulus must be at least 1, and \\0 is allowed only on N.  A carrier is
+listed by one enumerator, _enumerate, which first refuses an infinite
+domain and prices the carrier from the domain's size, entry by entry, so
+a huge size is refused without raising an exponent the spec gave.
+
 Carrier order is lexicographic in the underlying scalar enumeration, so
 every table, report and witness is deterministic.
 """
 
 import itertools
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -135,68 +143,79 @@ def _poly_product(cyclic):
     return compose
 
 
-def _interval_context(domain, flavor):
-    """Operations, element parser and diagonal builder of N(domain).
+def _context(domain, flavor, shape=None, cyclic=None, remove_zero=False):
+    """Operations, element parser, diagonal builder, lowering, element
+    builder and default name of N(domain), of Mat(rows,cols,N(domain))
+    when shape is (rows, cols), or of Poly(N(domain),cyc=cyclic) when
+    cyclic is given.  A square matrix carrier multiplies by mat_mul, any
+    other entrywise; N(domain\\0) (remove_zero) has no addition.
+    A matrix or polynomial context's make(ess) lists the element of each
+    entry tuple of ess, by map, which runs no Python frame per element;
+    name() is formatted when asked for.
 
     Fuzzy addition overflows to a sentinel outside every carrier, so
     tables record non-closure instead of raising mid-build."""
-    if isinstance(domain, FuzzyUnitDomain):
-        def add(x, y):
-            try:
-                return x + y
-            except FuzzyRangeOverflow:
-                return None
+    rz = "\\0" if remove_zero else ""
+
+    def n():
+        return f"N({domain.spec}{rz},{flavor.code})"
+    if shape is not None:
+        rows, cols = shape
+        square = rows == cols
+        ctx = {"kind": "matrix", "name": lambda: f"Mat({rows},{cols},{n()})",
+               "add": mat_add, "mul": mat_mul if square else mat_hadamard,
+               "parse": lambda s: parse_matrix(s, domain, flavor),
+               "diag": lambda p: mat_recompose(p, p, domain, flavor),
+               "make": lambda ess: list(map(
+                   IntervalMatrix, repeat(rows), repeat(cols), ess,
+                   repeat(domain), repeat(flavor))),
+               "lower": Lowering(rows * cols, itertools.chain.from_iterable, {
+                   "add": _entrywise("add"),
+                   "mul": _mat_product(rows) if square
+                   else _entrywise("mul")})}
+    elif cyclic is not None:
+        if cyclic < 1:
+            raise ParseError(f"cyclic modulus must be >= 1, got {cyclic}")
+        ctx = {"kind": "poly", "name": lambda: f"Poly({n()},cyc={cyclic})",
+               "add": poly_add, "mul": poly_mul,
+               "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
+               "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
+               "make": lambda ess: list(map(
+                   IntervalPoly, repeat(domain), repeat(flavor), ess,
+                   repeat(cyclic))),
+               "lower": Lowering(cyclic, lambda p: p + (domain.zero,) * (
+                   cyclic - len(p)), {
+                   "add": _entrywise("add"), "mul": _poly_product(cyclic)})}
     else:
-        def add(x, y):
-            return x + y
-
-    return {
-        "kind": "interval", "domain": domain, "flavor": flavor,
-        "add": add, "mul": lambda x, y: x * y,
-        "parse": lambda s: parse_interval(s, domain, flavor),
-        "diag": lambda p: NaturalInterval(domain, p, p, flavor),
-        "lower": Lowering(1, lambda p: (p,), {
-            "add": _entrywise("add"), "mul": _entrywise("mul")}),
-    }
-
-
-def _matrix_context(rows, cols, domain, flavor):
-    """As _interval_context for Mat(rows,cols,N(domain)): mat_mul when
-    square, the entrywise product otherwise."""
-    return {
-        "kind": "matrix", "domain": domain, "flavor": flavor,
-        "add": mat_add, "mul": mat_mul if rows == cols else mat_hadamard,
-        "parse": lambda s: parse_matrix(s, domain, flavor),
-        "diag": lambda p: mat_recompose(p, p, domain, flavor),
-        "lower": Lowering(rows * cols, itertools.chain.from_iterable, {
-            "add": _entrywise("add"),
-            "mul": _mat_product(rows) if rows == cols
-            else _entrywise("mul")}),
-    }
-
-
-def _poly_context(domain, flavor, cyclic):
-    """As _interval_context for Poly(N(domain),cyc=cyclic)."""
-    return {
-        "kind": "poly", "domain": domain, "flavor": flavor,
-        "add": poly_add, "mul": poly_mul,
-        "parse": lambda s: parse_poly(s, domain, flavor, cyclic),
-        "diag": lambda p: poly_recompose(p, p, domain, flavor, cyclic),
-        "lower": Lowering(cyclic, lambda p: p + (domain.zero,) * (
-            cyclic - len(p)), {
-            "add": _entrywise("add"), "mul": _poly_product(cyclic)}),
-    }
+        if isinstance(domain, FuzzyUnitDomain):
+            def add(x, y):
+                try:
+                    return x + y
+                except FuzzyRangeOverflow:
+                    return None
+        else:
+            def add(x, y):
+                return x + y
+        ctx = {"kind": "interval", "name": n,
+               "add": None if remove_zero else add, "mul": lambda x, y: x * y,
+               "parse": lambda s: parse_interval(s, domain, flavor),
+               "diag": lambda p: NaturalInterval(domain, p, p, flavor),
+               "lower": Lowering(1, lambda p: (p,), {
+                   "add": _entrywise("add"), "mul": _entrywise("mul")})}
+    ctx["domain"], ctx["flavor"] = domain, flavor
+    ctx["remove_zero"] = remove_zero
+    return ctx
 
 
 def _structure(elements, ctx, name, scalar_codes=None):
     """A carrier whose tables are read off its lo and hi part tables,
     which are built from the code tables of a finite domain (ctx's
     lowering), or one op per pair of parts when the domain has none.
-    scalar_codes, from interval_structure, matrix_structure and
-    poly_structure, are the codes of the scalars that every entry's
-    endpoints range over: the elements are then every choice of entries,
-    in the order those functions make them, and the carrier reads where
-    each sits among its parts off those codes (structures._Coords)."""
+    scalar_codes, from _enumerate, are the codes of the scalars that
+    every entry's endpoints range over: the elements are then every
+    choice of entries, in the order _enumerate makes them, and the
+    carrier reads where each sits among its parts off those codes
+    (structures._Coords)."""
     return FiniteStructure(
         elements, mul=ctx["mul"], add=ctx["add"], name=name,
         kind=ctx["kind"], domain=ctx["domain"], flavor=ctx["flavor"],
@@ -204,166 +223,134 @@ def _structure(elements, ctx, name, scalar_codes=None):
         scalar_codes=scalar_codes)
 
 
+def _price(kept, width, size_bound, what):
+    """Refuse `what` of (kept**2)**width elements when that is above
+    size_bound.  The count is a running product of kept**2 per entry
+    that stops at the first factor past the bound, so no user-given
+    exponent is raised and no count too long to print is printed."""
+    count = 1
+    for _ in range(width):
+        count *= kept * kept
+        if count > size_bound:
+            raise TooLarge(f"{what} of more than {size_bound} elements "
+                           f"exceeds the bound {size_bound}")
+
+
+def _enumerate(ctx, size_bound, name):
+    """The carrier of a context (_context): every choice of its lowering's
+    width entries, each an interval over the kept scalars (the nonzero
+    ones for N(D\\0), else all), in lexicographic order of the entries,
+    each lo-major.  An infinite domain is refused, and so is a carrier
+    above size_bound, priced from domain.size before any scalar is
+    listed (_price)."""
+    domain, flavor, width = ctx["domain"], ctx["flavor"], ctx["lower"].width
+    if domain.size is None:
+        raise InfiniteDomain(f"cannot enumerate N({domain.spec}); use "
+                             f"Sub{{...}} for finite subsets")
+    # N(D\0) keeps every scalar but zero
+    _price(domain.size - ctx["remove_zero"], width, size_bound, "carrier")
+    kept = scalars = list(domain.elements())
+    codes = range(len(scalars))
+    if ctx["remove_zero"]:
+        codes = [c for c in codes if scalars[c] != domain.zero]
+        kept = [scalars[c] for c in codes]
+    elements = [NaturalInterval(domain, lo, hi, flavor)
+                for lo in kept for hi in kept]
+    if ctx["kind"] != "interval":
+        elements = ctx["make"](itertools.product(elements, repeat=width))
+    return _structure(elements, ctx, ctx["name"]() if name is None else name,
+                      codes)
+
+
 def interval_structure(domain, flavor=Flavor.CLOSED, remove_zero=False,
                        size_bound=DEFAULT_SIZE_BOUND, name=None):
-    if domain.size is None:
-        raise InfiniteDomain(
-            f"cannot enumerate N({domain.spec}); use Sub{{...}} for "
-            f"finite subsets")
-    count = (domain.size - 1) ** 2 if remove_zero else domain.size ** 2
-    if count > size_bound:
-        raise TooLarge(f"carrier of {count} elements exceeds the bound "
-                       f"{size_bound}")
-    scalars = list(domain.elements())
-    codes = range(len(scalars))
-    ctx = _interval_context(domain, flavor)
-    if remove_zero:
-        codes = [c for c in codes if scalars[c] != domain.zero]
-        ctx["add"] = None
-    elements = [NaturalInterval(domain, scalars[lo], scalars[hi], flavor)
-                for lo in codes for hi in codes]
-    if name is None:
-        rz = "\\0" if remove_zero else ""
-        name = f"N({domain.spec}{rz},{flavor.code})"
-    return _structure(elements, ctx, name, codes)
+    return _enumerate(_context(domain, flavor, remove_zero=remove_zero),
+                      size_bound, name)
 
 
 def matrix_structure(rows, cols, domain, flavor=Flavor.CLOSED,
                      size_bound=DEFAULT_SIZE_BOUND, name=None):
-    if domain.size is None:
-        raise InfiniteDomain(f"{domain.spec} is infinite")
-    count = (domain.size ** 2) ** (rows * cols)
-    if count > size_bound:
-        raise TooLarge(f"carrier of {count} elements exceeds the bound "
-                       f"{size_bound}")
-    ivs = interval_elements(domain, flavor)
-    elements = [IntervalMatrix(rows, cols, combo, domain, flavor)
-                for combo in itertools.product(ivs, repeat=rows * cols)]
-    if name is None:
-        name = f"Mat({rows},{cols},N({domain.spec},{flavor.code}))"
-    return _structure(elements, _matrix_context(rows, cols, domain, flavor),
-                      name, range(domain.size))
+    return _enumerate(_context(domain, flavor, (rows, cols)), size_bound,
+                      name)
 
 
 def poly_structure(domain, flavor=Flavor.CLOSED, cyclic=1,
                    size_bound=DEFAULT_SIZE_BOUND, name=None):
-    if domain.size is None:
-        raise InfiniteDomain(f"{domain.spec} is infinite")
-    if cyclic < 1:
-        raise ParseError(f"cyclic modulus must be >= 1, got {cyclic}")
-    count = (domain.size ** 2) ** cyclic
-    if count > size_bound:
-        raise TooLarge(f"carrier of {count} elements exceeds the bound "
-                       f"{size_bound}")
-    ivs = interval_elements(domain, flavor)
-    elements = [IntervalPoly(domain, flavor, combo, cyclic)
-                for combo in itertools.product(ivs, repeat=cyclic)]
-    if name is None:
-        name = f"Poly(N({domain.spec},{flavor.code}),cyc={cyclic})"
-    return _structure(elements, _poly_context(domain, flavor, cyclic), name,
-                      range(domain.size))
-
-
-def _parse_nspec(text):
-    t = text.strip()
-    remove_zero = False
-    if t.endswith("\\0"):
-        remove_zero = True
-        t = t[:-2].strip()
-    if not (t.startswith("N(") and t.endswith(")")):
-        raise ParseError(f"expected N(...), got {text!r}", text=text,
-                         expected=["N(<domain>[,<flavor>])"])
-    parts = split_top_level(t[2:-1])
-    if not 1 <= len(parts) <= 2:
-        raise ParseError(f"N(...) takes a domain and an optional flavor, "
-                         f"got {len(parts)} arguments", text=text)
-    dom_tok = parts[0].strip()
-    if dom_tok.endswith("\\0"):
-        remove_zero = True
-        dom_tok = dom_tok[:-2].strip()
-    domain = parse_domain(dom_tok)
-    flavor = flavor_from_token(parts[1]) if len(parts) == 2 else Flavor.CLOSED
-    return domain, flavor, remove_zero
+    return _enumerate(_context(domain, flavor, cyclic=cyclic), size_bound,
+                      name)
 
 
 def _ambient_context(spec, size_bound):
-    """Operations and an element parser for a spec, without enumerating
-    the carrier — this is what lets Sub{...} sit inside N(Z) or N(Q)."""
+    """The one reader of N(...), Mat(...) and Poly(...) specs: for a
+    carrier, which build_carrier enumerates (_enumerate), and for a
+    Sub{...} ambient, which is never enumerated, so it may be N(Z) or
+    N(Q).  It checks the spec (a matrix shape and a cyclic modulus of at
+    least 1, and \\0 only on N) and returns the kind's context (_context)
+    with `coerce`, which brings a parsed element to the ambient's flavor
+    and refuses one that lies outside it."""
     t = spec.strip()
-    if t.startswith("N("):
-        domain, flavor, rz = _parse_nspec(t)
-        ctx = _interval_context(domain, flavor)
-        if rz:
-            ctx["add"] = None
+    kind = t[:t.find("(") + 1]
+    n_text, shape, cyclic = t, None, None
+    if kind in ("Mat(", "Poly("):
+        if not t.endswith(")"):
+            raise ParseError(f"expected {kind}...), got {t!r}", text=t)
+        parts = split_top_level(t[len(kind):-1])
+    if kind == "Mat(":
+        if len(parts) != 3:
+            raise ParseError("Mat takes (rows, cols, N(...))", text=t,
+                             expected=["Mat(<r>,<c>,N(...))"])
+        try:
+            shape = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"bad matrix shape in {t!r}", text=t) from None
+        if min(shape) < 1:
+            raise ParseError("matrix shape must be positive", text=t)
+        n_text = parts[2]
+    elif kind == "Poly(":
+        if len(parts) != 2 or not parts[1].strip().startswith("cyc="):
+            raise ParseError("Poly takes (N(...), cyc=<k>)", text=t,
+                             expected=["Poly(N(...),cyc=<k>)"])
+        n_text = parts[0]
+    elif kind != "N(":
+        raise ParseError(
+            f"Sub{{...}} needs an N/Mat/Poly ambient, got {spec!r}",
+            text=spec)
+    nt = n_text.strip()
+    rz, nt = nt.endswith("\\0"), nt.removesuffix("\\0").strip()
+    if not (nt.startswith("N(") and nt.endswith(")")):
+        raise ParseError(f"expected N(...), got {n_text!r}", text=n_text,
+                         expected=["N(<domain>[,<flavor>])"])
+    args = split_top_level(nt[2:-1])
+    if not 1 <= len(args) <= 2:
+        raise ParseError(f"N(...) takes a domain and an optional flavor, "
+                         f"got {len(args)} arguments", text=n_text)
+    dom_tok = args[0].strip()
+    rz = rz or dom_tok.endswith("\\0")
+    dom_tok = dom_tok.removesuffix("\\0").strip()
+    domain = parse_domain(dom_tok)
+    flavor = flavor_from_token(args[1]) if len(args) == 2 else Flavor.CLOSED
+    if rz and kind != "N(":
+        raise ParseError(f"\\0 is not supported inside {kind}...)", text=t)
+    if kind == "Poly(":
+        try:
+            cyclic = int(parts[1].strip()[len("cyc="):])
+        except ValueError:
+            raise ParseError(f"bad cyclic modulus in {t!r}", text=t) from None
+    ctx = _context(domain, flavor, shape, cyclic, rz)
 
-        def coerce(e):
-            if rz and domain.zero in (e.lo, e.hi):
-                raise ParseError(
-                    f"{e} has a zero endpoint, so it lies outside {t}",
-                    text=t)
+    def coerce(e):
+        if rz and domain.zero in (e.lo, e.hi):
+            raise ParseError(
+                f"{e} has a zero endpoint, so it lies outside {t}", text=t)
+        if shape is not None and e.shape != shape:
+            raise ParseError(f"{e} is a {e.rows}x{e.cols} matrix, so it "
+                             f"lies outside {t}", text=t)
+        if shape is None and cyclic is None:
             return e.with_flavor(flavor)
-        ctx["coerce"] = coerce
-        return ctx
-    if t.startswith("Mat("):
-        rows, cols, domain, flavor = _parse_matspec(t)
-
-        def coerce(m):
-            if m.shape != (rows, cols):
-                raise ParseError(
-                    f"{m} is a {m.rows}x{m.cols} matrix, so it lies "
-                    f"outside {t}", text=t)
-            return IntervalMatrix(
-                rows, cols, [e.with_flavor(flavor) for e in m.entries],
-                domain, flavor)
-        ctx = _matrix_context(rows, cols, domain, flavor)
-        ctx["coerce"] = coerce
-        return ctx
-    if t.startswith("Poly("):
-        domain, flavor, cyc = _parse_polyspec(t)
-        ctx = _poly_context(domain, flavor, cyc)
-        ctx["coerce"] = lambda p: IntervalPoly(
-            domain, flavor, [c.with_flavor(flavor) for c in p.coeffs], cyc)
-        return ctx
-    raise ParseError(f"Sub{{...}} needs an N/Mat/Poly ambient, got {spec!r}",
-                     text=spec)
-
-
-def _parse_matspec(text):
-    t = text.strip()
-    if not (t.startswith("Mat(") and t.endswith(")")):
-        raise ParseError(f"expected Mat(...), got {text!r}", text=text)
-    parts = split_top_level(t[4:-1])
-    if len(parts) != 3:
-        raise ParseError("Mat takes (rows, cols, N(...))", text=text,
-                         expected=["Mat(<r>,<c>,N(...))"])
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad matrix shape in {text!r}", text=text) from None
-    if rows < 1 or cols < 1:
-        raise ParseError("matrix shape must be positive", text=text)
-    domain, flavor, rz = _parse_nspec(parts[2])
-    if rz:
-        raise ParseError("\\0 is not supported inside Mat(...)", text=text)
-    return rows, cols, domain, flavor
-
-
-def _parse_polyspec(text):
-    t = text.strip()
-    if not (t.startswith("Poly(") and t.endswith(")")):
-        raise ParseError(f"expected Poly(...), got {text!r}", text=text)
-    parts = split_top_level(t[5:-1])
-    if len(parts) != 2 or not parts[1].strip().startswith("cyc="):
-        raise ParseError("Poly takes (N(...), cyc=<k>)", text=text,
-                         expected=["Poly(N(...),cyc=<k>)"])
-    domain, flavor, rz = _parse_nspec(parts[0])
-    if rz:
-        raise ParseError("\\0 is not supported inside Poly(...)", text=text)
-    try:
-        cyc = int(parts[1].strip()[len("cyc="):])
-    except ValueError:
-        raise ParseError(f"bad cyclic modulus in {text!r}", text=text) from None
-    return domain, flavor, cyc
+        entries = e.entries if shape else e.coeffs
+        return ctx["make"]([[x.with_flavor(flavor) for x in entries]])[0]
+    ctx["coerce"] = coerce
+    return ctx
 
 
 def _parse_fuzzyspec(text):
@@ -417,23 +404,11 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
             raise TooLarge(f"subset of {len(elems)} elements exceeds the "
                            f"bound {size_bound}")
         return _structure(elems, ctx, t)
-    if t.startswith("N("):
-        domain, flavor, rz = _parse_nspec(t)
-        return interval_structure(domain, flavor, remove_zero=rz,
-                                  size_bound=size_bound, name=t)
-    if t.startswith("Mat("):
-        rows, cols, domain, flavor = _parse_matspec(t)
-        return matrix_structure(rows, cols, domain, flavor,
-                                size_bound=size_bound, name=t)
-    if t.startswith("Poly("):
-        domain, flavor, cyc = _parse_polyspec(t)
-        return poly_structure(domain, flavor, cyc,
-                              size_bound=size_bound, name=t)
+    if t.startswith(("N(", "Mat(", "Poly(")):
+        return _enumerate(_ambient_context(t, size_bound), size_bound, t)
     if t.startswith("Fuzzy("):
         op, step = _parse_fuzzyspec(t)
-        if (step + 1) ** 2 > size_bound:
-            raise TooLarge(f"fuzzy grid of {(step + 1) ** 2} elements "
-                           f"exceeds the bound {size_bound}")
+        _price(step + 1, 1, size_bound, "fuzzy grid")
         return _fuzzy.grid_structure(op, step)
     raise ParseError(
         f"unknown structure spec {spec!r}", text=spec,
@@ -476,7 +451,7 @@ def corner_s_ring_witness(rows, cols, domain, flavor=Flavor.CLOSED):
         return IntervalMatrix(rows, cols, entries, domain, flavor)
 
     lifted = [lift(w) for w in members]
-    ctx = _matrix_context(rows, cols, domain, flavor)
+    ctx = _context(domain, flavor, (rows, cols))
     ok, info = check_subset_field(lifted, ctx["add"], ctx["mul"])
     if not ok:
         return False, {"reason": info.get("reason"),

@@ -196,8 +196,10 @@ class FiniteStructure:
     that every entry's endpoints range over: the elements are then every
     choice of entries, in carriers' order, so where each sits among the
     parts is read off the codes (_Coords.of_codes), and the elements are
-    distinct without a check.  Any other carrier hashes its elements into `index` at once,
-    to refuse duplicates; a spec-built one builds `index` on first use.
+    distinct without a check.  So are a view's, distinct rows of a carrier
+    without duplicates.  Any other carrier hashes its elements into
+    `index` at once, to refuse duplicates; a spec-built carrier or a view
+    builds `index` on first use.
     An element's label is formatted when first asked for (label,
     labels).  `tables` seeds the cache directly.
     `view`, when given, is (ambient, reps, class_of): this structure is a
@@ -219,7 +221,8 @@ class FiniteStructure:
                  tables=None, view=None):
         self.elements = list(elements)
         self._index = None
-        if scalar_codes is None and len(self.index) != len(self.elements):
+        if (scalar_codes is None and view is None
+                and len(self.index) != len(self.elements)):
             raise ValueError("carrier contains duplicate elements")
         self.scalar_codes = scalar_codes
         self.mul_fn = mul
@@ -248,7 +251,8 @@ class FiniteStructure:
     @property
     def index(self):
         """{element: carrier index}, built on first use.  A carrier that
-        gives no scalar_codes builds it at once, as its duplicate check."""
+        gives neither scalar_codes nor a view builds it at once, as its
+        duplicate check."""
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements)}
         return self._index
@@ -329,7 +333,8 @@ class FiniteStructure:
         c, lower, domain = self._coords(), self.lower, self.domain
         tables = None if lower is None else domain.code_tables()
         codes = None
-        if tables is not None and domain.size ** lower.width <= _INT64_MAX:
+        if (tables is not None and lower.width < 64
+                and domain.size ** lower.width <= _INT64_MAX):
             code = {x: i for i, x in enumerate(domain.elements())}
             tables["zero"] = code[domain.zero]
             codes = c.codes or [

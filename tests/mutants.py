@@ -73,6 +73,7 @@ CLAIMS = "The claim catalogue asks the engine"
 MODMAP_PAIRS = "The mod-n map once per operand pair"
 ONE_WAY = "The randomized suites check each law one way"
 FAMILIES = "The claim catalogue by families"
+ONE_READER = "One spec reader"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -134,8 +135,8 @@ MUTANTS = (
            "digits[:, 1::2] @ weights", "digits[:, 0::2] @ weights",
            ("tests/test_coords.py", "-k", "coords_from_codes")),
     Mutant("punctured-counted-with-zero", CARRIER_COST, "carriers.py",
-           "return _structure(elements, ctx, name, codes)",
-           "return _structure(elements, ctx, name, range(len(scalars)))",
+           "codes = [c for c in codes if scalars[c] != domain.zero]",
+           "codes = list(codes)",
            ("tests/test_coords.py", "-k", "without_zero")),
     Mutant("additive-orders-without-wrap", CARRIER_COST, "structures.py",
            'add = _walk(s.table("add"), wrap=True)',
@@ -380,6 +381,21 @@ MUTANTS = (
            "        out[key] = record\n        agree = agree and ok\n",
            "        out[key] = record\n        agree = ok\n",
            ("tests/test_verify.py", "-k", "earlier_failed_case")),
+    Mutant("price-refuses-the-bound-itself", ONE_READER, "carriers.py",
+           "if count > size_bound:", "if count >= size_bound:",
+           ("tests/test_carriers.py", "-k", "exactly_the_bound")),
+    Mutant("cyclic-modulus-unchecked", ONE_READER, "carriers.py",
+           "        if cyclic < 1:\n"
+           '            raise ParseError(f"cyclic modulus must be >= 1, '
+           'got {cyclic}")\n', "",
+           ("tests/test_cli.py", "-k", "huge_size")),
+    Mutant("coerce-keeps-the-parsed-flavor", ONE_READER, "carriers.py",
+           "[x.with_flavor(flavor) for x in entries]", "list(entries)",
+           ("tests/test_carriers.py", "-k", "ambient_flavor")),
+    Mutant("views-hash-their-elements", ONE_READER, "structures.py",
+           "scalar_codes is None and view is None\n",
+           "scalar_codes is None\n",
+           ("tests/test_coords.py", "-k", "view_builds_no_index")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

@@ -42,6 +42,12 @@ def test_size_bound_respected():
         interval_structure(Mod(101), size_bound=10000)
 
 
+def test_a_carrier_of_exactly_the_bound_builds():
+    assert build_carrier("N(Zn:4)", size_bound=16).n == 16
+    with pytest.raises(TooLarge):
+        build_carrier("N(Zn:4)", size_bound=15)
+
+
 def test_spec_grammar_basic_forms():
     assert build_carrier("N(Zn:4)").n == 16
     assert build_carrier("N(Zn:4,o)").flavor is Flavor.OPEN
@@ -73,6 +79,17 @@ def test_subset_elements_coerce_through_the_ambient_domain():
     # Zn scalars reduce on parse, so [0,9] over Zn:3 is the zero interval
     s = build_carrier("Sub{[0,9]} of N(Zn:3)")
     assert [str(e) for e in s.elements] == ["0"]
+
+
+@pytest.mark.parametrize("spec", [
+    "Sub{(0,1),[1,2]} of N(Zn:3,oc)",
+    "Sub{(0,1);(1,2),[1,1];[0,0]} of Mat(2,1,N(Zn:3,oc))",
+    "Sub{(0,1)+(1,2)x,[1,1]} of Poly(N(Zn:3,oc),cyc=2)"])
+def test_subset_elements_take_the_ambient_flavor(spec):
+    s = build_carrier(spec)
+    entries = [x for e in s.elements
+               for x in getattr(e, "entries", getattr(e, "coeffs", (e,)))]
+    assert entries and {x.flavor for x in entries} == {Flavor.OPEN_CLOSED}
 
 
 def test_subset_of_punctured_ambient_rejects_zero_endpoints():

@@ -376,6 +376,36 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"] == "[3,8]"
 
 
+# ---- huge sizes
+
+# int() converts these, but their squares have too many digits to print
+HUGE = "9" * 3000
+
+# Specs whose size is read from a huge shape, modulus or step, each with
+# the exit code it must end in: a cyclic modulus below 1 is a parse error
+# in a Sub{...} ambient too, a huge carrier is refused before anything is
+# counted or listed, and a Sub{...} of a huge cyclic modulus builds only
+# its listed elements.
+HUGE_SIZES = (
+    ("Sub{1} of Poly(N(Z),cyc=0)", 2),
+    ("Sub{1} of Poly(N(Zn:2),cyc=-1)", 2),
+    ("Mat(99999,99999,N(Zn:2))", 3),
+    ("Poly(N(Zn:2),cyc=100000)", 3),
+    (f"N(Zn:{HUGE})", 3),
+    (f"N(Zn+I:{HUGE})", 3),
+    (f"Fuzzy(min,step=1/{HUGE})", 3),
+    (f"Sub{{1}} of Poly(N(Zn:2),cyc={HUGE})", 0),
+)
+
+
+@pytest.mark.parametrize("spec, expected", HUGE_SIZES,
+                         ids=[spec[:40] for spec, _ in HUGE_SIZES])
+def test_a_huge_size_ends_in_its_exit_code(capsys, spec, expected):
+    code, out, err = run(capsys, "analyze", spec)
+    assert code == expected, err
+    assert bool(out) == (expected == 0)
+
+
 # Requests whose options differ, so that an option or default carried over
 # from an earlier request in the same process would show in the output.
 REPEATED_REQUESTS = (

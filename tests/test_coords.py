@@ -21,6 +21,7 @@ from natint.carriers import build_carrier
 from natint.intervals import NaturalInterval
 from natint.matrices import IntervalMatrix
 from natint.polys import IntervalPoly
+from natint.quotients import parse_ideal_spec, rees_quotient
 from natint.structures import FiniteStructure, _Coords, analyze_structure
 from test_carriers import FLAVOR_SPECS, KIND_SPECS
 from test_factored import FULL_PRODUCTS
@@ -182,6 +183,13 @@ def test_a_caller_built_carrier_refuses_duplicates_at_once():
     x = NaturalInterval(build_carrier("N(Zn:3)").domain, 1, 2)
     with pytest.raises(ValueError, match="duplicate"):
         FiniteStructure([x, x], mul=lambda a, b: a)
+
+
+def test_a_view_builds_no_index_as_a_duplicate_check():
+    s = build_carrier("N(Zn:5)")
+    ideal = parse_ideal_spec(s, "col-zero")
+    for view in (s.restrict(ideal.indices), rees_quotient(s, ideal)):
+        assert view._index is None
 
 
 def test_domain_hash_is_taken_once(monkeypatch):

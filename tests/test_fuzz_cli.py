@@ -7,7 +7,8 @@ malformed input are both drawn.  Each runs through cli.main
 in-process and must return 0 (report), 2 (parse), 3 (too large) or 4
 (verification), and never raise.  Moduli are at most 12 and carriers are
 bounded to 300 elements, so a draw stays cheap and a larger carrier
-exits 3 before it is enumerated.
+exits 3 before it is enumerated.  A Sub{...} is drawn over an N, Mat or
+Poly ambient, and matrix shapes and cyclic moduli from -1 to 3.
 """
 
 import contextlib
@@ -75,6 +76,38 @@ def n_spec(domain):
                      optional(",", flavors))
 
 
+# matrix shapes and cyclic moduli, the ones below 1 refused
+sizes = st.integers(-1, 3).map(str)
+
+
+def mat_spec(domain):
+    return st.builds("Mat({},{},{})".format, sizes, sizes, n_spec(domain))
+
+
+def poly_spec(domain):
+    return st.builds("Poly({},cyc={})".format, n_spec(domain), sizes)
+
+
+def subsets(element, ambient):
+    """Sub{...} of 1-5 draws of element, of a draw of ambient."""
+    return st.builds(lambda elements, spec: "Sub{{{}}} of {}".format(
+        ",".join(elements), spec), st.lists(element, min_size=1, max_size=5),
+        ambient)
+
+
+def sub_spec(domain):
+    """Sub{...} of an N, Mat or Poly ambient over the domain spec, with
+    elements written for that kind of ambient: a matrix as one column of
+    entries (a ',' would end the element), a polynomial as its terms."""
+    entries = st.lists(intervals(domain), min_size=1, max_size=3)
+    column = entries.map(";".join)
+    poly = entries.map(lambda es: "+".join(
+        f"{e}x^{i}" for i, e in enumerate(es)))
+    return st.one_of(subsets(intervals(domain), n_spec(domain)),
+                     subsets(column, mat_spec(domain)),
+                     subsets(poly, poly_spec(domain)))
+
+
 @st.composite
 def carriers(draw):
     """(carrier spec, domain spec of its entries)."""
@@ -83,17 +116,11 @@ def carriers(draw):
                                  "Sub")))
     if kind == "Sub":
         domain = draw(domains)
-        spec = "Sub{{{}}} of {}".format(
-            ",".join(draw(st.lists(intervals(domain), min_size=1,
-                                   max_size=5))),
-            draw(n_spec(domain)))
+        spec = draw(sub_spec(domain))
     elif kind == "Mat":
-        spec = "Mat({},{},{})".format(draw(st.integers(1, 2)),
-                                      draw(st.integers(1, 2)),
-                                      draw(n_spec(domain)))
+        spec = draw(mat_spec(domain))
     elif kind == "Poly":
-        spec = "Poly({},cyc={})".format(draw(n_spec(domain)),
-                                        draw(st.integers(1, 3)))
+        spec = draw(poly_spec(domain))
     elif kind == "Fuzzy":
         domain = "F01"
         spec = "Fuzzy({}{})".format(
