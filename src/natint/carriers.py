@@ -9,7 +9,9 @@ Spec forms:
     Poly(N(...),cyc=<k>)        truncated polynomials with x^k = 1
     Sub{e1,e2,...}of <spec>     an explicit subset with inherited
                                 operations (elements coerced to the
-                                ambient flavor)
+                                ambient flavor); ',' parts the elements,
+                                so a Mat ambient of more than one column
+                                has no element that can be listed
     Fuzzy(<min|max|prod>[,step=1/<s>])  the fuzzy unit grid
 
 One reader, _ambient_context, parses and checks N, Mat and Poly specs,
@@ -344,7 +346,10 @@ def _ambient_context(spec, size_bound):
                 f"{e} has a zero endpoint, so it lies outside {t}", text=t)
         if shape is not None and e.shape != shape:
             raise ParseError(f"{e} is a {e.rows}x{e.cols} matrix, so it "
-                             f"lies outside {t}", text=t)
+                             f"lies outside {t}" if shape[1] == 1 else
+                             f"Sub{{...}} cannot list an element of {t}: "
+                             f"',' parts both its elements and a row's "
+                             f"entries", text=t)
         if shape is None and cyclic is None:
             return e.with_flavor(flavor)
         entries = e.entries if shape else e.coeffs

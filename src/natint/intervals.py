@@ -193,6 +193,21 @@ class NaturalInterval:
         return f"<{self} : {self.domain.spec}/{self.flavor.code}>"
 
 
+def _check_entries(entries, domain, flavor, entry, container):
+    """Refuse an entry over another domain or of another flavor than the
+    matrix or polynomial it is put in; entry and container name them
+    ("an entry", "a matrix")."""
+    for e in entries:
+        if e.domain != domain:
+            raise DomainMismatch(
+                f"cannot put {entry} over {e.domain.spec} in {container} "
+                f"over {domain.spec}")
+        if e.flavor is not flavor:
+            raise FlavorMismatch(
+                f"cannot put {entry} of flavor {e.flavor.code} in "
+                f"{container} of flavor {flavor.code}")
+
+
 def interval(domain, lo, hi, flavor=Flavor.CLOSED):
     """Build an interval, coercing each endpoint into the domain
     (strings are parsed, Mod values reduced; floats are rejected)."""

@@ -1,19 +1,22 @@
 """Matrices of natural intervals.
 
-Addition and the Hadamard product are entrywise; mat_mul is the usual
-row-by-column product.  Every operation commutes with splitting a matrix
-into its lo-part and hi-part scalar matrices, which is the oracle the
-test suite leans on.  Dimension of a span is the rank of that split
-(2 coordinates per interval entry) over the scalar field.
+Addition, subtraction and the Hadamard product are entrywise, through
+one helper (IntervalMatrix._entrywise); mat_mul is the usual
+row-by-column product.  An entry over another domain or of another
+flavor is refused by the check polynomials use too
+(intervals._check_entries).  Every operation commutes with splitting a
+matrix into its lo-part and hi-part scalar matrices, which is the oracle
+the test suite leans on.  Dimension of a span is the rank of that split
+(2 coordinates per interval entry) over the scalar field, Q or Zn:p,
+found by row reduction in the field's own inv, mul and sub.
 """
 
 import csv
 import io
-from fractions import Fraction
+import operator
 
 from .errors import (
     DomainMismatch,
-    FlavorMismatch,
     NotAField,
     ParseError,
     ShapeMismatch,
@@ -21,6 +24,7 @@ from .errors import (
 from .intervals import (
     Flavor,
     NaturalInterval,
+    _check_entries,
     parse_interval,
     split_top_level,
     zero_interval,
@@ -41,15 +45,7 @@ class IntervalMatrix:
             domain = entries[0].domain
         if flavor is None:
             flavor = entries[0].flavor
-        for e in entries:
-            if e.domain != domain:
-                raise DomainMismatch(
-                    f"cannot put an entry over {e.domain.spec} in a matrix "
-                    f"over {domain.spec}")
-            if e.flavor is not flavor:
-                raise FlavorMismatch(
-                    f"cannot put an entry of flavor {e.flavor.code} in a "
-                    f"matrix of flavor {flavor.code}")
+        _check_entries(entries, domain, flavor, "an entry", "a matrix")
         self.rows = rows
         self.cols = cols
         self.entries = entries
@@ -94,24 +90,23 @@ class IntervalMatrix:
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         self._same_shape(other)
-        ent = [a + b for a, b in zip(self.entries, other.entries)]
-        return IntervalMatrix(self.rows, self.cols, ent)
+        return IntervalMatrix(self.rows, self.cols,
+                              map(op, self.entries, other.entries))
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        ent = [a - b for a, b in zip(self.entries, other.entries)]
-        return IntervalMatrix(self.rows, self.cols, ent)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return IntervalMatrix(self.rows, self.cols,
                               [-a for a in self.entries])
 
     def hadamard(self, other):
-        self._same_shape(other)
-        ent = [a * b for a, b in zip(self.entries, other.entries)]
-        return IntervalMatrix(self.rows, self.cols, ent)
+        return self._entrywise(other, operator.mul)
 
     def __matmul__(self, other):
         if not isinstance(other, IntervalMatrix):
@@ -244,49 +239,37 @@ def matrix_from_csv(text):
 # ----------------------------------------------------------------------
 # span and dimension over a scalar field
 
-def _field_ops(field):
-    if isinstance(field, RatDomain):
-        return None
+def _check_field(field):
+    """Refuse a domain that is not Q or Zn:p for a prime p."""
     if isinstance(field, ModDomain):
         n = field.n
         for d in range(2, int(n ** 0.5) + 1):
             if n % d == 0:
                 raise NotAField(f"Zn:{n} is not a field ({d} divides {n})")
-        return n
-    raise NotAField(f"{field.spec} is not a supported field")
+    elif not isinstance(field, RatDomain):
+        raise NotAField(f"{field.spec} is not a supported field")
 
 
-def _rank(rows, modulus):
-    """Row-reduction rank; exact Fractions when modulus is None."""
+def _rank(rows, field):
+    """Row-reduction rank of rows of scalars, in the field's own ops."""
     rows = [list(r) for r in rows]
     if not rows:
         return 0
-    width = len(rows[0])
+    zero = field.zero
     rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows))
+                      if rows[r][col] != zero), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
-        inv = pow(head, -1, modulus) if modulus else Fraction(1) / head
-        if modulus:
-            rows[rank] = [(v * inv) % modulus for v in rows[rank]]
-        else:
-            rows[rank] = [v * inv for v in rows[rank]]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(v, inv) for v in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                if modulus:
-                    rows[r] = [(a - f * b) % modulus
-                               for a, b in zip(rows[r], rows[rank])]
-                else:
-                    rows[r] = [a - f * b
-                               for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][col]
+            if r != rank and f != zero:
+                rows[r] = [field.sub(a, field.mul(f, b))
+                           for a, b in zip(rows[r], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -308,7 +291,7 @@ def span_dimension(vectors, field):
     Each interval coordinate contributes two scalar coordinates (lo and
     hi); dimension is the rank of that coordinate matrix over the field.
     """
-    modulus = _field_ops(field)
+    _check_field(field)
     if not vectors:
         return {"vectors": 0, "coordinates": 0, "dimension": 0,
                 "independent": True, "spans": False,
@@ -320,12 +303,10 @@ def span_dimension(vectors, field):
         if v.domain != vectors[0].domain:
             raise DomainMismatch("span vectors must share one domain")
     coords = [decomposed_coordinates(v) for v in vectors]
-    if modulus:
-        coords = [[int(c) % modulus for c in row] for row in coords]
-    else:
-        coords = [[Fraction(c) for c in row] for row in coords]
+    if vectors[0].domain != field:  # e.g. Z's scalars, coerced into Q
+        coords = [[field.coerce(c) for c in row] for row in coords]
     k = shape[0] * shape[1]
-    rank = _rank(coords, modulus)
+    rank = _rank(coords, field)
     return {
         "field": field.spec,
         "vectors": len(vectors),

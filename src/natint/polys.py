@@ -15,6 +15,7 @@ from .errors import (
 from .intervals import (
     Flavor,
     NaturalInterval,
+    _check_entries,
     parse_interval,
     zero_interval,
 )
@@ -35,15 +36,8 @@ class IntervalPoly:
         zero = domain.zero
         while folded and folded[-1].lo == zero and folded[-1].hi == zero:
             folded.pop()
-        for c in folded:
-            if c.domain != domain:
-                raise DomainMismatch(
-                    f"cannot put a coefficient over {c.domain.spec} in a "
-                    f"polynomial over {domain.spec}")
-            if c.flavor is not flavor:
-                raise FlavorMismatch(
-                    f"cannot put a coefficient of flavor {c.flavor.code} in "
-                    f"a polynomial of flavor {flavor.code}")
+        _check_entries(folded, domain, flavor, "a coefficient",
+                       "a polynomial")
         self.domain = domain
         self.flavor = flavor
         self.coeffs = tuple(folded)

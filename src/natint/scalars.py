@@ -7,6 +7,14 @@ precision integers ``Z``, reduced rationals ``Q``, modular integers
 (pairs (a, b) meaning a + bI) and fuzzy-unit rationals ``F01`` confined
 to [0, 1].  Values are plain Python objects (int, Fraction, tuple); the
 domain object supplies the operations, parsing and printing.
+
+Each rule is written once.  The domains whose values are Python numbers
+(Z, Z>=0, Q, F01) take + - * neg < from one base, _NumberDomain; Z and
+Zn read and coerce an integer through one pair of helpers (_read_int,
+_index), and Q and F01 a rational through another (_read_fraction,
+_fraction).  The pure and the mixed neutrosophic domains share one base,
+_NeutroDomain: the check of their base, the spelling of their spec, and
+the reader and the writer of a bI term.
 """
 
 import operator
@@ -61,6 +69,42 @@ def _int(digits):
                        f"is too large") from None
 
 
+def _read_int(text):
+    """The integer text writes, as Z and Zn read it."""
+    if not _INT_RE.match(text):
+        raise ParseError(f"not an integer: {text!r}", text=text)
+    return _int(text)
+
+
+def _index(domain, value):
+    """value as an int, as Z and Zn coerce it; a non-integer is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{domain.spec} scalar must be an integer, "
+                        f"got {value!r}") from None
+
+
+def _read_fraction(text):
+    """The rational text writes, as Q and F01 read it."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"not a rational: {text!r}", text=text)
+
+
+def _fraction(domain, value):
+    """value as a Fraction, as Q and F01 coerce it; a value that is no
+    integer or Fraction is refused."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(operator.index(value))
+    except TypeError:
+        raise TypeError(f"{domain.spec} scalar must be an integer or "
+                        f"Fraction, got {value!r}") from None
+
+
 class Domain:
     """Common interface for all scalar domains."""
 
@@ -103,9 +147,6 @@ class Domain:
 
     def elements(self):
         raise InfiniteDomain(f"{self.spec} is infinite")
-
-    def units(self):
-        return [x for x in self.elements() if self.inv(x) is not None]
 
     def code_tables(self):
         """add and mul as index tables over codes, where a scalar's code
@@ -164,12 +205,11 @@ class Domain:
         return f"<domain {self.spec}>"
 
 
-class IntDomain(Domain):
-    kind = "Int"
-    spec = "Z"
+class _NumberDomain(Domain):
+    """A domain whose values are Python numbers (Z, Z>=0, Q, F01): its
+    + - * neg < are Python's own."""
+
     ordered = True
-    zero = 0
-    one = 1
 
     def add(self, x, y):
         return x + y
@@ -183,23 +223,24 @@ class IntDomain(Domain):
     def neg(self, x):
         return -x
 
-    def inv(self, x):
-        return x if x in (1, -1) else None
-
     def lt(self, x, y):
         return x < y
 
+
+class IntDomain(_NumberDomain):
+    kind = "Int"
+    spec = "Z"
+    zero = 0
+    one = 1
+
+    def inv(self, x):
+        return x if x in (1, -1) else None
+
     def parse_scalar(self, text):
-        if not _INT_RE.match(text):
-            raise ParseError(f"not an integer: {text!r}", text=text)
-        return _int(text)
+        return _read_int(text)
 
     def _canon(self, value):
-        try:
-            return operator.index(value)
-        except TypeError:
-            raise TypeError(f"{self.spec} scalar must be an integer, "
-                            f"got {value!r}") from None
+        return _index(self, value)
 
     def random_scalar(self, rng):
         return _rand_below(rng, 101) - 50
@@ -238,24 +279,11 @@ class NonnegIntDomain(IntDomain):
         return _rand_below(rng, 101)
 
 
-class RatDomain(Domain):
+class RatDomain(_NumberDomain):
     kind = "Rat"
     spec = "Q"
-    ordered = True
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
 
     # An int operand is wrapped so that it divides exactly, never to a
     # float; a Fraction is divided as it is.
@@ -269,26 +297,11 @@ class RatDomain(Domain):
             return None
         return (x if isinstance(x, Fraction) else Fraction(x)) / y
 
-    def lt(self, x, y):
-        return x < y
-
     def parse_scalar(self, text):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational: {text!r}", text=text)
+        return _read_fraction(text)
 
     def _canon(self, value):
-        if isinstance(value, Fraction):
-            return value
-        try:
-            return Fraction(operator.index(value))
-        except TypeError:
-            raise TypeError(f"{self.spec} scalar must be an integer or "
-                            f"Fraction, got {value!r}") from None
-
-    def format_scalar(self, x):
-        return str(x)  # Fraction prints p/q, or p when q = 1
+        return _fraction(self, value)
 
     def random_scalar(self, rng):
         return Fraction(_rand_below(rng, 101) - 50, _rand_below(rng, 20) + 1)
@@ -339,22 +352,50 @@ class ModDomain(Domain):
                 "mul": np.multiply.outer(r, r) % self.n}
 
     def parse_scalar(self, text):
-        if not _INT_RE.match(text):
-            raise ParseError(f"not an integer: {text!r}", text=text)
-        return _int(text) % self.n
+        return _read_int(text) % self.n
 
     def _canon(self, value):
-        try:
-            return operator.index(value) % self.n
-        except TypeError:
-            raise TypeError(f"{self.spec} scalar must be an integer, "
-                            f"got {value!r}") from None
+        return _index(self, value) % self.n
 
     def random_scalar(self, rng):
         return _rand_below(rng, self.n)
 
 
-class PureNeutroDomain(Domain):
+class _NeutroDomain(Domain):
+    """The notation the pure and the mixed neutrosophic domains share: a
+    base of Z, Q or Zn, the spec spelling, and how a bI term is read and
+    written."""
+
+    _mark = "?"  # what the spec puts after Z, Q or Zn: "I" or "+I"
+
+    def __init__(self, base):
+        if base.kind not in ("Int", "Rat", "Mod"):
+            raise ValueError("neutrosophic base must be Z, Q or Zn")
+        self.base = base
+        if base.kind == "Mod":
+            self.spec = f"Zn{self._mark}:{base.n}"
+        else:
+            self.spec = base.spec + self._mark
+
+    def _key(self):
+        return (self.kind, self.base._key())
+
+    def _coefficient(self, b):
+        """The coefficient of a written bI term: "" and "+" mean 1, "-"
+        means -1."""
+        return self.base.parse_scalar({"": "1", "+": "1", "-": "-1"}.get(b, b))
+
+    def _i_term(self, b):
+        """How the term bI is written, b nonzero: I, -I or bI."""
+        base = self.base
+        if b == base.one:
+            return "I"
+        if base.is_ring and b == base.neg(base.one):
+            return "-I"
+        return f"{base.format_scalar(b)}I"
+
+
+class PureNeutroDomain(_NeutroDomain):
     """Coefficients of pure neutrosophic values xI, with I*I = I.
 
     The stored value is the coefficient x from the base domain; the
@@ -362,23 +403,13 @@ class PureNeutroDomain(Domain):
     """
 
     kind = "NeutroPure"
+    _mark = "I"
 
     def __init__(self, base):
-        if base.kind not in ("Int", "Rat", "Mod"):
-            raise ValueError("neutrosophic base must be Z, Q or Zn")
-        self.base = base
-        if base.kind == "Int":
-            self.spec = "ZI"
-        elif base.kind == "Rat":
-            self.spec = "QI"
-        else:
-            self.spec = f"ZnI:{base.n}"
+        super().__init__(base)
         self.size = base.size
         self.zero = base.zero
         self.one = base.one  # the value I
-
-    def _key(self):
-        return (self.kind, self.base._key())
 
     def add(self, x, y):
         return self.base.add(x, y)
@@ -406,12 +437,7 @@ class PureNeutroDomain(Domain):
         text = text.strip()
         m = _PURE_NEUTRO_RE.match(text)
         if m:
-            b = m.group("b")
-            if b in ("", "+"):
-                return self.base.parse_scalar("1")
-            if b == "-":
-                return self.base.parse_scalar("-1")
-            return self.base.parse_scalar(b)
+            return self._coefficient(m.group("b"))
         if text == "0":
             return self.zero
         raise ParseError(f"not a pure neutrosophic value: {text!r}", text=text,
@@ -422,19 +448,13 @@ class PureNeutroDomain(Domain):
         return self.base.coerce(value)
 
     def format_scalar(self, x):
-        if x == self.base.zero:
-            return "0"
-        if x == self.base.one:
-            return "I"
-        if self.base.is_ring and x == self.base.neg(self.base.one):
-            return "-I"
-        return f"{self.base.format_scalar(x)}I"
+        return "0" if x == self.base.zero else self._i_term(x)
 
     def random_scalar(self, rng):
         return self.base.random_scalar(rng)
 
 
-class MixedNeutroDomain(Domain):
+class MixedNeutroDomain(_NeutroDomain):
     """Values a + bI stored as pairs (a, b) over a base domain.
 
     Multiplication expands under I*I = I:
@@ -444,23 +464,13 @@ class MixedNeutroDomain(Domain):
     """
 
     kind = "NeutroMixed"
+    _mark = "+I"
 
     def __init__(self, base):
-        if base.kind not in ("Int", "Rat", "Mod"):
-            raise ValueError("neutrosophic base must be Z, Q or Zn")
-        self.base = base
-        if base.kind == "Int":
-            self.spec = "Z+I"
-        elif base.kind == "Rat":
-            self.spec = "Q+I"
-        else:
-            self.spec = f"Zn+I:{base.n}"
+        super().__init__(base)
         self.size = None if base.size is None else base.size ** 2
         self.zero = (base.zero, base.zero)
         self.one = (base.one, base.zero)
-
-    def _key(self):
-        return (self.kind, self.base._key())
 
     def add(self, x, y):
         b = self.base
@@ -516,19 +526,13 @@ class MixedNeutroDomain(Domain):
         m = _MIXED_NEUTRO_RE.match(text)
         if m:
             a = base.parse_scalar(m.group("a"))
-            btxt = m.group("b") or "1"
-            b = base.parse_scalar(btxt)
+            b = self._coefficient(m.group("b"))
             if m.group("sign") == "-":
                 b = base.neg(b)
             return (a, b)
         m = _PURE_NEUTRO_RE.match(text)
         if m:
-            btxt = m.group("b")
-            if btxt in ("", "+"):
-                btxt = "1"
-            elif btxt == "-":
-                btxt = "-1"
-            return (base.zero, base.parse_scalar(btxt))
+            return (base.zero, self._coefficient(m.group("b")))
         return (base.parse_scalar(text), base.zero)
 
     def _canon(self, value):
@@ -542,12 +546,7 @@ class MixedNeutroDomain(Domain):
         a, b = x
         if b == base.zero:
             return base.format_scalar(a)
-        if b == base.one:
-            tail = "I"
-        elif base.is_ring and b == base.neg(base.one):
-            tail = "-I"
-        else:
-            tail = f"{base.format_scalar(b)}I"
+        tail = self._i_term(b)
         if a == base.zero:
             return tail
         if tail.startswith("-"):
@@ -558,7 +557,7 @@ class MixedNeutroDomain(Domain):
         return (self.base.random_scalar(rng), self.base.random_scalar(rng))
 
 
-class FuzzyUnitDomain(Domain):
+class FuzzyUnitDomain(_NumberDomain):
     """Rationals confined to [0, 1].
 
     Closed under multiplication, min and max.  Addition is defined only
@@ -569,7 +568,6 @@ class FuzzyUnitDomain(Domain):
     kind = "FuzzyUnit"
     spec = "F01"
     is_ring = False
-    ordered = True
     nonnegative = True
     zero = Fraction(0)
     one = Fraction(1)
@@ -580,9 +578,6 @@ class FuzzyUnitDomain(Domain):
             raise FuzzyRangeOverflow(f"{x} + {y} = {s} leaves [0, 1]")
         return s
 
-    def mul(self, x, y):
-        return x * y
-
     def neg(self, x):
         raise NotARing("fuzzy-unit values have no additive inverses")
 
@@ -592,27 +587,14 @@ class FuzzyUnitDomain(Domain):
     def inv(self, x):
         return self.one if x == 1 else None
 
-    def lt(self, x, y):
-        return x < y
-
     def parse_scalar(self, text):
-        try:
-            v = Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"not a rational: {text!r}", text=text)
+        v = _read_fraction(text)
         if not 0 <= v <= 1:
             raise ParseError(f"{text!r} outside [0, 1]", text=text)
         return v
 
     def _canon(self, value):
-        if isinstance(value, Fraction):
-            v = value
-        else:
-            try:
-                v = Fraction(operator.index(value))
-            except TypeError:
-                raise TypeError(f"{self.spec} scalar must be an integer "
-                                f"or Fraction, got {value!r}") from None
+        v = _fraction(self, value)
         if not 0 <= v <= 1:
             raise ParseError(f"{value!r} outside [0, 1]")
         return v

@@ -74,6 +74,7 @@ MODMAP_PAIRS = "The mod-n map once per operand pair"
 ONE_WAY = "The randomized suites check each law one way"
 FAMILIES = "The claim catalogue by families"
 ONE_READER = "One spec reader"
+ONE_RULE = "The arithmetic layer states each rule once"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -396,6 +397,22 @@ MUTANTS = (
            "scalar_codes is None and view is None\n",
            "scalar_codes is None\n",
            ("tests/test_coords.py", "-k", "view_builds_no_index")),
+    Mutant("number-sub-reversed", ONE_RULE, "scalars.py",
+           "        return x - y\n", "        return y - x\n",
+           ("tests/test_scalars.py", "-k", "sub_is_add_of_negation_on")),
+    Mutant("coefficient-minus-read-as-one", ONE_RULE, "scalars.py",
+           '{"": "1", "+": "1", "-": "-1"}', '{"": "1", "+": "1", "-": "1"}',
+           ("tests/test_scalars.py", "-k", "format_parse_roundtrip")),
+    Mutant("i-term-without-minus-i", ONE_RULE, "scalars.py",
+           "        if base.is_ring and b == base.neg(base.one):\n"
+           '            return "-I"\n', "",
+           ("tests/test_scalars.py", "-k", "format_parse_roundtrip")),
+    Mutant("entry-check-skips-flavor", ONE_RULE, "intervals.py",
+           "        if e.flavor is not flavor:\n", "        if False:\n",
+           ("tests/test_matrices.py", "-k", "foreign_entry")),
+    Mutant("rank-scales-by-the-pivot", ONE_RULE, "matrices.py",
+           "inv = field.inv(rows[rank][col])", "inv = rows[rank][col]",
+           ("tests/test_matrices.py", "-k", "brute_force_rank")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

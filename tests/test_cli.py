@@ -359,6 +359,14 @@ def test_subset_of_matrices_rejects_other_shapes(capsys, body):
     assert code == 2
     assert out == ""
     assert "lies outside Mat(2,1,N(Zn:3))" in err
+    # ',' parts a Sub{...}'s elements and a row's entries alike, so over
+    # two columns no element can be listed, and the error says so
+    code, out, err = run(capsys, "analyze",
+                         f"Sub{{{body}}} of Mat(1,2,N(Zn:3))")
+    assert (code, out) == (2, "")
+    assert err == ("error: Sub{...} cannot list an element of "
+                   "Mat(1,2,N(Zn:3)): ',' parts both its elements and a "
+                   "row's entries\n")
 
 
 def test_subset_listing_an_element_twice_rejected(capsys):

@@ -1,9 +1,15 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from natint import (
+    DomainMismatch,
     Flavor,
+    FlavorMismatch,
     IntervalMatrix,
+    IntervalPoly,
     Mod,
     NotAField,
     Q,
@@ -17,6 +23,7 @@ from natint import (
     parse_matrix,
     span_dimension,
 )
+from natint.matrices import decomposed_coordinates
 
 
 def zmat(rows, flavor=Flavor.CLOSED):
@@ -154,6 +161,13 @@ def test_span_over_rationals():
     assert rep["independent"] and not rep["spans"]
 
 
+def test_span_coerces_another_domains_scalars_into_the_field():
+    # over Zn:7 the vector [7,0] of Z is zero
+    vecs = [parse_matrix("[7,0]", Z), parse_matrix("[1,2]", Z)]
+    assert span_dimension(vecs, Q)["dimension"] == 2
+    assert span_dimension(vecs, Mod(7))["dimension"] == 1
+
+
 def test_span_requires_a_field():
     d = Mod(6)
     with pytest.raises(NotAField):
@@ -172,3 +186,54 @@ def test_row_space_of_three_coordinates_has_dimension_six():
     assert rep["ambient_dimension"] == 6
     assert rep["dimension"] == 6
     assert rep["spans"]
+
+
+_C, _O = Flavor.CLOSED, Flavor.OPEN
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: IntervalMatrix(1, 2, [interval(Z, 1, 2), interval(Q, 1, 2)]),
+     DomainMismatch, "cannot put an entry over Q in a matrix over Z"),
+    (lambda: IntervalMatrix(1, 2, [interval(Z, 1, 2),
+                                   interval(Z, 1, 2, _O)]),
+     FlavorMismatch, "cannot put an entry of flavor o in a matrix of "
+                     "flavor c"),
+    (lambda: IntervalPoly(Z, _C, [interval(Q, 1, 2)]),
+     DomainMismatch, "cannot put a coefficient over Q in a polynomial over "
+                     "Z"),
+    (lambda: IntervalPoly(Z, _C, [interval(Z, 1, 2, _O)]),
+     FlavorMismatch, "cannot put a coefficient of flavor o in a polynomial "
+                     "of flavor c"),
+], ids=["matrix-domain", "matrix-flavor", "poly-domain", "poly-flavor"])
+def test_matrices_and_polynomials_refuse_a_foreign_entry(build, error,
+                                                         message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def _brute_rank(vectors, p):
+    """The size of the largest subset of vectors whose only combination
+    over Zn:p that is zero in every coordinate has all coefficients 0."""
+    rows = [decomposed_coordinates(v) for v in vectors]
+    for size in range(len(rows), 0, -1):
+        for subset in itertools.combinations(rows, size):
+            if not any(all(sum(c * x for c, x in zip(cs, column)) % p == 0
+                           for column in zip(*subset))
+                       for cs in itertools.product(range(p), repeat=size)
+                       if any(cs)):
+                return size
+    return 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_dimension_matches_a_brute_force_rank(p):
+    d = Mod(p)
+    rng = random.Random(p)
+    for _ in range(60):
+        cols = rng.randint(1, 2)
+        vectors = [IntervalMatrix(1, cols, [
+            interval(d, rng.randrange(p), rng.randrange(p))
+            for _ in range(cols)]) for _ in range(rng.randint(1, 4))]
+        assert (span_dimension(vectors, d)["dimension"]
+                == _brute_rank(vectors, p))

@@ -153,6 +153,22 @@ def test_scalar_format_parse_roundtrip():
         for text in samples:
             v = d.parse_scalar(text)
             assert d.parse_scalar(d.format_scalar(v)) == v
+    # every element of the small finite neutrosophic domains, so the
+    # shared bI reader and writer meet I, -I and bI over each modulus
+    for k in range(2, 7):
+        for d in (parse_domain(f"ZnI:{k}"), parse_domain(f"Zn+I:{k}")):
+            for v in d.elements():
+                assert d.parse_scalar(d.format_scalar(v)) == v
+    # each spelling of a bI term reads and prints back as written
+    for spec, written in (
+        ("ZI", ["I", "-I"]),
+        ("QI", ["I", "-I", "1/2I"]),
+        ("Z+I", ["I", "-I", "3-I", "-2+I"]),
+        ("Q+I", ["I", "-I", "3-I", "-2+I", "1/2I", "-1/3+2/5I"]),
+    ):
+        d = parse_domain(spec)
+        for text in written:
+            assert d.format_scalar(d.parse_scalar(text)) == text
 
 
 def test_coerce_parses_strings_and_reduces():
