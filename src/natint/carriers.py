@@ -40,6 +40,7 @@ from .errors import (
 from .intervals import (
     Flavor,
     NaturalInterval,
+    _closing_bracket,
     parse_interval,
     split_top_level,
     zero_interval,
@@ -388,7 +389,10 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
     """Build the FiniteStructure named by a spec string."""
     t = spec.strip()
     if t.startswith("Sub{"):
-        close = _matching_brace(t, 3)
+        close = _closing_bracket(t, 3, "{", "}")
+        if close is None:
+            raise ParseError("unterminated Sub{...}", text=t, pos=3,
+                             expected=["}"])
         body = t[4:close]
         rest = t[close + 1:].strip()
         if not rest.startswith("of"):
@@ -402,13 +406,15 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
                 elems.append(ctx["coerce"](ctx["parse"](part)))
         if not elems:
             raise ParseError("Sub{...} needs at least one element", text=spec)
-        if len(set(elems)) < len(elems):
+        try:  # the structure refuses duplicates as it indexes them
+            s = _structure(elems, ctx, t)
+        except ValueError:
             raise ParseError("Sub{...} lists an element more than once",
                              text=spec)
-        if len(elems) > size_bound:
-            raise TooLarge(f"subset of {len(elems)} elements exceeds the "
+        if s.n > size_bound:
+            raise TooLarge(f"subset of {s.n} elements exceeds the "
                            f"bound {size_bound}")
-        return _structure(elems, ctx, t)
+        return s
     if t.startswith(("N(", "Mat(", "Poly(")):
         return _enumerate(_ambient_context(t, size_bound), size_bound, t)
     if t.startswith("Fuzzy("):
@@ -419,19 +425,6 @@ def build_carrier(spec, size_bound=DEFAULT_SIZE_BOUND):
         f"unknown structure spec {spec!r}", text=spec,
         expected=["N(...)", "Mat(...)", "Poly(...)", "Sub{...}of ...",
                   "Fuzzy(...)"])
-
-
-def _matching_brace(text, open_pos):
-    depth = 0
-    for i in range(open_pos, len(text)):
-        if text[i] == "{":
-            depth += 1
-        elif text[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    raise ParseError("unterminated Sub{...}", text=text, pos=open_pos,
-                     expected=["}"])
 
 
 def corner_s_ring_witness(rows, cols, domain, flavor=Flavor.CLOSED):

@@ -11,9 +11,15 @@ analyzers, and print deterministic reports:
     verify-book  replay the catalogue of recorded claims
     eval         evaluate one interval expression
 
-Exit codes: 0 ok, 2 malformed or inapplicable input, 3 enumeration
-bound exceeded, 4 verification failure.  With a fixed seed and config
-the emitted JSON is byte-identical across runs.
+Exit codes: 0 ok, 1 a file that cannot be written, 2 malformed or
+inapplicable input, 3 enumeration bound exceeded, 4 verification
+failure.  main prints every error as one "error: ..." line and reads
+its code off one table, _EXIT_CODES.  render writes every csv through
+one writer (_csv), and a Cayley table's csv and text from the same rows
+(_grid_rows).  The expression parser folds each precedence level in one
+loop (_chain), and it and the Sub{...} reader find a closing bracket
+with intervals._closing_bracket.  With a fixed seed and config the
+emitted JSON is byte-identical across runs.
 """
 
 import argparse
@@ -21,6 +27,7 @@ import csv
 import functools
 import io
 import json
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -37,6 +44,7 @@ from .errors import (
 )
 from .intervals import (
     Flavor,
+    _closing_bracket,
     degenerate,
     iv_max,
     iv_min,
@@ -63,6 +71,16 @@ EXIT_UNEXPECTED = 1
 EXIT_PARSE = 2
 EXIT_TOO_LARGE = 3
 EXIT_VERIFY = 4
+
+# The exit code of each error a request can end in: the first kind that
+# matches wins, so a subclass comes before its base.
+_EXIT_CODES = (
+    (ParseError, EXIT_PARSE),
+    ((TooLarge, InfiniteDomain), EXIT_TOO_LARGE),
+    (NotAnIdeal, EXIT_VERIFY),
+    (NatIntError, EXIT_PARSE),
+    (OSError, EXIT_UNEXPECTED),
+)
 
 
 # ----------------------------------------------------------------------
@@ -116,14 +134,10 @@ def load_config_file(path):
 def make_config(args):
     """CLI flags override the config file, which overrides defaults."""
     opts = load_config_file(args.config) if args.config else {}
-    if args.size_bound is not None:
-        opts["size_bound"] = args.size_bound
-    if args.workers is not None:
-        opts["worker_count"] = args.workers
-    if args.seed is not None:
-        opts["seed"] = args.seed
-    if args.format is not None:
-        opts["output_format"] = args.format
+    for key, flag in zip(RunConfig.FIELDS,
+                         ("size_bound", "workers", "seed", "format")):
+        if getattr(args, flag) is not None:
+            opts[key] = getattr(args, flag)
     try:
         return RunConfig(**opts)
     except ValueError as exc:
@@ -355,33 +369,18 @@ def _text_lines(obj, indent=0):
     return lines
 
 
-def _grid_csv(corner, labels, grid):
+def _csv(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([corner] + list(labels))
-    for label, row in zip(labels, grid):
-        writer.writerow([label] + list(row))
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _grid_text(corner, labels, grid):
-    head = [corner] + list(labels)
-    rows = [head] + [[label] + list(row)
-                     for label, row in zip(labels, grid)]
-    widths = [max(len(row[c]) for row in rows) for c in range(len(head))]
-    return "\n".join(
-        " | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows) + "\n"
-
-
-def _claims_csv(payload):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["claim_id", "status", "citation", "note"])
-    for entry in payload["claims"]:
-        writer.writerow([entry["claim_id"], entry["status"],
-                         entry.get("citation", ""), entry.get("note", "")])
-    return buf.getvalue()
+def _grid_rows(payload):
+    """A Cayley table's rows of cells: the op and the labels, then each
+    element's label and products."""
+    labels = payload["labels"]
+    return [[payload["op"], *labels]] + [
+        [label, *row] for label, row in zip(labels, payload["table"])]
 
 
 def _claims_text(payload):
@@ -406,22 +405,22 @@ def render(payload, fmt):
         and "labels" in payload
     is_claims = isinstance(payload, dict) and \
         payload.get("tool") == "verify-book"
-    if fmt == "csv":
-        if is_grid:
-            return _grid_csv(payload["op"], payload["labels"],
-                             payload["table"])
-        if is_claims:
-            return _claims_csv(payload)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        writer.writerows(_flatten(payload))
-        return buf.getvalue()
     if is_grid:
-        return _grid_text(payload["op"], payload["labels"],
-                          payload["table"])
+        rows = _grid_rows(payload)
+        if fmt == "csv":
+            return _csv(rows)
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        return "\n".join(
+            " | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in rows) + "\n"
     if is_claims:
-        return _claims_text(payload)
+        if fmt == "text":
+            return _claims_text(payload)
+        return _csv([["claim_id", "status", "citation", "note"]] + [
+            [entry["claim_id"], entry["status"], entry.get("citation", ""),
+             entry.get("note", "")] for entry in payload["claims"]])
+    if fmt == "csv":
+        return _csv([["key", "value"], *_flatten(payload)])
     return "\n".join(_text_lines(payload)) + "\n"
 
 
@@ -454,7 +453,12 @@ POWER_BITS = 14000
 # chain of priced powers, not only the printed result.
 RESULT_BITS = 14284
 
-_FUNCTIONS = {"min": 2, "max": 2, "recip": 1}
+# Each function's arity and what it does to its arguments.
+_FUNCTIONS = {"min": (2, iv_min), "max": (2, iv_max),
+              "recip": (1, operator.methodcaller("recip"))}
+# The binary operators of the two precedence levels below "^".
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
 class ExpressionParser:
@@ -498,18 +502,6 @@ class ExpressionParser:
                          pos=self.i if pos is None else pos,
                          expected=expected)
 
-    def _balanced_close(self, start):
-        depth = 0
-        for j in range(start, self.n):
-            c = self.text[j]
-            if c in "([":
-                depth += 1
-            elif c in ")]":
-                depth -= 1
-                if depth == 0:
-                    return j
-        self._fail("unbalanced bracket", expected=[")", "]"], pos=start)
-
     def _bounded(self, value):
         """value, unless one of its integers has more than RESULT_BITS
         bits."""
@@ -532,30 +524,19 @@ class ExpressionParser:
         return value
 
     def _expr(self):
-        value = self._term()
-        while True:
-            c = self._peek()
-            if c == "+":
-                self.i += 1
-                value = self._bounded(value + self._term())
-            elif c == "-":
-                self.i += 1
-                value = self._bounded(value - self._term())
-            else:
-                return value
+        return self._chain(self._term, ("+", "-"))
 
     def _term(self):
-        value = self._power()
-        while True:
-            c = self._peek()
-            if c == "*":
-                self.i += 1
-                value = self._bounded(value * self._power())
-            elif c == "/":
-                self.i += 1
-                value = self._bounded(value / self._power())
-            else:
-                return value
+        return self._chain(self._power, ("*", "/"))
+
+    def _chain(self, operand, ops):
+        """operand (op operand)* for the ops of one precedence level,
+        folded left to right."""
+        value = operand()
+        while (c := self._peek()) in ops:
+            self.i += 1
+            value = self._bounded(_BINARY[c](value, operand()))
+        return value
 
     def _power(self):
         value = self._factor()
@@ -626,17 +607,16 @@ class ExpressionParser:
 
     def _bracketed(self, opener):
         start = self.i
-        close = self._balanced_close(start)
-        span = self.text[start:close + 1]
-        if opener == "[":
-            value = parse_interval(span, self.domain, self.flavor)
-            self.i = close + 1
-            return value
+        close = _closing_bracket(self.text, start, "([", ")]")
+        if close is None:
+            self._fail("unbalanced bracket", expected=[")", "]"], pos=start)
         try:
-            value = parse_interval(span, self.domain, self.flavor)
+            value = parse_interval(self.text[start:close + 1], self.domain,
+                                   self.flavor)
         except (NatIntError, ValueError, ArithmeticError):
-            value = None
-        if value is not None:
+            if opener == "[":
+                raise
+        else:
             self.i = close + 1
             return value
         if self.text[close] != ")":
@@ -652,7 +632,7 @@ class ExpressionParser:
         return value
 
     def _call(self, name, name_end):
-        arity = _FUNCTIONS[name]
+        arity, fn = _FUNCTIONS[name]
         self.i = name_end
         self._skip_ws()
         self.i += 1  # the opening "("
@@ -667,11 +647,7 @@ class ExpressionParser:
             self._fail(f"{name} takes {arity} argument"
                        f"{'s' if arity != 1 else ''}, got {len(args)}",
                        expected=[f"{arity} arguments"])
-        if name == "min":
-            return iv_min(args[0], args[1])
-        if name == "max":
-            return iv_max(args[0], args[1])
-        return args[0].recip()
+        return fn(*args)
 
 
 def _scalar_ints(v):
@@ -699,14 +675,6 @@ def eval_expression(text, domain, default_flavor=Flavor.CLOSED):
 
 # ----------------------------------------------------------------------
 # subcommands
-
-
-def _flavor_arg(code):
-    try:
-        return Flavor.from_code(code)
-    except (NatIntError, KeyError, ValueError):
-        raise ParseError(f"unknown flavor {code!r}",
-                         expected=["c", "o", "oc", "co"])
 
 
 def cmd_table(args, cfg):
@@ -775,7 +743,7 @@ def cmd_ideal(args, cfg):
 
 def cmd_span(args, cfg):
     field = parse_domain(args.field)
-    flavor = _flavor_arg(args.flavor)
+    flavor = Flavor.from_code(args.flavor)
     vectors = [parse_matrix(text, field, flavor) for text in args.vectors]
     payload = span_dimension(vectors, field)
     payload = {"schema": SCHEMA, **payload}
@@ -797,7 +765,7 @@ def cmd_verify_book(args, cfg):
 
 def cmd_eval(args, cfg):
     domain = parse_domain(args.domain)
-    flavor = _flavor_arg(args.flavor)
+    flavor = Flavor.from_code(args.flavor)
     value = eval_expression(args.expr, domain, flavor)
     payload = {
         "schema": SCHEMA,
@@ -907,21 +875,10 @@ def main(argv=None):
         payload, code = args.func(args, cfg)
         emit(payload, cfg, args.out)
         return code
-    except ParseError as exc:
+    except (NatIntError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (TooLarge, InfiniteDomain) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except NotAnIdeal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except NatIntError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+        return next(code for kind, code in _EXIT_CODES
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -65,6 +65,20 @@ def split_top_level(text, sep=","):
     return parts
 
 
+def _closing_bracket(text, start, opens, closes):
+    """The index of the bracket that closes the one at text[start], or
+    None when none does; opens and closes are the brackets that nest."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] in opens:
+            depth += 1
+        elif text[i] in closes:
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
 class NaturalInterval:
     __slots__ = ("domain", "lo", "hi", "flavor", "_hash")
 

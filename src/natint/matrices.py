@@ -304,7 +304,11 @@ def span_dimension(vectors, field):
             raise DomainMismatch("span vectors must share one domain")
     coords = [decomposed_coordinates(v) for v in vectors]
     if vectors[0].domain != field:  # e.g. Z's scalars, coerced into Q
-        coords = [[field.coerce(c) for c in row] for row in coords]
+        try:
+            coords = [[field.coerce(c) for c in row] for row in coords]
+        except TypeError:
+            raise DomainMismatch(f"vectors over {vectors[0].domain.spec} "
+                                 f"do not embed in {field.spec}") from None
     k = shape[0] * shape[1]
     rank = _rank(coords, field)
     return {

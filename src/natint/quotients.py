@@ -249,10 +249,6 @@ def generate_ideal(s, generator_indices):
     return np.flatnonzero(mask).tolist()
 
 
-def _is_zero_interval(e, domain):
-    return e.lo == domain.zero and e.hi == domain.zero
-
-
 def parse_ideal_spec(s, text):
     """Build the subset named by an ideal spec.  No validation is done
     here — run is_ideal (or construct a quotient) to check it.
@@ -291,14 +287,10 @@ def parse_ideal_spec(s, text):
         if s.kind == "interval":
             idx = [i for i, e in enumerate(s.elements)
                    if (e.lo if lo_side else e.hi) == d.zero]
-        elif s.kind == "matrix":
-            def line_zero(m):
-                if lo_side:
-                    ents = [m.entry(i, 0) for i in range(m.rows)]
-                else:
-                    ents = [m.entry(0, j) for j in range(m.cols)]
-                return all(_is_zero_interval(e, d) for e in ents)
-            idx = [i for i, m in enumerate(s.elements) if line_zero(m)]
+        elif s.kind == "matrix":  # column 0 or row 0 of row-major entries
+            idx = [i for i, m in enumerate(s.elements) if all(
+                e.lo == d.zero == e.hi for e in
+                (m.entries[::m.cols] if lo_side else m.entries[:m.cols]))]
         else:
             raise ParseError(
                 f"{t} is defined for interval and matrix carriers, "
@@ -437,27 +429,18 @@ def enumerate_ideals(s):
 
 
 def maximal_minimal_ideals(s):
-    """Minimal nonzero and maximal proper ideals, with totals."""
+    """Minimal nonzero and maximal proper ideals, with totals.  Both keep
+    the order of enumerate_ideals: by order, then by members."""
     ideals = enumerate_ideals(s)
-    full = frozenset(range(s.n))
     z = s.identity_index("add")
-    zero = frozenset({z}) if z is not None else frozenset()
-    sets = [frozenset(i.indices) for i in ideals]
-    proper = [f for f in sets if f != full]
-    nontrivial = [f for f in proper if f != zero]
-    minimal = [f for f in nontrivial
-               if not any(g < f for g in nontrivial)]
-    maximal = [f for f in proper if not any(f < g for g in proper)]
-
-    def wrap(fss):
-        return [Ideal(s, sorted(f))
-                for f in sorted(fss, key=lambda f: (len(f), sorted(f)))]
-
+    proper = [(i, frozenset(i.indices)) for i in ideals if i.order < s.n]
+    nontrivial = [(i, f) for i, f in proper if i.indices != [z]]
     return {
-        "total": len(sets),
+        "total": len(ideals),
         "proper_nonzero": len(nontrivial),
-        "minimal": wrap(minimal),
-        "maximal": wrap(maximal),
+        "minimal": [i for i, f in nontrivial
+                    if not any(g < f for _, g in nontrivial)],
+        "maximal": [i for i, f in proper if not any(f < g for _, g in proper)],
     }
 
 

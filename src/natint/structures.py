@@ -1460,16 +1460,20 @@ def _first_position(powers, target):
 
 def check_subset_group(elems, mul):
     """Exhaustively verify that elems forms a group under mul."""
-    if len(set(elems)) != len(elems):
+    try:
+        s = FiniteStructure(elems, mul=mul)
+    except ValueError:  # elems lists an element twice
         return False, {"reason": "duplicate elements"}
-    return _group_verdict(FiniteStructure(elems, mul=mul))
+    return _group_verdict(s)
 
 
 def check_subset_field(elems, add, mul):
     """Exhaustively verify that elems forms a field under (add, mul)."""
-    if len(set(elems)) != len(elems):
+    try:
+        s = FiniteStructure(elems, mul=mul, add=add)
+    except ValueError:  # elems lists an element twice
         return False, {"reason": "additive: duplicate elements"}
-    return _field_verdict(FiniteStructure(elems, mul=mul, add=add))
+    return _field_verdict(s)
 
 
 # ----------------------------------------------------------------------

@@ -21,11 +21,12 @@ multipliers.  Its image side N(Zn) is finite, so for moduli up to
 MODMAP_BATCHED the cases are first checked in one batched pass over
 the draws, which are the same for every modulus as long as every case
 passes; only when some case fails is each modulus run again on its own
-stream, case by case, to write its failures.  The kernel checks reduce
-with Python's % and not through a Mod op, so they hold by
-construction: only the add, sub and mul checks can fail.  On a 2-core
-VM (Python 3.11.7), modmap_suite(11, 10000) takes 0.06 s (0.09 s case by
-case) and decomposition_suite(10000) 1.8 s, best of 7 and of 3 runs.
+stream, case by case, to write its failures.  The kernel check reduces
+each multiple of n through Zn's coercion (Mod(n).coerce), so a fault
+there fails it; the kernel-only check reduces with Python's % and holds
+by construction.  On a 2-core VM (Python 3.11.7), modmap_suite(11,
+10000) takes 0.06 s (0.09 s case by case) and decomposition_suite(10000)
+1.8 s, best of 7 and of 3 runs.
 """
 
 import operator
@@ -239,15 +240,16 @@ def _modmap_passes(n, drawn):
     zero = NaturalInterval(dn, 0, 0)
     elems = [NaturalInterval(dn, lo, hi)
              for lo in range(n) for hi in range(n)]
-    # the indices of x, y, x + y, x - y, x * y and the kernel element,
-    # taken in place: one buffer the size of drawn is the peak
-    ends = np.hstack([drawn[:, :10], n * drawn[:, 10:]])
-    ends %= n
+    # each kernel endpoint n * k, reduced by Zn's own coercion
+    if any(interval(dn, n * k, n * k) != zero
+           for k in np.unique(drawn[:, 10:]).tolist()):
+        return False
+    # the indices of x, y, x + y, x - y and x * y, taken in place: one
+    # buffer the size of drawn's first ten columns is the peak
+    ends = drawn[:, :10] % n
     codes = ends[:, 0::2]
     codes *= n
     codes += ends[:, 1::2]
-    if any(elems[i] != zero for i in np.unique(codes[:, 5]).tolist()):
-        return False
     if any(elems[i] == zero for i in np.unique(codes[:, 0]).tolist() if i):
         return False
     pair, inv = np.unique(codes[:, 0] * n * n + codes[:, 1],
@@ -269,8 +271,9 @@ def _modmap_cases(n, pairs, seed):
     """The failure list of modmap_suite(n, pairs, seed), case by case.  A
     case draws x and y and checks add, sub and mul in that order; only
     when all three pass does it draw the kernel multipliers, so a case
-    that fails an op draws no more.  Both kernel checks reduce with
-    Python's % and not through a Mod op, so they hold by construction."""
+    that fails an op draws no more.  The kernel check reduces the kernel
+    element through Zn's coercion; the kernel-only check reduces x with
+    Python's %, so it holds by construction."""
     dn = Mod(n)
     zero = NaturalInterval(dn, 0, 0)
 
@@ -288,7 +291,7 @@ def _modmap_cases(n, pairs, seed):
                         "phi(x op y)": str(amb), "phi(x) op phi(y)": str(img)}
         kern = NaturalInterval(Z, n * (_rand_below(rng, 61) - 30),
                                n * (_rand_below(rng, 61) - 30))
-        if NaturalInterval(dn, kern.lo % n, kern.hi % n) != zero:
+        if interval(dn, kern.lo, kern.hi) != zero:
             return {"op": "kernel", "x": str(kern), "case": k,
                     "expected": "[0,0]"}
         if (x.lo % n, x.hi % n) != (0, 0) and px == zero:

@@ -1,5 +1,10 @@
 """Helpers shared by the test modules, which import them from here."""
 
+import contextlib
+from unittest import mock
+
+from natint import cli
+from natint.carriers import build_carrier
 from natint.structures import FiniteStructure
 
 
@@ -13,3 +18,23 @@ def built_twin(s):
         s.elements, mul=s.mul_fn, add=s.add_fn, name=s.name, kind=s.kind,
         domain=s.domain, flavor=s.flavor, parse_element=s.parse_element,
         tables=s._tables)
+
+
+def twin_carrier(spec, **kwargs):
+    return built_twin(build_carrier(spec, **kwargs))
+
+
+_restrict = FiniteStructure.restrict
+
+
+def twin_restrict(self, indices):
+    return built_twin(_restrict(self, indices))
+
+
+@contextlib.contextmanager
+def on_twins():
+    """Run the CLI on built twins: its carriers (cli.build_carrier) and
+    their subsets (FiniteStructure.restrict) are built_twin's."""
+    with mock.patch.object(cli, "build_carrier", twin_carrier), \
+            mock.patch.object(FiniteStructure, "restrict", twin_restrict):
+        yield

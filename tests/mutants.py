@@ -75,6 +75,7 @@ ONE_WAY = "The randomized suites check each law one way"
 FAMILIES = "The claim catalogue by families"
 ONE_READER = "One spec reader"
 ONE_RULE = "The arithmetic layer states each rule once"
+REQUEST_LAYER = "The request layer states each rule once"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -413,6 +414,29 @@ MUTANTS = (
     Mutant("rank-scales-by-the-pivot", ONE_RULE, "matrices.py",
            "inv = field.inv(rows[rank][col])", "inv = rows[rank][col]",
            ("tests/test_matrices.py", "-k", "brute_force_rank")),
+    Mutant("exit-table-base-before-too-large", REQUEST_LAYER, "cli.py",
+           "    ((TooLarge, InfiniteDomain), EXIT_TOO_LARGE),\n"
+           "    (NotAnIdeal, EXIT_VERIFY),\n"
+           "    (NatIntError, EXIT_PARSE),\n",
+           "    (NatIntError, EXIT_PARSE),\n"
+           "    ((TooLarge, InfiniteDomain), EXIT_TOO_LARGE),\n"
+           "    (NotAnIdeal, EXIT_VERIFY),\n",
+           ("tests/test_cli.py", "-k", "each_error")),
+    Mutant("chain-minus-adds", REQUEST_LAYER, "cli.py",
+           '"-": operator.sub', '"-": operator.add',
+           ("tests/test_cli.py", "-k", "left_to_right")),
+    Mutant("closing-bracket-ignores-depth", REQUEST_LAYER, "intervals.py",
+           "            if depth == 0:\n                return i\n",
+           "            return i\n",
+           ("tests/test_cli.py", "-k", "expression_api or unclosed")),
+    Mutant("minimal-ideals-by-subset-or-equal", REQUEST_LAYER, "quotients.py",
+           "not any(g < f for _, g in nontrivial)",
+           "not any(g <= f for _, g in nontrivial)",
+           ("tests/test_quotients.py", "-k", "by_definition")),
+    Mutant("kernel-reduces-to-one", REQUEST_LAYER, "scalars.py",
+           "return _index(self, value) % self.n\n",
+           "return _index(self, value) % self.n or int(value != 0)\n",
+           ("tests/test_suites.py", "-k", "modmap_kernel")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

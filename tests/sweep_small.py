@@ -18,7 +18,7 @@ Each request runs through cli.main three times: on the engine with bands
 of one entry, so that every block is read row by row and every view of
 more than one entry reads its ambient; on the engine at the default
 band; and with build_carrier and FiniteStructure.restrict patched to
-return built twins (conftest.built_twin), which have no product form and
+return built twins (conftest.on_twins), which have no product form and
 no ambient, so every fact is scanned off tables built one pair at a
 time.  Exit code, stdout and stderr must match across the three.  Unlike
 tests/test_differential.py, which draws its requests, the sweep covers
@@ -42,8 +42,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 from natint import cli, structures  # noqa: E402
 from natint.carriers import build_carrier  # noqa: E402
 from natint.errors import ParseError, TooLarge  # noqa: E402
-from natint.structures import FiniteStructure  # noqa: E402
-from conftest import built_twin  # noqa: E402
+from conftest import on_twins  # noqa: E402
 
 SIZE_BOUND = 64
 # Largest carrier whose every element is a gen{x} request.
@@ -119,17 +118,6 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def twin_carrier(spec, **kwargs):
-    return built_twin(build_carrier(spec, **kwargs))
-
-
-_restrict = FiniteStructure.restrict
-
-
-def twin_restrict(self, indices):
-    return built_twin(_restrict(self, indices))
-
-
 def sweep(argv):
     """The mismatch descriptions of one request's three runs."""
     # a bound of SIZE_BOUND ** 2 lets every carrier print its table
@@ -138,8 +126,7 @@ def sweep(argv):
     with mock.patch.object(structures, "_BAND_ENTRIES", 1):
         rows = run(argv)
     banded = run(argv)
-    with mock.patch.object(cli, "build_carrier", twin_carrier), \
-            mock.patch.object(FiniteStructure, "restrict", twin_restrict):
+    with on_twins():
         twin = run(argv)
     return [f"{argv}: {name} differs from the twin"
             for name, got in (("bands of 1", rows), ("default bands", banded))

@@ -5,6 +5,7 @@ from natint import (
     Flavor,
     InfiniteDomain,
     Mod,
+    NaturalInterval,
     ParseError,
     TooLarge,
     Z,
@@ -16,6 +17,20 @@ from natint import (
     matrix_structure,
     poly_structure,
 )
+
+
+def test_a_subset_hashes_each_listed_element_once(monkeypatch):
+    # the structure's own index refuses a duplicate; no second set is made
+    hashed = []
+    hash_ = NaturalInterval.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return hash_(self)
+
+    monkeypatch.setattr(NaturalInterval, "__hash__", counted)
+    s = build_carrier("Sub{[1,1],[0,2],[2,2]} of N(Zn:3)")
+    assert s.n == 3 and len(hashed) == 3
 
 
 def test_interval_carrier_counts():

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from natint.cli import eval_expression, main
-from natint import Flavor, Mod, ParseError, Q, interval, parse_domain
+from natint import Flavor, Mod, ParseError, Q, Z, interval, parse_domain
 from natint import structures
 
 
@@ -162,6 +162,27 @@ def test_eval_expression_api():
     assert str(z) == "[1/2,1/4]"
     w = eval_expression("min(max([1,5],[2,3]),[9,4])", Q)
     assert str(w) == "[2,4]"
+    v = eval_expression("(([1,2]+[3,4])*(2))-[1,1]", Z)
+    assert str(v) == "[7,11]"
+
+
+def test_eval_folds_each_level_left_to_right():
+    # folded from the right these would read [12,22], 8 and 8
+    assert str(eval_expression("[10,20]-[1,2]-[3,4]", Z)) == "[6,14]"
+    assert str(eval_expression("8/2/2", Q)) == "2"
+    assert str(eval_expression("1+2*3-4-5", Z)) == "-2"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "Z", "[1,2"), "unbalanced bracket: at position 0"),
+    (("eval", "Z", "2*([1,2]+[3,4]"), "unbalanced bracket: at position 2"),
+    (("analyze", "Sub{[0,0],[1,1] of N(Zn:2)"),
+     "unterminated Sub{...}: at position 3"),
+], ids=["interval", "group", "Sub"])
+def test_an_unclosed_bracket_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_eval_open_literals_and_scalars():
@@ -374,6 +395,28 @@ def test_subset_listing_an_element_twice_rejected(capsys):
     assert code == 2
     assert out == ""
     assert "more than once" in err
+
+
+# One request per row of the exit-code table, in its order: a kind listed
+# after its base class would end in the base's code.
+EXIT_CODES = (
+    (("eval", "Z", "[1,2"), 2),
+    (("analyze", "N(Zn:2000)"), 3),
+    (("analyze", "N(Z)"), 3),
+    (("quotient", "Mat(2,2,N(Zn:2))", "col-zero"), 4),
+    (("eval", "Zn:6", "[1,0) * (1,5)"), 2),
+    (("eval", "Z", "[1,2]", "--out", "no-such-dir/out.json"), 1),
+)
+
+
+@pytest.mark.parametrize("argv, expected", EXIT_CODES, ids=[
+    "parse", "too-large", "infinite", "not-an-ideal", "flavor", "os"])
+def test_each_error_ends_in_its_exit_code(tmp_path, monkeypatch, capsys,
+                                          argv, expected):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point():

@@ -28,8 +28,7 @@ from hypothesis import HealthCheck, given, reject, settings, strategies as st
 from natint import cli, structures
 from natint.carriers import build_carrier
 from natint.errors import ParseError, TooLarge
-from natint.structures import FiniteStructure
-from conftest import built_twin
+from conftest import on_twins
 from test_fuzz_cli import domains, intervals, n_spec, scalars
 
 SIZE_BOUND = 64
@@ -114,17 +113,6 @@ def run(argv):
     return code, out.getvalue()
 
 
-def twin_carrier(spec, **kwargs):
-    return built_twin(build_carrier(spec, **kwargs))
-
-
-_restrict = FiniteStructure.restrict
-
-
-def twin_restrict(self, indices):
-    return built_twin(_restrict(self, indices))
-
-
 @settings(max_examples=400, deadline=timedelta(seconds=5),
           derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 @given(requests(), st.sampled_from(BANDS))
@@ -134,7 +122,6 @@ def test_reports_match_the_engine_without_shortcuts(argv, band):
     argv = [command, "--size-bound", str(SIZE_BOUND ** 2), *rest]
     with mock.patch.object(structures, "_BAND_ENTRIES", band):
         got = run(argv)
-    with mock.patch.object(cli, "build_carrier", twin_carrier), \
-            mock.patch.object(FiniteStructure, "restrict", twin_restrict):
+    with on_twins():
         want = run(argv)
     assert got == want, argv

@@ -20,6 +20,7 @@ from natint import (
     mat_recompose,
     matrix_from_csv,
     matrix_to_csv,
+    parse_domain,
     parse_matrix,
     span_dimension,
 )
@@ -166,6 +167,18 @@ def test_span_coerces_another_domains_scalars_into_the_field():
     vecs = [parse_matrix("[7,0]", Z), parse_matrix("[1,2]", Z)]
     assert span_dimension(vecs, Q)["dimension"] == 2
     assert span_dimension(vecs, Mod(7))["dimension"] == 1
+
+
+def test_span_over_a_field_its_domain_does_not_embed_in_is_refused():
+    # Z+I's scalars are pairs, and Q's are no Zn:7 scalars
+    for spec, text, field in (("Z+I", "[1,2]", Q),
+                              ("Z+I", "[1,I]", Mod(7)),
+                              ("Q", "[1/2,1]", Mod(7))):
+        vecs = [parse_matrix(text, parse_domain(spec))]
+        with pytest.raises(DomainMismatch) as exc:
+            span_dimension(vecs, field)
+        assert str(exc.value) == \
+            f"vectors over {spec} do not embed in {field.spec}"
 
 
 def test_span_requires_a_field():

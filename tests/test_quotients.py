@@ -5,6 +5,7 @@ from natint import (
     Ideal,
     Mod,
     NotAnIdeal,
+    build_carrier,
     enumerate_ideals,
     generate_ideal,
     interval,
@@ -155,6 +156,26 @@ def test_exactly_two_proper_ideals_for_primes():
         shapes = [set(i.members()) for i in rep["minimal"]]
         col = {str(interval(Mod(p), 0, b)) if b else "0" for b in range(p)}
         assert col in shapes
+
+
+@pytest.mark.parametrize("spec", ["N(Zn:6)", "N(Zn:8)", "N(Zn:4,o)",
+                                  "N(ZnI:2)", "Mat(1,2,N(Zn:2))",
+                                  "Poly(N(Zn:2),cyc=2)"])
+def test_minimal_and_maximal_ideals_by_definition(spec):
+    s = build_carrier(spec)
+    sets = [set(i.indices) for i in enumerate_ideals(s)]
+    proper = [f for f in sets if len(f) < s.n]
+    nonzero = [f for f in proper if f != {s.identity_index("add")}]
+
+    def ordered(fs):
+        return sorted(fs, key=lambda f: (len(f), sorted(f)))
+
+    rep = maximal_minimal_ideals(s)
+    assert (rep["total"], rep["proper_nonzero"]) == (len(sets), len(nonzero))
+    assert [set(i.indices) for i in rep["minimal"]] == ordered(
+        f for f in nonzero if not any(g < f for g in nonzero))
+    assert [set(i.indices) for i in rep["maximal"]] == ordered(
+        f for f in proper if not any(f < g for g in proper))
 
 
 def test_composite_modulus_has_more_ideals():

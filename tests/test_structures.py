@@ -181,8 +181,10 @@ _Z12 = [interval(Mod(12), a, a) for a in (0, 4, 8)]
      {"reason": "no multiplicative identity"}),
     ([0, 1, 2, 3], _mod(4, add), _mod(4, mul), False,
      {"reason": "missing multiplicative inverse", "witness": "2"}),
+    ([0, 1, 0], _mod(2, add), _mod(2, mul), False,
+     {"reason": "additive: duplicate elements"}),
 ], ids=["field", "additive", "too-small", "product-leaves",
-        "not-distributive", "no-identity", "missing-inverse"])
+        "not-distributive", "no-identity", "missing-inverse", "duplicate"])
 def test_subset_field_checker(elems, plus, times, ok, info):
     assert check_subset_field(elems, plus, times) == (ok, info)
 

@@ -87,6 +87,20 @@ def test_modmap_preserves_operations():
         assert rep["kernel"] == f"N({n}Z)"
 
 
+def test_modmap_kernel_check_reduces_through_the_domain(monkeypatch):
+    # batched at 6, case by case at 70 (above MODMAP_BATCHED); a coercion
+    # that sends the nonzero multiples of n to 1 fails the kernel check
+    for n in (6, 70):
+        assert modmap_suite(n, pairs=2000, seed=1)["ok"]
+    canon = ModDomain._canon
+    monkeypatch.setattr(ModDomain, "_canon", lambda self, value: (
+        canon(self, value) or int(value != 0)))
+    for n in (6, 70):
+        rep = modmap_suite(n, pairs=2000, seed=1)
+        assert not rep["ok"]
+        assert {f["op"] for f in rep["first_failures"]} == {"kernel"}
+
+
 def test_modmap_seed_changes_nothing_about_verdict():
     a = modmap_suite(5, pairs=1500, seed=1)
     b = modmap_suite(5, pairs=1500, seed=2)
