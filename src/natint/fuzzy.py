@@ -9,6 +9,7 @@ interval triple, because the operations act independently on the two
 endpoints.
 """
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -17,17 +18,8 @@ from .intervals import Flavor, NaturalInterval, iv_max, iv_min
 from .scalars import F01
 from .structures import FiniteStructure, axiom_report
 
-GRID_OPS = ("min", "max", "prod")
-
-
-def _op_fn(op):
-    if op == "min":
-        return iv_min
-    if op == "max":
-        return iv_max
-    if op == "prod":
-        return lambda x, y: x * y
-    raise ValueError(f"unknown fuzzy op {op!r}; expected one of {GRID_OPS}")
+GRID_FNS = {"min": iv_min, "max": iv_max, "prod": operator.mul}
+GRID_OPS = tuple(GRID_FNS)
 
 
 def fuzzy_grid(step_denominator=10, flavor=Flavor.CLOSED):
@@ -39,11 +31,12 @@ def fuzzy_grid(step_denominator=10, flavor=Flavor.CLOSED):
 
 
 def grid_structure(op, step_denominator=10, flavor=Flavor.CLOSED):
+    if op not in GRID_FNS:
+        raise ValueError(
+            f"unknown fuzzy op {op!r}; expected one of {GRID_OPS}")
     s = step_denominator
-    elements = fuzzy_grid(s, flavor)
-    fn = _op_fn(op)
     return FiniteStructure(
-        elements, mul=fn,
+        fuzzy_grid(s, flavor), mul=GRID_FNS[op],
         name=f"Fuzzy({op},step=1/{s})", kind="grid", domain=F01,
         flavor=flavor, diag=lambda p: NaturalInterval(F01, p, p, flavor))
 

@@ -303,12 +303,18 @@ def span_dimension(vectors, field):
         if v.domain != vectors[0].domain:
             raise DomainMismatch("span vectors must share one domain")
     coords = [decomposed_coordinates(v) for v in vectors]
-    if vectors[0].domain != field:  # e.g. Z's scalars, coerced into Q
+    domain = vectors[0].domain
+    if domain != field:  # e.g. Z's scalars, coerced into Q
+        refused = DomainMismatch(
+            f"vectors over {domain.spec} do not embed in {field.spec}")
+        # reading Zn:m's residues in Zn:p keeps + and * only when p | m
+        if isinstance(domain, ModDomain) and not (
+                isinstance(field, ModDomain) and domain.n % field.n == 0):
+            raise refused
         try:
             coords = [[field.coerce(c) for c in row] for row in coords]
         except TypeError:
-            raise DomainMismatch(f"vectors over {vectors[0].domain.spec} "
-                                 f"do not embed in {field.spec}") from None
+            raise refused from None
     k = shape[0] * shape[1]
     rank = _rank(coords, field)
     return {

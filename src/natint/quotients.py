@@ -109,7 +109,6 @@ from .structures import (
     _once,
     _proven,
     _relabel,
-    _unique_negatives,
     _zero_index,
     axiom_report,
     find_special_elements,
@@ -351,6 +350,14 @@ def _factor_ideals(s, idx):
             or not is_ideal(factors[-1], q)[0]):
         return None
     return p, q
+
+
+@_once
+def _unique_negatives(f):
+    """Does every element of f have exactly one additive inverse?"""
+    z = f.identity_index("add")
+    return z is not None and bool(
+        ((f.table("add") == z).sum(axis=1) == 1).all())
 
 
 def _meets_ideal_lemma(f):
@@ -634,7 +641,7 @@ class QuotientStructure(FiniteStructure):
     def diagnostics(self):
         out = {}
         for op in ("add", "mul"):
-            if op == "add" and not self.ambient.has_op("add"):
+            if not self.has_op(op):
                 continue
             ok, wit = self.well_defined(op)
             out[f"well_defined_{op}"] = ok

@@ -29,22 +29,23 @@ the prime field of such a subfield F is the span of its identity 1_F,
 an idempotent with 1_F * 1_F = 1_F, so the search reaches it
 (_s_ring_spans).
 
-Units are one remembered map too (FiniteStructure.units): each element's
-first two-sided inverse for the identity of mul, or -1 (_inverse_map).
-The unit list, the field verdict and the maximal subgroups read it, or
-_inverse_of on a corner of the table.  Zero divisors and
+Inverses are one remembered map per op (FiniteStructure._inverse_table):
+each element's first two-sided inverse for op's identity, or -1
+(_inverse_map).  units() is the map of mul and neg_index() the map of
+add when no entry is -1.  The unit list, the field verdict and the book
+read units(); the maximal subgroups run _inverse_map on a corner of the
+table (_inverse_of).  Zero divisors and
 S-zero-divisors read one mask of the products of two nonzero elements
 that give zero (_zero_products), built fresh for each reader and never
 remembered: it is n x n bools, 7.6 MB on a 2757-class quotient.  The
 first such pair, which the strict and semifield checks ask for, reads
 that mask band by band, up to the first band with one (_first_zero_pair).
-The unit map, the negation map (neg_index, the same search for the
-identity of add) and inverses(op) share one search (_inverse_bands): each
+The inverse map and inverses(op) share one search (_inverse_bands): each
 element's first right inverse, kept when it is two-sided, since every
 two-sided inverse is a right inverse, and searched on only where it is
 not.  inverses(op) stops at the band of the first element without an
-inverse; one that reads every band keeps the map, so the search runs
-once per structure and op.
+inverse; one that reads every band seeds the inverse map with the map
+it built, so the search runs once per structure and op.
 
 A product carrier is its sides: one structure per distinct part list
 (lo and hi, or one when they agree), whose table of an op is that list's
@@ -111,19 +112,21 @@ inverses verdict are searched in the ambient's bands (_inverse_bands),
 one band buffer at a time, and so are its first zero pairs
 (_first_zero_pair) and a quotient's well-definedness (quotients).  Its
 closure needs no read at all when every ambient element has a class
-and the ambient is proven closed (closed).  So the 2757-class Rees
+and the ambient is proven closed (_known).  So the 2757-class Rees
 quotient of N(Z53) gets every verdict of its report without its two
 30 MB class tables.  Its additive inverses and its first zero pair of
 mul are read off its ideal, with no band of the ambient
 (quotients.QuotientStructure).
 
-A view inherits these laws, and commutativity, from its ambient.  A
-subset closed under an operation is associative (distributive) when
-its ambient is, and so is a quotient by a congruence, an equivalence
-that the operations respect, because the class map is then a
-homomorphism onto it.  A view's entries are read off the ambient's
-entries for its representatives, so its table is commutative when the
-ambient's is, congruence or not (_known).  A law counts as proven on
+A view inherits these laws, closure and commutativity from its
+ambient, all by one rule (_known).  A subset closed under an operation
+is associative (distributive) when its ambient is, and so is a quotient
+by a congruence, an equivalence that the operations respect, because
+the class map is then a homomorphism onto it.  A view's entries are
+read off the ambient's entries for its representatives, so its table
+is commutative when the ambient's is, congruence or not, and closed
+when the ambient's is and every ambient element has a class, since an
+entry is then -1 only where the ambient's is.  A law counts as proven on
 the ambient only when the ambient's memo already holds a passing
 verdict or its factors pass (_proven); the ambient itself is never
 scanned for it.  A passing inherited verdict is (True, None), as a
@@ -212,7 +215,7 @@ class FiniteStructure:
     building them (_reads_ambient): its identity and absorbing element,
     characteristic, units and inverses, first zero pairs and, for a
     quotient, the rows that well_defined compares.  Its closure is proven
-    on the ambient when every ambient element has a class (closed).
+    on the ambient when every ambient element has a class (_known).
     """
 
     def __init__(self, elements, mul=None, add=None, *, name="",
@@ -427,13 +430,17 @@ class FiniteStructure:
 
     def _known(self, law, *ops):
         """Is law proven here without a scan (_proven), or on the ambient
-        of a view?  Only proven ambient verdicts count.  Commutativity
-        holds on any view of a commutative ambient, as its entries are
-        read off the ambient's for its representatives; any other law only
-        for ops well defined here (_congruent)."""
+        of a view?  Only proven ambient verdicts count.  Closure holds on
+        a view whose class_of gives every ambient element a class, as an
+        entry is -1 only where the ambient's product is; commutativity on
+        any view, as its entries are read off the ambient's for its
+        representatives; any other law only for ops well defined here
+        (_congruent)."""
         return _proven(self, law, *ops) or (
-            self.view is not None and _proven(self.view[0], law, *ops)
-            and (law == "commutative"
+            self.view is not None
+            and (law != "closed" or (self.view[2] >= 0).all())
+            and _proven(self.view[0], law, *ops)
+            and (law in ("closed", "commutative")
                  or all(self._congruent(op) for op in ops)))
 
     def _congruent(self, op):
@@ -478,14 +485,10 @@ class FiniteStructure:
     @_once
     def closed(self, op):
         """Is every product an element?  A full product is closed when its
-        factors are (_proven).  A view whose class_of gives every ambient
-        element a class is closed when its ambient is proven closed, since
-        an entry is -1 only where the ambient's product is, and no table
-        is read.  Else the table is scanned, as it is for a subset, whose
-        class_of has -1."""
-        if _proven(self, "closed", op) or (
-                self.view is not None and (self.view[2] >= 0).all()
-                and _proven(self.view[0], "closed", op)):
+        factors are, and a view whose every ambient element has a class
+        when its ambient is, with no table read (_known).  Else the table
+        is scanned, as it is for a subset, whose class_of has -1."""
+        if self._known("closed", op):
             return True, None
         wit = _first_true(self.table(op) < 0)
         return wit is None, wit
@@ -561,8 +564,8 @@ class FiniteStructure:
     def inverses(self, op):
         """Does every element have a two-sided inverse for the identity?
         The search stops at the band of the first element without one
-        (_inverse_bands).  One that reads every band keeps the map it
-        built, which neg_index and units then return (_inverse_map)."""
+        (_inverse_bands).  One that reads every band seeds _inverse_table
+        with the map it built, so the search runs once per op."""
         e = self.identity_index(op)
         if e is None:
             return None, None
@@ -573,8 +576,20 @@ class FiniteStructure:
             if (band < 0).any():
                 return False, lo + int(np.argmin(band))
             inv[lo:lo + len(band)] = band
-        self._memo["inverse_map", op] = inv
+        inv.flags.writeable = False
+        self._memo["_inverse_table", op] = inv
         return True, None
+
+    @_once
+    def _inverse_table(self, op):
+        """Map i -> i's first two-sided inverse for op's identity, or -1
+        (_inverse_map); read-only.  None when op has no identity."""
+        e = self.identity_index(op)
+        if e is None:
+            return None
+        inv = _inverse_map(self, op, e)
+        inv.flags.writeable = False
+        return inv
 
     @_once
     def distributive(self):
@@ -605,18 +620,12 @@ class FiniteStructure:
     @_once
     def neg_index(self):
         """Map i -> i's first two-sided additive inverse (read-only), or
-        None when an element has none: the search units() runs
-        (_inverse_map).  The addition of every carrier (N(D), matrices,
-        polynomials, their subsets and quotients) is commutative, so this
-        is each element's first right inverse too."""
-        z = self.identity_index("add")
-        if z is None:
-            return None
-        neg = _inverse_map(self, "add", z)
-        if (neg < 0).any():
-            return None
-        neg.flags.writeable = False
-        return neg
+        None when an element has none (_inverse_table).  The addition of
+        every carrier (N(D), matrices, polynomials, their subsets and
+        quotients) is commutative, so this is each element's first right
+        inverse too."""
+        neg = self._inverse_table("add")
+        return None if neg is None or (neg < 0).any() else neg
 
     def orbit(self, op, i):
         """The powers of element i under op, i, i∘i, (i∘i)∘i, ..., up to
@@ -633,16 +642,11 @@ class FiniteStructure:
         (_walk)."""
         return _walk(self.table(op))
 
-    @_once
     def units(self):
         """Map i -> i's first two-sided inverse under mul, or -1 for a
-        non-unit (_inverse_of); read-only.  None when mul has no identity."""
-        one = self.identity_index("mul")
-        if one is None:
-            return None
-        inv = _inverse_map(self, "mul", one)
-        inv.flags.writeable = False
-        return inv
+        non-unit (_inverse_table); read-only.  None when mul has no
+        identity."""
+        return self._inverse_table("mul")
 
     @_once
     def idempotents(self):
@@ -686,14 +690,6 @@ def _proven(s, law, *ops):
             getattr(f, law)(*args)[0] is True for f in factors)
     except TooLarge:
         return False
-
-
-@_once
-def _unique_negatives(f):
-    """Does every element of f have exactly one additive inverse?"""
-    z = f.identity_index("add")
-    return z is not None and bool(
-        ((f.table("add") == z).sum(axis=1) == 1).all())
 
 
 class _Coords:
@@ -911,13 +907,7 @@ def _inverse_of(t, e):
 
 def _inverse_map(s, op, e):
     """Entry i: the first j in carrier order with i∘j == j∘i == e under
-    op, or -1 when there is none (_inverse_bands).  The map that
-    s.inverses(op) kept, when its search read every band, is returned
-    without a second search: every caller passes op's identity as e,
-    save _inverse_of, whose structure is new."""
-    inv = s._memo.get(("inverse_map", op))
-    if inv is not None:
-        return inv
+    op, or -1 when there is none (_inverse_bands)."""
     inv = np.empty(s.n, dtype=np.intp)
     for lo, band in _inverse_bands(s, op, e):
         inv[lo:lo + len(band)] = band
@@ -1232,30 +1222,23 @@ def is_field(s):
 
 
 def classify(s):
-    """Human-readable classification tags for the carrier."""
+    """Human-readable classification tags for the carrier: each op's rung
+    of the semigroup, monoid and group ladder, read off the reason of
+    _group_verdict, then ring and field."""
     tags = []
     for op, noun in (("add", "additive"), ("mul", "multiplicative")):
         if not s.has_op(op):
             continue
-        closed, _ = s.closed(op)
-        if not closed:
-            tags.append(f"{noun} operation not closed")
+        reason = _group_verdict(s, op)[1].get("reason")
+        if reason in ("not closed", "not associative"):
+            tags.append(f"{noun} operation {reason}")
             continue
-        assoc, _ = s.associative(op)
-        if not assoc:
-            tags.append(f"{noun} operation not associative")
-            continue
-        word = "semigroup"
-        if s.identity_index(op) is not None:
-            word = "monoid"
-            inv, _ = s.inverses(op)
-            if inv:
-                word = "group"
-        comm, _ = s.commutative(op)
-        if comm:
+        word = {None: "group", "missing inverse": "monoid"}.get(
+            reason, "semigroup")
+        if s.commutative(op)[0]:
             word = ("abelian " if word == "group" else "commutative ") + word
         tags.append(f"{noun} {word}")
-    if s.has_op("add") and s.has_op("mul") and is_ring(s):
+    if is_ring(s):
         name = "ring"
         comm, _ = s.commutative("mul")
         if comm:
@@ -1649,15 +1632,11 @@ def _s_ring_spans(s):
         return
     n = s.n
     idem = s.idempotents()
-
-    def diag(i):
-        e = s.elements[i]
-        return isinstance(e, NaturalInterval) and e.is_degenerate
-
     phases = []
     if s.kind == "interval":
-        phases.append(([e for e in idem if diag(e)],
-                       [i for i in range(n) if diag(i)]))
+        diag = [e.is_degenerate for e in s.elements]
+        phases.append(([e for e in idem if diag[e]],
+                       [i for i in range(n) if diag[i]]))
     phases.append((idem, range(n)))
     for es, gs in phases:
         for e in es:

@@ -21,12 +21,13 @@ multipliers.  Its image side N(Zn) is finite, so for moduli up to
 MODMAP_BATCHED the cases are first checked in one batched pass over
 the draws, which are the same for every modulus as long as every case
 passes; only when some case fails is each modulus run again on its own
-stream, case by case, to write its failures.  The kernel check reduces
-each multiple of n through Zn's coercion (Mod(n).coerce), so a fault
-there fails it; the kernel-only check reduces with Python's % and holds
-by construction.  On a 2-core VM (Python 3.11.7), modmap_suite(11,
-10000) takes 0.06 s (0.09 s case by case) and decomposition_suite(10000)
-1.8 s, best of 7 and of 3 runs.
+stream, case by case, to write its failures.  The map itself reads each
+residue of x and y through Zn's coercion (Mod(n).coerce), and the
+kernel check reduces each multiple of n through it, so a fault of the
+coercion fails the ops, the kernel-only check or the kernel check.  On
+a 2-core VM (Python 3.11.7), modmap_suite(11, 10000) takes 0.06 s
+(0.09 s case by case) and decomposition_suite(10000) 1.8 s, best of 7
+and of 3 runs.
 """
 
 import operator
@@ -245,12 +246,18 @@ def _modmap_passes(n, drawn):
            for k in np.unique(drawn[:, 10:]).tolist()):
         return False
     # the indices of x, y, x + y, x - y and x * y, taken in place: one
-    # buffer the size of drawn's first ten columns is the peak
+    # buffer the size of drawn's first ten columns is the peak; x's and
+    # y's residues are mapped through Zn's coercion, as phi maps them
     ends = drawn[:, :10] % n
+    nonzero = ends[:, :2].any(axis=1)
+    phi = np.array([dn.coerce(r) for r in range(n)])
+    if phi.min() < 0 or phi.max() >= n:
+        return False
+    ends[:, :4] = phi[ends[:, :4]]
     codes = ends[:, 0::2]
     codes *= n
     codes += ends[:, 1::2]
-    if any(elems[i] == zero for i in np.unique(codes[:, 0]).tolist() if i):
+    if any(elems[i] == zero for i in np.unique(codes[nonzero, 0]).tolist()):
         return False
     pair, inv = np.unique(codes[:, 0] * n * n + codes[:, 1],
                           return_inverse=True)
@@ -271,17 +278,17 @@ def _modmap_cases(n, pairs, seed):
     """The failure list of modmap_suite(n, pairs, seed), case by case.  A
     case draws x and y and checks add, sub and mul in that order; only
     when all three pass does it draw the kernel multipliers, so a case
-    that fails an op draws no more.  The kernel check reduces the kernel
-    element through Zn's coercion; the kernel-only check reduces x with
-    Python's %, so it holds by construction."""
+    that fails an op draws no more.  phi(x) and phi(y) read x's and y's
+    residues through Zn's coercion, and the kernel check reduces the
+    kernel element through it, so every check but the ambient side of
+    the ops asks the coercion."""
     dn = Mod(n)
     zero = NaturalInterval(dn, 0, 0)
 
     def case(rng, k):
         x, y = _rand_iv(Z, rng), _rand_iv(Z, rng)
-        # residues mod n are already canonical in Zn
-        px = NaturalInterval(dn, x.lo % n, x.hi % n)
-        py = NaturalInterval(dn, y.lo % n, y.hi % n)
+        px = interval(dn, x.lo % n, x.hi % n)
+        py = interval(dn, y.lo % n, y.hi % n)
         for op, f in _MODMAP_OPS:
             z = f(x, y)
             amb = NaturalInterval(dn, z.lo % n, z.hi % n)

@@ -33,7 +33,7 @@ from .carriers import (
     matrix_structure,
     poly_structure,
 )
-from .fuzzy import fuzzy_semigroup_report, grid_structure
+from .fuzzy import GRID_FNS, fuzzy_semigroup_report, grid_structure
 from .intervals import Flavor, NaturalInterval, Trend, interval, iv_max, iv_min
 from .matrices import IntervalMatrix, span_dimension
 from .polys import IntervalPoly
@@ -1428,8 +1428,7 @@ def _grid_identity(op, claimed, actual):
     degenerate interval `claimed`, which absorbs instead: an erratum when
     it absorbs (0.3,0.7) and the grid's identity is `actual`."""
     s = grid_structure(op)
-    fn = {"min": iv_min, "max": iv_max}[op]
-    absorbed = fn(_fiv(claimed, claimed), _fiv("3/10", "7/10"))
+    absorbed = GRID_FNS[op](_fiv(claimed, claimed), _fiv("3/10", "7/10"))
     e = s.identity_index("mul")
     ident = s.elements[e] if e is not None else None
     if absorbed == _fiv(claimed, claimed) and ident == _fiv(actual, actual):

@@ -76,6 +76,7 @@ FAMILIES = "The claim catalogue by families"
 ONE_READER = "One spec reader"
 ONE_RULE = "The arithmetic layer states each rule once"
 REQUEST_LAYER = "The request layer states each rule once"
+ENGINE = "The axiom engine states each rule once"
 
 PART_TWIN = "tests/test_part_tables.py::test_coded_part_tables_match_the_twin"
 REES_TWIN = "tests/test_factored_quotients.py::test_rees_lemmas_match_the_twin"
@@ -262,7 +263,8 @@ MUTANTS = (
            "edge = ar if absorbing else 0", "edge = ar",
            VIEW_TWIN),
     Mutant("commutativity-asks-the-congruence", VIEWS, "structures.py",
-           'and (law == "commutative"\n', 'and (False\n',
+           'and (law in ("closed", "commutative")\n',
+           'and (law == "closed"\n',
            (VIEW_TWIN[0], "-k", "congruence")),
     Mutant("known-ignores-the-congruence", VIEWS, "structures.py",
            "or all(self._congruent(op) for op in ops)))",
@@ -274,8 +276,8 @@ MUTANTS = (
            VIEW_TWIN),
     Mutant("closure-ignores-minus-one-in-class-of", NO_CLASS_TABLE,
            "structures.py",
-           "self.view is not None and (self.view[2] >= 0).all()",
-           "self.view is not None",
+           'and (law != "closed" or (self.view[2] >= 0).all())',
+           'and (law != "closed" or True)',
            VIEW_TWIN),
     Mutant("zero-pair-row-z-without-offset", NO_CLASS_TABLE,
            "structures.py",
@@ -307,7 +309,8 @@ MUTANTS = (
     Mutant("phase-two-diagonal-idempotents-only", PRIME_FIELDS,
            "structures.py",
            "    phases.append((idem, range(n)))",
-           "    phases.append(([e for e in idem if diag(e)], range(n)))",
+           "    phases.append(([e for e in idem if phases and diag[e]],"
+           " range(n)))",
            S_RING_TWIN),
     Mutant("phase-two-skipped-after-phase-one", PRIME_FIELDS,
            "structures.py",
@@ -336,7 +339,7 @@ MUTANTS = (
            "hit = _first_hit((lo, band > 0)",
            LEAK_TWIN),
     Mutant("grid-identity-reads-max-for-min", CLAIMS, "verify.py",
-           '{"min": iv_min, "max": iv_max}', '{"min": iv_max, "max": iv_max}',
+           "GRID_FNS[op](_fiv(claimed", 'GRID_FNS["max"](_fiv(claimed',
            ("tests/test_verify.py", "-k", "errata")),
     Mutant("record-keeps-an-empty-note", CLAIMS, "verify.py",
            "        if note:\n", "        if note is not None:\n",
@@ -437,6 +440,23 @@ MUTANTS = (
            "return _index(self, value) % self.n\n",
            "return _index(self, value) % self.n or int(value != 0)\n",
            ("tests/test_suites.py", "-k", "modmap_kernel")),
+    Mutant("classify-missing-inverse-is-group", ENGINE, "structures.py",
+           '{None: "group", "missing inverse": "monoid"}',
+           '{None: "group", "missing inverse": "group"}',
+           ("tests/test_structures.py", "-k", "law_ladder")),
+    Mutant("inverses-seeds-before-the-loop", ENGINE, "structures.py",
+           "        inv = np.empty(self.n, dtype=np.intp)\n",
+           "        inv = np.empty(self.n, dtype=np.intp)\n"
+           '        self._memo["_inverse_table", op] = inv\n',
+           ("tests/test_structures.py", "-k", "one_inverse_search")),
+    Mutant("span-embeds-every-residue-ring", ENGINE, "matrices.py",
+           "            raise refused\n", "            pass\n",
+           ("tests/test_matrices.py", "-k", "span")),
+    Mutant("canon-sends-residue-one-to-zero", ENGINE, "scalars.py",
+           "return _index(self, value) % self.n\n",
+           "return _index(self, value) % self.n * (\n"
+           "            _index(self, value) % self.n != 1)\n",
+           ("tests/test_suites.py", "-k", "modmap and not batched")),
 )
 
 # Mutants that no selection kills, run only when named, each with the

@@ -15,7 +15,7 @@ from operator import add, sub
 
 import pytest
 
-from natint import cli, structures
+from natint import cli, quotients, structures
 from natint.carriers import build_carrier, interval_elements
 from natint.errors import TooLarge
 from natint.intervals import Flavor, NaturalInterval
@@ -162,7 +162,7 @@ def test_inverses_that_are_not_unique_are_scanned():
     s = FiniteStructure(elements, add=plus, diag=diag)
     assert_same_as_scan(s)
     factors = s._factors()
-    assert not any(map(structures._unique_negatives, factors))
+    assert not any(map(quotients._unique_negatives, factors))
     c = s._coords()
     paired = c.grid[factors[0].neg_index()[c.lo],
                     factors[-1].neg_index()[c.hi]]

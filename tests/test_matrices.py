@@ -167,13 +167,21 @@ def test_span_coerces_another_domains_scalars_into_the_field():
     vecs = [parse_matrix("[7,0]", Z), parse_matrix("[1,2]", Z)]
     assert span_dimension(vecs, Q)["dimension"] == 2
     assert span_dimension(vecs, Mod(7))["dimension"] == 1
+    # Zn:10 reduces into Zn:5 by a ring map, where 2·[3,1] = [6,2]
+    for texts, dim in ((("[3,1]", "[6,2]"), 1), (("[3,1]", "[8,2]"), 2)):
+        vecs = [parse_matrix(text, Mod(10)) for text in texts]
+        assert span_dimension(vecs, Mod(5))["dimension"] == dim
 
 
 def test_span_over_a_field_its_domain_does_not_embed_in_is_refused():
-    # Z+I's scalars are pairs, and Q's are no Zn:7 scalars
+    # Z+I's scalars are pairs, and Q's are no Zn:7 scalars; Zn:5's
+    # residues are no integers: 2·[3,1] = [1,2] over Zn:5, not over Zn:7
+    # or Q
     for spec, text, field in (("Z+I", "[1,2]", Q),
                               ("Z+I", "[1,I]", Mod(7)),
-                              ("Q", "[1/2,1]", Mod(7))):
+                              ("Q", "[1/2,1]", Mod(7)),
+                              ("Zn:5", "[3,1]", Mod(7)),
+                              ("Zn:5", "[3,1]", Q)):
         vecs = [parse_matrix(text, parse_domain(spec))]
         with pytest.raises(DomainMismatch) as exc:
             span_dimension(vecs, field)

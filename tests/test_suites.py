@@ -101,6 +101,16 @@ def test_modmap_kernel_check_reduces_through_the_domain(monkeypatch):
         assert {f["op"] for f in rep["first_failures"]} == {"kernel"}
 
 
+def test_modmap_map_reads_residues_through_the_domain(monkeypatch):
+    # batched at 6, case by case at 70; a coercion that sends residue 1
+    # to 0 breaks phi, which the ops then catch
+    canon = ModDomain._canon
+    monkeypatch.setattr(ModDomain, "_canon", lambda self, value: (
+        0 if canon(self, value) == 1 else canon(self, value)))
+    for n in (6, 70):
+        assert not modmap_suite(n, pairs=2000, seed=1)["ok"]
+
+
 def test_modmap_seed_changes_nothing_about_verdict():
     a = modmap_suite(5, pairs=1500, seed=1)
     b = modmap_suite(5, pairs=1500, seed=2)
