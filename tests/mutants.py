@@ -7,15 +7,15 @@ Each mutant is one exact edit of one source file: a fault that a fast
 path could acquire in a later change, which a named selection of tests
 must catch.  For each mutant, src/ and tests/ are copied to a temporary
 directory, the edit is applied there, and the selection is run with
-`pytest -x -q`.  The mutant is killed when the selection fails, or when
-it runs past TIMEOUT (60 s; the slowest selection takes about 12 s on a
-2-core VM), so a fault that makes a loop endless is caught and costs
-one worker a minute.  The run fails when a mutant survives, when its
-old text does not occur exactly once in its file ("target moved": a
-refactor re-targets the mutant or retires it, and says so in
-CHANGES.md), or when a selection fails or times out on the unedited
-tree, which is checked first.  Nothing in the repository is written.
-Exits 0 when every mutant is killed, else 1.
+`pytest -x -q`, without hypothesis's pytest plugin.  The mutant is
+killed when the selection fails, or when it runs past TIMEOUT (60 s; the
+slowest selection takes about 11 s on a 2-core VM), so a fault that
+makes a loop endless is caught and costs one worker a minute.  The run
+fails when a mutant survives, when its old text does not occur exactly
+once in its file ("target moved": a refactor re-targets the mutant or
+retires it, and says so in CHANGES.md), or when a selection fails or
+times out on the unedited tree, which is checked first.  Nothing in the
+repository is written.  Exits 0 when every mutant is killed, else 1.
 
 Equivalent mutants (EQUIVALENT) change no verdict the program can
 print, each for the reason it gives.  They run only when named, and then
@@ -159,7 +159,8 @@ MUTANTS = (
     Mutant("record-later-keys-unchecked", CARRIER_COST, "cli.py",
            "if type(record) is not dict or tuple(record) != keys:",
            "if type(record) is not dict:",
-           RECORDS),
+           ("tests/test_render.py::"
+            "test_record_lists_take_their_branch_exactly_when_flat",)),
     Mutant("rees-p-and-q-swapped", REES_LEMMAS, "quotients.py",
            "((factors[0], p), (factors[-1], q))",
            "((factors[0], q), (factors[-1], p))",
@@ -167,7 +168,7 @@ MUTANTS = (
     Mutant("rees-partner-read-lo-major", REES_LEMMAS, "quotients.py",
            "partners = c.grid[np.ix_(",
            "partners = np.arange(c.grid.size).reshape(c.grid.shape)[np.ix_(",
-           (REES_TWIN, "-k", "Mat or Poly")),
+           (REES_TWIN + "[Mat(1,2,N(Zn:2))-1]",)),
     Mutant("rees-partner-count-at-least", REES_LEMMAS, "quotients.py",
            "(pairs > inner)", "(pairs >= inner)",
            (REES_TWIN,)),
@@ -507,10 +508,13 @@ def run_selection(tree, args):
     TIMED_OUT when it runs past TIMEOUT seconds."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
                PYTHONDONTWRITEBYTECODE="1")
+    # hypothesis's pytest plugin adds reports and options no run reads, and
+    # about 0.7 s of start-up to each; @given tests run and fail without it
     try:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *args], cwd=tree, env=env,
+             "no:cacheprovider", "-p", "no:hypothesispytest", *args],
+            cwd=tree, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
             timeout=TIMEOUT).returncode
     except subprocess.TimeoutExpired:
